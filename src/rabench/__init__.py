@@ -11,6 +11,7 @@ from .behavioral import (
     EmpiricalJoint,
     LossReport,
     TrialRecord,
+    TrialTable,
     behavioral_score,
     behavioral_value_of_information,
     belief_loss,

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavioral import TrialRecord
+from .behavioral import TrialTable, _resolve_report_map
 from .errors import InvalidModelError
 from .model import (
     Belief,
     ExperimentDesign,
-    binary_report_map,
     optimal_action,
     optimal_action_indices,
 )
@@ -117,18 +116,12 @@ def _draw_stimuli(structure, n_trials: int, rng: np.random.Generator,
     return v_idx, t_idx
 
 
-def _scalar_axis(design: ExperimentDesign):
-    """(from_belief, to_belief) for the design's scalar belief axis."""
-    report_map = design.report_map or binary_report_map(len(design.states))
-    return report_map.from_belief, report_map.to_belief
-
-
 def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
-             n_trials: int, seed: int, balanced: bool = False) -> list[TrialRecord]:
+             n_trials: int, seed: int, balanced: bool = False) -> TrialTable:
     """Run a synthetic agent through ``n_trials`` draws of one strategy.
 
-    Returns trial records in draw order; identical inputs give identical
-    records.
+    Returns the trials in draw order, with ids "0", "1", ...; identical
+    inputs give identical trials.
     """
     if n_trials < 1:
         raise InvalidModelError("need at least one trial")
@@ -138,21 +131,18 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
     v_idx, t_idx = _draw_stimuli(structure, n_trials, rng, balanced)
 
     if agent.task == "decision":
-        responses = _decision_responses(design, strategy, agent, v_idx, rng)
+        action = _decision_responses(design, strategy, agent, v_idx, rng)
+        action_ids, report = problem.actions.ids, np.full(n_trials, np.nan)
     else:
-        responses = _belief_responses(design, strategy, agent, v_idx, rng)
-
-    records = []
-    for i in range(n_trials):
-        records.append(TrialRecord(
-            trial_id=str(i),
-            strategy=strategy,
-            signal=structure.signals[v_idx[i]],
-            state=problem.states.ids[t_idx[i]],
-            response_kind="action" if agent.task == "decision" else "probability",
-            response=responses[i],
-        ))
-    return records
+        report = _belief_responses(design, strategy, agent, v_idx, rng)
+        action_ids, action = (), np.full(n_trials, -1)
+    return TrialTable(
+        trial_ids=[str(i) for i in range(n_trials)],
+        strategy_ids=(strategy,), strategy=np.zeros(n_trials, dtype=np.intp),
+        signal_ids=structure.signals, signal=v_idx,
+        state_ids=problem.states.ids, state=t_idx,
+        action_ids=action_ids, action=action, report=report,
+    )
 
 
 def _posterior_matrix(problem) -> np.ndarray:
@@ -162,41 +152,42 @@ def _posterior_matrix(problem) -> np.ndarray:
     ])
 
 
-def _decision_responses(design, strategy, agent, v_idx, rng) -> list[str]:
+def _decision_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
+    """Index of each trial's action in the problem's action space."""
     problem = design.problem(strategy)
     n = len(v_idx)
-    action_ids = problem.actions.ids
+    n_actions = len(problem.actions)
 
     if agent.kind == "rational":
-        per_signal = [
-            optimal_action(problem, posterior(problem.structure, v))[0]
+        per_signal = np.array([
+            problem.actions.index(
+                optimal_action(problem, posterior(problem.structure, v))[0])
             for v in problem.structure.signals
-        ]
-        return [per_signal[v] for v in v_idx]
+        ])
+        return per_signal[v_idx]
 
     if agent.kind == "prior":
         fixed, _ = optimal_action(problem, prior(problem.structure))
-        return [fixed] * n
+        return np.full(n, problem.actions.index(fixed))
 
     if agent.kind == "uniform-random":
-        picks = rng.integers(0, len(action_ids), size=n)
-        return [action_ids[k] for k in picks]
+        return rng.integers(0, n_actions, size=n)
 
     if agent.kind == "noisy-belief":
         beliefs = _noisy_beliefs(design, problem, v_idx, agent.noise_sd, rng)
-        idx = optimal_action_indices(problem, beliefs)
-        return [action_ids[k] for k in idx]
+        return optimal_action_indices(problem, beliefs)
 
     # lapse: inner responses first, then replace a seeded fraction
     inner = _decision_responses(design, strategy, agent.inner, v_idx, rng)
     mask = rng.uniform(size=n) < agent.lapse_rate
-    picks = rng.integers(0, len(action_ids), size=n)
-    return [action_ids[picks[i]] if mask[i] else inner[i] for i in range(n)]
+    picks = rng.integers(0, n_actions, size=n)
+    return np.where(mask, picks, inner)
 
 
-def _belief_responses(design, strategy, agent, v_idx, rng) -> list[float]:
+def _belief_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
+    """Each trial's probability report."""
     problem = design.problem(strategy)
-    from_belief, _ = _scalar_axis(design)
+    from_belief = _resolve_report_map(design).from_belief
     n = len(v_idx)
 
     if agent.kind in ("rational", "noisy-belief"):
@@ -208,19 +199,18 @@ def _belief_responses(design, strategy, agent, v_idx, rng) -> list[float]:
         if agent.kind == "noisy-belief" and agent.noise_sd > 0:
             noise = rng.normal(0.0, agent.noise_sd, size=n)
             reports = _sigmoid(_logit(reports) + noise)
-        return [float(r) for r in reports]
+        return reports
 
     if agent.kind == "prior":
-        fixed = from_belief(prior(problem.structure))
-        return [float(fixed)] * n
+        return np.full(n, float(from_belief(prior(problem.structure))))
 
     if agent.kind == "uniform-random":
-        return [float(u) for u in rng.uniform(size=n)]
+        return rng.uniform(size=n)
 
     inner = _belief_responses(design, strategy, agent.inner, v_idx, rng)
     mask = rng.uniform(size=n) < agent.lapse_rate
     uniform = rng.uniform(size=n)
-    return [float(uniform[i]) if mask[i] else inner[i] for i in range(n)]
+    return np.where(mask, uniform, inner)
 
 
 def _noisy_beliefs(design, problem, v_idx, noise_sd, rng) -> np.ndarray:
@@ -236,11 +226,11 @@ def _noisy_beliefs(design, problem, v_idx, noise_sd, rng) -> np.ndarray:
     if noise_sd == 0.0:
         return posteriors[v_idx]
     try:
-        from_belief, to_belief = _scalar_axis(design)
+        report_map = _resolve_report_map(design)
     except InvalidModelError:
         raw = posteriors[v_idx]
         bumped = _sigmoid(_logit(raw) + rng.normal(0.0, noise_sd, size=raw.shape))
         return bumped / bumped.sum(axis=1, keepdims=True)
-    axis = np.array([from_belief(Belief(row)) for row in posteriors])
+    axis = np.array([report_map.from_belief(Belief(row)) for row in posteriors])
     bumped = _sigmoid(_logit(axis[v_idx]) + rng.normal(0.0, noise_sd, size=n))
-    return np.vstack([to_belief(float(r)).probabilities for r in bumped])
+    return report_map.to_beliefs(bumped)

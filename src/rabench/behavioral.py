@@ -12,9 +12,11 @@ units of the design's value of information.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +28,9 @@ from .model import (
     binary_report_map,
     expected_scores_all,
     optimal_action,
+    optimal_action_indices,
     realized_score,
+    report_bins,
 )
 from .rational import rational_report
 
@@ -35,6 +39,10 @@ DEFAULT_BIN_WIDTH = 0.02
 
 TRIAL_CSV_HEADER = ("trial_id", "strategy", "signal", "state",
                     "response_kind", "response")
+
+#: Rows parsed per chunk when reading a trial CSV, which bounds the memory
+#: held by rows that are not yet encoded.
+_CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -60,18 +68,178 @@ class TrialRecord:
             )
 
 
-def write_trials_csv(records: Iterable[TrialRecord], path: str | Path) -> None:
+def _decode(ids: Sequence[str], codes: np.ndarray) -> list[str]:
+    return np.array(ids, dtype=object)[codes].tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class TrialTable(Sequence):
+    """Trials stored by column, one row per trial.
+
+    ``strategy``, ``signal``, ``state`` and ``action`` are integer codes
+    into ``strategy_ids``, ``signal_ids``, ``state_ids`` and ``action_ids``.
+    A decision row has an action code and a NaN ``report``; a probability
+    row has action code -1 and its report in ``report``.
+
+    The table is a sequence of :class:`TrialRecord` rows: an integer index
+    gives one record, while a slice, boolean mask or index array gives the
+    selected rows as a table. A table equals any sequence of the same
+    records in the same order.
+    """
+
+    trial_ids: np.ndarray
+    strategy_ids: tuple[str, ...]
+    strategy: np.ndarray
+    signal_ids: tuple[str, ...]
+    signal: np.ndarray
+    state_ids: tuple[str, ...]
+    state: np.ndarray
+    action_ids: tuple[str, ...]
+    action: np.ndarray
+    report: np.ndarray
+
+    def __post_init__(self):
+        columns = {"trial_ids": np.asarray(self.trial_ids, dtype=object),
+                   "report": np.asarray(self.report, dtype=float)}
+        for name in ("strategy", "signal", "state", "action"):
+            columns[name] = np.asarray(getattr(self, name), dtype=np.intp)
+        if len({c.shape for c in columns.values()}) != 1 \
+                or columns["trial_ids"].ndim != 1:
+            raise InvalidModelError("trial table columns must be 1-D and of one length")
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TrialRecord]) -> "TrialTable":
+        records = list(records)
+        builder = _TableBuilder()
+        builder.add(
+            [r.trial_id for r in records], [r.strategy for r in records],
+            [r.signal for r in records], [r.state for r in records],
+            [r.response_kind for r in records],
+            [str(r.response) if r.response_kind == "action" else r.response
+             for r in records],
+        )
+        return builder.table()
+
+    def __len__(self) -> int:
+        return len(self.trial_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            i = range(len(self))[index]  # raises IndexError as a list does
+            return next(iter(self[i:i + 1]))
+        return replace(self, trial_ids=self.trial_ids[index],
+                       strategy=self.strategy[index], signal=self.signal[index],
+                       state=self.state[index], action=self.action[index],
+                       report=self.report[index])
+
+    def __iter__(self):
+        return map(TrialRecord, *self._columns(report_format=float))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def _columns(self, report_format: Callable[[float], object]) -> tuple[list, ...]:
+        """The six trial columns as lists, in ``TRIAL_CSV_HEADER`` order.
+
+        Responses are action ids, and probability reports passed through
+        ``report_format``.
+        """
+        is_action = self.action >= 0
+        if is_action.all():
+            responses = _decode(self.action_ids, self.action)
+        else:
+            # code -1 picks the placeholder id appended at the end
+            actions = _decode(self.action_ids + ("",), self.action)
+            reports = map(report_format, self.report.tolist())
+            responses = [a if k else r
+                         for k, a, r in zip(is_action.tolist(), actions, reports)]
+        return (self.trial_ids.tolist(),
+                _decode(self.strategy_ids, self.strategy),
+                _decode(self.signal_ids, self.signal),
+                _decode(self.state_ids, self.state),
+                _decode(("probability", "action"), is_action.astype(np.intp)),
+                responses)
+
+
+class _TableBuilder:
+    """Encodes trial columns into a :class:`TrialTable`, a chunk of rows at
+    a time; ids get codes in order of first appearance."""
+
+    def __init__(self):
+        self.trial_ids: list[str] = []
+        self.index: dict[str, dict[str, int]] = {
+            name: {} for name in ("strategy", "signal", "state", "action")}
+        self.chunks: dict[str, list[np.ndarray]] = {
+            name: [] for name in ("strategy", "signal", "state", "action", "report")}
+
+    def _codes(self, name: str, values: Sequence[str]) -> np.ndarray:
+        index = self.index[name]
+        for value in dict.fromkeys(values):
+            index.setdefault(value, len(index))
+        return np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                           count=len(values))
+
+    def add(self, trial_ids: Sequence[str], strategies: Sequence[str],
+            signals: Sequence[str], states: Sequence[str],
+            kinds: Sequence[str], responses: Sequence) -> None:
+        """Append rows given as six columns in ``TRIAL_CSV_HEADER`` order.
+
+        Responses are action ids on ``action`` rows and anything ``float``
+        accepts on ``probability`` rows; a report that is not a number raises
+        ``ValueError``.
+        """
+        for kind in set(kinds):
+            if kind not in ("action", "probability"):
+                raise InvalidModelError(
+                    f"response_kind must be 'action' or 'probability', got {kind!r}"
+                )
+        n = len(kinds)
+        is_action = np.fromiter(map("action".__eq__, kinds), dtype=bool, count=n)
+        action = np.full(n, -1, dtype=np.intp)
+        action[is_action] = self._codes("action", list(compress(responses, is_action)))
+        report = np.full(n, np.nan)
+        report[~is_action] = [float(r) for r in compress(responses, ~is_action)]
+        self.trial_ids.extend(trial_ids)
+        for name, values in (("strategy", strategies), ("signal", signals),
+                             ("state", states)):
+            self.chunks[name].append(self._codes(name, values))
+        self.chunks["action"].append(action)
+        self.chunks["report"].append(report)
+
+    def table(self) -> TrialTable:
+        columns = {name: np.concatenate(chunks) if chunks else ()
+                   for name, chunks in self.chunks.items()}
+        ids = {f"{name}_ids": tuple(index) for name, index in self.index.items()}
+        return TrialTable(trial_ids=self.trial_ids, **ids, **columns)
+
+
+def _as_table(trials: Iterable[TrialRecord]) -> TrialTable:
+    """A table as is; any other iterable of records converted to one."""
+    if isinstance(trials, TrialTable):
+        return trials
+    return TrialTable.from_records(trials)
+
+
+def write_trials_csv(trials: Iterable[TrialRecord], path: str | Path) -> None:
+    """Write trials (a table or records) as CSV; probability reports are
+    written as ``repr`` of their float."""
+    columns = _as_table(trials)._columns(report_format=repr)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
-        for r in records:
-            response = r.response if r.response_kind == "action" else repr(float(r.response))
-            writer.writerow(
-                [r.trial_id, r.strategy, r.signal, r.state, r.response_kind, response]
-            )
+        writer.writerows(zip(*columns))
 
 
-def read_trials_csv(path: str | Path) -> list[TrialRecord]:
+def read_trials_csv(path: str | Path) -> TrialTable:
+    """Read a trial CSV into a table. Blank lines are skipped; a wrong
+    header, a line with the wrong number of fields, or a probability report
+    that is not a number raises ``TrialDataError``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -82,24 +250,33 @@ def read_trials_csv(path: str | Path) -> list[TrialRecord]:
             raise TrialDataError(
                 f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
             )
-        out = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRIAL_CSV_HEADER):
-                raise TrialDataError(f"line {i}: expected {len(TRIAL_CSV_HEADER)} fields")
-            trial_id, strategy, signal, state, kind, response = row
-            if kind == "probability":
-                try:
-                    response = float(response)
-                except ValueError:
-                    raise TrialDataError(
-                        f"line {i}: probability response {response!r} is not a number"
-                    ) from None
-            out.append(TrialRecord(trial_id, strategy, signal, state, kind, response))
-    if not out:
+        builder = _TableBuilder()
+        width = len(TRIAL_CSV_HEADER)
+        first_line = 2
+        while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
+            rows = chunk
+            if set(map(len, chunk)) - {width}:
+                for i, row in enumerate(chunk, start=first_line):
+                    if row and len(row) != width:
+                        raise TrialDataError(f"line {i}: expected {width} fields")
+                rows = [row for row in chunk if row]
+            try:
+                builder.add(*(list(map(itemgetter(k), rows)) for k in range(width)))
+            except ValueError:
+                for i, row in enumerate(chunk, start=first_line):
+                    if row and row[4] == "probability":
+                        try:
+                            float(row[5])
+                        except ValueError:
+                            raise TrialDataError(
+                                f"line {i}: probability response {row[5]!r} "
+                                f"is not a number"
+                            ) from None
+                raise
+            first_line += len(chunk)
+    if not builder.trial_ids:
         raise TrialDataError("trial file contains no records")
-    return out
+    return builder.table()
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,81 +333,86 @@ class EmpiricalJoint:
         return Belief(row / total)
 
 
-def _report_bins(bin_width: float) -> tuple[np.ndarray, tuple[str, ...]]:
-    n_bins = int(np.ceil(1.0 / bin_width))
-    mids = np.minimum((np.arange(n_bins) + 0.5) * bin_width, 1.0)
-    ids = tuple(f"{m:.6g}" for m in mids)
-    return mids, ids
+def _lookup(ids: Sequence[str], known: Iterable[str]) -> np.ndarray:
+    """Index of each id in ``known``, or -1 where it is unknown."""
+    index = {k: i for i, k in enumerate(known)}
+    return np.array([index.get(i, -1) for i in ids], dtype=np.intp)
 
 
-def ingest(records: Sequence[TrialRecord], design: ExperimentDesign,
+def ingest(trials: Sequence[TrialRecord], design: ExperimentDesign,
            bin_width: float = DEFAULT_BIN_WIDTH) -> EmpiricalJoint:
-    """Fold trial records into an empirical (action, state) joint.
+    """Fold trials (a table or records) into an empirical (action, state)
+    joint.
 
     Decision tasks count (action, state) pairs directly; belief tasks bin
     the probability reports at ``bin_width`` and treat each bin as an
-    action. Records must be of one task type, and every referenced strategy,
+    action. Trials must be of one task type, and every referenced strategy,
     signal, state, and action must exist in the design; offenders are
     reported by trial id.
     """
-    if not records:
+    table = _as_table(trials)
+    if not len(table):
         raise TrialDataError("no trial records to ingest")
-    kinds = {r.response_kind for r in records}
-    if len(kinds) > 1:
+    is_action = table.action >= 0
+    if is_action.any() and not is_action.all():
         raise TrialDataError("records mix decision and belief responses")
-    kind = kinds.pop()
-
+    decision = bool(is_action[0])
     states = design.states
-    state_index = {s: i for i, s in enumerate(states.ids)}
-    bad: list[str] = []
-    problems: list[str] = []
-
-    def complain(record: TrialRecord, what: str) -> None:
-        bad.append(record.trial_id)
-        problems.append(what)
-
-    if kind == "action":
-        action_index = {a: i for i, a in enumerate(design.actions.ids)}
-        counts = np.zeros((len(design.actions), len(states)))
+    if decision:
+        n_rows = len(design.actions)
     else:
-        if not (0.0 < bin_width <= 1.0):
-            raise InvalidModelError("bin width must lie in (0, 1]")
-        mids, bin_ids = _report_bins(bin_width)
-        counts = np.zeros((len(mids), len(states)))
+        mids, bin_ids = report_bins(bin_width)
+        n_rows = len(mids)
 
-    for r in records:
-        if r.strategy not in design.strategies:
-            complain(r, f"unknown strategy {r.strategy!r}")
-            continue
-        structure = design.strategies[r.strategy]
-        if r.signal not in structure.signals:
-            complain(r, f"unknown signal {r.signal!r}")
-            continue
-        if r.state not in state_index:
-            complain(r, f"unknown state {r.state!r}")
-            continue
-        t = state_index[r.state]
-        if kind == "action":
-            if str(r.response) not in action_index:
-                complain(r, f"unknown action {r.response!r}")
-                continue
-            counts[action_index[str(r.response)], t] += 1.0
-        else:
-            p = float(r.response)
-            if not (0.0 <= p <= 1.0):
-                complain(r, f"probability report {p!r} outside [0, 1]")
-                continue
-            b = min(int(p / bin_width), counts.shape[0] - 1)
-            counts[b, t] += 1.0
+    # each distinct id is looked up once; a trial's first problem names it
+    strategy = _lookup(table.strategy_ids, design.strategies)
+    signal_ok = np.zeros((len(table.strategy_ids), len(table.signal_ids)), dtype=bool)
+    for code, name in enumerate(table.strategy_ids):
+        if name in design.strategies:
+            known = design.strategies[name].signals
+            signal_ok[code] = _lookup(table.signal_ids, known) >= 0
+    state = _lookup(table.state_ids, states.ids)[table.state]
+    if decision:
+        row = _lookup(table.action_ids, design.actions.ids)[table.action]
+        bad_response = row < 0
+    else:
+        p = table.report
+        bad_response = ~((p >= 0.0) & (p <= 1.0))
+        row = np.minimum((np.where(bad_response, 0.0, p) / bin_width).astype(np.intp),
+                         n_rows - 1)
 
-    if bad:
+    bad = np.zeros(len(table), dtype=bool)
+    problems: set[str] = set()
+    checks = [
+        (strategy[table.strategy] < 0, table.strategy, table.strategy_ids,
+         "unknown strategy"),
+        (~signal_ok[table.strategy, table.signal], table.signal,
+         table.signal_ids, "unknown signal"),
+        (state < 0, table.state, table.state_ids, "unknown state"),
+    ]
+    if decision:
+        checks.append((bad_response, table.action, table.action_ids,
+                       "unknown action"))
+    for mask, codes, ids, what in checks:
+        mask = mask & ~bad
+        bad |= mask
+        problems.update(f"{what} {ids[c]!r}" for c in np.unique(codes[mask]))
+    if not decision:
+        mask = bad_response & ~bad
+        bad |= mask
+        problems.update(f"probability report {float(v)!r} outside [0, 1]"
+                        for v in np.unique(p[mask]))
+    if bad.any():
         raise TrialDataError(
-            f"{len(bad)} record(s) reference unknown design elements: "
-            + "; ".join(sorted(set(problems))),
-            trial_ids=bad,
+            f"{int(bad.sum())} record(s) reference unknown design elements: "
+            + "; ".join(sorted(problems)),
+            trial_ids=table.trial_ids[bad].tolist(),
         )
 
-    if kind == "action":
+    n_states = len(states)
+    counts = np.bincount(row * n_states + state, minlength=n_rows * n_states)
+    counts = counts.reshape(n_rows, n_states).astype(float)
+    if decision:
         return EmpiricalJoint(
             action_ids=design.actions.ids,
             state_ids=states.ids,
@@ -343,25 +525,23 @@ def optimization_loss(calibrated: float, behavioral: float, delta: float) -> flo
     return (calibrated - behavioral) / delta
 
 
-def decisions_from_beliefs(records: Sequence[TrialRecord],
+def decisions_from_beliefs(trials: Sequence[TrialRecord],
                            design: ExperimentDesign,
-                           report_map: ReportMap | None = None) -> list[TrialRecord]:
-    """Convert belief reports to decision records by playing the optimal
+                           report_map: ReportMap | None = None) -> TrialTable:
+    """Convert belief reports to decision trials by playing the optimal
     action under each report's mapped belief."""
+    table = _as_table(trials)
+    actions = table.action >= 0
+    if actions.any():
+        raise TrialDataError(
+            "decisions_from_beliefs needs probability records",
+            trial_ids=table.trial_ids[actions].tolist(),
+        )
     mapping = report_map or _resolve_report_map(design)
     base = design.any_problem()
-    out = []
-    for r in records:
-        if r.response_kind != "probability":
-            raise TrialDataError(
-                "decisions_from_beliefs needs probability records",
-                trial_ids=[r.trial_id],
-            )
-        belief = mapping.to_belief(float(r.response))
-        best, _ = optimal_action(base, belief)
-        out.append(TrialRecord(r.trial_id, r.strategy, r.signal, r.state,
-                               "action", best))
-    return out
+    best = optimal_action_indices(base, mapping.to_beliefs(table.report))
+    return replace(table, action_ids=base.actions.ids, action=best,
+                   report=np.full(len(table), np.nan))
 
 
 @dataclass(frozen=True)
@@ -383,15 +563,26 @@ class LossReport:
 
 
 def loss_report(design: ExperimentDesign, strategy: str,
-                records: Sequence[TrialRecord],
+                trials: Sequence[TrialRecord],
                 bin_width: float = DEFAULT_BIN_WIDTH,
                 smoothing_alpha: float = 0.0) -> LossReport:
-    """Full post-experimental decomposition for one strategy's records."""
+    """Full post-experimental decomposition for one strategy's trials (a
+    table or records). Trials of any other strategy are refused, by trial
+    id, rather than folded into the joint."""
     report = rational_report(design)
     delta = report.value_of_information
     if delta <= 0.0:
         raise InvalidModelError("loss ratios need a positive value of information")
-    joint = ingest(records, design, bin_width=bin_width)
+    table = _as_table(trials)
+    own = table.strategy_ids.index(strategy) if strategy in table.strategy_ids else -1
+    foreign = table.strategy != own
+    if foreign.any():
+        raise TrialDataError(
+            f"{int(foreign.sum())} trial(s) belong to a strategy other than "
+            f"{strategy!r}",
+            trial_ids=table.trial_ids[foreign].tolist(),
+        )
+    joint = ingest(table, design, bin_width=bin_width)
     b = behavioral_score(joint, design)
     c = calibrate(joint, design, smoothing_alpha=smoothing_alpha).calibrated_score
     rv = report.strategies[strategy].visualization_optimal

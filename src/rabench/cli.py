@@ -163,18 +163,16 @@ def cmd_pre(args) -> int:
 
 def cmd_post(args) -> int:
     design, _ = _resolve_design(args)
-    records = read_trials_csv(args.trials)
-    by_strategy: dict[str, list] = {}
-    for r in records:
-        by_strategy.setdefault(r.strategy, []).append(r)
+    trials = read_trials_csv(args.trials)
 
     report = rational_report(design)
     reports = []
     print(f"design: {design.name}")
     print(f"{'strategy':<16}{'n':>8}{'behavioral':>12}{'calibrated':>12}"
           f"{'info gain':>12}{'belief':>10}{'optim.':>10}")
-    for name in sorted(by_strategy):
-        lr = loss_report(design, name, by_strategy[name],
+    for name in sorted(trials.strategy_ids):
+        own = trials[trials.strategy == trials.strategy_ids.index(name)]
+        lr = loss_report(design, name, own,
                          bin_width=args.bin_width,
                          smoothing_alpha=args.smoothing_alpha)
         reports.append(lr)
@@ -250,10 +248,10 @@ def cmd_simulate(args) -> int:
     design, _ = _resolve_design(args)
     agent = _parse_agent(args.agent, args.task)
     strategy = args.strategy or design.strategy_names()[0]
-    records = simulate(design, strategy, agent, args.n, seed=args.seed,
-                       balanced=args.balanced)
-    write_trials_csv(records, args.out)
-    print(f"wrote {len(records)} trials for agent {args.agent!r} on "
+    trials = simulate(design, strategy, agent, args.n, seed=args.seed,
+                      balanced=args.balanced)
+    write_trials_csv(trials, args.out)
+    print(f"wrote {len(trials)} trials for agent {args.agent!r} on "
           f"strategy {strategy!r} to {args.out}")
     return EXIT_OK
 

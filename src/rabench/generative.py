@@ -100,12 +100,18 @@ def pos_to_win_probability(pos: float) -> float:
     to the threshold, the difference has sqrt(2) times the sigma of a single
     score, giving win = Phi(sqrt(2) * Phi^-1(pos)).
     """
-    pos = float(pos)
-    if not (0.0 < pos < 1.0):
+    return float(_pos_to_win(np.array([float(pos)]))[0])
+
+
+def _pos_to_win(pos: np.ndarray) -> np.ndarray:
+    """:func:`pos_to_win_probability` element by element."""
+    outside = ~((pos > 0.0) & (pos < 1.0))
+    if np.any(outside):
         raise InvalidModelError(
-            f"superiority probability {pos!r} must lie strictly inside (0, 1)"
+            f"superiority probability {float(pos[outside][0])!r} must lie "
+            f"strictly inside (0, 1)"
         )
-    return float(stats.norm.cdf(_SQRT2 * stats.norm.ppf(pos)))
+    return stats.norm.cdf(_SQRT2 * stats.norm.ppf(pos))
 
 
 def win_probability_to_pos(win: float) -> float:
@@ -171,10 +177,13 @@ TWO_TEAM_STATE_IDS = ("lose-lose", "lose-win", "win-lose", "win-win")
 def two_team_belief(win_probability: float) -> Belief:
     """Belief over the four (incumbent, new-player) outcomes implied by a
     new-player win probability; the incumbent side stays at 1/2."""
-    w = float(win_probability)
-    return Belief(np.array([
-        0.5 * (1.0 - w), 0.5 * w, 0.5 * (1.0 - w), 0.5 * w,
-    ]))
+    return Belief(_two_team_rows(np.array([float(win_probability)]))[0])
+
+
+def _two_team_rows(win: np.ndarray) -> np.ndarray:
+    """:func:`two_team_belief` for each win probability, one row each."""
+    lose_half, win_half = 0.5 * (1.0 - win), 0.5 * win
+    return np.column_stack([lose_half, win_half, lose_half, win_half])
 
 
 def two_team_report_map() -> "ReportMap":
@@ -183,14 +192,12 @@ def two_team_report_map() -> "ReportMap":
     with it the full four-state belief."""
     from .model import ReportMap
 
-    def to_belief(report: float) -> Belief:
-        return two_team_belief(pos_to_win_probability(report))
-
     def from_belief(belief: Belief) -> float:
         w = float(belief.probabilities[1] + belief.probabilities[3])
         return win_probability_to_pos(w)
 
-    return ReportMap(name="pos-to-win", to_belief=to_belief,
+    return ReportMap(name="pos-to-win",
+                     belief_rows=lambda r: _two_team_rows(_pos_to_win(r)),
                      from_belief=from_belief)
 
 

@@ -135,18 +135,15 @@ class ActionSpace:
 
     @staticmethod
     def probability_reports(states: StateSpace, bin_width: float = 0.02) -> "ActionSpace":
-        if not (0.0 < bin_width <= 1.0):
-            raise InvalidModelError("bin width must lie in (0, 1]")
+        mids, ids = report_bins(bin_width)
         if len(states) != 2:
             raise InvalidModelError(
                 "probability-report actions are only defined for 2-state spaces"
             )
-        n_bins = int(np.ceil(1.0 / bin_width))
-        mids = [min((i + 0.5) * bin_width, 1.0) for i in range(n_bins)]
         return ActionSpace(
-            ids=tuple(f"{m:.6g}" for m in mids),
+            ids=ids,
             kind="report",
-            values=tuple(mids),
+            values=tuple(float(m) for m in mids),
             bin_width=float(bin_width),
         )
 
@@ -168,6 +165,43 @@ class ActionSpace:
         return np.asarray(self.values)
 
 
+def report_bins(bin_width: float) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Midpoints and ids of the probability-report bins of width ``bin_width``.
+
+    Bin k covers [k w, (k + 1) w). When w does not divide 1 the last bin is
+    cut off at 1 and its midpoint is that of [lo, 1]; widths that divide 1
+    up to rounding have no partial bin.
+    """
+    if not (0.0 < bin_width <= 1.0):
+        raise InvalidModelError("bin width must lie in (0, 1]")
+    n_bins = int(np.ceil(1.0 / bin_width - NORMALIZATION_TOL))
+    mids = (np.arange(n_bins) + 0.5) * bin_width
+    if n_bins * bin_width > 1.0 + NORMALIZATION_TOL:
+        mids[-1] = ((n_bins - 1) * bin_width + 1.0) / 2.0
+    return mids, tuple(f"{m:.6g}" for m in mids)
+
+
+def _normalized_beliefs(p: np.ndarray) -> np.ndarray:
+    """Check and renormalize belief vectors along the last axis.
+
+    Entries must be finite and no lower than ``-NORMALIZATION_TOL``, and each
+    vector's mass must be within ``NORMALIZATION_TOL`` of 1; negative
+    entries are clipped to 0 and the vector divided by its clipped mass.
+    A 1-D input is one belief, a 2-D input one belief per row.
+    """
+    # array methods rather than np.any/np.clip: Belief runs this on every
+    # construction, and the functions' dispatch costs more than the work
+    if (p < -NORMALIZATION_TOL).any() or not np.isfinite(p).all():
+        raise InvalidModelError("belief entries must be finite and non-negative")
+    total = p.sum(axis=-1)
+    off = abs(total - 1.0) > NORMALIZATION_TOL
+    if off.any():
+        first = total[off][0] if p.ndim > 1 else total
+        raise InvalidModelError(f"belief mass {first!r} is not 1 within tolerance")
+    clipped = p.clip(0.0, None)
+    return clipped / clipped.sum(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True, eq=False)
 class Belief:
     """Probability vector over a state space.
@@ -182,12 +216,7 @@ class Belief:
         p = np.array(self.probabilities, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidModelError("belief must be a non-empty vector")
-        if np.any(p < -NORMALIZATION_TOL) or not np.all(np.isfinite(p)):
-            raise InvalidModelError("belief entries must be finite and non-negative")
-        total = p.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise InvalidModelError(f"belief mass {total!r} is not 1 within tolerance")
-        p = np.clip(p, 0.0, None) / p.clip(0.0, None).sum()
+        p = _normalized_beliefs(p)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
@@ -475,11 +504,25 @@ class ReportMap:
     state probability (e.g. a probability-of-superiority judgment); the map
     carries report -> belief and belief -> report conversions plus a stable
     name for config round-trips.
+
+    ``belief_rows`` maps a 1-D array of reports to one unnormalized belief
+    row per report, element by element, and raises ``InvalidModelError`` for
+    reports outside the map's domain. ``to_beliefs`` and ``to_belief`` both
+    check and renormalize its rows as :class:`Belief` does, so row i of
+    ``to_beliefs(r)`` equals ``to_belief(r[i]).probabilities`` exactly.
     """
 
     name: str
-    to_belief: Callable[[float], Belief] = field(compare=False)
+    belief_rows: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     from_belief: Callable[[Belief], float] = field(compare=False)
+
+    def to_beliefs(self, reports) -> np.ndarray:
+        """One belief row per report: an (n reports, n states) matrix."""
+        rows = self.belief_rows(np.asarray(reports, dtype=float).reshape(-1))
+        return _normalized_beliefs(rows)
+
+    def to_belief(self, report: float) -> Belief:
+        return Belief(self.belief_rows(np.array([float(report)]))[0])
 
 
 def binary_report_map(n_states: int = 2) -> ReportMap:
@@ -487,7 +530,7 @@ def binary_report_map(n_states: int = 2) -> ReportMap:
         raise InvalidModelError("the default report map needs a binary state space")
     return ReportMap(
         name="binary",
-        to_belief=lambda r: Belief.binary(float(r)),
+        belief_rows=lambda r: np.column_stack([1.0 - r, r]),
         from_belief=lambda b: float(b.probabilities[1]),
     )
 

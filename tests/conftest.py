@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,20 @@ from rabench.model import (
     StateSpace,
     TransitRule,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def source_tree_on_subprocess_path():
+    """CLI tests run ``python -m rabench.cli`` as a child process; let it
+    import the package from this source tree, as pytest's ``pythonpath``
+    setting does for the test process itself."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield
+
 
 # The running example: decide whether to salt a parking lot against a
 # possibly-freezing night. Scores: no-salt costs -100 if it freezes,

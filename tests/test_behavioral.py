@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from rabench.agents import AgentSpec, simulate
 from rabench.behavioral import (
     EmpiricalJoint,
     LossReport,
     TrialRecord,
+    TrialTable,
     behavioral_score,
     behavioral_value_of_information,
     belief_loss,
@@ -17,6 +19,7 @@ from rabench.behavioral import (
     read_trials_csv,
     write_trials_csv,
 )
+from rabench.cases import build_case
 from rabench.errors import InvalidModelError, TrialDataError
 from rabench.generative import (
     TWO_TEAM_STATE_IDS,
@@ -125,6 +128,13 @@ class TestIngest:
         with pytest.raises(TrialDataError):
             ingest([], weather_design())
 
+    def test_partial_last_bin_midpoint(self):
+        design = weather_design()
+        records = [record(1, "CI", "sigma=5", "freezing", "probability", 1.0)]
+        joint = ingest(records, design, bin_width=0.3)
+        assert joint.action_values == pytest.approx((0.15, 0.45, 0.75, 0.95))
+        assert joint.counts[3, 1] == 1.0
+
     def test_report_outside_unit_interval_rejected(self):
         design = weather_design()
         with pytest.raises(TrialDataError):
@@ -143,6 +153,20 @@ class TestTrialCsv:
         back = read_trials_csv(path)
         assert back == records
 
+    def test_round_trip_quotes_awkward_ids(self, tmp_path):
+        records = [
+            record("a,b", "CI", 'say "hi"', "freezing", "action", "salt"),
+            record("two\nlines", "C,I", "sigma=3", 'x"\ny', "action", "no,salt"),
+            record("", "CI", "sigma=2", "not-freezing", "probability", 0.1),
+        ]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_trials_csv(records, first)
+        back = read_trials_csv(first)
+        write_trials_csv(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert back == records
+        assert list(back) == records
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -154,6 +178,40 @@ class TestTrialCsv:
         path.write_text("", encoding="utf-8")
         with pytest.raises(TrialDataError):
             read_trials_csv(path)
+
+
+class TestTrialTable:
+    def test_rows_index_and_select(self):
+        records = [
+            record(1, "CI", "sigma=5", "freezing", "action", "salt"),
+            record(2, "mean", "mu=5", "not-freezing", "action", "no-salt"),
+            record(3, "CI", "sigma=2", "not-freezing", "probability", 0.25),
+        ]
+        table = TrialTable.from_records(records)
+        assert len(table) == 3
+        assert table == records and records == table
+        assert table[0] == records[0] and table[-1] == records[-1]
+        with pytest.raises(IndexError):
+            table[3]
+        ci = table[table.strategy == table.strategy_ids.index("CI")]
+        assert isinstance(ci, TrialTable)
+        assert ci == [records[0], records[2]]
+        assert table[1:] == records[1:]
+        assert table != records[:2]
+
+    def test_loss_report_refuses_other_strategies(self):
+        # scored as CI, trials of the mean strategy would fold into the joint
+        design = weather_design()
+        trials = simulate(design, "mean", AgentSpec.rational(), 2_000, seed=1)
+        with pytest.raises(TrialDataError) as err:
+            loss_report(design, "CI", trials)
+        assert err.value.trial_ids == [str(i) for i in range(2_000)]
+
+        mixed = [record(1, "CI", "sigma=5", "freezing", response="salt"),
+                 record(2, "mean", "mu=5", "freezing", response="salt")]
+        with pytest.raises(TrialDataError) as err:
+            loss_report(design, "CI", mixed)
+        assert err.value.trial_ids == ["2"]
 
 
 class TestBehavioralScore:
@@ -396,3 +454,14 @@ class TestBinningConsistency:
         tol = 0.05 * 2.271  # discretization slack, in score units
         assert c_fine >= c_coarse - tol
         assert c_finest >= c_fine - tol
+
+
+def test_kale_belief_trials_at_a_partial_bin_width():
+    # a bin width that does not divide 1 leaves a partial last bin, whose
+    # midpoint must stay inside the pos-to-win map's open domain
+    design = build_case("kale2020").design
+    trials = simulate(design, "interval", AgentSpec.noisy_belief(0.5, "belief"),
+                      2_000, seed=4)
+    report = loss_report(design, "interval", trials, bin_width=0.3)
+    assert report.n_trials == 2_000
+    assert np.isfinite(report.belief_loss)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -144,6 +145,19 @@ class TestSimulateAndPost:
             run("simulate", "--case", "weather", "--agent", "noisy:k=0.8",
                 "--n", "2000", "--seed", "5", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args, sha256", [
+        (["--case", "weather", "--agent", "noisy:k=0.8", "--seed", "5"],
+         "dadf77bb4dbc468d477119024c889fce9a04129fc2a54cdd19c6a85b86088172"),
+        (["--case", "kale2020", "--agent", "noisy:k=0.5", "--task", "belief"],
+         "6e49bc0fae0ac397a6f7b2cd5dbca638eff58731bfd493b0e5ee943539677ac7"),
+        (["--case", "fernandes2018", "--agent", "rational"],
+         "10eeb81e51fa941d1736824b92988a8726030effb578b0464a6c066bfd8c805c"),
+    ])
+    def test_simulated_csv_bytes_are_pinned(self, tmp_path, args, sha256):
+        out = tmp_path / "trials.csv"
+        run("simulate", *args, "--n", "2000", "--out", str(out))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_zero_noise_equals_rational_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rabench.errors import DimensionError, InvalidModelError
+from rabench.generative import two_team_report_map
 from rabench.model import (
     ActionSpace,
     Belief,
@@ -10,6 +11,7 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
     TransitRule,
+    binary_report_map,
     expected_score,
     expected_scores_all,
     optimal_action,
@@ -47,6 +49,12 @@ class TestSpaces:
         assert len(space) == 50
         assert space.values[0] == pytest.approx(0.01)
         assert space.values[-1] == pytest.approx(0.99)
+
+    def test_partial_last_bin_takes_its_own_midpoint(self):
+        states = StateSpace(ids=("no", "yes"))
+        space = ActionSpace.probability_reports(states, bin_width=0.3)
+        assert space.values == pytest.approx((0.15, 0.45, 0.75, 0.95))
+        assert space.ids == ("0.15", "0.45", "0.75", "0.95")
 
     def test_probability_report_needs_binary(self):
         with pytest.raises(InvalidModelError):
@@ -331,3 +339,41 @@ class TestExperimentDesign:
                 rule=MatrixRule(np.zeros((2, 2))),
                 strategies={},
             )
+
+
+class TestReportMaps:
+    """The vectorized ``to_beliefs`` and the scalar ``to_belief`` agree bit
+    for bit, and refuse the same reports with the same error."""
+
+    EDGES = [np.nextafter(0.0, 1.0), 1e-12, 0.02, 0.5, 0.98, 1.0 - 1e-12,
+             np.nextafter(1.0, 0.0)]
+
+    def check_rows(self, report_map, reports):
+        matrix = report_map.to_beliefs(reports)
+        assert matrix.shape[0] == len(reports)
+        for r, row in zip(reports, matrix):
+            scalar = report_map.to_belief(float(r)).probabilities
+            assert row.tobytes() == scalar.tobytes(), r
+
+    def check_refused(self, report_map, bad):
+        with pytest.raises(InvalidModelError) as scalar:
+            report_map.to_belief(bad)
+        with pytest.raises(InvalidModelError) as vector:
+            report_map.to_beliefs(np.array([0.5, bad, 0.5]))
+        assert str(vector.value) == str(scalar.value)
+
+    def test_binary_rows_match_scalar(self):
+        grid = np.concatenate([[0.0, 1.0], self.EDGES, np.linspace(0, 1, 1001)])
+        self.check_rows(binary_report_map(), grid)
+
+    def test_pos_to_win_rows_match_scalar(self):
+        grid = np.concatenate([self.EDGES, np.linspace(0, 1, 1001)[1:-1]])
+        self.check_rows(two_team_report_map(), grid)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.01, float("inf")])
+    def test_binary_refuses_like_scalar(self, bad):
+        self.check_refused(binary_report_map(), bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, -0.5, 1.5])
+    def test_pos_to_win_refuses_like_scalar(self, bad):
+        self.check_refused(two_team_report_map(), bad)
