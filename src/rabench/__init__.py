@@ -51,9 +51,6 @@ from .generative import (
     DiscretizedDistribution,
     GaussianThresholdDGM,
     TwoTeamDGM,
-    boxcox_t_cdf,
-    boxcox_t_quantile,
-    boxcox_t_sample,
     discretize,
     kale_joint,
     monte_carlo_score,

@@ -32,7 +32,7 @@ from .model import (
     realized_score,
     report_bins,
 )
-from .rational import rational_report
+from .rational import RationalReport, rational_report
 
 #: Default width of the probability-report bins.
 DEFAULT_BIN_WIDTH = 0.02
@@ -565,11 +565,18 @@ class LossReport:
 def loss_report(design: ExperimentDesign, strategy: str,
                 trials: Sequence[TrialRecord],
                 bin_width: float = DEFAULT_BIN_WIDTH,
-                smoothing_alpha: float = 0.0) -> LossReport:
+                smoothing_alpha: float = 0.0,
+                *,
+                report: RationalReport | None = None) -> LossReport:
     """Full post-experimental decomposition for one strategy's trials (a
     table or records). Trials of any other strategy are refused, by trial
-    id, rather than folded into the joint."""
-    report = rational_report(design)
+    id, rather than folded into the joint.
+
+    ``report`` must be ``rational_report(design)``; a caller that already
+    holds it passes it to skip the recomputation.
+    """
+    if report is None:
+        report = rational_report(design)
     delta = report.value_of_information
     if delta <= 0.0:
         raise InvalidModelError("loss ratios need a positive value of information")

@@ -24,7 +24,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, InvalidModelError
 from .generative import (
@@ -145,13 +144,25 @@ KALE_SCORES = np.array([
 
 
 def two_team_decision_threshold(rule: MatrixRule) -> float:
-    """New-player win probability at which hiring overtakes standing pat."""
+    """New-player win probability at which hiring overtakes standing pat.
+
+    The two-team belief is affine in the win probability w, so the
+    hire-minus-keep gap is too, and its root is g(0) / (g(0) - g(1)). Rules
+    whose gap keeps one sign on (0, 1), where one action dominates, have no
+    threshold and are refused.
+    """
 
     def gap(w: float) -> float:
         ev = rule.scores @ two_team_belief(w).probabilities
         return float(ev[1] - ev[0])
 
-    return float(brentq(gap, 1e-6, 1.0 - 1e-6, xtol=1e-12))
+    g0, g1 = gap(0.0), gap(1.0)
+    if not (g0 < 0.0 < g1 or g1 < 0.0 < g0):
+        raise InvalidModelError(
+            f"no hire/no-hire threshold: the hire-minus-keep gap runs from "
+            f"{g0:g} at w=0 to {g1:g} at w=1 without changing sign"
+        )
+    return g0 / (g0 - g1)
 
 
 def build_kale(levels: tuple[float, ...] | None = None) -> CaseStudy:

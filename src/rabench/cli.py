@@ -52,13 +52,15 @@ def _add_design_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trial-dists", type=Path, default=None,
                         help="per-trial arrival distribution CSV "
                              "(fernandes2018 only; defaults to the bundled demo)")
+    parser.add_argument("--grid-step", type=float, default=0.25,
+                        help="arrival grid resolution (fernandes2018 only)")
 
 
 def _resolve_design(args) -> tuple[ExperimentDesign, CaseStudy | None]:
     if args.case:
         case = build_case(args.case, scenario=args.scenario,
                           trial_dists=args.trial_dists,
-                          grid_step=getattr(args, "grid_step", 0.25))
+                          grid_step=args.grid_step)
         return case.design, case
     design = load_design_config(args.config)
     problems = []
@@ -116,7 +118,7 @@ def cmd_pre(args) -> int:
 
     incentives = None
     if design.conversion is not None:
-        table = incentive_table(design)
+        table = incentive_table(design, report=report)
         print()
         print(f"{'strategy':<16}{'pay(base)':>12}{'pay(opt)':>12}"
               f"{'incentive':>12}{'ratio':>12}")
@@ -174,7 +176,8 @@ def cmd_post(args) -> int:
         own = trials[trials.strategy == trials.strategy_ids.index(name)]
         lr = loss_report(design, name, own,
                          bin_width=args.bin_width,
-                         smoothing_alpha=args.smoothing_alpha)
+                         smoothing_alpha=args.smoothing_alpha,
+                         report=report)
         reports.append(lr)
         print(f"{name:<16}{int(lr.n_trials):>8}{_fmt(lr.behavioral)}"
               f"{_fmt(lr.calibrated)}"
@@ -273,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("pre", help="pre-experimental rational analysis")
     _add_design_source(p_pre)
-    p_pre.add_argument("--grid-step", type=float, default=0.25,
-                       help="arrival grid resolution (transit designs)")
     p_pre.add_argument("--out", type=Path, default=None,
                        help="write a JSON summary here")
     p_pre.set_defaults(func=cmd_pre)

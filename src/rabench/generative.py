@@ -6,6 +6,12 @@ t arrival times), plus the discretization and Monte Carlo plumbing that
 connects continuous models to the finite-state analysis.
 
 Every stochastic operation takes an explicit seed and is reproducible.
+
+Distribution functions call the ``scipy.special`` ufuncs that
+``scipy.stats.norm`` and ``scipy.stats.t`` call internally (``ndtr``,
+``ndtri``, ``stdtr``, ``stdtrit``), so results match those to the bit. The
+import sits inside the functions that need it: designs built only from
+matrix rules and fixed joints never load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidModelError
 from .model import Belief, DecisionProblem, InformationStructure
@@ -71,8 +76,10 @@ class GaussianThresholdDGM:
         )
 
     def positive_probability(self, sigma: float) -> float:
+        from scipy.special import ndtr
+
         z = (self.threshold - self.mean) / sigma
-        tail = stats.norm.cdf(z)
+        tail = ndtr(z)
         return float(tail if self.direction == "below" else 1.0 - tail)
 
 
@@ -105,23 +112,27 @@ def pos_to_win_probability(pos: float) -> float:
 
 def _pos_to_win(pos: np.ndarray) -> np.ndarray:
     """:func:`pos_to_win_probability` element by element."""
+    from scipy.special import ndtr, ndtri
+
     outside = ~((pos > 0.0) & (pos < 1.0))
     if np.any(outside):
         raise InvalidModelError(
             f"superiority probability {float(pos[outside][0])!r} must lie "
             f"strictly inside (0, 1)"
         )
-    return stats.norm.cdf(_SQRT2 * stats.norm.ppf(pos))
+    return ndtr(_SQRT2 * ndtri(pos))
 
 
 def win_probability_to_pos(win: float) -> float:
     """Inverse of :func:`pos_to_win_probability`."""
+    from scipy.special import ndtr, ndtri
+
     win = float(win)
     if not (0.0 < win < 1.0):
         raise InvalidModelError(
             f"win probability {win!r} must lie strictly inside (0, 1)"
         )
-    return float(stats.norm.cdf(stats.norm.ppf(win) / _SQRT2))
+    return float(ndtr(ndtri(win) / _SQRT2))
 
 
 #: Default superiority levels: a warped geometric grid over [0.55, 0.95]
@@ -267,14 +278,18 @@ class BoxCoxTDist:
         Positive nu truncates the latent variable below at -1/(sigma nu);
         negative nu caps it above at 1/(sigma |nu|); nu = 0 needs neither.
         """
+        from scipy.special import stdtr
+
         if self.nu == 0.0:
             return 0.0, 1.0
         edge = 1.0 / (self.sigma * abs(self.nu))
         if self.nu < 0.0:
-            return 0.0, float(stats.t.cdf(edge, self.tau))
-        return float(stats.t.cdf(-edge, self.tau)), float(stats.t.cdf(edge, self.tau))
+            return 0.0, float(stdtr(self.tau, edge))
+        return float(stdtr(self.tau, -edge)), float(stdtr(self.tau, edge))
 
     def cdf(self, x) -> np.ndarray | float:
+        from scipy.special import stdtr
+
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
@@ -283,18 +298,20 @@ class BoxCoxTDist:
         if np.any(pos):
             lower, norm_mass = self._truncation()
             z = self._z(x_arr[pos])
-            out[pos] = (stats.t.cdf(z, self.tau) - lower) / norm_mass
+            out[pos] = (stdtr(self.tau, z) - lower) / norm_mass
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     def quantile(self, p) -> np.ndarray | float:
+        from scipy.special import stdtrit
+
         p_arr = np.asarray(p, dtype=float)
         scalar = p_arr.ndim == 0
         p_arr = np.atleast_1d(p_arr)
         if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
             raise InvalidModelError("quantile levels must lie strictly inside (0, 1)")
         lower, norm_mass = self._truncation()
-        z = stats.t.ppf(p_arr * norm_mass + lower, self.tau)
+        z = stdtrit(self.tau, p_arr * norm_mass + lower)
         if self.nu == 0.0:
             x = self.mu * np.exp(self.sigma * z)
         else:
@@ -306,18 +323,6 @@ class BoxCoxTDist:
         if size is None:
             return float(self.quantile(u))
         return self.quantile(u)
-
-
-def boxcox_t_cdf(dist: BoxCoxTDist, x):
-    return dist.cdf(x)
-
-
-def boxcox_t_quantile(dist: BoxCoxTDist, p):
-    return dist.quantile(p)
-
-
-def boxcox_t_sample(dist: BoxCoxTDist, rng: np.random.Generator, size=None):
-    return dist.sample(rng, size)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidModelError
 from .generative import constant_policy, rational_policy
 from .model import ExperimentDesign
-from .rational import rational_report
+from .rational import RationalReport, rational_report
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,9 @@ def incentive_table(design: ExperimentDesign,
                     rule: ConversionRule | None = None,
                     method: str = "linearized",
                     n: int = 100_000,
-                    seed: int = 0) -> IncentiveTable:
+                    seed: int = 0,
+                    *,
+                    report: RationalReport | None = None) -> IncentiveTable:
     """Expected payments to a rational agent with and without the signal.
 
     One row per strategy plus a ``benchmark`` row for the best strategy. The
@@ -128,6 +130,9 @@ def incentive_table(design: ExperimentDesign,
     floored conversions that is a linearization, and ``method="monte-carlo"``
     instead simulates per-trial scores, accumulates each session, converts,
     and averages.
+
+    ``report`` must be ``rational_report(design)``; a caller that already
+    holds it passes it to skip the recomputation.
     """
     rule = rule if rule is not None else design.conversion
     if rule is None:
@@ -135,7 +140,8 @@ def incentive_table(design: ExperimentDesign,
     if method not in ("linearized", "monte-carlo"):
         raise InvalidModelError(f"unknown incentive method {method!r}")
 
-    report = rational_report(design)
+    if report is None:
+        report = rational_report(design)
 
     def payment(per_trial: float, policy_kind: str, strategy: str | None) -> float:
         if method == "linearized":

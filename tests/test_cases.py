@@ -12,7 +12,7 @@ from rabench.cases import (
     two_team_decision_threshold,
 )
 from rabench.errors import ConfigError, InvalidModelError
-from rabench.model import validate
+from rabench.model import MatrixRule, validate
 from rabench.payment import incentive_table
 from rabench.rational import (
     rational_baseline,
@@ -72,6 +72,19 @@ class TestKaleCase:
         threshold = two_team_decision_threshold(case.design.rule)
         pin = case.expected["decision_threshold"]
         assert abs(threshold - pin.value) <= pin.tol
+
+    def test_decision_threshold_is_the_closed_form(self):
+        threshold = two_team_decision_threshold(build_kale().design.rule)
+        assert abs(threshold - 2.585 / 3.17) < 1e-12
+
+    @pytest.mark.parametrize("scores", [
+        [[0.0, 0.0, 3.17, 3.17], [4.0, 5.0, 4.0, 5.0]],    # hiring dominates
+        [[0.0, 0.0, 3.17, 3.17], [-1.0, 1.0, -1.0, 1.0]],  # keeping dominates
+        [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],      # indifferent
+    ])
+    def test_decision_threshold_refuses_rules_without_one(self, scores):
+        with pytest.raises(InvalidModelError, match="threshold"):
+            two_team_decision_threshold(MatrixRule(np.array(scores)))
 
     def test_baseline_band(self):
         case = build_kale()

@@ -203,6 +203,29 @@ class TestSimulateAndPost:
         run("simulate", "--case", "weather", "--agent", "telepath",
             "--out", str(tmp_path / "x.csv"), expect=2)
 
+    def test_grid_step_reaches_simulate_and_post(self, tmp_path):
+        trials = tmp_path / "trials.csv"
+        run("simulate", "--case", "fernandes2018", "--grid-step", "0.5",
+            "--agent", "rational", "--n", "2000", "--seed", "4",
+            "--out", str(trials))
+        states = {line.split(",")[3] for line in
+                  trials.read_text(encoding="utf-8").splitlines()[1:]}
+        assert states and all(float(s) * 2 == int(float(s) * 2) for s in states)
+        coarse_pre, fine_pre = tmp_path / "coarse.json", tmp_path / "fine.json"
+        run("pre", "--case", "fernandes2018", "--grid-step", "0.5",
+            "--out", str(coarse_pre))
+        run("pre", "--case", "fernandes2018", "--out", str(fine_pre))
+        out = tmp_path / "post.json"
+        run("post", "--case", "fernandes2018", "--grid-step", "0.5",
+            "--trials", str(trials), "--out", str(out))
+        post = json.loads(out.read_text())
+        coarse = json.loads(coarse_pre.read_text())
+        fine = json.loads(fine_pre.read_text())
+        # post analyses the design on the half-minute grid it was asked for
+        assert post["baseline"] == coarse["baseline"] != fine["baseline"]
+        assert post["benchmark"] == coarse["benchmark"]
+        assert post["strategies"]["full"]["n_trials"] == 2000
+
     def test_belief_task_simulation(self, tmp_path):
         trials = tmp_path / "beliefs.csv"
         run("simulate", "--case", "weather", "--agent", "noisy:k=0.5",

@@ -8,9 +8,6 @@ from rabench.generative import (
     DiscretizedDistribution,
     GaussianThresholdDGM,
     TwoTeamDGM,
-    boxcox_t_cdf,
-    boxcox_t_quantile,
-    boxcox_t_sample,
     constant_policy,
     discretize,
     kale_joint,
@@ -161,7 +158,7 @@ class TestBoxCoxT:
         d = BoxCoxTDist(mu=10.0, sigma=0.05, nu=1.0, tau=30.0)
         for x in (9.0, 9.8, 10.0, 10.5, 11.2):
             z = (x / 10.0 - 1.0) / 0.05
-            assert boxcox_t_cdf(d, x) == pytest.approx(
+            assert d.cdf(x) == pytest.approx(
                 stats.t.cdf(z, 30.0), abs=1e-6
             )
 
@@ -170,7 +167,7 @@ class TestBoxCoxT:
         d = BoxCoxTDist(mu=12.0, sigma=0.2, nu=nu, tau=6.0)
         xs = np.array([2.0, 7.5, 12.0, 18.0, 35.0])
         np.testing.assert_allclose(
-            boxcox_t_cdf(d, xs),
+            d.cdf(xs),
             truncated_t_cdf_oracle(xs, 12.0, 0.2, nu, 6.0),
             atol=1e-12,
         )
@@ -180,7 +177,7 @@ class TestBoxCoxT:
         d = BoxCoxTDist(mu=14.0, sigma=0.18, nu=nu, tau=5.0)
         rng = np.random.default_rng(42)
         xs = rng.uniform(2.0, 40.0, size=25)
-        back = boxcox_t_quantile(d, boxcox_t_cdf(d, xs))
+        back = d.quantile(d.cdf(xs))
         np.testing.assert_allclose(back, xs, rtol=1e-6)
 
     def test_large_tau_approaches_boxcox_normal(self):
@@ -189,17 +186,17 @@ class TestBoxCoxT:
             z = ((x / 10.0) ** 0.8 - 1.0) / (0.8 * 0.15)
             edge = 1.0 / (0.15 * 0.8)
             normal = (stats.norm.cdf(z) - stats.norm.cdf(-edge)) / stats.norm.cdf(edge)
-            assert boxcox_t_cdf(d, x) == pytest.approx(normal, abs=1e-6)
+            assert d.cdf(x) == pytest.approx(normal, abs=1e-6)
 
     def test_left_of_support_is_zero(self):
         d = BoxCoxTDist(mu=10.0, sigma=0.2, nu=0.5, tau=8.0)
-        assert boxcox_t_cdf(d, -3.0) == 0.0
-        assert boxcox_t_cdf(d, 0.0) == 0.0
+        assert d.cdf(-3.0) == 0.0
+        assert d.cdf(0.0) == 0.0
 
     def test_sampling_is_seeded_and_in_support(self):
         d = BoxCoxTDist(mu=12.0, sigma=0.2, nu=0.7, tau=6.0)
-        a = boxcox_t_sample(d, np.random.default_rng(7), size=100)
-        b = boxcox_t_sample(d, np.random.default_rng(7), size=100)
+        a = d.sample(np.random.default_rng(7), size=100)
+        b = d.sample(np.random.default_rng(7), size=100)
         np.testing.assert_array_equal(a, b)
         assert np.all(a > 0)
 
@@ -208,6 +205,86 @@ class TestBoxCoxT:
             BoxCoxTDist(mu=10.0, sigma=-0.1, nu=0.5, tau=5.0)
         with pytest.raises(InvalidModelError):
             BoxCoxTDist(mu=10.0, sigma=0.1, nu=0.5, tau=0.0)
+
+
+def scipy_stats_truncation(d):
+    """The Box-Cox t truncation as computed with scipy.stats.t."""
+    if d.nu == 0.0:
+        return 0.0, 1.0
+    edge = 1.0 / (d.sigma * abs(d.nu))
+    if d.nu < 0.0:
+        return 0.0, float(stats.t.cdf(edge, d.tau))
+    return float(stats.t.cdf(-edge, d.tau)), float(stats.t.cdf(edge, d.tau))
+
+
+def scipy_stats_cdf(d, x):
+    """BoxCoxTDist.cdf written with scipy.stats.t, the reference formula."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    lower, norm_mass = scipy_stats_truncation(d)
+    out[pos] = (stats.t.cdf(d._z(x[pos]), d.tau) - lower) / norm_mass
+    return np.clip(out, 0.0, 1.0)
+
+
+def scipy_stats_quantile(d, p):
+    """BoxCoxTDist.quantile written with scipy.stats.t."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    lower, norm_mass = scipy_stats_truncation(d)
+    z = stats.t.ppf(p * norm_mass + lower, d.tau)
+    if d.nu == 0.0:
+        return d.mu * np.exp(d.sigma * z)
+    return d.mu * (d.nu * d.sigma * z + 1.0) ** (1.0 / d.nu)
+
+
+#: Open-interval probability grid: a dense sweep plus the extremes.
+UNIT_GRID = np.concatenate([
+    np.linspace(0.0, 1.0, 20_003)[1:-1],
+    [5e-324, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, np.nextafter(1.0, 0.0)],
+])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at the edges
+class TestMatchesScipyStats:
+    """The special-function ufuncs give exactly what scipy.stats gave."""
+
+    @pytest.mark.parametrize("tau", [1.0, 6.0, 1e6, np.inf])
+    @pytest.mark.parametrize("nu", [1.3, 0.5, 0.0, -0.4, -1.5])
+    def test_boxcox_cdf_and_quantile(self, nu, tau):
+        d = BoxCoxTDist(mu=14.0, sigma=0.18, nu=nu, tau=tau)
+        xs = np.concatenate([
+            np.linspace(-5.0, 60.0, 2001),
+            [5e-324, 1e-300, 1e-8, 14.0, 1e8, 1e300, np.inf],
+        ])
+        np.testing.assert_array_equal(d.cdf(xs), scipy_stats_cdf(d, xs))
+        np.testing.assert_array_equal(d.quantile(UNIT_GRID),
+                                      scipy_stats_quantile(d, UNIT_GRID))
+        for x in (1e-8, 14.0, 31.5):
+            np.testing.assert_array_equal(d.cdf(x), scipy_stats_cdf(d, x)[0])
+        for p in (1e-300, 0.3, np.nextafter(1.0, 0.0)):
+            np.testing.assert_array_equal(d.quantile(p),
+                                          scipy_stats_quantile(d, p)[0])
+
+    def test_pos_to_win_both_ways(self):
+        root2 = np.sqrt(2.0)
+        to_win = stats.norm.cdf(root2 * stats.norm.ppf(UNIT_GRID))
+        to_pos = stats.norm.cdf(stats.norm.ppf(UNIT_GRID) / root2)
+        np.testing.assert_array_equal(
+            [pos_to_win_probability(p) for p in UNIT_GRID], to_win)
+        np.testing.assert_array_equal(
+            [win_probability_to_pos(w) for w in UNIT_GRID], to_pos)
+
+    @pytest.mark.parametrize("direction", ["below", "above"])
+    def test_gaussian_threshold_tail(self, direction):
+        for mean in (-40.0, -1.0, 0.0, 5.0, 38.0):
+            for threshold in (0.0, 2.5):
+                dgm = GaussianThresholdDGM(mean=mean, sigma_levels=((1.0, 1.0),),
+                                           threshold=threshold,
+                                           direction=direction)
+                for sigma in (1e-9, 0.3, 2.0, 5.0, 1e9):
+                    tail = stats.norm.cdf((threshold - mean) / sigma)
+                    expected = tail if direction == "below" else 1.0 - tail
+                    assert dgm.positive_probability(sigma) == float(expected)
 
 
 class TestDiscretize:
