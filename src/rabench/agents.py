@@ -18,6 +18,7 @@ import numpy as np
 
 from .behavioral import TrialTable, _resolve_report_map
 from .errors import InvalidModelError
+from .generative import sample_cells
 from .model import (
     Belief,
     ExperimentDesign,
@@ -97,13 +98,9 @@ def _draw_stimuli(structure, n_trials: int, rng: np.random.Generator,
     blocks and draws states from each signal's conditional.
     """
     joint = structure.joint
-    n_signals, n_states = joint.shape
     if not balanced:
-        flat = joint.reshape(-1)
-        cum = np.cumsum(flat)
-        cum[-1] = 1.0
-        cells = np.searchsorted(cum, rng.uniform(size=n_trials), side="right")
-        return np.unravel_index(cells, (n_signals, n_states))
+        return sample_cells(joint, n_trials, rng)
+    n_signals = joint.shape[0]
     v_idx = np.arange(n_trials) % n_signals
     t_idx = np.empty(n_trials, dtype=int)
     conditionals = joint / joint.sum(axis=1, keepdims=True)
@@ -145,13 +142,6 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
     )
 
 
-def _posterior_matrix(problem) -> np.ndarray:
-    structure = problem.structure
-    return np.vstack([
-        posterior(structure, v).probabilities for v in structure.signals
-    ])
-
-
 def _decision_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
     """Index of each trial's action in the problem's action space."""
     problem = design.problem(strategy)
@@ -159,12 +149,7 @@ def _decision_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
     n_actions = len(problem.actions)
 
     if agent.kind == "rational":
-        per_signal = np.array([
-            problem.actions.index(
-                optimal_action(problem, posterior(problem.structure, v))[0])
-            for v in problem.structure.signals
-        ])
-        return per_signal[v_idx]
+        return optimal_action_indices(problem, problem.structure.posteriors())[v_idx]
 
     if agent.kind == "prior":
         fixed, _ = optimal_action(problem, prior(problem.structure))
@@ -222,7 +207,7 @@ def _noisy_beliefs(design, problem, v_idx, noise_sd, rng) -> np.ndarray:
     and the vector renormalized.
     """
     n = len(v_idx)
-    posteriors = _posterior_matrix(problem)
+    posteriors = problem.structure.posteriors()
     if noise_sd == 0.0:
         return posteriors[v_idx]
     try:

@@ -22,15 +22,14 @@ import numpy as np
 
 from .errors import InvalidModelError, TrialDataError
 from .model import (
-    Belief,
     ExperimentDesign,
     ReportMap,
+    _normalized_beliefs,
     binary_report_map,
-    expected_scores_all,
-    optimal_action,
     optimal_action_indices,
-    realized_score,
+    outcome_scores,
     report_bins,
+    score_table,
 )
 from .rational import RationalReport, rational_report
 
@@ -321,16 +320,20 @@ class EmpiricalJoint:
     def state_marginal(self) -> np.ndarray:
         return self.masses.sum(axis=0)
 
-    def conditional(self, action_index: int, smoothing_alpha: float = 0.0) -> Belief:
-        row = self.counts[action_index]
+    def conditionals(self, rows, smoothing_alpha: float = 0.0) -> np.ndarray:
+        """Empirical state-conditional of each row index in ``rows``, one
+        belief row each; ``smoothing_alpha`` is added to every count first."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = self.counts[rows]
         if smoothing_alpha > 0.0:
-            row = row + smoothing_alpha
-        total = row.sum()
-        if total <= 0:
+            counts = counts + smoothing_alpha
+        totals = counts.sum(axis=1, keepdims=True)
+        empty = totals[:, 0] <= 0
+        if empty.any():
             raise InvalidModelError(
-                f"action {self.action_ids[action_index]!r} was never observed"
+                f"action {self.action_ids[rows[np.argmax(empty)]]!r} was never observed"
             )
-        return Belief(row / total)
+        return _normalized_beliefs(counts / totals)
 
 
 def _lookup(ids: Sequence[str], known: Iterable[str]) -> np.ndarray:
@@ -438,6 +441,12 @@ def _resolve_report_map(design: ExperimentDesign) -> ReportMap:
     return binary_report_map(len(design.states))
 
 
+def _running_total(terms: np.ndarray) -> float:
+    """Sum of ``terms`` added one at a time in row-major order; unlike a BLAS
+    dot or numpy's pairwise sum, it does not depend on how terms are blocked."""
+    return float(np.cumsum(terms)[-1])
+
+
 def behavioral_score(joint: EmpiricalJoint, design: ExperimentDesign) -> float:
     """Expected score of the observed behavior under the empirical joint.
 
@@ -448,31 +457,18 @@ def behavioral_score(joint: EmpiricalJoint, design: ExperimentDesign) -> float:
     """
     base = design.any_problem()
     if joint.kind == "action":
-        action_marginal = joint.action_marginal()
-        total = 0.0
-        for i, a in enumerate(joint.action_ids):
-            if action_marginal[i] <= 0:
-                continue
-            cond = joint.conditional(i)
-            ev = expected_scores_all(base, cond)
-            total += action_marginal[i] * float(ev[base.actions.index(a)])
-        return total
+        marginal = joint.action_marginal()
+        rows = np.flatnonzero(marginal > 0)
+        actions = [base.actions.index(joint.action_ids[i]) for i in rows]
+        ev = score_table(base, joint.conditionals(rows))
+        return _running_total(marginal[rows] * ev[np.arange(len(rows)), actions])
 
-    to_belief = _resolve_report_map(design).to_belief
     masses = joint.masses
-    total = 0.0
-    for i, mid in enumerate(joint.action_values):
-        row_mass = masses[i].sum()
-        if row_mass <= 0:
-            continue
-        belief = to_belief(float(mid))
-        best, _ = optimal_action(base, belief)
-        for t, state in enumerate(joint.state_ids):
-            if masses[i, t] <= 0:
-                continue
-            total += masses[i, t] * realized_score(base, best, state,
-                                                   context_belief=belief)
-    return total
+    rows = np.flatnonzero(masses.sum(axis=1) > 0)
+    mids = np.asarray(joint.action_values)[rows]
+    beliefs = _resolve_report_map(design).to_beliefs(mids)
+    best = optimal_action_indices(base, beliefs)
+    return _running_total(masses[rows] * outcome_scores(base, best, beliefs))
 
 
 @dataclass(frozen=True)
@@ -490,18 +486,14 @@ def calibrate(joint: EmpiricalJoint, design: ExperimentDesign,
     Rows that were never observed carry no weight and are skipped. Optional
     additive smoothing stabilizes conditionals from tiny samples.
     """
-    action_marginal = joint.action_marginal()
-    total = 0.0
-    policy: dict[str, str] = {}
-    for i, a in enumerate(joint.action_ids):
-        if action_marginal[i] <= 0:
-            continue
-        cond = joint.conditional(i, smoothing_alpha=smoothing_alpha)
-        ev = expected_scores_all(design.any_problem(), cond)
-        best_idx = int(np.argmax(ev))
-        policy[a] = design.actions.ids[best_idx]
-        total += action_marginal[i] * float(ev[best_idx])
-    return CalibrationResult(calibrated_score=total, policy=policy)
+    marginal = joint.action_marginal()
+    rows = np.flatnonzero(marginal > 0)
+    ev = score_table(design.any_problem(),
+                     joint.conditionals(rows, smoothing_alpha=smoothing_alpha))
+    best = np.argmax(ev, axis=1)
+    policy = {joint.action_ids[i]: design.actions.ids[b] for i, b in zip(rows, best)}
+    score = _running_total(marginal[rows] * ev[np.arange(len(rows)), best])
+    return CalibrationResult(calibrated_score=score, policy=policy)
 
 
 def behavioral_value_of_information(behavioral: float, baseline: float) -> float:

@@ -22,8 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import Belief, DecisionProblem, InformationStructure
-from .rational import posterior
+from .model import (
+    Belief,
+    DecisionProblem,
+    InformationStructure,
+    optimal_action_indices,
+    outcome_scores,
+)
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -315,7 +320,12 @@ class BoxCoxTDist:
         if self.nu == 0.0:
             x = self.mu * np.exp(self.sigma * z)
         else:
-            x = self.mu * (self.nu * self.sigma * z + 1.0) ** (1.0 / self.nu)
+            # at extreme levels z can land just past the truncation edge;
+            # clamping the base there gives the support edge (0 for nu > 0,
+            # inf for nu < 0) instead of NaN
+            base = np.maximum(self.nu * self.sigma * z + 1.0, 0.0)
+            with np.errstate(divide="ignore"):
+                x = self.mu * base ** (1.0 / self.nu)
         return float(x[0]) if scalar else x
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -396,9 +406,26 @@ def quarter_minute_grid(low: float = 0.0, high: float = 30.0) -> np.ndarray:
 # Monte Carlo scoring
 
 
-def _derive_batch_seeds(seed: int, n_batches: int) -> list[np.random.Generator]:
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n_batches)]
+def sample_cells(joint: np.ndarray, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(row index, column index) of ``n`` i.i.d. draws from a 2-d joint,
+    one uniform variate per draw."""
+    cum = np.cumsum(joint.reshape(-1))
+    cum[-1] = 1.0
+    cells = np.searchsorted(cum, rng.uniform(size=n), side="right")
+    return np.unravel_index(cells, joint.shape)
+
+
+def policy_scores(problem: DecisionProblem,
+                  policy: Callable[[str], str]) -> np.ndarray:
+    """Realized score of the policy's action in each (signal, state) cell.
+
+    Transit cells plug in the signal's posterior mean for the second bus,
+    matching the exact tabular analysis.
+    """
+    structure = problem.structure
+    actions = [problem.actions.index(policy(v)) for v in structure.signals]
+    return outcome_scores(problem, actions, structure.posteriors())
 
 
 def monte_carlo_score(problem: DecisionProblem,
@@ -410,63 +437,29 @@ def monte_carlo_score(problem: DecisionProblem,
 
     Returns (mean, standard error). Batches draw from independently derived
     child seeds and merge deterministically, so the result depends only on
-    (seed, n, n_batches). Transit outcomes plug in the drawn signal's
-    posterior mean for the second bus, matching the exact tabular analysis.
+    (seed, n, n_batches). Cells are scored by :func:`policy_scores`.
     """
     if n < 1:
         raise InvalidModelError("need at least one draw")
-    structure = problem.structure
-    n_signals, n_states = structure.joint.shape
-    flat = structure.joint.reshape(-1)
-    cum = np.cumsum(flat)
-    cum[-1] = 1.0
-
-    action_index = {a: i for i, a in enumerate(problem.actions.ids)}
-    per_signal_action = np.array(
-        [action_index[str(policy(v))] for v in structure.signals]
-    )
-
-    from .model import MatrixRule, tabulate_rule
-
-    if isinstance(problem.rule, MatrixRule):
-        score_for_signal = [problem.rule.scores] * n_signals
-    else:
-        score_for_signal = [
-            tabulate_rule(problem, posterior(structure, v)).scores
-            for v in structure.signals
-        ]
-    # (signal, state) -> realized score of the policy action
-    score_table = np.empty((n_signals, n_states))
-    for vi in range(n_signals):
-        score_table[vi] = score_for_signal[vi][per_signal_action[vi]]
-
+    table = policy_scores(problem, policy)
     sizes = [n // n_batches] * n_batches
     sizes[-1] += n - sum(sizes)
-    total, total_sq, count = 0.0, 0.0, 0
-    for rng, size in zip(_derive_batch_seeds(seed, n_batches), sizes):
-        if size == 0:
-            continue
-        u = rng.uniform(size=size)
-        cells = np.searchsorted(cum, u, side="right")
-        v_idx, t_idx = np.unravel_index(cells, (n_signals, n_states))
-        scores = score_table[v_idx, t_idx]
+    total, total_sq = 0.0, 0.0
+    for child, size in zip(np.random.SeedSequence(seed).spawn(n_batches), sizes):
+        rng = np.random.default_rng(child)
+        scores = table[sample_cells(problem.structure.joint, size, rng)]
         total += scores.sum()
         total_sq += (scores ** 2).sum()
-        count += size
-    mean = total / count
-    var = max(total_sq / count - mean ** 2, 0.0)
-    se = float(np.sqrt(var / count))
-    return float(mean), se
+    mean = total / n
+    var = max(total_sq / n - mean ** 2, 0.0)
+    return float(mean), float(np.sqrt(var / n))
 
 
 def rational_policy(problem: DecisionProblem) -> Callable[[str], str]:
     """Policy of an agent who plays the optimal action on each posterior."""
-    from .model import optimal_action
-
-    table = {
-        v: optimal_action(problem, posterior(problem.structure, v))[0]
-        for v in problem.structure.signals
-    }
+    structure = problem.structure
+    best = optimal_action_indices(problem, structure.posteriors())
+    table = {v: problem.actions.ids[i] for v, i in zip(structure.signals, best)}
     return lambda v: table[str(v)]
 
 

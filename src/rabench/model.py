@@ -3,13 +3,18 @@
 A decision problem couples a finite state space, a finite action space, a
 scoring rule S(a, theta), and an information structure (a joint distribution
 over signals and states). Everything downstream -- rational baselines and
-benchmarks, behavioral calibration, payments -- is built from the three
-elementary operations defined here:
+benchmarks, behavioral calibration, payments -- is built from two batched
+kernels defined here:
 
-* ``expected_score``: the score of an action in expectation over a belief,
-* ``optimal_action``: the argmax action for a belief,
-* ``proper_score``: score a reported belief by playing its optimal action
-  against the realized state.
+* ``score_table(problem, beliefs)``: the expected score of every action
+  under each belief row, shape (beliefs, actions);
+* ``outcome_scores(problem, action_idx, beliefs)``: the realized score of
+  each row's action in every state, shape (rows, states), with the row's
+  belief as the context of the transit rule's second bus.
+
+``expected_scores_all``, ``optimal_action``, ``optimal_action_indices``,
+``realized_score`` and ``proper_score`` are one-belief or one-outcome views
+of these two.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across workers.
@@ -22,7 +27,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, InvalidModelError
+from .errors import DimensionError, InvalidModelError, ZeroMassSignalError
 
 #: Probability vectors whose mass deviates from 1 by at most this much are
 #: renormalized; anything worse is rejected.
@@ -30,12 +35,6 @@ NORMALIZATION_TOL = 1e-9
 
 #: Tolerance used when experiment strategies must share a common state prior.
 PRIOR_MATCH_TOL = 1e-6
-
-
-def _frozen(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_unique(ids: Sequence[str], what: str) -> None:
@@ -234,9 +233,6 @@ class Belief:
     def __len__(self) -> int:
         return len(self.probabilities)
 
-    def mean_value(self, state_values: np.ndarray) -> float:
-        return float(self.probabilities @ np.asarray(state_values))
-
 
 @dataclass(frozen=True, eq=False)
 class MatrixRule:
@@ -273,12 +269,8 @@ class TransitRule:
     ``max_destination_minutes``. Missing the bus (a > theta) means riding a
     second bus that arrives ``second_bus_offset`` minutes after a fresh draw
     from the same arrival distribution; expectations plug in the belief's own
-    mean arrival for that draw, which is exact because the payoff is linear
+    mean arrival m for that draw, which is exact because the payoff is linear
     in the second arrival time.
-
-    ``exact_second_bus`` switches the expectation to an explicit sum over the
-    arrival grid; it exists as a sensitivity check and agrees with the
-    plug-in form to rounding.
     """
 
     activity_rate: float
@@ -286,7 +278,6 @@ class TransitRule:
     destination_rate: float
     max_destination_minutes: float
     second_bus_offset: float = 30.0
-    exact_second_bus: bool = False
 
     def __post_init__(self):
         for name in ("activity_rate", "waiting_rate", "destination_rate",
@@ -298,66 +289,23 @@ class TransitRule:
         if self.waiting_rate > 0:
             raise InvalidModelError("waiting rate must be non-positive")
 
-    def realized_score(self, action_value: float, state_value: float,
-                       second_bus_mean: float) -> float:
-        """Score of one (action, state) outcome given a plug-in second-bus mean."""
-        r0, rw, rd = self.activity_rate, self.waiting_rate, self.destination_rate
-        T = self.max_destination_minutes
-        a, th = float(action_value), float(state_value)
-        if a <= th:
-            return r0 * a + rw * (th - a) + rd * T
-        m = float(second_bus_mean)
-        return r0 * a + rw * (m + self.second_bus_offset - a) + rd * (T - (m - th))
+    def score_terms(self, action_values, state_values
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """(fixed, miss, slope) with S(a, theta; m) = fixed + slope * m * miss.
 
-    def expected_scores_batch(self, beliefs: np.ndarray, action_values: np.ndarray,
-                              state_values: np.ndarray) -> np.ndarray:
-        """Expected scores for a batch of beliefs, shape (n, actions).
-
-        Uses the same plug-in second-bus expectation as
-        :meth:`expected_scores`; the quadratic-in-belief cross term couples
-        the per-belief arrival mean with the miss probability.
+        ``fixed`` and ``miss`` are (actions, states): the score without the
+        second-bus term, and 1.0 where the bus is missed (a > theta). ``slope``
+        is ``waiting_rate - destination_rate``, the score per minute of the
+        second bus's mean arrival m.
         """
-        P = np.asarray(beliefs, dtype=float)
-        theta = np.asarray(state_values, dtype=float)
-        a = np.asarray(action_values, dtype=float)
-        r0, rw, rd = self.activity_rate, self.waiting_rate, self.destination_rate
-        T, off = self.max_destination_minutes, self.second_bus_offset
-        catch = theta[:, None] >= a[None, :]          # (states, actions)
-        catch_part = np.where(
-            catch, r0 * a[None, :] + rw * (theta[:, None] - a[None, :]) + rd * T, 0.0
-        )
-        k_a = r0 * a + rw * (off - a) + rd * T        # miss constant per action
-        miss_part = np.where(~catch, k_a[None, :] + rd * theta[:, None], 0.0)
-        base = P @ (catch_part + miss_part)           # (n, actions)
-        means = P @ theta                              # (n,)
-        miss_prob = P @ (~catch).astype(float)         # (n, actions)
-        return base + (rw - rd) * means[:, None] * miss_prob
-
-    def expected_scores(self, belief: Belief, action_values: np.ndarray,
-                        state_values: np.ndarray) -> np.ndarray:
-        """Expected score of every action under ``belief`` over the state grid."""
-        p = belief.probabilities
-        theta = np.asarray(state_values, dtype=float)
-        if p.shape != theta.shape:
-            raise DimensionError("belief dimension does not match the arrival grid")
         a = np.asarray(action_values, dtype=float)[:, None]
+        theta = np.asarray(state_values, dtype=float)[None, :]
         r0, rw, rd = self.activity_rate, self.waiting_rate, self.destination_rate
         T, off = self.max_destination_minutes, self.second_bus_offset
-        catch = a <= theta[None, :]
-        catch_score = r0 * a + rw * (theta[None, :] - a) + rd * T
-        if self.exact_second_bus:
-            # literal expectation over the second arrival; the payoff is
-            # linear in it, so this matches the plug-in branch to rounding
-            second = theta[None, None, :]
-            miss_grid = (r0 * a[:, :, None]
-                         + rw * (second + off - a[:, :, None])
-                         + rd * (T - (second - theta[None, :, None])))
-            miss_score = np.tensordot(miss_grid, p, axes=([2], [0]))
-        else:
-            m = float(p @ theta)
-            miss_score = r0 * a + rw * (m + off - a) + rd * (T - (m - theta[None, :]))
-        table = np.where(catch, catch_score, miss_score)
-        return table @ p
+        miss = a > theta
+        fixed = np.where(miss, r0 * a + rw * (off - a) + rd * T + rd * theta,
+                         r0 * a + rw * (theta - a) + rd * T)
+        return fixed, miss.astype(float), rw - rd
 
 
 ScoringRule = Union[MatrixRule, TransitRule]
@@ -402,6 +350,19 @@ class InformationStructure:
     def state_marginal(self) -> np.ndarray:
         return self.joint.sum(axis=0)
 
+    def posteriors(self) -> np.ndarray:
+        """Posterior over states given each signal, one row per signal.
+
+        Row i equals ``rational.posterior(self, signals[i]).probabilities``
+        bit for bit; a signal of zero mass raises ``ZeroMassSignalError``.
+        """
+        mass = self.joint.sum(axis=1, keepdims=True)
+        if (mass <= 0.0).any():
+            empty = self.signals[int(np.argmax(mass[:, 0] <= 0.0))]
+            raise ZeroMassSignalError(f"signal {empty!r} has zero marginal mass; "
+                                      f"no posterior exists")
+        return _normalized_beliefs(self.joint / mass)
+
 
 def structure_violations(signals: Sequence[str], joint: np.ndarray) -> list[str]:
     """All invariant violations of a would-be information structure."""
@@ -439,14 +400,6 @@ class DecisionProblem:
     actions: ActionSpace
     rule: ScoringRule
     structure: InformationStructure
-
-    def belief_from_report(self, p_positive: float) -> Belief:
-        if len(self.states) != 2:
-            raise InvalidModelError(
-                "scalar probability reports need a 2-state space or an "
-                "explicit report mapping"
-            )
-        return Belief.binary(p_positive)
 
 
 @dataclass(frozen=True)
@@ -536,36 +489,71 @@ def binary_report_map(n_states: int = 2) -> ReportMap:
 
 
 # ---------------------------------------------------------------------------
-# Elementary operations
+# Scoring kernel
 
 
-def _matrix_expected(rule: MatrixRule, belief: Belief) -> np.ndarray:
-    if rule.n_states != len(belief):
+def _checked_beliefs(problem: DecisionProblem, beliefs) -> np.ndarray:
+    """``beliefs`` as an (n, states) float matrix that fits the problem's rule."""
+    P = np.asarray(beliefs, dtype=float)
+    rule = problem.rule
+    matrix = isinstance(rule, MatrixRule)
+    if matrix and rule.n_actions != len(problem.actions):
+        raise DimensionError(f"rule scores {rule.n_actions} actions but the "
+                             f"space has {len(problem.actions)}")
+    n_states = rule.n_states if matrix else len(problem.states)
+    if P.ndim != 2 or P.shape[1] != n_states:
         raise DimensionError(
-            f"belief has {len(belief)} states but the rule scores {rule.n_states}"
+            f"beliefs of shape {P.shape} do not match the rule's {n_states} states"
         )
-    return rule.scores @ belief.probabilities
+    return P
+
+
+def score_table(problem: DecisionProblem, beliefs) -> np.ndarray:
+    """Expected score of every action under each belief row: (n, actions).
+
+    A transit row plugs in its own mean arrival for the second bus, so the
+    table is quadratic in the belief: P fixed' + slope (P theta) (P miss').
+    """
+    P = _checked_beliefs(problem, beliefs)
+    rule = problem.rule
+    if isinstance(rule, MatrixRule):
+        # einsum sums each row in state order, whatever the batch around it
+        return np.einsum("ns,as->na", P, rule.scores)
+    theta = problem.states.numeric_values()
+    fixed, miss, slope = rule.score_terms(problem.actions.numeric_values(), theta)
+    return P @ fixed.T + slope * (P @ theta)[:, None] * (P @ miss.T)
+
+
+def outcome_scores(problem: DecisionProblem, action_idx,
+                   beliefs=None) -> np.ndarray:
+    """Realized score of action ``action_idx[i]`` in every state: (n, states).
+
+    A matrix rule reads its table rows. The transit rule takes row i's
+    second-bus mean from ``beliefs[i]`` (the belief in scope when the action
+    was chosen) and needs ``beliefs``.
+    """
+    idx = np.asarray(action_idx, dtype=np.intp)
+    rule = problem.rule
+    if isinstance(rule, MatrixRule):
+        if rule.scores.shape != (len(problem.actions), len(problem.states)):
+            raise DimensionError("score matrix does not match the action/state spaces")
+        return rule.scores[idx]
+    if beliefs is None:
+        raise InvalidModelError("transit scores need a context belief for the second bus")
+    P = _checked_beliefs(problem, beliefs)
+    theta = problem.states.numeric_values()
+    fixed, miss, slope = rule.score_terms(problem.actions.numeric_values(), theta)
+    return fixed[idx] + slope * (P @ theta)[:, None] * miss[idx]
 
 
 def expected_scores_all(problem: DecisionProblem, belief: Belief) -> np.ndarray:
     """Expected score of every action under ``belief``."""
-    rule = problem.rule
-    if isinstance(rule, MatrixRule):
-        if rule.n_actions != len(problem.actions):
-            raise DimensionError(
-                f"rule scores {rule.n_actions} actions but the space has "
-                f"{len(problem.actions)}"
-            )
-        return _matrix_expected(rule, belief)
-    return rule.expected_scores(
-        belief, problem.actions.numeric_values(), problem.states.numeric_values()
-    )
+    return score_table(problem, belief.probabilities[None, :])[0]
 
 
 def expected_score(problem: DecisionProblem, action_id: str, belief: Belief) -> float:
     """Expected score of a single action: sum_theta p(theta) * S(a, theta)."""
-    idx = problem.actions.index(action_id)
-    return float(expected_scores_all(problem, belief)[idx])
+    return float(expected_scores_all(problem, belief)[problem.actions.index(action_id)])
 
 
 def optimal_action(problem: DecisionProblem, belief: Belief) -> tuple[str, float]:
@@ -574,47 +562,23 @@ def optimal_action(problem: DecisionProblem, belief: Belief) -> tuple[str, float
     Ties break toward the lowest action index, so the result is
     deterministic.
     """
-    if len(problem.actions) == 0:
-        raise InvalidModelError("empty action space")
     ev = expected_scores_all(problem, belief)
     idx = int(np.argmax(ev))  # argmax returns the first (lowest) maximizing index
     return problem.actions.ids[idx], float(ev[idx])
 
 
-def optimal_action_indices(problem: DecisionProblem, beliefs: np.ndarray) -> np.ndarray:
-    """Vectorized argmax action indices for a batch of belief rows."""
-    rule = problem.rule
-    P = np.asarray(beliefs, dtype=float)
-    if isinstance(rule, MatrixRule):
-        ev = P @ rule.scores.T
-    else:
-        ev = rule.expected_scores_batch(
-            P, problem.actions.numeric_values(), problem.states.numeric_values()
-        )
-    return np.argmax(ev, axis=1)
+def optimal_action_indices(problem: DecisionProblem, beliefs) -> np.ndarray:
+    """Argmax action index for each belief row, ties to the lowest index."""
+    return np.argmax(score_table(problem, beliefs), axis=1)
 
 
 def realized_score(problem: DecisionProblem, action_id: str, state_id: str,
                    context_belief: Belief | None = None) -> float:
-    """Score of one realized (action, state) pair.
-
-    A matrix rule reads the table entry. The transit rule additionally needs
-    a second-bus arrival expectation, taken from ``context_belief`` (the
-    belief in scope when the action was chosen).
-    """
-    a = problem.actions.index(action_id)
-    t = problem.states.index(state_id)
-    rule = problem.rule
-    if isinstance(rule, MatrixRule):
-        if rule.n_actions != len(problem.actions) or rule.n_states != len(problem.states):
-            raise DimensionError("score matrix does not match the action/state spaces")
-        return float(rule.scores[a, t])
-    if context_belief is None:
-        raise InvalidModelError("transit scores need a context belief for the second bus")
-    m = context_belief.mean_value(problem.states.numeric_values())
-    return rule.realized_score(
-        problem.actions.numeric_values()[a], problem.states.numeric_values()[t], m
-    )
+    """Score of one realized (action, state) pair; the transit rule takes its
+    second-bus mean from ``context_belief``."""
+    context = None if context_belief is None else context_belief.probabilities[None, :]
+    row = outcome_scores(problem, [problem.actions.index(action_id)], context)
+    return float(row[0, problem.states.index(state_id)])
 
 
 def proper_score(problem: DecisionProblem, reported_belief: Belief,
@@ -623,25 +587,6 @@ def proper_score(problem: DecisionProblem, reported_belief: Belief,
     realized state (the proper form of an arbitrary scoring rule)."""
     best, _ = optimal_action(problem, reported_belief)
     return realized_score(problem, best, state_id, context_belief=reported_belief)
-
-
-def tabulate_rule(problem: DecisionProblem, context_belief: Belief) -> MatrixRule:
-    """Wrap any rule as an explicit matrix over the problem's finite spaces.
-
-    For the transit rule the second-bus expectation is pinned to
-    ``context_belief``, after which the tabulated matrix and the formula
-    agree exactly for that belief.
-    """
-    rule = problem.rule
-    if isinstance(rule, MatrixRule):
-        return rule
-    m = context_belief.mean_value(problem.states.numeric_values())
-    a_vals = problem.actions.numeric_values()
-    s_vals = problem.states.numeric_values()
-    table = np.array(
-        [[rule.realized_score(a, t, m) for t in s_vals] for a in a_vals]
-    )
-    return MatrixRule(table)
 
 
 def validate(problem: DecisionProblem) -> list[str]:

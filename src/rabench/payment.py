@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .generative import constant_policy, rational_policy
-from .model import ExperimentDesign
-from .rational import RationalReport, rational_report
+from .generative import constant_policy, policy_scores, rational_policy, sample_cells
+from .model import ExperimentDesign, optimal_action
+from .rational import RationalReport, prior, rational_report
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,6 @@ def _simulated_payment(design: ExperimentDesign, rule: ConversionRule,
     strategy = strategy or next(iter(design.strategies))
     problem = design.problem(strategy)
     if policy_kind == "baseline":
-        from .model import optimal_action
-        from .rational import prior
-
         action, _ = optimal_action(problem, prior(problem.structure))
         policy = constant_policy(action)
     else:
@@ -200,35 +197,9 @@ def _simulated_payment(design: ExperimentDesign, rule: ConversionRule,
     sessions = max(n // trials, 1)
     # one long score stream reshaped into sessions keeps the estimate
     # seeded and deterministic without per-session generator churn
-    scores = _per_trial_scores(problem, policy, sessions * trials, seed)
+    cells = sample_cells(problem.structure.joint, sessions * trials,
+                         np.random.default_rng(seed))
+    scores = policy_scores(problem, policy)[cells]
     per_session = scores.reshape(sessions, trials).sum(axis=1)
     payments = [rule.convert(design.initial_score + s) for s in per_session]
     return float(np.mean(payments))
-
-
-def _per_trial_scores(problem, policy, n, seed) -> np.ndarray:
-    """Sample realized per-trial scores under a signal policy."""
-    from .model import MatrixRule, tabulate_rule
-    from .rational import posterior
-
-    structure = problem.structure
-    n_signals, n_states = structure.joint.shape
-    flat = structure.joint.reshape(-1)
-    cum = np.cumsum(flat)
-    cum[-1] = 1.0
-    action_index = {a: i for i, a in enumerate(problem.actions.ids)}
-
-    if isinstance(problem.rule, MatrixRule):
-        tables = [problem.rule.scores] * n_signals
-    else:
-        tables = [tabulate_rule(problem, posterior(structure, v)).scores
-                  for v in structure.signals]
-    score_table = np.empty((n_signals, n_states))
-    for vi, v in enumerate(structure.signals):
-        score_table[vi] = tables[vi][action_index[str(policy(v))]]
-
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=n)
-    cells = np.searchsorted(cum, u, side="right")
-    v_idx, t_idx = np.unravel_index(cells, (n_signals, n_states))
-    return score_table[v_idx, t_idx]

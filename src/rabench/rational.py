@@ -15,8 +15,8 @@ from .model import (
     DecisionProblem,
     ExperimentDesign,
     InformationStructure,
-    expected_scores_all,
     optimal_action,
+    score_table,
 )
 
 
@@ -48,15 +48,8 @@ def visualization_optimal(problem: DecisionProblem) -> float:
     """Expected score of an optimal agent acting on the posterior of each
     signal, weighted by the signal marginal."""
     structure = problem.structure
-    marginal = structure.signal_marginal()
-    total = 0.0
-    for i, signal in enumerate(structure.signals):
-        if marginal[i] <= 0.0:
-            continue
-        q = posterior(structure, signal)
-        ev = expected_scores_all(problem, q)
-        total += marginal[i] * float(ev.max())
-    return total
+    best = score_table(problem, structure.posteriors()).max(axis=1)
+    return float(structure.signal_marginal() @ best)
 
 
 def rational_benchmark(design: ExperimentDesign) -> float:

@@ -153,6 +153,17 @@ class TestSimulateAndPost:
          "6e49bc0fae0ac397a6f7b2cd5dbca638eff58731bfd493b0e5ee943539677ac7"),
         (["--case", "fernandes2018", "--agent", "rational"],
          "10eeb81e51fa941d1736824b92988a8726030effb578b0464a6c066bfd8c805c"),
+        (["--case", "fernandes2018", "--agent", "rational", "--scenario", "1"],
+         "a80a9fb4ecbdd2e98576a02f84dd2908f9567afe3ea122c202fd77e1be0888b3"),
+        (["--case", "fernandes2018", "--agent", "rational", "--scenario", "3"],
+         "1805ade78bd6dddbd482d51ceb00262a74b78a5bd4db7421e9f6ec75b6f2ab00"),
+        (["--case", "fernandes2018", "--agent", "rational", "--grid-step", "0.5"],
+         "b98388ea68e0a5fb221b3733087e684593ab0d0fb4c5621fbc75cf59155625ef"),
+        (["--case", "fernandes2018", "--agent", "noisy:k=0.6", "--seed", "3"],
+         "3f95e3284d64f4664647c7a9982bdd3e413528e8bdaaee6d1b3a49362c6db3db"),
+        (["--case", "fernandes2018", "--agent", "rational", "--balanced",
+          "--seed", "2"],
+         "3922638b76f695664ee1b1702a1f8779966cf3ec6d936344cfe1ab346dd72c8b"),
     ])
     def test_simulated_csv_bytes_are_pinned(self, tmp_path, args, sha256):
         out = tmp_path / "trials.csv"

@@ -234,7 +234,9 @@ def scipy_stats_quantile(d, p):
     z = stats.t.ppf(p * norm_mass + lower, d.tau)
     if d.nu == 0.0:
         return d.mu * np.exp(d.sigma * z)
-    return d.mu * (d.nu * d.sigma * z + 1.0) ** (1.0 / d.nu)
+    base = np.maximum(d.nu * d.sigma * z + 1.0, 0.0)  # the support edge past the cap
+    with np.errstate(divide="ignore"):
+        return d.mu * base ** (1.0 / d.nu)
 
 
 #: Open-interval probability grid: a dense sweep plus the extremes.
@@ -264,6 +266,24 @@ class TestMatchesScipyStats:
         for p in (1e-300, 0.3, np.nextafter(1.0, 0.0)):
             np.testing.assert_array_equal(d.quantile(p),
                                           scipy_stats_quantile(d, p)[0])
+
+    @pytest.mark.parametrize("tau", [1.0, 6.0, 1e6, np.inf])
+    @pytest.mark.parametrize("nu", [1.3, 0.5, 0.0, -0.4, -1.5])
+    def test_boxcox_quantile_has_no_nan_and_is_monotone(self, nu, tau):
+        d = BoxCoxTDist(mu=14.0, sigma=0.18, nu=nu, tau=tau)
+        levels = np.sort(UNIT_GRID)
+        q = d.quantile(levels)
+        assert not np.isnan(q).any()
+        # below 1e-16 the latent stdtrit itself returns +inf at some levels
+        # for tau = 1 and 6 (stdtrit(1, 5e-324), stdtrit(6, 1e-300)), which
+        # no clamp of the Box-Cox base can order
+        sound = q[levels >= 1e-16]
+        assert np.all(sound[1:] >= sound[:-1])
+
+    def test_boxcox_quantile_past_the_edge_is_the_support_edge(self):
+        assert BoxCoxTDist(10.0, 0.2, 1.3, 6.0).quantile(1e-20) == 0.0
+        upper = BoxCoxTDist(14.0, 0.18, -1.5, 6.0).quantile(1.0 - 1e-16)
+        assert upper == np.inf
 
     def test_pos_to_win_both_ways(self):
         root2 = np.sqrt(2.0)

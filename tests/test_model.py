@@ -15,9 +15,9 @@ from rabench.model import (
     expected_score,
     expected_scores_all,
     optimal_action,
+    outcome_scores,
     proper_score,
     realized_score,
-    tabulate_rule,
     validate,
 )
 
@@ -127,20 +127,25 @@ class TestExpectedScore:
                 assert left == pytest.approx(right, abs=1e-9)
 
     def test_exact_second_bus_matches_plugin(self, transit_scenario2_problem):
+        # the literal expectation over the second arrival: the payoff is
+        # linear in it, so the kernel's plug-in mean agrees to rounding
+        problem = transit_scenario2_problem
+        rule = problem.rule
+        r0, rw, rd = rule.activity_rate, rule.waiting_rate, rule.destination_rate
+        T, off = rule.max_destination_minutes, rule.second_bus_offset
+        a = problem.actions.numeric_values()[:, None, None]
+        theta = problem.states.numeric_values()
+        first, second = theta[None, :, None], theta[None, None, :]
+        catch = r0 * a + rw * (first - a) + rd * T
+        miss = r0 * a + rw * (second + off - a) + rd * (T - (second - first))
+        outcome = np.where(a <= first, catch, miss)  # (action, first, second)
         rng = np.random.default_rng(3)
-        exact_rule = TransitRule(
-            activity_rate=14.0, waiting_rate=-14.0, destination_rate=14.0,
-            max_destination_minutes=60.0, exact_second_bus=True,
-        )
-        exact = DecisionProblem(
-            transit_scenario2_problem.states, transit_scenario2_problem.actions,
-            exact_rule, transit_scenario2_problem.structure,
-        )
         for _ in range(10):
             belief = random_belief(rng, 31)
-            a = expected_scores_all(transit_scenario2_problem, belief)
-            b = expected_scores_all(exact, belief)
-            np.testing.assert_allclose(a, b, atol=1e-8)
+            p = belief.probabilities
+            exact = outcome @ p @ p
+            np.testing.assert_allclose(expected_scores_all(problem, belief), exact,
+                                       atol=1e-8)
 
 
 class TestOptimalAction:
@@ -243,14 +248,13 @@ class TestTabulation:
     def test_matrix_and_transit_agree_when_tabulated(self, transit_scenario2_problem):
         rng = np.random.default_rng(13)
         belief = random_belief(rng, 31)
-        matrix = tabulate_rule(transit_scenario2_problem, belief)
-        wrapped = DecisionProblem(
-            transit_scenario2_problem.states,
-            transit_scenario2_problem.actions,
-            matrix,
-            transit_scenario2_problem.structure,
-        )
-        a = expected_scores_all(transit_scenario2_problem, belief)
+        problem = transit_scenario2_problem
+        n_actions = len(problem.actions)
+        context = np.tile(belief.probabilities, (n_actions, 1))
+        matrix = MatrixRule(outcome_scores(problem, np.arange(n_actions), context))
+        wrapped = DecisionProblem(problem.states, problem.actions, matrix,
+                                  problem.structure)
+        a = expected_scores_all(problem, belief)
         b = expected_scores_all(wrapped, belief)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
