@@ -12,9 +12,10 @@ units of the design's value of information.
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -39,9 +40,13 @@ DEFAULT_BIN_WIDTH = 0.02
 TRIAL_CSV_HEADER = ("trial_id", "strategy", "signal", "state",
                     "response_kind", "response")
 
-#: Rows parsed per chunk when reading a trial CSV, which bounds the memory
-#: held by rows that are not yet encoded.
+#: Rows per chunk when writing a trial CSV, or when reading one with
+#: ``csv.reader``; this bounds the memory held by rows not yet joined or
+#: encoded.
 _CSV_CHUNK_ROWS = 8192
+#: Characters read per chunk of a trial CSV before it is completed to a
+#: line end: 6k to 8k rows of the weather and transit cases' files.
+_CSV_CHUNK_CHARS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,12 @@ class _TableBuilder:
 
     def _codes(self, name: str, values: Sequence[str]) -> np.ndarray:
         index = self.index[name]
-        for value in dict.fromkeys(values):
-            index.setdefault(value, len(index))
+        try:
+            return np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                               count=len(values))
+        except KeyError:  # new ids: most chunks bring none
+            for value in dict.fromkeys(values):
+                index.setdefault(value, len(index))
         return np.fromiter(map(index.__getitem__, values), dtype=np.intp,
                            count=len(values))
 
@@ -225,24 +234,112 @@ def _as_table(trials: Iterable[TrialRecord]) -> TrialTable:
     return TrialTable.from_records(trials)
 
 
+def _csv_fields(values: Iterable) -> tuple[str, ...]:
+    """Each value as ``csv.writer`` writes it as one field of a row."""
+    buf = io.StringIO()
+    # the default "\r\n" terminator, stripped below: the writer quotes a
+    # field holding any character of its terminator, so an empty terminator
+    # would leave ids with a lone "\r" or "\n" unquoted
+    writer = csv.writer(buf)
+    fields = []
+    for value in values:
+        # a second, empty field: a row of one empty field is written '""'
+        writer.writerow((value, ""))
+        fields.append(buf.getvalue()[:-3])
+        buf.seek(0)
+        buf.truncate()
+    return tuple(fields)
+
+
 def write_trials_csv(trials: Iterable[TrialRecord], path: str | Path) -> None:
     """Write trials (a table or records) as CSV; probability reports are
-    written as ``repr`` of their float."""
-    columns = _as_table(trials)._columns(report_format=repr)
+    written as ``repr`` of their float.
+
+    The bytes are those of ``csv.writer``: each distinct id is quoted once
+    by it, and the rows are joined a chunk at a time.
+    """
+    table = _as_table(trials)
+    table = replace(table, **{
+        f"{name}_ids": _csv_fields(getattr(table, f"{name}_ids"))
+        for name in ("strategy", "signal", "state", "action")})
+    trial_ids = table.trial_ids.tolist()
+    try:
+        quote = any(c in "".join(trial_ids) for c in ',"\r\n')
+    except TypeError:  # an id that is not a str: csv.writer formats it
+        quote = True
+    if quote:
+        table = replace(table, trial_ids=_csv_fields(trial_ids))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_CSV_HEADER)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(TRIAL_CSV_HEADER) + "\r\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            columns = table[start:start + _CSV_CHUNK_ROWS]._columns(report_format=repr)
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _add_rows(builder: _TableBuilder, rows: list[list[str]], first_line: int) -> None:
+    """Append rows parsed from the file, a blank line being an empty row;
+    ``first_line`` is the line number of the first."""
+    width = len(TRIAL_CSV_HEADER)
+    kept = rows
+    if set(map(len, rows)) - {width}:
+        for i, row in enumerate(rows, start=first_line):
+            if row and len(row) != width:
+                raise TrialDataError(f"line {i}: expected {width} fields")
+        kept = [row for row in rows if row]
+    try:
+        builder.add(*(list(map(itemgetter(k), kept)) for k in range(width)))
+    except ValueError:
+        for i, row in enumerate(rows, start=first_line):
+            if row and row[4] == "probability":
+                try:
+                    float(row[5])
+                except ValueError:
+                    raise TrialDataError(
+                        f"line {i}: probability response {row[5]!r} "
+                        f"is not a number"
+                    ) from None
+        raise
+
+
+def _add_text(builder: _TableBuilder, text: str, first_line: int) -> int:
+    """Append the rows of a chunk of whole lines that holds no quote and no
+    NUL, where every field is the text between commas; return the number
+    of lines in it.
+
+    Line ends are "\\r\\n", "\\r" or "\\n", as for ``csv.reader``; a line
+    that is not blank must hold ``len(TRIAL_CSV_HEADER) - 1`` commas.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line end
+    records = list(filter(None, lines))
+    if not records:
+        return len(lines)
+    width = len(TRIAL_CSV_HEADER)
+    if not set(map(str.count, records, repeat(","))) - {width - 1}:
+        fields = ",".join(records).split(",")
+        try:
+            builder.add(*(fields[k::width] for k in range(width)))
+            return len(lines)
+        except ValueError:
+            pass
+    # a fault in the chunk: the row-wise path names its line
+    _add_rows(builder, [line.split(",") if line else [] for line in lines], first_line)
+    return len(lines)
 
 
 def read_trials_csv(path: str | Path) -> TrialTable:
     """Read a trial CSV into a table. Blank lines are skipped; a wrong
     header, a line with the wrong number of fields, or a probability report
-    that is not a number raises ``TrialDataError``."""
+    that is not a number raises ``TrialDataError``.
+
+    The file is read a chunk of whole lines at a time. Up to the first
+    chunk that holds a quote or a NUL, fields are split at commas;
+    from there on ``csv.reader`` parses the rest of the file.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise TrialDataError("trial file is empty") from None
         if tuple(h.strip() for h in header) != TRIAL_CSV_HEADER:
@@ -250,29 +347,16 @@ def read_trials_csv(path: str | Path) -> TrialTable:
                 f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
             )
         builder = _TableBuilder()
-        width = len(TRIAL_CSV_HEADER)
-        first_line = 2
-        while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
-            rows = chunk
-            if set(map(len, chunk)) - {width}:
-                for i, row in enumerate(chunk, start=first_line):
-                    if row and len(row) != width:
-                        raise TrialDataError(f"line {i}: expected {width} fields")
-                rows = [row for row in chunk if row]
-            try:
-                builder.add(*(list(map(itemgetter(k), rows)) for k in range(width)))
-            except ValueError:
-                for i, row in enumerate(chunk, start=first_line):
-                    if row and row[4] == "probability":
-                        try:
-                            float(row[5])
-                        except ValueError:
-                            raise TrialDataError(
-                                f"line {i}: probability response {row[5]!r} "
-                                f"is not a number"
-                            ) from None
-                raise
-            first_line += len(chunk)
+        line = 2
+        # the readline ends the chunk on a line end, a "\r\n" kept whole
+        while chunk := fh.read(_CSV_CHUNK_CHARS) + fh.readline():
+            if '"' in chunk or "\0" in chunk:
+                rows = csv.reader(chain(io.StringIO(chunk, newline=""), fh))
+                while part := list(islice(rows, _CSV_CHUNK_ROWS)):
+                    _add_rows(builder, part, line)
+                    line += len(part)
+                break
+            line += _add_text(builder, chunk, line)
     if not builder.trial_ids:
         raise TrialDataError("trial file contains no records")
     return builder.table()

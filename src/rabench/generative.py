@@ -316,7 +316,11 @@ class BoxCoxTDist:
         if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
             raise InvalidModelError("quantile levels must lie strictly inside (0, 1)")
         lower, norm_mass = self._truncation()
-        z = stdtrit(self.tau, p_arr * norm_mass + lower)
+        level = p_arr * norm_mass + lower
+        z = stdtrit(self.tau, level)
+        # stdtrit gives +inf for some tiny levels (stdtrit(6, 1e-300)) where
+        # the quantile is a large negative number
+        z[(z == np.inf) & (level < 0.5)] = -np.inf
         if self.nu == 0.0:
             x = self.mu * np.exp(self.sigma * z)
         else:

@@ -319,9 +319,14 @@ class InformationStructure:
     signals: tuple[str, ...]
     joint: np.ndarray
     check: bool = True
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(str(v) for v in self.signals))
+        index: dict[str, int] = {}
+        for i, signal in enumerate(self.signals):
+            index.setdefault(signal, i)  # a duplicate id finds its first row
+        object.__setattr__(self, "_index", index)
         j = np.array(self.joint, dtype=float)
         if self.check:
             problems = structure_violations(self.signals, j)
@@ -340,8 +345,8 @@ class InformationStructure:
 
     def signal_index(self, signal_id: str) -> int:
         try:
-            return self.signals.index(str(signal_id))
-        except ValueError:
+            return self._index[str(signal_id)]
+        except KeyError:
             raise InvalidModelError(f"unknown signal {signal_id!r}") from None
 
     def signal_marginal(self) -> np.ndarray:

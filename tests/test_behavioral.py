@@ -1,8 +1,15 @@
+import csv
+import tracemalloc
+from itertools import islice
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
+from rabench import behavioral
 from rabench.agents import AgentSpec, simulate
 from rabench.behavioral import (
+    TRIAL_CSV_HEADER,
     EmpiricalJoint,
     LossReport,
     TrialRecord,
@@ -178,6 +185,247 @@ class TestTrialCsv:
         path.write_text("", encoding="utf-8")
         with pytest.raises(TrialDataError):
             read_trials_csv(path)
+
+
+# -- the csv-module trial CSV writer and reader, kept as the reference ----
+
+
+def reference_write_trials_csv(trials, path):
+    columns = behavioral._as_table(trials)._columns(report_format=repr)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_CSV_HEADER)
+        writer.writerows(zip(*columns))
+
+
+def reference_read_trials_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TrialDataError("trial file is empty") from None
+        if tuple(h.strip() for h in header) != TRIAL_CSV_HEADER:
+            raise TrialDataError(
+                f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
+            )
+        builder = behavioral._TableBuilder()
+        width = len(TRIAL_CSV_HEADER)
+        first_line = 2
+        while chunk := list(islice(reader, behavioral._CSV_CHUNK_ROWS)):
+            rows = chunk
+            if set(map(len, chunk)) - {width}:
+                for i, row in enumerate(chunk, start=first_line):
+                    if row and len(row) != width:
+                        raise TrialDataError(f"line {i}: expected {width} fields")
+                rows = [row for row in chunk if row]
+            try:
+                builder.add(*(list(map(itemgetter(k), rows)) for k in range(width)))
+            except ValueError:
+                for i, row in enumerate(chunk, start=first_line):
+                    if row and row[4] == "probability":
+                        try:
+                            float(row[5])
+                        except ValueError:
+                            raise TrialDataError(
+                                f"line {i}: probability response {row[5]!r} "
+                                f"is not a number"
+                            ) from None
+                raise
+            first_line += len(chunk)
+    if not builder.trial_ids:
+        raise TrialDataError("trial file contains no records")
+    return builder.table()
+
+
+def read_outcome(read, path):
+    """Every column of the table read, or the error raised."""
+    try:
+        t = read(path)
+    except (TrialDataError, InvalidModelError) as err:
+        return type(err).__name__, str(err)
+    return (t.trial_ids.tolist(), t.strategy_ids, t.strategy.tolist(),
+            t.signal_ids, t.signal.tolist(), t.state_ids, t.state.tolist(),
+            t.action_ids, t.action.tolist(), list(map(repr, t.report.tolist())))
+
+
+#: Pieces of ids: the csv module quotes a field holding any of the first
+#: six; the rest are written as they are.
+AWKWARD_PIECES = (",", '"', "\r", "\n", "\r\n", '""', " ", "é", "日本", "", "a", "b7")
+PLAIN_PIECES = (" ", "é", "", "a", "b7", "-", "=")
+
+
+def random_table(rng, n, pieces):
+    def new_id():
+        return "".join(rng.choice(pieces, size=rng.integers(0, 4)).tolist())
+
+    ids = {name: tuple(dict.fromkeys(new_id() for _ in range(rng.integers(1, 6))))
+           for name in ("strategy", "signal", "state", "action")}
+    codes = {name: rng.integers(0, len(ids[name]), size=n)
+             for name in ("strategy", "signal", "state")}
+    action = rng.integers(-1, len(ids["action"]), size=n)  # -1: a report
+    report = np.where(action < 0, rng.uniform(size=n) ** rng.integers(1, 60, size=n),
+                      np.nan)
+    return TrialTable(trial_ids=[new_id() for _ in range(n)],
+                      **{f"{name}_ids": v for name, v in ids.items()},
+                      **codes, action=action, report=report)
+
+
+def csv_lines(n, start=0):
+    return [f"{i},CI,sigma={2 + i % 4},{('freezing', 'not-freezing')[i % 2]},"
+            + ("action,salt" if i % 3 else f"probability,{i / (n + start + 1)!r}")
+            for i in range(start, start + n)]
+
+
+HEADER_LINE = ",".join(TRIAL_CSV_HEADER)
+ROWS = csv_lines(6)
+#: Trial files that read well, as text.
+GOOD_CSVS = {
+    "lf": "\n".join([HEADER_LINE, *ROWS]) + "\n",
+    "cr": "\r".join([HEADER_LINE, *ROWS]) + "\r",
+    "crlf": "\r\n".join([HEADER_LINE, *ROWS]) + "\r\n",
+    "mixed line ends": "".join(line + end for line, end in zip(
+        [HEADER_LINE, *ROWS], ["\r", "\n", "\r\n", "\r", "\r", "\n", "\r\n"])),
+    "blank lines": "\r\n".join([HEADER_LINE, "", ROWS[0], "", "", *ROWS[1:3]])
+                   + "\n\r\r\n" + "\r".join(ROWS[3:]) + "\n\n\r\n\r",
+    "no final line end": "\r\n".join([HEADER_LINE, *ROWS]),
+    "spaces kept": "\r\n".join([HEADER_LINE, " 0 , CI,sigma=5 ,freezing,action, salt"]),
+    "quoted header": "\r\n".join(['"trial_id",strategy,signal,state,response_kind,'
+                                   '" response"', *ROWS]),
+    "quote after the first chunk": "\r\n".join(
+        [HEADER_LINE, *csv_lines(9000), '9000,"C,I","a\r\nb","",action,"x""y"',
+         *csv_lines(50, 9001)]) + "\r\n",
+    "quote in a late row": "\r\n".join(
+        [HEADER_LINE, *ROWS, '6,CI,sigma=2,freezing,action,"salt"', ""]) + "\r\n",
+    "nul": "\r\n".join([HEADER_LINE, *ROWS[:3], "3,C\0I,sigma=2,freezing,action,salt",
+                         *ROWS[4:]]),
+}
+#: Trial files that must be refused, as text.
+BAD_CSVS = {
+    "empty": "",
+    "header only": HEADER_LINE + "\r\n",
+    "header only, no line end": HEADER_LINE,
+    "blank lines only": HEADER_LINE + "\r\n\r\n\n\r",
+    "wrong header": "a,b,c\n1,2,3\n",
+    "too few fields": "\n".join([HEADER_LINE, *ROWS[:4], "4,CI,sigma=2,freezing,action",
+                                 *ROWS[5:]]),
+    "too many fields after blank lines": "\r".join(
+        [HEADER_LINE, "", ROWS[0], "", "1,CI,sigma=2,freezing,action,salt,x", *ROWS[2:]]),
+    "too few fields after the first chunk": "\r\n".join(
+        [HEADER_LINE, *csv_lines(9000), "9000,CI", *csv_lines(5, 9001)]),
+    "a blank field list": "\r\n".join([HEADER_LINE, ROWS[0], ",,,,,", ROWS[1]]),
+    "not a number": "\r\n".join([HEADER_LINE, *ROWS[:4],
+                                   "4,CI,sigma=2,freezing,probability,often", *ROWS[5:]]),
+    "not a number after a quote": "\r\n".join(
+        [HEADER_LINE, '0,"CI",sigma=2,freezing,action,salt', *ROWS[1:4],
+         "4,CI,sigma=2,freezing,probability,", *ROWS[5:]]),
+    "bad kind": "\n".join([HEADER_LINE, *ROWS[:2], "2,CI,sigma=2,freezing,guess,1"]),
+}
+#: Characters per read chunk: the default, and sizes that put chunk ends
+#: inside lines and inside "\r\n".
+CHUNK_CHARS = [behavioral._CSV_CHUNK_CHARS, 1, 7, 40]
+
+
+class TestTrialCsvMatchesCsvModule:
+    """The chunked reader and writer give what the csv module gives."""
+
+    @pytest.mark.parametrize("pieces", [AWKWARD_PIECES, PLAIN_PIECES])
+    def test_random_tables(self, tmp_path, monkeypatch, pieces):
+        rng = np.random.default_rng(11)
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        for n in [0, 1, 2, 3, 17, 200, 700]:
+            table = random_table(rng, n, pieces)
+            write_trials_csv(table, path)
+            reference_write_trials_csv(table, reference)
+            assert path.read_bytes() == reference.read_bytes()
+            for chars in CHUNK_CHARS:
+                monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+                assert read_outcome(read_trials_csv, path) == \
+                    read_outcome(reference_read_trials_csv, path)
+
+    def test_ids_that_are_not_str(self, tmp_path):
+        records = [TrialRecord(7, 1, "sigma=2", 2.5, "action", "salt"),
+                   TrialRecord(None, "CI", None, "freezing", "probability", 0.5)]
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        write_trials_csv(records, path)
+        reference_write_trials_csv(records, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_large_table_writes_in_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = random_table(rng, 2 * behavioral._CSV_CHUNK_ROWS + 5, AWKWARD_PIECES)
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        write_trials_csv(table, path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("chars", CHUNK_CHARS)
+    @pytest.mark.parametrize("name", sorted(GOOD_CSVS.keys() | BAD_CSVS.keys()))
+    def test_files(self, tmp_path, monkeypatch, name, chars):
+        path = tmp_path / "trials.csv"
+        path.write_bytes(GOOD_CSVS.get(name, BAD_CSVS.get(name)).encode("utf-8"))
+        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+        outcome = read_outcome(read_trials_csv, path)
+        assert outcome == read_outcome(reference_read_trials_csv, path)
+        assert (len(outcome) == 2) == (name in BAD_CSVS)
+
+    @pytest.mark.parametrize("name, message", [
+        ("too few fields", "line 6: expected 6 fields"),
+        ("too many fields after blank lines", "line 5: expected 6 fields"),
+        ("too few fields after the first chunk", "line 9002: expected 6 fields"),
+        ("not a number", "line 6: probability response 'often' is not a number"),
+        ("not a number after a quote", "line 6: probability response '' is not a number"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, name, message):
+        path = tmp_path / "trials.csv"
+        path.write_bytes(BAD_CSVS[name].encode("utf-8"))
+        with pytest.raises(TrialDataError, match=f"^{message}$"):
+            read_trials_csv(path)
+
+    def test_quote_free_rows_skip_the_csv_module(self, tmp_path, monkeypatch):
+        parsed, written = [], []
+        reader, writer = csv.reader, csv.writer
+
+        def counting_reader(lines):
+            for row in reader(lines):
+                parsed.append(row)
+                yield row
+
+        class CountingWriter:
+            def __init__(self, fh):
+                self.writer = writer(fh)
+
+            def writerow(self, row):
+                written.append(row)
+                return self.writer.writerow(row)
+
+        table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8), 5000, seed=2)
+        path = tmp_path / "trials.csv"
+        monkeypatch.setattr(behavioral.csv, "reader", counting_reader)
+        monkeypatch.setattr(behavioral.csv, "writer", CountingWriter)
+        write_trials_csv(table, path)
+        assert read_trials_csv(path) == table
+        assert parsed == [list(TRIAL_CSV_HEADER)]
+        assert len(written) == sum(len(getattr(table, f"{name}_ids")) for name in
+                                   ("strategy", "signal", "state", "action"))
+
+    def test_memory_within_the_csv_module_s(self, tmp_path):
+        table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8),
+                         100_000, seed=4)
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+
+        def peak(call, *args):
+            tracemalloc.start()
+            try:
+                call(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(write_trials_csv, table, path) <= \
+            1.1 * peak(reference_write_trials_csv, table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        assert peak(read_trials_csv, path) <= 1.1 * peak(reference_read_trials_csv, path)
 
 
 class TestTrialTable:

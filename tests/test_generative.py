@@ -231,7 +231,9 @@ def scipy_stats_quantile(d, p):
     """BoxCoxTDist.quantile written with scipy.stats.t."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     lower, norm_mass = scipy_stats_truncation(d)
-    z = stats.t.ppf(p * norm_mass + lower, d.tau)
+    level = p * norm_mass + lower
+    z = stats.t.ppf(level, d.tau)
+    z[(z == np.inf) & (level < 0.5)] = -np.inf  # stdtrit's +inf at tiny levels
     if d.nu == 0.0:
         return d.mu * np.exp(d.sigma * z)
     base = np.maximum(d.nu * d.sigma * z + 1.0, 0.0)  # the support edge past the cap
@@ -274,16 +276,15 @@ class TestMatchesScipyStats:
         levels = np.sort(UNIT_GRID)
         q = d.quantile(levels)
         assert not np.isnan(q).any()
-        # below 1e-16 the latent stdtrit itself returns +inf at some levels
-        # for tau = 1 and 6 (stdtrit(1, 5e-324), stdtrit(6, 1e-300)), which
-        # no clamp of the Box-Cox base can order
-        sound = q[levels >= 1e-16]
-        assert np.all(sound[1:] >= sound[:-1])
+        assert np.all(q[1:] >= q[:-1])
 
     def test_boxcox_quantile_past_the_edge_is_the_support_edge(self):
         assert BoxCoxTDist(10.0, 0.2, 1.3, 6.0).quantile(1e-20) == 0.0
         upper = BoxCoxTDist(14.0, 0.18, -1.5, 6.0).quantile(1.0 - 1e-16)
         assert upper == np.inf
+        # stdtrit gives +inf at these levels; the quantile is the lower edge
+        for nu in (0.0, -0.4, -1.5):
+            assert BoxCoxTDist(14.0, 0.18, nu, 6.0).quantile(1e-300) == 0.0
 
     def test_pos_to_win_both_ways(self):
         root2 = np.sqrt(2.0)

@@ -318,6 +318,14 @@ class TestValidate:
                 joint=np.array([[1.0, 0.0], [0.0, 0.0]]),
             )
 
+    def test_signal_index(self):
+        structure = InformationStructure(
+            signals=("v1", 2, "v1"), joint=np.full((3, 2), 1 / 6), check=False)
+        assert structure.signal_index("v1") == 0  # a duplicate finds its first row
+        assert structure.signal_index(2) == structure.signal_index("2") == 1
+        with pytest.raises(InvalidModelError, match="unknown signal 'v3'"):
+            structure.signal_index("v3")
+
 
 class TestExperimentDesign:
     def test_prior_mismatch_rejected(self, weather_states):
