@@ -280,25 +280,36 @@ def _add_rows(builder: _TableBuilder, rows: list[list[str]], first_line: int) ->
     """Append rows parsed from the file, a blank line being an empty row;
     ``first_line`` is the line number of the first."""
     width = len(TRIAL_CSV_HEADER)
-    kept = rows
-    if set(map(len, rows)) - {width}:
-        for i, row in enumerate(rows, start=first_line):
-            if row and len(row) != width:
-                raise TrialDataError(f"line {i}: expected {width} fields")
-        kept = [row for row in rows if row]
+    kept = [row for row in rows if row]
+    if set(map(len, kept)) - {width}:
+        _raise_first_fault(rows, first_line)
     try:
         builder.add(*(list(map(itemgetter(k), kept)) for k in range(width)))
-    except ValueError:
-        for i, row in enumerate(rows, start=first_line):
-            if row and row[4] == "probability":
-                try:
-                    float(row[5])
-                except ValueError:
-                    raise TrialDataError(
-                        f"line {i}: probability response {row[5]!r} "
-                        f"is not a number"
-                    ) from None
+    except (ValueError, InvalidModelError):
+        _raise_first_fault(rows, first_line)
         raise
+
+
+def _raise_first_fault(rows: list[list[str]], first_line: int) -> None:
+    """Raise ``TrialDataError`` naming the first line, in file order, with
+    the wrong number of fields, an unknown response kind or a probability
+    report that is not a number; return if there is none."""
+    width = len(TRIAL_CSV_HEADER)
+    for i, row in enumerate(rows, start=first_line):
+        if not row:
+            continue
+        if len(row) != width:
+            raise TrialDataError(f"line {i}: expected {width} fields")
+        kind, response = row[4], row[5]
+        if kind not in ("action", "probability"):
+            raise TrialDataError(f"line {i}: response_kind must be 'action' or "
+                                 f"'probability', got {kind!r}")
+        if kind == "probability":
+            try:
+                float(response)
+            except ValueError:
+                raise TrialDataError(f"line {i}: probability response "
+                                     f"{response!r} is not a number") from None
 
 
 def _add_text(builder: _TableBuilder, text: str, first_line: int) -> int:
@@ -321,17 +332,18 @@ def _add_text(builder: _TableBuilder, text: str, first_line: int) -> int:
         try:
             builder.add(*(fields[k::width] for k in range(width)))
             return len(lines)
-        except ValueError:
+        except (ValueError, InvalidModelError):
             pass
-    # a fault in the chunk: the row-wise path names its line
+    # a fault in the chunk: the row-wise path names its first faulty line
     _add_rows(builder, [line.split(",") if line else [] for line in lines], first_line)
     return len(lines)
 
 
 def read_trials_csv(path: str | Path) -> TrialTable:
     """Read a trial CSV into a table. Blank lines are skipped; a wrong
-    header, a line with the wrong number of fields, or a probability report
-    that is not a number raises ``TrialDataError``.
+    header raises ``TrialDataError``, and so does a line with the wrong
+    number of fields, an unknown response kind or a probability report that
+    is not a number, naming the first such line.
 
     The file is read a chunk of whole lines at a time. Up to the first
     chunk that holds a quote or a NUL, fields are split at commas;

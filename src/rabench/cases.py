@@ -22,6 +22,7 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -242,63 +243,89 @@ TRANSIT_REFERENCE_SCORES = {
 }
 
 
-def read_trial_distributions(path: str | Path) -> dict[str, BoxCoxTDist]:
+#: Parameter columns of a trial distribution file, after ``trial_id``.
+_DIST_COLUMNS = ("mu", "sigma", "nu", "tau")
+
+
+def _float_or_none(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def read_trial_distributions(path: str | Path) -> tuple[tuple[str, ...], BoxCoxTDist]:
     """Load per-trial arrival distributions from a CSV with columns
-    trial_id, mu, sigma, nu, tau."""
+    trial_id, mu, sigma, nu, tau.
+
+    Returns the trial ids in file order and one :class:`BoxCoxTDist` whose
+    parameter arrays hold a row per trial. A duplicate id, a field that is
+    not a number or a parameter ``BoxCoxTDist`` refuses raises
+    ``ConfigError`` naming the first such row by its trial id.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trial distribution file {path} does not exist")
-    out: dict[str, BoxCoxTDist] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"trial_id", "mu", "sigma", "nu", "tau"}
+        # restval: a missing field reads as an empty one, not as None
+        reader = csv.DictReader(fh, restval="")
+        required = {"trial_id", *_DIST_COLUMNS}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ConfigError(
                 "trial distribution file needs columns trial_id,mu,sigma,nu,tau"
             )
-        for row in reader:
-            tid = row["trial_id"].strip()
-            if tid in out:
-                raise ConfigError(f"duplicate trial id {tid!r}")
-            try:
-                out[tid] = BoxCoxTDist(
-                    mu=float(row["mu"]), sigma=float(row["sigma"]),
-                    nu=float(row["nu"]), tau=float(row["tau"]),
-                )
-            except (ValueError, InvalidModelError) as err:
-                raise ConfigError(f"trial {tid!r}: {err}") from None
-    if not out:
+        rows = [(row["trial_id"].strip(), [row[c] for c in _DIST_COLUMNS])
+                for row in reader]
+    if not rows:
         raise ConfigError("trial distribution file contains no trials")
-    return out
+    ids = tuple(tid for tid, _ in rows)
+    first_row: dict[str, int] = {}
+    duplicate = np.array([first_row.setdefault(tid, i) != i
+                          for i, tid in enumerate(ids)])
+    cells = np.array([[_float_or_none(t) for t in texts] for _, texts in rows],
+                     dtype=object)
+    unparsed = np.equal(cells, None)
+    values = np.where(unparsed, np.nan, cells).astype(float)
+    # the rows BoxCoxTDist refuses: mu, sigma or tau not positive
+    refused = (values[:, [0, 1, 3]] <= 0.0).any(axis=1)
+    faulty = duplicate | unparsed.any(axis=1) | refused
+    if faulty.any():
+        first = int(faulty.argmax())
+        tid, texts = rows[first]
+        if duplicate[first]:
+            raise ConfigError(f"duplicate trial id {tid!r}")
+        try:  # the scalar distribution gives the row's own error text
+            BoxCoxTDist(*map(float, texts))
+        except (ValueError, InvalidModelError) as err:
+            raise ConfigError(f"trial {tid!r}: {err}") from None
+    return ids, BoxCoxTDist(*values.T)
 
 
 def bundled_demo_trials_path() -> Path:
     return Path(resources.files("rabench.data") / "fernandes_demo_trials.csv")
 
 
-def quantile_text_partition(dists: dict[str, BoxCoxTDist], level: float,
-                            rounding: float = 1.0) -> dict[str, str]:
+def quantile_text_partition(trial_ids: Sequence[str], dists: BoxCoxTDist,
+                            level: float, rounding: float = 1.0) -> dict[str, str]:
     """Example text-display coarsening: trials whose ``level``-quantile
-    rounds to the same displayed minute share a signal."""
-    out = {}
-    for tid, dist in dists.items():
-        q = dist.quantile(level)
-        shown = round(q / rounding) * rounding
-        out[tid] = f"within {shown:g} min at {level:.0%}"
-    return out
+    rounds to the same displayed minute share a signal. ``dists`` holds a
+    row per trial, in the order of ``trial_ids``."""
+    return {
+        tid: f"within {round(q / rounding) * rounding:g} min at {level:.0%}"
+        for tid, q in zip(trial_ids, dists.quantile(level).tolist())
+    }
 
 
 def _coarsen(full: InformationStructure,
              partition: dict[str, str]) -> InformationStructure:
-    classes: dict[str, np.ndarray] = {}
-    for i, tid in enumerate(full.signals):
-        label = partition.get(tid, tid)
-        classes.setdefault(label, np.zeros(full.n_states))
-        classes[label] = classes[label] + full.joint[i]
-    names = tuple(sorted(classes))
-    return InformationStructure(
-        signals=names, joint=np.vstack([classes[n] for n in names])
-    )
+    """Sum the rows of trials that share a display class; classes sorted
+    by name. Rows are added in trial order, as a running sum would."""
+    labels = [partition.get(tid, tid) for tid in full.signals]
+    names = tuple(sorted(set(labels)))
+    code = {name: i for i, name in enumerate(names)}
+    joint = np.zeros((len(names), full.n_states))
+    np.add.at(joint, [code[label] for label in labels], full.joint)
+    return InformationStructure(signals=names, joint=joint)
 
 
 def build_fernandes(scenario: int = 2,
@@ -316,22 +343,21 @@ def build_fernandes(scenario: int = 2,
     """
     if scenario not in TRANSIT_SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; pick one of 1, 2, 3")
-    dists = read_trial_distributions(trial_dists or bundled_demo_trials_path())
+    trial_ids, dists = read_trial_distributions(
+        trial_dists or bundled_demo_trials_path())
 
     grid = np.arange(0.0, 30.0 + 1e-9, grid_step)
     states = StateSpace(
         ids=tuple(f"{g:g}" for g in grid),
         values=tuple(float(g) for g in grid),
     )
-    weight = 1.0 / len(dists)
-    trial_ids = tuple(dists)
-    rows = np.vstack([discretize(dists[t], grid).masses * weight
-                      for t in trial_ids])
-    full = InformationStructure(signals=trial_ids, joint=rows)
+    weight = 1.0 / len(trial_ids)
+    full = InformationStructure(signals=trial_ids,
+                                joint=discretize(dists, grid).masses * weight)
 
     if text_partition is None:
         text_partition = {
-            f"text{int(level * 100)}": quantile_text_partition(dists, level)
+            f"text{int(level * 100)}": quantile_text_partition(trial_ids, dists, level)
             for level in (0.60, 0.85, 0.99)
         }
     strategies: dict[str, InformationStructure] = {"full": full}

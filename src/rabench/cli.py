@@ -35,7 +35,7 @@ from .config_io import load_design_config, save_design_config
 from .errors import RabenchError
 from .model import ExperimentDesign, validate
 from .payment import incentive_table
-from .rational import rational_report
+from .rational import RationalReport, StrategySummary, rational_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,11 +71,40 @@ def _resolve_design(args) -> tuple[ExperimentDesign, CaseStudy | None]:
     return design, None
 
 
-def _write_json(payload: dict, out: Path | None) -> None:
+def _write_json(payload: dict, out: Path | None,
+                report: RationalReport | None = None) -> None:
+    """Write ``payload`` as ``json.dumps(indent=2, sort_keys=True)`` text.
+
+    With ``report``, the value of each ``strategies[name]["posteriors"]``
+    is the placeholder ``_posteriors_key(name)``, written out as that
+    strategy's posterior rows. The placeholder is found with its key: a
+    JSON string escapes every quote, so no string holds that text.
+    """
     if out is None:
         return
     text = json.dumps(payload, indent=2, sort_keys=True)
+    for name, summary in (report.strategies.items() if report else ()):
+        text = text.replace(f'"posteriors": {json.dumps(_posteriors_key(name))}',
+                            f'"posteriors": {_posteriors_json(summary, depth=3)}', 1)
     out.write_text(text + "\n", encoding="utf-8")
+
+
+def _posteriors_key(strategy: str) -> str:
+    return f"\0posteriors of {strategy}"
+
+
+def _posteriors_json(summary: StrategySummary, depth: int) -> str:
+    """``json.dumps({signal: row})`` of a strategy's posterior rows, with
+    ``indent=2`` and ``sort_keys=True`` for a value ``depth`` levels deep,
+    built by joins of ``float.__repr__`` (the encoder's text for a finite
+    float) rather than the encoder's per-element calls."""
+    close = "\n" + "  " * depth
+    key_pad, value_pad = close + "  ", close + "    "
+    rows, signals = summary.posteriors.tolist(), summary.signals
+    items = [json.dumps(signals[i]) + ": [" + value_pad
+             + ("," + value_pad).join(map(float.__repr__, rows[i])) + key_pad + "]"
+             for i in sorted(range(len(signals)), key=signals.__getitem__)]
+    return "{" + key_pad + ("," + key_pad).join(items) + close + "}"
 
 
 def _fmt(x: float | None, width: int = 12, digits: int = 4) -> str:
@@ -150,16 +179,14 @@ def cmd_pre(args) -> int:
             name: {
                 "visualization_optimal": s.visualization_optimal,
                 "information_loss": s.information_loss,
-                "posteriors": {
-                    v: list(b.probabilities) for v, b in s.posteriors.items()
-                },
+                "posteriors": _posteriors_key(name),
             }
             for name, s in report.strategies.items()
         },
         "incentives": incentives,
         "pinned": _pinned_payload(case),
     }
-    _write_json(payload, args.out)
+    _write_json(payload, args.out, report)
     return EXIT_OK
 
 

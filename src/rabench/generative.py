@@ -260,24 +260,59 @@ class BoxCoxTDist:
     The transformed variable z = ((x/mu)^nu - 1) / (nu sigma) for nu != 0
     (log(x/mu)/sigma at nu = 0) follows a t distribution with tau degrees of
     freedom, truncated so that x stays positive when nu > 0.
+
+    Each parameter is a number, or a 1-d array with one entry per
+    distribution; scalars and arrays broadcast against each other. With
+    arrays, ``cdf`` and ``quantile`` return one row per distribution, and
+    each row equals that distribution's own scalar result bit for bit,
+    except where nu is exactly 0.5, 2 or -1 (see ``_shaped``).
     """
 
-    mu: float
-    sigma: float
-    nu: float
-    tau: float
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
+    nu: float | np.ndarray
+    tau: float | np.ndarray
 
     def __post_init__(self):
-        if self.mu <= 0 or self.sigma <= 0 or self.tau <= 0:
+        params = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in
+                                       (self.mu, self.sigma, self.nu, self.tau)))
+        if params[0].ndim > 1:
+            raise InvalidModelError("Box-Cox t parameters must be numbers or 1-d arrays")
+        mu, sigma, _, tau = params
+        if (mu <= 0).any() or (sigma <= 0).any() or (tau <= 0).any():
             raise InvalidModelError("mu, sigma, and tau must be positive")
+        if params[0].ndim:
+            for name, value in zip(("mu", "sigma", "nu", "tau"), params):
+                value = value.copy()
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _shaped(value, ndim: int):
+        """A parameter, or a per-distribution value, with ``ndim`` trailing
+        axes of length 1, so that it broadcasts against an argument of
+        ``ndim`` dimensions to (distributions, *argument shape). A scalar
+        stays a scalar: numpy's power rounds a scalar exponent of 2, 0.5 or
+        -1 differently from the same exponent in an array."""
+        if np.ndim(value) == 0:
+            return value
+        return np.reshape(value, np.shape(value) + (1,) * ndim)
 
     def _z(self, x: np.ndarray) -> np.ndarray:
-        ratio = x / self.mu
-        if self.nu == 0.0:
-            return np.log(ratio) / self.sigma
-        return (ratio ** self.nu - 1.0) / (self.nu * self.sigma)
+        x = np.asarray(x, dtype=float)
+        mu, sigma, nu = (self._shaped(v, x.ndim) for v in (self.mu, self.sigma, self.nu))
+        # in place where it can be: two (distributions, x) arrays at a time
+        z = x / mu
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log = np.log(z)
+            log /= sigma
+            z **= nu
+            z -= 1.0
+            z /= nu * sigma
+        np.copyto(z, log, where=nu == 0.0)
+        return z
 
-    def _truncation(self) -> tuple[float, float]:
+    def _truncation(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower tail mass, normalizing mass) of the latent t variable.
 
         Positive nu truncates the latent variable below at -1/(sigma nu);
@@ -285,58 +320,58 @@ class BoxCoxTDist:
         """
         from scipy.special import stdtr
 
-        if self.nu == 0.0:
-            return 0.0, 1.0
-        edge = 1.0 / (self.sigma * abs(self.nu))
-        if self.nu < 0.0:
-            return 0.0, float(stdtr(self.tau, edge))
-        return float(stdtr(self.tau, -edge)), float(stdtr(self.tau, edge))
+        nu = np.asarray(self.nu)
+        with np.errstate(divide="ignore"):
+            edge = 1.0 / (self.sigma * np.abs(nu))
+        lower = np.where(nu > 0.0, stdtr(self.tau, -edge), 0.0)
+        return lower, np.where(nu == 0.0, 1.0, stdtr(self.tau, edge))
 
     def cdf(self, x) -> np.ndarray | float:
         from scipy.special import stdtr
 
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        out = np.zeros_like(x_arr)
-        pos = x_arr > 0.0
-        if np.any(pos):
-            lower, norm_mass = self._truncation()
-            z = self._z(x_arr[pos])
-            out[pos] = (stdtr(self.tau, z) - lower) / norm_mass
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        lower, norm_mass = (self._shaped(v, xs.ndim) for v in self._truncation())
+        out = stdtr(self._shaped(self.tau, xs.ndim), self._z(xs))
+        out -= lower
+        out /= norm_mass
+        np.copyto(out, 0.0, where=~(xs > 0.0))
+        return self._result(np.clip(out, 0.0, 1.0, out=out), np.ndim(x))
 
     def quantile(self, p) -> np.ndarray | float:
         from scipy.special import stdtrit
 
-        p_arr = np.asarray(p, dtype=float)
-        scalar = p_arr.ndim == 0
-        p_arr = np.atleast_1d(p_arr)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+        ps = np.atleast_1d(np.asarray(p, dtype=float))
+        if np.any((ps <= 0.0) | (ps >= 1.0)):
             raise InvalidModelError("quantile levels must lie strictly inside (0, 1)")
-        lower, norm_mass = self._truncation()
-        level = p_arr * norm_mass + lower
-        z = stdtrit(self.tau, level)
+        mu, sigma, nu, tau = (self._shaped(v, ps.ndim) for v in
+                              (self.mu, self.sigma, self.nu, self.tau))
+        lower, norm_mass = (self._shaped(v, ps.ndim) for v in self._truncation())
+        level = ps * norm_mass + lower
+        z = stdtrit(tau, level)
         # stdtrit gives +inf for some tiny levels (stdtrit(6, 1e-300)) where
         # the quantile is a large negative number
         z[(z == np.inf) & (level < 0.5)] = -np.inf
-        if self.nu == 0.0:
-            x = self.mu * np.exp(self.sigma * z)
-        else:
-            # at extreme levels z can land just past the truncation edge;
-            # clamping the base there gives the support edge (0 for nu > 0,
-            # inf for nu < 0) instead of NaN
-            base = np.maximum(self.nu * self.sigma * z + 1.0, 0.0)
-            with np.errstate(divide="ignore"):
-                x = self.mu * base ** (1.0 / self.nu)
-        return float(x[0]) if scalar else x
+        # at extreme levels z can land just past the truncation edge;
+        # clamping the base there gives the support edge (0 for nu > 0,
+        # inf for nu < 0) instead of NaN. np.divide: where nu is 0 the
+        # power is not used, and a Python float nu of 0 must not raise
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            base = np.maximum(nu * sigma * z + 1.0, 0.0)
+            x = mu * np.where(nu == 0.0, np.exp(sigma * z), base ** np.divide(1.0, nu))
+        return self._result(x, np.ndim(p))
+
+    @staticmethod
+    def _result(out: np.ndarray, ndim: int) -> np.ndarray | float:
+        """``out``, computed for the argument as an array of at least one
+        dimension (numpy's scalar math can round differently from its array
+        loops), given back in the shape of an ``ndim``-d argument; a float
+        for a scalar argument and scalar parameters."""
+        if ndim == 0:
+            out = out[..., 0]
+        return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        u = rng.uniform(size=size)
-        if size is None:
-            return float(self.quantile(u))
-        return self.quantile(u)
+        return self.quantile(rng.uniform(size=size))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +380,8 @@ class BoxCoxTDist:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedDistribution:
-    """Probability masses on an ordered grid of cell-center values."""
+    """Probability masses on an ordered grid of cell-center values: one
+    distribution as a 1-d ``masses``, or several as its rows."""
 
     grid: np.ndarray
     masses: np.ndarray
@@ -353,21 +389,23 @@ class DiscretizedDistribution:
     def __post_init__(self):
         g = np.array(self.grid, dtype=float)
         m = np.array(self.masses, dtype=float)
-        if g.ndim != 1 or g.shape != m.shape or g.size == 0:
-            raise InvalidModelError("grid and masses must be matching 1-d arrays")
+        if g.ndim != 1 or g.size == 0 or m.ndim not in (1, 2) or m.shape[-1:] != g.shape:
+            raise InvalidModelError("grid must be a 1-d array and masses one row, "
+                                    "or rows, of its length")
         if np.any(np.diff(g) <= 0):
             raise InvalidModelError("grid values must be strictly increasing")
-        if np.any(m < -1e-12) or abs(m.sum() - 1.0) > 1e-9:
+        if np.any(m < -1e-12) or np.any(abs(m.sum(axis=-1) - 1.0) > 1e-9):
             raise InvalidModelError("masses must be non-negative and sum to 1")
-        m = np.clip(m, 0.0, None)
-        m = m / m.sum()
+        np.clip(m, 0.0, None, out=m)
+        m /= m.sum(axis=-1, keepdims=True)
         g.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "masses", m)
 
-    def mean(self) -> float:
-        return float(self.masses @ self.grid)
+    def mean(self) -> float | np.ndarray:
+        mean = self.masses @ self.grid
+        return float(mean) if mean.ndim == 0 else mean
 
     def belief(self) -> Belief:
         return Belief(self.masses)
@@ -378,7 +416,8 @@ def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
 
     Cell edges sit halfway between neighboring centers; the end cells absorb
     the tails, so the masses always sum to one. ``dist`` needs only a
-    ``cdf`` callable.
+    ``cdf`` callable; one that returns a row per distribution (an
+    array-valued :class:`BoxCoxTDist`) gives a row of masses for each.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -386,19 +425,16 @@ def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
     if np.any(np.diff(g) <= 0):
         raise InvalidModelError("grid must be sorted strictly ascending")
     if g.size == 1:
-        return DiscretizedDistribution(grid=g, masses=np.array([1.0]))
+        return DiscretizedDistribution(grid=g, masses=np.ones_like(dist.cdf(g)))
     edges = (g[1:] + g[:-1]) / 2.0
-    cdf_vals = np.asarray(dist.cdf(edges), dtype=float)
-    masses = np.concatenate([
-        [cdf_vals[0]],
-        np.diff(cdf_vals),
-        [1.0 - cdf_vals[-1]],
-    ])
-    masses = np.clip(masses, 0.0, None)
-    total = masses.sum()
-    if total <= 0:
+    masses = np.diff(np.asarray(dist.cdf(edges), dtype=float), axis=-1,
+                     prepend=0.0, append=1.0)
+    np.clip(masses, 0.0, None, out=masses)
+    total = masses.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise InvalidModelError("distribution has no mass on the grid")
-    return DiscretizedDistribution(grid=g, masses=masses / total)
+    masses /= total
+    return DiscretizedDistribution(grid=g, masses=masses)
 
 
 def quarter_minute_grid(low: float = 0.0, high: float = 30.0) -> np.ndarray:

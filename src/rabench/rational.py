@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidModelError, ZeroMassSignalError
 from .model import (
     Belief,
@@ -47,9 +49,13 @@ def rational_baseline(problem: DecisionProblem) -> float:
 def visualization_optimal(problem: DecisionProblem) -> float:
     """Expected score of an optimal agent acting on the posterior of each
     signal, weighted by the signal marginal."""
-    structure = problem.structure
-    best = score_table(problem, structure.posteriors()).max(axis=1)
-    return float(structure.signal_marginal() @ best)
+    return _optimum(problem, problem.structure.posteriors())
+
+
+def _optimum(problem: DecisionProblem, posteriors: np.ndarray) -> float:
+    """:func:`visualization_optimal`, given the structure's posteriors."""
+    best = score_table(problem, posteriors).max(axis=1)
+    return float(problem.structure.signal_marginal() @ best)
 
 
 def rational_benchmark(design: ExperimentDesign) -> float:
@@ -78,11 +84,16 @@ def information_loss(design: ExperimentDesign, strategy: str) -> float:
     return (rational_benchmark(design) - rv) / delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategySummary:
+    """One strategy's optimum and information loss, and the posterior over
+    states given each of its signals: row i of ``posteriors`` (the
+    structure's ``posteriors()``) belongs to ``signals[i]``."""
+
     visualization_optimal: float
     information_loss: float | None
-    posteriors: dict[str, Belief]
+    signals: tuple[str, ...]
+    posteriors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,14 +121,12 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
     baseline = rational_baseline(base_problem)
     p = prior(base_problem.structure)
 
-    optima = {}
-    posteriors: dict[str, dict[str, Belief]] = {}
+    optima, posteriors = {}, {}
     for name in design.strategy_names():
         problem = design.problem(name)
-        optima[name] = visualization_optimal(problem)
-        posteriors[name] = {
-            v: posterior(problem.structure, v) for v in problem.structure.signals
-        }
+        posteriors[name] = problem.structure.posteriors()
+        posteriors[name].setflags(write=False)
+        optima[name] = _optimum(problem, posteriors[name])
     benchmark = max(optima.values())
     delta = benchmark - baseline
 
@@ -127,6 +136,7 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
         strategies[name] = StrategySummary(
             visualization_optimal=rv,
             information_loss=loss,
+            signals=design.strategies[name].signals,
             posteriors=posteriors[name],
         )
     return RationalReport(

@@ -1,3 +1,4 @@
+import csv
 import os
 from pathlib import Path
 
@@ -133,3 +134,30 @@ def random_matrix_problem(rng: np.random.Generator, n_states=None, n_actions=Non
 def random_belief(rng: np.random.Generator, n: int) -> Belief:
     p = rng.random(n) + 1e-9
     return Belief(p / p.sum())
+
+
+def write_generated_dists(path: Path, n: int, seed: int) -> None:
+    """``n`` Box-Cox t arrival distributions, each column uniform within the
+    bundled demo file's own min/max, drawn from ``seed``: the transit-1000
+    workload's trial file of ``perfbench/run.py`` at n=1000, seed=7."""
+    from rabench.cases import bundled_demo_trials_path
+
+    with open(bundled_demo_trials_path(), newline="", encoding="utf-8") as fh:
+        demo = list(csv.DictReader(fh))
+    rng = np.random.default_rng(seed)
+    columns = [rng.uniform(min(float(r[c]) for r in demo),
+                           max(float(r[c]) for r in demo), size=n)
+               for c in ("mu", "sigma", "nu", "tau")]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("trial_id", "mu", "sigma", "nu", "tau"))
+        for i, row in enumerate(np.column_stack(columns)):
+            writer.writerow([f"g{i:04d}"] + [repr(float(v)) for v in row])
+
+
+@pytest.fixture(scope="session")
+def transit_dists_1000(tmp_path_factory) -> Path:
+    """The 1000-row generated arrival distribution file, seed 7."""
+    path = tmp_path_factory.mktemp("dists") / "transit-1000.csv"
+    write_generated_dists(path, 1000, seed=7)
+    return path

@@ -213,25 +213,26 @@ def reference_read_trials_csv(path):
         width = len(TRIAL_CSV_HEADER)
         first_line = 2
         while chunk := list(islice(reader, behavioral._CSV_CHUNK_ROWS)):
-            rows = chunk
-            if set(map(len, chunk)) - {width}:
-                for i, row in enumerate(chunk, start=first_line):
-                    if row and len(row) != width:
-                        raise TrialDataError(f"line {i}: expected {width} fields")
-                rows = [row for row in chunk if row]
-            try:
-                builder.add(*(list(map(itemgetter(k), rows)) for k in range(width)))
-            except ValueError:
-                for i, row in enumerate(chunk, start=first_line):
-                    if row and row[4] == "probability":
-                        try:
-                            float(row[5])
-                        except ValueError:
-                            raise TrialDataError(
-                                f"line {i}: probability response {row[5]!r} "
-                                f"is not a number"
-                            ) from None
-                raise
+            for i, row in enumerate(chunk, start=first_line):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise TrialDataError(f"line {i}: expected {width} fields")
+                if row[4] not in ("action", "probability"):
+                    raise TrialDataError(
+                        f"line {i}: response_kind must be 'action' or "
+                        f"'probability', got {row[4]!r}"
+                    )
+                if row[4] == "probability":
+                    try:
+                        float(row[5])
+                    except ValueError:
+                        raise TrialDataError(
+                            f"line {i}: probability response {row[5]!r} "
+                            f"is not a number"
+                        ) from None
+            rows = [row for row in chunk if row]
+            builder.add(*(list(map(itemgetter(k), rows)) for k in range(width)))
             first_line += len(chunk)
     if not builder.trial_ids:
         raise TrialDataError("trial file contains no records")
@@ -320,6 +321,12 @@ BAD_CSVS = {
         [HEADER_LINE, '0,"CI",sigma=2,freezing,action,salt', *ROWS[1:4],
          "4,CI,sigma=2,freezing,probability,", *ROWS[5:]]),
     "bad kind": "\n".join([HEADER_LINE, *ROWS[:2], "2,CI,sigma=2,freezing,guess,1"]),
+    "not a number before too few fields": "\r\n".join(
+        [HEADER_LINE, "0,CI,sigma=2,freezing,probability,often",
+         "1,CI,sigma=2,freezing,action", *ROWS[2:]]),
+    "bad kind after a quote, before too few fields": "\r\n".join(
+        [HEADER_LINE, '0,"CI",sigma=2,freezing,action,salt', *ROWS[1:3],
+         "3,CI,sigma=2,freezing,Action,salt", "4,CI", *ROWS[5:]]),
 }
 #: Characters per read chunk: the default, and sizes that put chunk ends
 #: inside lines and inside "\r\n".
@@ -375,6 +382,12 @@ class TestTrialCsvMatchesCsvModule:
         ("too few fields after the first chunk", "line 9002: expected 6 fields"),
         ("not a number", "line 6: probability response 'often' is not a number"),
         ("not a number after a quote", "line 6: probability response '' is not a number"),
+        ("not a number before too few fields",
+         "line 2: probability response 'often' is not a number"),
+        ("bad kind",
+         "line 4: response_kind must be 'action' or 'probability', got 'guess'"),
+        ("bad kind after a quote, before too few fields",
+         "line 5: response_kind must be 'action' or 'probability', got 'Action'"),
     ])
     def test_errors_name_the_line(self, tmp_path, name, message):
         path = tmp_path / "trials.csv"

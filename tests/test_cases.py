@@ -139,8 +139,10 @@ class TestFernandesCase:
             assert validate(case.design.problem(name)) == []
 
     def test_demo_file_loads_forty_trials(self):
-        dists = read_trial_distributions(bundled_demo_trials_path())
-        assert len(dists) == 40
+        ids, dists = read_trial_distributions(bundled_demo_trials_path())
+        assert len(ids) == 40
+        assert all(np.shape(v) == (40,) for v in (dists.mu, dists.sigma,
+                                                   dists.nu, dists.tau))
 
     def test_missing_distribution_file_errors(self):
         with pytest.raises(ConfigError):
@@ -190,8 +192,7 @@ class TestFernandesCase:
         assert (f_opt - f_base) / f_base == pytest.approx(0.0737, abs=5e-4)
 
     def test_explicit_partition_override(self):
-        dists = read_trial_distributions(bundled_demo_trials_path())
-        ids = list(dists)
+        ids, _ = read_trial_distributions(bundled_demo_trials_path())
         # two arbitrary halves as one coarse display class each
         partition = {"coarse": {t: ("A" if i < 20 else "B")
                                 for i, t in enumerate(ids)}}
@@ -200,8 +201,8 @@ class TestFernandesCase:
         assert len(case.design.strategies["coarse"]) == 2
 
     def test_quantile_partition_rounds_display_minutes(self):
-        dists = read_trial_distributions(bundled_demo_trials_path())
-        partition = quantile_text_partition(dists, 0.99)
+        ids, dists = read_trial_distributions(bundled_demo_trials_path())
+        partition = quantile_text_partition(ids, dists, 0.99)
         assert len(partition) == 40
         assert all(v.startswith("within ") for v in partition.values())
 
@@ -251,3 +252,47 @@ class TestBuildCase:
     def test_unknown_case(self):
         with pytest.raises(ConfigError):
             build_case("mystery")
+
+
+DIST_HEADER = "trial_id,mu,sigma,nu,tau\n"
+
+
+class TestReadTrialDistributionErrors:
+    """Error texts of ``read_trial_distributions``; a faulty row is named by
+    its trial id, and the first faulty row in file order is the one named."""
+
+    @pytest.mark.parametrize("text, message", [
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0.1,1,5\na,21,0.1,1,5\n",
+         "duplicate trial id 'a'"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,x,0.1,1,5\n",
+         "trial 'b': could not convert string to float: 'x'"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0.1,1,\n",
+         "trial 'b': could not convert string to float: ''"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0,1,5\n",
+         "trial 'b': mu, sigma, and tau must be positive"),
+        (DIST_HEADER + "a,20,-0.1,1,5\n",
+         "trial 'a': mu, sigma, and tau must be positive"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0.1,1,0\n",
+         "trial 'b': mu, sigma, and tau must be positive"),
+        (DIST_HEADER + "a,0,0.1,1,5\n",
+         "trial 'a': mu, sigma, and tau must be positive"),
+        ("trial_id,mu,sigma,nu\na,20,0.1,1\n",
+         "trial distribution file needs columns trial_id,mu,sigma,nu,tau"),
+        ("", "trial distribution file needs columns trial_id,mu,sigma,nu,tau"),
+        (DIST_HEADER, "trial distribution file contains no trials"),
+        # the first fault in file order wins, whatever its kind
+        (DIST_HEADER + "a,20,0.1,1,-5\nb,x,0.1,1,5\na,21,0.1,1,5\n",
+         "trial 'a': mu, sigma, and tau must be positive"),
+        (DIST_HEADER + "a,20,0.1,1,5\na,x,0.1,1,5\nb,20,0,1,5\n",
+         "duplicate trial id 'a'"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,-1,y,5\nc,20,0.1,1,0\n",
+         "trial 'b': could not convert string to float: 'y'"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,z,-1,y,5\n",
+         "trial 'b': could not convert string to float: 'z'"),
+    ])
+    def test_error_texts(self, tmp_path, text, message):
+        path = tmp_path / "dists.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            read_trial_distributions(path)
+        assert str(err.value) == message

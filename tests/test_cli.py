@@ -3,7 +3,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from rabench.cli import main
 
 CLI = [sys.executable, "-m", "rabench.cli"]
 
@@ -109,6 +112,104 @@ class TestPre:
         assert payload["baseline_ratio"] == pytest.approx(
             payload["baseline"] / payload["benchmark"]
         )
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPreJsonBytes:
+    """``pre --out`` bytes, pinned: every posterior row, optimum and payment
+    stays the same to the bit."""
+
+    @pytest.mark.parametrize("args, sha256", [
+        (["--case", "weather"],
+         "9376fc9b9039ffe30c021acdf1b8409909fda5d867322c8a350c847464fd09dc"),
+        (["--case", "kale2020"],
+         "51524d2d1bf66987e777ed819c58b3e48ed16c9ff9122eb8c09923a46b51caa1"),
+        (["--case", "fernandes2018", "--scenario", "1"],
+         "3b7be7ad1a5061a03c21d10d6024c3579dd7a465620626cbb0f2efeed78ca2d3"),
+        (["--case", "fernandes2018", "--scenario", "2"],
+         "1b44e36889cba6b8eb87d2a111edf3bb51ed290a4cd18b755f6a617f444d441a"),
+        (["--case", "fernandes2018", "--scenario", "3"],
+         "25cdd1d53c0275aba0342e998328d3890207f8b8be345a1df9577a0aacab1058"),
+        (["--case", "fernandes2018", "--scenario", "2", "--grid-step", "0.5"],
+         "95f232f143fb7bd0d7341d9ceda3a6326de29be59a94da8c0e08b529d1e1f541"),
+    ])
+    def test_builtin_cases(self, tmp_path, capsys, args, sha256):
+        out = tmp_path / "pre.json"
+        assert main(["pre", *args, "--out", str(out)]) == 0
+        assert sha256_of(out) == sha256
+
+    @pytest.mark.parametrize("args, sha256", [
+        ([], "e0fce42522cd4acacd95e64fe7ab7e386ea54a07a49ac156f734261b3639ec62"),
+        (["--grid-step", "0.5"],
+         "14f37db49a4bcfa3c18ac45699fd5923af12b3efb3df1b40298987e48aaed5f4"),
+    ])
+    def test_generated_1000_trials(self, tmp_path, capsys, transit_dists_1000,
+                                   args, sha256):
+        assert sha256_of(transit_dists_1000) == \
+            "2fccc2a7c3c354e52b28f13aae17d88fa1ec6b9fea1ed2740be628d908330f21"
+        out = tmp_path / "pre.json"
+        assert main(["pre", "--case", "fernandes2018", "--scenario", "2",
+                     "--trial-dists", str(transit_dists_1000), *args,
+                     "--out", str(out)]) == 0
+        assert sha256_of(out) == sha256
+
+
+#: Ids the JSON encoder has to escape, or writes as they are.
+AWKWARD_IDS = ('quote"d', "back\\slash", "é日本", "\x01\n\t\x7f", "", " ", "z", "\u2028")
+
+
+class TestPosteriorWriter:
+    """The ``pre --out`` posterior rows, written by joins, are the bytes
+    ``json.dumps(indent=2, sort_keys=True)`` gives."""
+
+    def test_awkward_ids_and_floats(self, tmp_path):
+        from rabench.cli import _posteriors_key, _write_json
+        from rabench.model import Belief
+        from rabench.rational import RationalReport, StrategySummary
+
+        rng = np.random.default_rng(8)
+        strategies, plain = {}, {}
+        for name in ("CI", 'na"me\\é', "\x00"):
+            rows = rng.uniform(size=(len(AWKWARD_IDS), 5)) ** rng.integers(1, 80, size=5)
+            rows[0] = [0.0, 5e-324, 1e-300, 1.0, 0.1 + 0.2]
+            ids = tuple(rng.permutation(AWKWARD_IDS))
+            strategies[name] = StrategySummary(visualization_optimal=1.5,
+                                               information_loss=None,
+                                               signals=ids, posteriors=rows)
+            plain[name] = {v: row for v, row in zip(ids, rows.tolist())}
+        report = RationalReport(baseline=0.0, benchmark=1.5, value_of_information=1.5,
+                                prior=Belief(np.ones(5) / 5), strategies=strategies)
+
+        def payload(posteriors):
+            return {"design": "\x00posteriors of CI", "strategies": {
+                name: {"information_loss": None, "posteriors": posteriors(name),
+                       "visualization_optimal": 1.5} for name in strategies}}
+
+        out = tmp_path / "pre.json"
+        _write_json(payload(_posteriors_key), out, report)
+        assert out.read_text(encoding="utf-8") == \
+            json.dumps(payload(plain.get), indent=2, sort_keys=True) + "\n"
+
+    def test_pre_json_round_trips(self, tmp_path, capsys):
+        joint = np.full((len(AWKWARD_IDS), 3), 1.0 / (3 * len(AWKWARD_IDS)))
+        joint[:, 0] *= np.linspace(0.5, 1.5, len(AWKWARD_IDS))
+        joint /= joint.sum()
+        cfg = tmp_path / "awkward.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1,
+            "states": {"ids": ["a", "b", "c"]},
+            "actions": {"kind": "finite", "ids": ["x", "y"]},
+            "rule": {"kind": "matrix", "scores": [[1.0, 0.0, 2.0], [0.0, 1.5, 0.5]]},
+            "strategies": {"s\"1": {"signals": list(AWKWARD_IDS), "joint": joint.tolist()}},
+        }), encoding="utf-8")
+        out = tmp_path / "pre.json"
+        assert main(["pre", "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+        assert set(json.loads(text)["strategies"]['s"1']["posteriors"]) == set(AWKWARD_IDS)
 
 
 class TestSimulateAndPost:

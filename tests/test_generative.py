@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rabench.cases import quantile_text_partition
 from rabench.errors import InvalidModelError
 from rabench.generative import (
     BoxCoxTDist,
@@ -306,6 +307,94 @@ class TestMatchesScipyStats:
                     tail = stats.norm.cdf((threshold - mean) / sigma)
                     expected = tail if direction == "below" else 1.0 - tail
                     assert dgm.positive_probability(sigma) == float(expected)
+
+
+def random_boxcox_params(rng, n):
+    """Parameter arrays of ``n`` Box-Cox t distributions: nu below, at and
+    above zero, tau among 1, 6, 1e6 and inf.
+
+    nu is drawn from continuous ranges (plus exact zeros): numpy's power
+    rounds differently for a per-row exponent array than for a scalar one
+    at exponents 2, 0.5 and -1, so rows with nu of exactly 0.5, 2 or -1 can
+    differ from the scalar result in the last bits.
+    """
+    nu = rng.uniform(-1.5, 1.5, size=n)
+    nu[rng.permutation(n)[:n // 4]] = 0.0
+    return (rng.uniform(3.0, 26.0, size=n), rng.uniform(0.05, 0.4, size=n), nu,
+            rng.choice([1.0, 6.0, 1e6, np.inf], size=n))
+
+
+def scalar_rows(params):
+    """One scalar distribution per row of the parameter arrays."""
+    return [BoxCoxTDist(*(float(v[i]) for v in params)) for i in range(len(params[0]))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at the edges
+class TestBatchedBoxCoxT:
+    """Array parameters give, row by row, the scalar distributions' values
+    to the bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cdf_rows(self, seed):
+        params = random_boxcox_params(np.random.default_rng(seed), 40)
+        xs = np.concatenate([np.linspace(-5.0, 60.0, 521),
+                             [0.0, 5e-324, 1e-8, 1e8, 1e300, np.inf]])
+        batched = BoxCoxTDist(*params)
+        np.testing.assert_array_equal(
+            batched.cdf(xs), np.array([d.cdf(xs) for d in scalar_rows(params)]))
+        np.testing.assert_array_equal(
+            batched.cdf(12.5), np.array([d.cdf(12.5) for d in scalar_rows(params)]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quantile_rows(self, seed):
+        params = random_boxcox_params(np.random.default_rng(seed), 40)
+        batched, rows = BoxCoxTDist(*params), scalar_rows(params)
+        for level in (1e-300, 1e-16, 0.3, 0.6, 0.85, 0.99, 1.0 - 1e-16):
+            np.testing.assert_array_equal(batched.quantile(level),
+                                          np.array([d.quantile(level) for d in rows]))
+        np.testing.assert_array_equal(batched.quantile(UNIT_GRID[::97]),
+                                      np.array([d.quantile(UNIT_GRID[::97]) for d in rows]))
+
+    @pytest.mark.parametrize("step", [0.125, 0.25, 0.5, 1.0])
+    def test_discretize_rows(self, step):
+        params = random_boxcox_params(np.random.default_rng(3), 60)
+        grid = np.arange(0.0, 30.0 + 1e-9, step)
+        got = discretize(BoxCoxTDist(*params), grid)
+        np.testing.assert_array_equal(
+            got.masses, np.array([discretize(d, grid).masses for d in scalar_rows(params)]))
+        np.testing.assert_array_equal(got.mean(), got.masses @ grid)
+
+    def test_text_partition_rows(self):
+        params = random_boxcox_params(np.random.default_rng(4), 60)
+        ids = tuple(f"trial{i}" for i in range(60))
+        for level in (0.60, 0.85, 0.99):
+            want = {}
+            for tid, d in zip(ids, scalar_rows(params)):
+                shown = round(d.quantile(level) / 1.0) * 1.0
+                want[tid] = f"within {shown:g} min at {level:.0%}"
+            assert quantile_text_partition(ids, BoxCoxTDist(*params), level) == want
+
+    def test_scalar_parameters_give_floats(self):
+        d = BoxCoxTDist(mu=12.0, sigma=0.2, nu=0.7, tau=6.0)
+        assert type(d.cdf(12.0)) is float
+        assert type(d.quantile(0.5)) is float
+        assert type(d.sample(np.random.default_rng(0))) is float
+        assert d.cdf(np.array([3.0, 12.0])).shape == (2,)
+
+    def test_array_shapes(self):
+        d = BoxCoxTDist(mu=[10.0, 12.0, 14.0], sigma=0.2, nu=[0.5, 0.0, -0.3], tau=6.0)
+        assert np.shape(d.tau) == (3,)
+        assert d.cdf(12.0).shape == (3,)
+        assert d.cdf(np.arange(1.0, 5.0)).shape == (3, 4)
+        assert d.quantile(np.array([0.1, 0.9])).shape == (3, 2)
+
+    def test_invalid_arrays_rejected(self):
+        with pytest.raises(InvalidModelError, match="must be positive"):
+            BoxCoxTDist(mu=[10.0, -1.0], sigma=0.2, nu=0.5, tau=6.0)
+        with pytest.raises(InvalidModelError, match="must be positive"):
+            BoxCoxTDist(mu=[10.0, 11.0], sigma=0.2, nu=0.5, tau=[6.0, 0.0])
+        with pytest.raises(InvalidModelError, match="1-d"):
+            BoxCoxTDist(mu=[[10.0]], sigma=0.2, nu=0.5, tau=6.0)
 
 
 class TestDiscretize:

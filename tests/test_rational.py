@@ -21,7 +21,7 @@ from rabench.rational import (
     visualization_optimal,
 )
 
-from conftest import random_matrix_problem, weather_design
+from conftest import random_matrix_problem, weather_design, write_generated_dists
 
 
 class TestPriorPosterior:
@@ -233,7 +233,7 @@ class TestReport:
         assert report.strategies["mean"].information_loss == pytest.approx(1.0)
         assert report.strategies["CI"].information_loss == pytest.approx(0.0)
         assert report.prior.probabilities[1] == pytest.approx(0.0796)
-        assert set(report.strategies["CI"].posteriors) == {
+        assert set(report.strategies["CI"].signals) == {
             "sigma=2", "sigma=3", "sigma=4", "sigma=5",
         }
 
@@ -248,3 +248,34 @@ class TestReport:
         )
         report = rational_report(design)
         assert report.strategies["noise"].information_loss is None
+
+
+def test_report_builds_no_belief_per_signal(tmp_path, monkeypatch):
+    """``rational_report`` keeps each strategy's posteriors as one matrix:
+    the number of ``Belief`` objects it builds does not grow with the
+    number of signals."""
+    from rabench import model
+    from rabench.cases import build_fernandes
+
+    built = []
+    post_init = model.Belief.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    counts = {}
+    for n in (10, 1000):
+        path = tmp_path / f"dists{n}.csv"
+        write_generated_dists(path, n, seed=7)
+        design = build_fernandes(scenario=2, trial_dists=path).design
+        assert len(design.strategies["full"]) == n
+        with monkeypatch.context() as patch:
+            patch.setattr(model.Belief, "__post_init__", counting)
+            report = rational_report(design)
+        counts[n] = len(built)
+        built.clear()
+        full = report.strategies["full"]
+        assert full.signals == design.strategies["full"].signals
+        assert full.posteriors.shape == (n, len(design.states))
+    assert counts[1000] == counts[10] <= 5
