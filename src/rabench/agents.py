@@ -49,8 +49,8 @@ class AgentSpec:
             raise InvalidModelError(f"unknown agent kind {self.kind!r}")
         if self.task not in ("decision", "belief"):
             raise InvalidModelError(f"unknown task {self.task!r}")
-        if self.noise_sd < 0:
-            raise InvalidModelError("noise sd must be non-negative")
+        if not (0.0 <= self.noise_sd < np.inf):
+            raise InvalidModelError("noise sd must be non-negative and finite")
         if not (0.0 <= self.lapse_rate <= 1.0):
             raise InvalidModelError("lapse rate must lie in [0, 1]")
         if self.kind == "lapse":

@@ -419,6 +419,9 @@ class EmpiricalJoint:
     def conditionals(self, rows, smoothing_alpha: float = 0.0) -> np.ndarray:
         """Empirical state-conditional of each row index in ``rows``, one
         belief row each; ``smoothing_alpha`` is added to every count first."""
+        if not (0.0 <= smoothing_alpha < np.inf):
+            raise InvalidModelError(f"smoothing_alpha must be non-negative and "
+                                    f"finite, not {smoothing_alpha!r}")
         rows = np.asarray(rows, dtype=np.intp)
         counts = self.counts[rows]
         if smoothing_alpha > 0.0:

@@ -286,8 +286,9 @@ def read_trial_distributions(path: str | Path) -> tuple[tuple[str, ...], BoxCoxT
                      dtype=object)
     unparsed = np.equal(cells, None)
     values = np.where(unparsed, np.nan, cells).astype(float)
-    # the rows BoxCoxTDist refuses: mu, sigma or tau not positive
-    refused = (values[:, [0, 1, 3]] <= 0.0).any(axis=1)
+    # the rows BoxCoxTDist refuses (nan is neither finite nor positive)
+    refused = ~(np.isfinite(values[:, :3]).all(axis=1)
+                & (values[:, [0, 1, 3]] > 0.0).all(axis=1))
     faulty = duplicate | unparsed.any(axis=1) | refused
     if faulty.any():
         first = int(faulty.argmax())

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,13 +34,24 @@ from .behavioral import (
 from .cases import CaseStudy, build_case
 from .config_io import load_design_config, save_design_config
 from .errors import RabenchError
-from .model import ExperimentDesign, validate
+from .model import ExperimentDesign
 from .payment import incentive_table
 from .rational import RationalReport, StrategySummary, rational_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+
+def _finite_number(positive: bool):
+    """argparse type of a finite number that is > 0 (``positive``) or >= 0."""
+    def number(text: str) -> float:
+        value = float(text)  # argparse reports a ValueError as an invalid value
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            sign = "positive" if positive else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be {sign} and finite, not {text!r}")
+        return value
+    return number
 
 
 def _add_design_source(parser: argparse.ArgumentParser) -> None:
@@ -52,7 +64,8 @@ def _add_design_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trial-dists", type=Path, default=None,
                         help="per-trial arrival distribution CSV "
                              "(fernandes2018 only; defaults to the bundled demo)")
-    parser.add_argument("--grid-step", type=float, default=0.25,
+    parser.add_argument("--grid-step", type=_finite_number(positive=True),
+                        default=0.25,
                         help="arrival grid resolution (fernandes2018 only)")
 
 
@@ -62,13 +75,7 @@ def _resolve_design(args) -> tuple[ExperimentDesign, CaseStudy | None]:
                           trial_dists=args.trial_dists,
                           grid_step=args.grid_step)
         return case.design, case
-    design = load_design_config(args.config)
-    problems = []
-    for name in design.strategy_names():
-        problems.extend(validate(design.problem(name)))
-    if problems:
-        raise RabenchError("; ".join(sorted(set(problems))))
-    return design, None
+    return load_design_config(args.config), None
 
 
 def _write_json(payload: dict, out: Path | None,
@@ -264,14 +271,22 @@ def _parse_agent(text: str, task: str) -> AgentSpec:
     if kind in ("random", "uniform-random"):
         return AgentSpec.uniform_random(task)
     if kind in ("noisy", "noisy-belief"):
-        return AgentSpec.noisy_belief(float(params.get("k", "0.5")), task)
+        return AgentSpec.noisy_belief(_agent_number(params, "k", "0.5"), task)
     if kind == "lapse":
         inner = _parse_agent(params.get("inner", "rational"), task)
-        return AgentSpec.lapsing(float(params.get("rate", "0.1")), inner)
+        return AgentSpec.lapsing(_agent_number(params, "rate", "0.1"), inner)
     raise RabenchError(
         f"unknown agent {head!r}; use rational, prior, random, "
         f"noisy[:k=SD], or lapse[:rate=R,inner=KIND]"
     )
+
+
+def _agent_number(params: dict[str, str], key: str, default: str) -> float:
+    text = params.get(key, default)
+    try:
+        return float(text)
+    except ValueError:
+        raise RabenchError(f"--agent: {key} must be a number, not {text!r}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -314,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "response_kind,response)")
     p_post.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH,
                         help="probability-report bin width")
-    p_post.add_argument("--smoothing-alpha", type=float, default=0.0,
+    p_post.add_argument("--smoothing-alpha", type=_finite_number(positive=False),
+                        default=0.0,
                         help="additive smoothing for empirical conditionals")
     p_post.add_argument("--out", type=Path, default=None,
                         help="write a JSON summary here")

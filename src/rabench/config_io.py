@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -24,14 +25,17 @@ from .generative import (
 )
 from .model import (
     ActionSpace,
+    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     MatrixRule,
     ReportMap,
+    ScoringRule,
     StateSpace,
     TransitRule,
     binary_report_map,
-    structure_violations,
+    rule_violations,
+    validate,
 )
 from .payment import (
     AffineConversion,
@@ -40,6 +44,8 @@ from .payment import (
 )
 
 SCHEMA_VERSION = 1
+
+T = TypeVar("T")
 
 
 def _report_map_by_name(name: str, n_states: int) -> ReportMap:
@@ -131,7 +137,7 @@ def _load_actions(cfg: dict) -> ActionSpace:
     raise ConfigError("action space needs ids, or a grid low/high")
 
 
-def _load_strategy(name: str, cfg: dict) -> InformationStructure:
+def _load_strategy(cfg: dict) -> InformationStructure:
     if "dgm" in cfg:
         dgm_cfg = dict(cfg["dgm"])
         dgm_kind = dgm_cfg.pop("kind", None)
@@ -146,13 +152,28 @@ def _load_strategy(name: str, cfg: dict) -> InformationStructure:
             levels = dgm_cfg.get("pos_levels")
             dgm = TwoTeamDGM(pos_levels=tuple(levels)) if levels else TwoTeamDGM()
             return kale_joint(dgm)
-        raise ConfigError(f"strategy {name!r}: unknown dgm kind {dgm_kind!r}")
+        raise InvalidModelError(f"unknown dgm kind {dgm_kind!r}")
     if "signals" not in cfg or "joint" not in cfg:
-        raise ConfigError(f"strategy {name!r} needs signals and joint (or a dgm)")
+        raise InvalidModelError("needs signals and joint (or a dgm)")
     return InformationStructure(
         signals=tuple(cfg["signals"]), joint=np.array(cfg["joint"], dtype=float),
         check=False,
     )
+
+
+def _load_rule(cfg: dict) -> ScoringRule:
+    kind = cfg.get("kind")
+    if kind == "matrix":
+        return MatrixRule(np.array(cfg["scores"], dtype=float))
+    if kind == "transit":
+        return TransitRule(
+            activity_rate=cfg["activity_rate"],
+            waiting_rate=cfg["waiting_rate"],
+            destination_rate=cfg["destination_rate"],
+            max_destination_minutes=cfg["max_destination_minutes"],
+            second_bus_offset=cfg.get("second_bus_offset", 30.0),
+        )
+    raise InvalidModelError(f"unknown rule kind {kind!r}")
 
 
 def _load_conversion(cfg: dict | None):
@@ -170,6 +191,15 @@ def _load_conversion(cfg: dict | None):
     raise ConfigError(f"unknown conversion kind {kind!r}")
 
 
+def _section(name: str, load: Callable[[], T]) -> T:
+    """``load()``, with a fault in the config's data raised as a
+    ``ConfigError`` that names the section."""
+    try:
+        return load()
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidModelError) as err:
+        raise ConfigError(f"{name}: {err}") from None
+
+
 def design_from_config(cfg: dict) -> ExperimentDesign:
     """Build a design from a parsed config, reporting every violation found."""
     if not isinstance(cfg, dict):
@@ -183,78 +213,35 @@ def design_from_config(cfg: dict) -> ExperimentDesign:
         if field not in cfg:
             raise ConfigError(f"config is missing the {field!r} section")
 
-    violations: list[str] = []
-    try:
-        states_cfg = cfg["states"]
-        states = StateSpace(
-            ids=tuple(states_cfg["ids"]),
-            labels=tuple(states_cfg.get("labels", ())),
-            values=tuple(states_cfg["values"])
-            if states_cfg.get("values") is not None else None,
-        )
-    except (KeyError, TypeError, InvalidModelError) as err:
-        raise ConfigError(f"states: {err}") from None
+    states = _section("states", lambda: StateSpace(
+        ids=tuple(cfg["states"]["ids"]),
+        labels=tuple(cfg["states"].get("labels", ())),
+        values=tuple(cfg["states"]["values"])
+        if cfg["states"].get("values") is not None else None,
+    ))
+    actions = _section("actions", lambda: _load_actions(cfg["actions"]))
+    rule = _section("rule", lambda: _load_rule(cfg["rule"]))
+    if not isinstance(cfg["strategies"], dict):
+        raise ConfigError("strategies: must be an object of named strategies")
+    strategies = {
+        name: _section(f"strategy {name!r}", lambda: _load_strategy(s_cfg))
+        for name, s_cfg in cfg["strategies"].items()
+    }
 
-    try:
-        actions = _load_actions(cfg["actions"])
-    except (KeyError, TypeError, InvalidModelError) as err:
-        raise ConfigError(f"actions: {err}") from None
-
-    rule_cfg = cfg["rule"]
-    kind = rule_cfg.get("kind")
-    try:
-        if kind == "matrix":
-            rule = MatrixRule(np.array(rule_cfg["scores"], dtype=float))
-        elif kind == "transit":
-            rule = TransitRule(
-                activity_rate=rule_cfg["activity_rate"],
-                waiting_rate=rule_cfg["waiting_rate"],
-                destination_rate=rule_cfg["destination_rate"],
-                max_destination_minutes=rule_cfg["max_destination_minutes"],
-                second_bus_offset=rule_cfg.get("second_bus_offset", 30.0),
-            )
-        else:
-            raise ConfigError(f"unknown rule kind {kind!r}")
-    except (KeyError, TypeError, InvalidModelError) as err:
-        raise ConfigError(f"rule: {err}") from None
-
-    strategies = {}
-    for name, s_cfg in cfg["strategies"].items():
-        structure = _load_strategy(name, s_cfg)
-        problems = structure_violations(structure.signals, structure.joint)
-        if structure.joint.ndim == 2 and structure.joint.shape[1] != len(states):
-            problems.append(
-                f"dimension: joint has {structure.joint.shape[1]} states but "
-                f"the space has {len(states)}"
-            )
-        violations.extend(f"strategy {name!r}: {p}" for p in problems)
-        strategies[name] = structure
-
-    if isinstance(rule, MatrixRule):
-        if rule.n_actions != len(actions):
-            violations.append(
-                f"rule: score matrix has {rule.n_actions} actions but the "
-                f"space has {len(actions)}"
-            )
-        if rule.n_states != len(states):
-            violations.append(
-                f"rule: score matrix has {rule.n_states} states but the "
-                f"space has {len(states)}"
-            )
-    else:
-        if actions.values is None:
-            violations.append("rule: transit rule needs numeric action values")
-        if states.values is None:
-            violations.append("rule: transit rule needs numeric state values")
-
+    # validate reports each rule fault for every strategy; report it once
+    rule_faults = rule_violations(states, actions, rule)
+    violations = [
+        f"strategy {name!r}: {p}"
+        for name, structure in strategies.items()
+        for p in validate(DecisionProblem(states, actions, rule, structure))
+        if p not in rule_faults
+    ] + [f"rule: {p}" for p in rule_faults]
     if violations:
         raise ConfigError("; ".join(violations))
 
-    # re-validate through the checked constructor now that shapes are sane
-    strategies = {
-        name: InformationStructure(signals=s.signals, joint=s.joint)
-        for name, s in strategies.items()
-    }
+    # the checked constructor normalizes each joint
+    strategies = {name: InformationStructure(signals=s.signals, joint=s.joint)
+                  for name, s in strategies.items()}
     report_map = None
     if cfg.get("report_map"):
         report_map = _report_map_by_name(cfg["report_map"], len(states))
@@ -264,9 +251,12 @@ def design_from_config(cfg: dict) -> ExperimentDesign:
             actions=actions,
             rule=rule,
             strategies=strategies,
-            conversion=_load_conversion(cfg.get("conversion")),
-            trials_per_experiment=int(cfg.get("trials_per_experiment", 1)),
-            initial_score=float(cfg.get("initial_score", 0.0)),
+            conversion=_section("conversion",
+                                lambda: _load_conversion(cfg.get("conversion"))),
+            trials_per_experiment=_section("trials_per_experiment", lambda: int(
+                cfg.get("trials_per_experiment", 1))),
+            initial_score=_section(
+                "initial_score", lambda: float(cfg.get("initial_score", 0.0))),
             report_map=report_map,
             name=str(cfg.get("name", "design")),
         )

@@ -17,7 +17,7 @@ matrix rules and fixed joints never load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .model import (
     Belief,
     DecisionProblem,
     InformationStructure,
-    optimal_action_indices,
     outcome_scores,
 )
 
@@ -261,6 +260,7 @@ class BoxCoxTDist:
     (log(x/mu)/sigma at nu = 0) follows a t distribution with tau degrees of
     freedom, truncated so that x stays positive when nu > 0.
 
+    mu, sigma and nu must be finite; tau may be inf (the normal limit).
     Each parameter is a number, or a 1-d array with one entry per
     distribution; scalars and arrays broadcast against each other. With
     arrays, ``cdf`` and ``quantile`` return one row per distribution, and
@@ -278,8 +278,10 @@ class BoxCoxTDist:
                                        (self.mu, self.sigma, self.nu, self.tau)))
         if params[0].ndim > 1:
             raise InvalidModelError("Box-Cox t parameters must be numbers or 1-d arrays")
-        mu, sigma, _, tau = params
-        if (mu <= 0).any() or (sigma <= 0).any() or (tau <= 0).any():
+        mu, sigma, nu, tau = params
+        if not np.isfinite([mu, sigma, nu]).all():
+            raise InvalidModelError("mu, sigma and nu must be finite")
+        if not ((mu > 0) & (sigma > 0) & (tau > 0)).all():
             raise InvalidModelError("mu, sigma, and tau must be positive")
         if params[0].ndim:
             for name, value in zip(("mu", "sigma", "nu", "tau"), params):
@@ -437,11 +439,6 @@ def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
     return DiscretizedDistribution(grid=g, masses=masses)
 
 
-def quarter_minute_grid(low: float = 0.0, high: float = 30.0) -> np.ndarray:
-    """Default transit arrival grid: quarter-minute cells over [low, high]."""
-    return np.arange(low, high + 1e-9, 0.25)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo scoring
 
@@ -456,52 +453,31 @@ def sample_cells(joint: np.ndarray, n: int,
     return np.unravel_index(cells, joint.shape)
 
 
-def policy_scores(problem: DecisionProblem,
-                  policy: Callable[[str], str]) -> np.ndarray:
-    """Realized score of the policy's action in each (signal, state) cell.
-
-    Transit cells plug in the signal's posterior mean for the second bus,
-    matching the exact tabular analysis.
-    """
-    structure = problem.structure
-    actions = [problem.actions.index(policy(v)) for v in structure.signals]
-    return outcome_scores(problem, actions, structure.posteriors())
-
-
-def monte_carlo_score(problem: DecisionProblem,
-                      policy: Callable[[str], str],
+def monte_carlo_score(problem: DecisionProblem, actions,
                       n: int, seed: int,
                       n_batches: int = 1) -> tuple[float, float]:
-    """Estimate the expected score of ``policy`` by sampling (signal, state)
-    pairs from the joint.
+    """Estimate the expected score of playing action index ``actions[i]``
+    on signal i, by sampling (signal, state) pairs from the joint.
 
     Returns (mean, standard error). Batches draw from independently derived
     child seeds and merge deterministically, so the result depends only on
-    (seed, n, n_batches). Cells are scored by :func:`policy_scores`.
+    (seed, n, n_batches). Cells score as in :func:`outcome_scores`: a transit
+    cell takes its signal's posterior mean, as the exact analysis does.
     """
     if n < 1:
         raise InvalidModelError("need at least one draw")
-    table = policy_scores(problem, policy)
+    structure = problem.structure
+    if len(actions) != len(structure):
+        raise InvalidModelError("need one action index per signal")
+    table = outcome_scores(problem, actions, structure.posteriors())
     sizes = [n // n_batches] * n_batches
     sizes[-1] += n - sum(sizes)
     total, total_sq = 0.0, 0.0
     for child, size in zip(np.random.SeedSequence(seed).spawn(n_batches), sizes):
         rng = np.random.default_rng(child)
-        scores = table[sample_cells(problem.structure.joint, size, rng)]
+        scores = table[sample_cells(structure.joint, size, rng)]
         total += scores.sum()
         total_sq += (scores ** 2).sum()
     mean = total / n
     var = max(total_sq / n - mean ** 2, 0.0)
     return float(mean), float(np.sqrt(var / n))
-
-
-def rational_policy(problem: DecisionProblem) -> Callable[[str], str]:
-    """Policy of an agent who plays the optimal action on each posterior."""
-    structure = problem.structure
-    best = optimal_action_indices(problem, structure.posteriors())
-    table = {v: problem.actions.ids[i] for v, i in zip(structure.signals, best)}
-    return lambda v: table[str(v)]
-
-
-def constant_policy(action_id: str) -> Callable[[str], str]:
-    return lambda v: action_id

@@ -224,12 +224,6 @@ class Belief:
         """Belief over a 2-state space parameterized by the second state's mass."""
         return Belief(np.array([1.0 - p_positive, p_positive]))
 
-    @staticmethod
-    def point_mass(index: int, n_states: int) -> "Belief":
-        p = np.zeros(n_states)
-        p[index] = 1.0
-        return Belief(p)
-
     def __len__(self) -> int:
         return len(self.probabilities)
 
@@ -384,7 +378,7 @@ def structure_violations(signals: Sequence[str], joint: np.ndarray) -> list[str]
         return out
     if np.any(j < -NORMALIZATION_TOL):
         out.append("joint entries must be non-negative")
-    total = j.sum()
+    total = float(j.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         out.append(f"joint mass is {total!r}, not 1 within tolerance")
     if np.any(j.sum(axis=1) <= 0.0):
@@ -595,33 +589,29 @@ def proper_score(problem: DecisionProblem, reported_belief: Belief,
 
 
 def validate(problem: DecisionProblem) -> list[str]:
-    """Check every invariant of a decision problem; return all violations.
+    """Check every invariant of a decision problem; return all violations,
+    those of the structure first and then :func:`rule_violations`.
 
     An empty list means the problem is well formed.
     """
-    out: list[str] = []
     structure = problem.structure
-    out.extend(structure_violations(structure.signals, structure.joint))
+    out = structure_violations(structure.signals, structure.joint)
     if structure.joint.ndim == 2 and structure.n_states != len(problem.states):
         out.append(
             f"dimension: joint has {structure.n_states} states but the space "
             f"has {len(problem.states)}"
         )
-    rule = problem.rule
+    return out + rule_violations(problem.states, problem.actions, problem.rule)
+
+
+def rule_violations(states: StateSpace, actions: ActionSpace,
+                    rule: ScoringRule) -> list[str]:
+    """The violations of :func:`validate` that concern the rule alone."""
     if isinstance(rule, MatrixRule):
-        if rule.n_actions != len(problem.actions):
-            out.append(
-                f"dimension: score matrix has {rule.n_actions} actions but the "
-                f"space has {len(problem.actions)}"
-            )
-        if rule.n_states != len(problem.states):
-            out.append(
-                f"dimension: score matrix has {rule.n_states} states but the "
-                f"space has {len(problem.states)}"
-            )
-    else:
-        if problem.actions.values is None:
-            out.append("transit rule needs numeric action values")
-        if problem.states.values is None:
-            out.append("transit rule needs numeric state values")
-    return out
+        return [f"dimension: score matrix has {n} {what} but the space has {len(space)}"
+                for n, what, space in ((rule.n_actions, "actions", actions),
+                                       (rule.n_states, "states", states))
+                if n != len(space)]
+    return [f"transit rule needs numeric {what} values"
+            for what, space in (("action", actions), ("state", states))
+            if space.values is None]

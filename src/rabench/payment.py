@@ -13,9 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .generative import constant_policy, policy_scores, rational_policy, sample_cells
-from .model import ExperimentDesign, optimal_action
-from .rational import RationalReport, prior, rational_report
+from .generative import sample_cells
+from .model import (
+    DecisionProblem,
+    ExperimentDesign,
+    optimal_action_indices,
+    outcome_scores,
+)
+from .rational import RationalReport, rational_report
 
 
 @dataclass(frozen=True)
@@ -143,63 +148,49 @@ def incentive_table(design: ExperimentDesign,
     if report is None:
         report = rational_report(design)
 
-    def payment(per_trial: float, policy_kind: str, strategy: str | None) -> float:
+    # each signal plays its optimal action under its row of ``beliefs`` (or the prior's)
+    def payment(per_trial: float, strategy: str, beliefs: np.ndarray) -> float:
         if method == "linearized":
             return convert(rule, experiment_score(design, per_trial))
-        return _simulated_payment(design, rule, policy_kind, strategy, n, seed)
+        problem = design.problem(strategy)
+        actions = np.broadcast_to(optimal_action_indices(problem, beliefs),
+                                  len(problem.structure))
+        return _simulated_payment(design, rule, problem, actions, n, seed)
 
-    rows = []
-    base_payment = payment(report.baseline, "baseline", None)
+    base_payment = payment(report.baseline, next(iter(report.strategies)),
+                           report.prior.probabilities[None, :])
     if base_payment == 0.0:
         raise InvalidModelError(
             "baseline payment is zero; the incentive ratio is undefined"
         )
-    for name, summary in report.strategies.items():
-        opt_payment = payment(summary.visualization_optimal, "rational", name)
-        rows.append(IncentiveRow(
-            strategy=name,
-            payment_baseline=base_payment,
-            payment_optimal=opt_payment,
-            incentive=opt_payment - base_payment,
-            incentive_ratio=(opt_payment - base_payment) / base_payment,
-        ))
-    best = max(report.strategies, key=lambda s: report.strategies[s].visualization_optimal)
-    best_payment = payment(report.strategies[best].visualization_optimal,
-                           "rational", best)
-    rows.append(IncentiveRow(
-        strategy="benchmark",
-        payment_baseline=base_payment,
-        payment_optimal=best_payment,
-        incentive=best_payment - base_payment,
-        incentive_ratio=(best_payment - base_payment) / base_payment,
-    ))
+    optimal = {name: payment(s.visualization_optimal, name, s.posteriors)
+               for name, s in report.strategies.items()}
+    best = max(optimal, key=lambda name: report.strategies[name].visualization_optimal)
+    rows = [IncentiveRow(strategy=name,
+                         payment_baseline=base_payment,
+                         payment_optimal=pay,
+                         incentive=pay - base_payment,
+                         incentive_ratio=(pay - base_payment) / base_payment)
+            for name, pay in [*optimal.items(), ("benchmark", optimal[best])]]
     return IncentiveTable(rows=tuple(rows))
 
 
 def _simulated_payment(design: ExperimentDesign, rule: ConversionRule,
-                       policy_kind: str, strategy: str | None,
+                       problem: DecisionProblem, actions: np.ndarray,
                        n: int, seed: int) -> float:
-    """Average converted payment over simulated sessions.
+    """Average converted payment over simulated sessions of playing action
+    index ``actions[i]`` on signal i.
 
-    Sessions draw ``trials_per_experiment`` i.i.d. trial scores under the
-    relevant policy, so floors and other nonlinearities are honored exactly
-    up to Monte Carlo error.
+    Sessions draw ``trials_per_experiment`` i.i.d. trial scores, so floors
+    and other nonlinearities are honored exactly up to Monte Carlo error.
     """
-    strategy = strategy or next(iter(design.strategies))
-    problem = design.problem(strategy)
-    if policy_kind == "baseline":
-        action, _ = optimal_action(problem, prior(problem.structure))
-        policy = constant_policy(action)
-    else:
-        policy = rational_policy(problem)
-
     trials = design.trials_per_experiment
     sessions = max(n // trials, 1)
     # one long score stream reshaped into sessions keeps the estimate
     # seeded and deterministic without per-session generator churn
     cells = sample_cells(problem.structure.joint, sessions * trials,
                          np.random.default_rng(seed))
-    scores = policy_scores(problem, policy)[cells]
+    scores = outcome_scores(problem, actions, problem.structure.posteriors())[cells]
     per_session = scores.reshape(sessions, trials).sum(axis=1)
     payments = [rule.convert(design.initial_score + s) for s in per_session]
     return float(np.mean(payments))

@@ -14,6 +14,7 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
     TransitRule,
+    optimal_action_indices,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,6 +111,16 @@ def weather_design() -> ExperimentDesign:
         },
         name="weather",
     )
+
+
+def rational_actions(problem: DecisionProblem) -> np.ndarray:
+    """Action indices of an agent who plays the optimum on each posterior."""
+    return optimal_action_indices(problem, problem.structure.posteriors())
+
+
+def constant_actions(problem: DecisionProblem, action_id: str) -> np.ndarray:
+    """Action indices of an agent who plays ``action_id`` on every signal."""
+    return np.full(len(problem.structure), problem.actions.index(action_id))
 
 
 def random_matrix_problem(rng: np.random.Generator, n_states=None, n_actions=None,

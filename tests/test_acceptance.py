@@ -22,11 +22,8 @@ from rabench.cases import build_fernandes, build_kale, \
 from rabench.cli import main
 from rabench.generative import (
     BoxCoxTDist,
-    constant_policy,
     discretize,
     monte_carlo_score,
-    quarter_minute_grid,
-    rational_policy,
 )
 from rabench.model import (
     ActionSpace,
@@ -50,7 +47,12 @@ from rabench.rational import (
     visualization_optimal,
 )
 
-from conftest import random_belief, random_matrix_problem
+from conftest import (
+    constant_actions,
+    random_belief,
+    random_matrix_problem,
+    rational_actions,
+)
 
 
 def verdict(number: int, description: str, failures: list[str]) -> None:
@@ -165,7 +167,7 @@ def test_criterion_3_transit_pipeline(tmp_path):
     scenarios = {1: (8.0, -14.0, 14.0, 90.0),
                  2: (14.0, -14.0, 14.0, 60.0),
                  3: (8.0, -17.0, 17.0, 120.0)}
-    grid = quarter_minute_grid()
+    grid = np.arange(0.0, 30.0 + 1e-9, 0.25)
     states = StateSpace(ids=tuple(f"{g:g}" for g in grid), values=tuple(grid))
     actions = ActionSpace.integer_grid(0, 30)
     for _ in range(50):
@@ -375,9 +377,9 @@ def test_criterion_6_monte_carlo_consistency():
     failures: list[str] = []
     bad_runs = 0
     for seed in range(100):
-        m1, se1 = monte_carlo_score(problem, constant_policy("no-salt"),
+        m1, se1 = monte_carlo_score(problem, constant_actions(problem, "no-salt"),
                                     100_000, seed)
-        m2, se2 = monte_carlo_score(problem, rational_policy(problem),
+        m2, se2 = monte_carlo_score(problem, rational_actions(problem),
                                     100_000, seed)
         if abs(m1 - (-7.96)) > 3 * se1 or abs(m2 - (-5.689)) > 3 * se2:
             bad_runs += 1

@@ -25,6 +25,11 @@ class TestAgentSpec:
         with pytest.raises(InvalidModelError):
             AgentSpec.noisy_belief(-0.1)
 
+    @pytest.mark.parametrize("sd", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sd):
+        with pytest.raises(InvalidModelError):
+            AgentSpec.noisy_belief(sd)
+
 
 class TestSimulate:
     def test_deterministic_per_seed(self):

@@ -546,6 +546,13 @@ class TestCalibrate:
         assert plain == pytest.approx(0.0)  # conditional is certain freezing
         assert smoothed < plain  # smoothing admits doubt
 
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_bad_smoothing_alpha_rejected(self, alpha):
+        design = weather_design()
+        joint = exact_joint(design, np.array([[0.5, 0.5], [0.0, 0.0]]), scale=1.0)
+        with pytest.raises(InvalidModelError, match="smoothing_alpha"):
+            calibrate(joint, design, smoothing_alpha=alpha)
+
 
 class TestLossPieces:
     def test_behavioral_value_of_information(self):

@@ -276,6 +276,26 @@ class TestReadTrialDistributionErrors:
          "trial 'b': mu, sigma, and tau must be positive"),
         (DIST_HEADER + "a,0,0.1,1,5\n",
          "trial 'a': mu, sigma, and tau must be positive"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,inf,0.1,1,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,-inf,0.1,1,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,nan,0.1,1,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,inf,1,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,-inf,1,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,nan,1,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0.1,inf,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0.1,-inf,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0.1,nan,5\n",
+         "trial 'b': mu, sigma and nu must be finite"),
+        (DIST_HEADER + "a,20,0.1,1,5\nb,20,0.1,1,nan\n",
+         "trial 'b': mu, sigma, and tau must be positive"),
         ("trial_id,mu,sigma,nu\na,20,0.1,1\n",
          "trial distribution file needs columns trial_id,mu,sigma,nu,tau"),
         ("", "trial distribution file needs columns trial_id,mu,sigma,nu,tau"),
@@ -296,3 +316,10 @@ class TestReadTrialDistributionErrors:
         with pytest.raises(ConfigError) as err:
             read_trial_distributions(path)
         assert str(err.value) == message
+
+    def test_infinite_tau_is_the_normal_limit(self, tmp_path):
+        path = tmp_path / "dists.csv"
+        path.write_text(DIST_HEADER + "a,20,0.1,1,inf\n", encoding="utf-8")
+        ids, dists = read_trial_distributions(path)
+        assert ids == ("a",)
+        assert np.isinf(dists.tau).all()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,3 +349,63 @@ class TestSimulateAndPost:
             "--out", str(out))
         payload = json.loads(out.read_text())
         assert "CI" in payload["strategies"]
+
+
+#: A well-formed two-state config; each config case below replaces one section.
+SMALL_CONFIG = {
+    "schema_version": 1,
+    "states": {"ids": ["a", "b"]},
+    "actions": {"kind": "finite", "ids": ["x", "y"]},
+    "rule": {"kind": "matrix", "scores": [[0.0, 1.0], [1.0, 0.0]]},
+    "strategies": {"s": {"signals": ["v", "w"], "joint": [[0.4, 0.1], [0.1, 0.4]]}},
+}
+
+TRIALS = ["post", "--case", "weather", "--trials", "trials.csv"]
+
+
+def _trial_dists(row: str) -> str:
+    return f"trial_id,mu,sigma,nu,tau\na,20,0.1,1,5\n{row}\n"
+
+
+@pytest.mark.parametrize("source, bad, message", [
+    ("config", {}, None),
+    ("dists", "b,20,0.1,1,inf", None),
+    *[("dists", row, "trial 'b': mu, sigma and nu must be finite") for row in (
+        "b,inf,0.1,1,5", "b,nan,0.1,1,5", "b,20,inf,1,5",
+        "b,20,nan,1,5", "b,20,0.1,inf,5", "b,20,0.1,nan,5")],
+    ("dists", "b,20,0.1,1,nan", "trial 'b': mu, sigma, and tau must be positive"),
+    ("config", {"strategies": {"s": {"signals": ["v", "w"],
+                                     "joint": [[0.5], [0.25, 0.25]]}}},
+     "strategy 's': "),
+    ("config", {"strategies": {"s": {"signals": ["v"], "joint": [["x", 0.5]]}}},
+     "strategy 's': "),
+    ("config", {"rule": {"kind": "matrix", "scores": [[0, "one"], [1, 0]]}}, "rule: "),
+    ("config", {"strategies": ["s"]}, "strategies: "),
+    *[("argv", ["pre", "--case", "fernandes2018", "--grid-step", step], "--grid-step")
+      for step in ("0", "-1", "nan", "inf")],
+    *[("argv", ["simulate", "--case", "weather", "--agent", agent, "--out", "x.csv"],
+       "--agent") for agent in ("noisy:k=abc", "lapse:rate=abc")],
+    *[("argv", [*TRIALS, "--smoothing-alpha", alpha], "--smoothing-alpha")
+      for alpha in ("-1", "nan", "inf")],
+])
+def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
+                                 message):
+    """Each malformed input exits 2 with a message naming where it is; the
+    first cases are well formed and exit 0."""
+    monkeypatch.chdir(tmp_path)
+    if source == "dists":
+        Path("dists.csv").write_text(_trial_dists(bad), encoding="utf-8")
+        argv = ["pre", "--case", "fernandes2018", "--trial-dists", "dists.csv"]
+    elif source == "config":
+        Path("design.json").write_text(json.dumps({**SMALL_CONFIG, **bad}),
+                                       encoding="utf-8")
+        argv = ["pre", "--config", "design.json"]
+    else:
+        argv = bad
+    try:
+        code = main(argv)
+    except SystemExit as exit:  # argparse refuses an option value
+        code = exit.code
+    err = capsys.readouterr().err
+    assert code == (0 if message is None else 2), err
+    assert message is None or message in err

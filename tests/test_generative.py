@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rabench.cases import quantile_text_partition
+from rabench.cases import build_case, quantile_text_partition
 from rabench.errors import InvalidModelError
 from rabench.generative import (
     BoxCoxTDist,
     DiscretizedDistribution,
     GaussianThresholdDGM,
     TwoTeamDGM,
-    constant_policy,
     discretize,
     kale_joint,
     monte_carlo_score,
     pos_to_win_probability,
-    quarter_minute_grid,
-    rational_policy,
     weather_joint,
     win_probability_to_pos,
 )
@@ -28,6 +25,8 @@ from rabench.model import (
     validate,
 )
 from rabench.rational import visualization_optimal
+
+from conftest import constant_actions, rational_actions
 
 
 def forecast_dgm() -> GaussianThresholdDGM:
@@ -456,19 +455,17 @@ class TestDiscretize:
             values.append(visualization_optimal(problem))
         assert abs(values[1] - values[0]) / abs(values[0]) < 1e-3
 
-    def test_quarter_minute_grid_has_121_cells(self):
-        assert len(quarter_minute_grid()) == 121
-
 
 class TestMonteCarlo:
     def test_rational_policy_recovers_the_exact_value(self, weather_problem):
-        policy = rational_policy(weather_problem)
-        mean, se = monte_carlo_score(weather_problem, policy, n=100_000, seed=11)
+        actions = rational_actions(weather_problem)
+        mean, se = monte_carlo_score(weather_problem, actions, n=100_000, seed=11)
         assert abs(mean - (-5.689)) <= 3 * se
 
     def test_constant_policy_recovers_the_baseline(self, weather_problem):
         mean, se = monte_carlo_score(
-            weather_problem, constant_policy("no-salt"), n=100_000, seed=13
+            weather_problem, constant_actions(weather_problem, "no-salt"),
+            n=100_000, seed=13
         )
         assert abs(mean - (-7.96)) <= 3 * se
 
@@ -481,21 +478,25 @@ class TestMonteCarlo:
             weather_problem.states, weather_problem.actions,
             weather_problem.rule, structure,
         )
-        mean, se = monte_carlo_score(problem, constant_policy("no-salt"),
+        mean, se = monte_carlo_score(problem, constant_actions(problem, "no-salt"),
                                      n=10_000, seed=5)
         assert mean == 0.0
         assert se == 0.0
 
+    def test_one_action_per_signal_required(self, weather_problem):
+        with pytest.raises(InvalidModelError, match="one action index per signal"):
+            monte_carlo_score(weather_problem, [0, 1], n=100, seed=0)
+
     def test_seeded_and_deterministic(self, weather_problem):
-        policy = rational_policy(weather_problem)
-        a = monte_carlo_score(weather_problem, policy, n=5_000, seed=3)
-        b = monte_carlo_score(weather_problem, policy, n=5_000, seed=3)
+        actions = rational_actions(weather_problem)
+        a = monte_carlo_score(weather_problem, actions, n=5_000, seed=3)
+        b = monte_carlo_score(weather_problem, actions, n=5_000, seed=3)
         assert a == b
 
     def test_batched_runs_merge_deterministically(self, weather_problem):
-        policy = rational_policy(weather_problem)
-        a = monte_carlo_score(weather_problem, policy, n=9_000, seed=3, n_batches=4)
-        b = monte_carlo_score(weather_problem, policy, n=9_000, seed=3, n_batches=4)
+        actions = rational_actions(weather_problem)
+        a = monte_carlo_score(weather_problem, actions, n=9_000, seed=3, n_batches=4)
+        b = monte_carlo_score(weather_problem, actions, n=9_000, seed=3, n_batches=4)
         assert a == b
 
     def test_transit_policy_matches_exact_value(self):
@@ -503,7 +504,7 @@ class TestMonteCarlo:
             BoxCoxTDist(mu=9.0, sigma=0.2, nu=0.6, tau=6.0),
             BoxCoxTDist(mu=15.0, sigma=0.12, nu=1.0, tau=12.0),
         ]
-        grid = quarter_minute_grid()
+        grid = np.arange(0.0, 30.0 + 1e-9, 0.25)
         states = StateSpace(ids=tuple(f"{g:g}" for g in grid), values=tuple(grid))
         rows = np.array([discretize(d, grid).masses / 2.0 for d in dists])
         problem = DecisionProblem(
@@ -515,9 +516,98 @@ class TestMonteCarlo:
         )
         exact = visualization_optimal(problem)
         mean, se = monte_carlo_score(
-            problem, rational_policy(problem), n=60_000, seed=21
+            problem, rational_actions(problem), n=60_000, seed=21
         )
         assert abs(mean - exact) <= 3 * se
+
+
+#: monte_carlo_score(n=20_000, seed=5) of each case strategy's rational and
+#: last-action policies, as float.hex: (mean, se) with 1 batch, then with 3.
+MONTE_CARLO_PINS = {
+    ("weather", "mean", "rational"):
+        ("-0x1.ff0a3d70a3d71p+2", "0x1.8889bbd26f7d6p-3",
+         "-0x1.03851eb851eb8p+3", "0x1.8b546b1084f2dp-3"),
+    ("weather", "mean", "constant"):
+        ("-0x1.2672b020c49bap+3", "0x1.3a07c97525fe3p-6",
+         "-0x1.260c49ba5e354p+3", "0x1.3c4388da03f59p-6"),
+    ("weather", "CI", "rational"):
+        ("-0x1.6df3b645a1cacp+2", "0x1.612a431fb9f14p-4",
+         "-0x1.6da9fbe76c8b4p+2", "0x1.612c387f4cec3p-4"),
+    ("weather", "CI", "constant"):
+        ("-0x1.25eb851eb851fp+3", "0x1.3cf9490894072p-6",
+         "-0x1.25cac083126e9p+3", "0x1.3dae74ee947edp-6"),
+    ("weather", "gradient", "rational"):
+        ("-0x1.6df3b645a1cacp+2", "0x1.612a431fb9f14p-4",
+         "-0x1.6da9fbe76c8b4p+2", "0x1.612c387f4cec3p-4"),
+    ("weather", "gradient", "constant"):
+        ("-0x1.25eb851eb851fp+3", "0x1.3cf9490894072p-6",
+         "-0x1.25cac083126e9p+3", "0x1.3dae74ee947edp-6"),
+    ("weather", "HOPs", "rational"):
+        ("-0x1.6df3b645a1cacp+2", "0x1.612a431fb9f14p-4",
+         "-0x1.6da9fbe76c8b4p+2", "0x1.612c387f4cec3p-4"),
+    ("weather", "HOPs", "constant"):
+        ("-0x1.25eb851eb851fp+3", "0x1.3cf9490894072p-6",
+         "-0x1.25cac083126e9p+3", "0x1.3dae74ee947edp-6"),
+    ("kale2020", "interval", "rational"):
+        ("0x1.c88f42fe82518p+0", "0x1.226aaa684ab1ep-7",
+         "0x1.c8350d2806af5p+0", "0x1.22b61596f319dp-7"),
+    ("kale2020", "interval", "constant"):
+        ("0x1.8f76f6d762520p+0", "0x1.21793a62c2c8bp-7",
+         "0x1.8d121ab4b72c7p+0", "0x1.2326fc9bcd28ep-7"),
+    ("kale2020", "HOPs", "rational"):
+        ("0x1.c88f42fe82518p+0", "0x1.226aaa684ab1ep-7",
+         "0x1.c8350d2806af5p+0", "0x1.22b61596f319dp-7"),
+    ("kale2020", "HOPs", "constant"):
+        ("0x1.8f76f6d762520p+0", "0x1.21793a62c2c8bp-7",
+         "0x1.8d121ab4b72c7p+0", "0x1.2326fc9bcd28ep-7"),
+    ("kale2020", "density", "rational"):
+        ("0x1.c88f42fe82518p+0", "0x1.226aaa684ab1ep-7",
+         "0x1.c8350d2806af5p+0", "0x1.22b61596f319dp-7"),
+    ("kale2020", "density", "constant"):
+        ("0x1.8f76f6d762520p+0", "0x1.21793a62c2c8bp-7",
+         "0x1.8d121ab4b72c7p+0", "0x1.2326fc9bcd28ep-7"),
+    ("kale2020", "QDP", "rational"):
+        ("0x1.c88f42fe82518p+0", "0x1.226aaa684ab1ep-7",
+         "0x1.c8350d2806af5p+0", "0x1.22b61596f319dp-7"),
+    ("kale2020", "QDP", "constant"):
+        ("0x1.8f76f6d762520p+0", "0x1.21793a62c2c8bp-7",
+         "0x1.8d121ab4b72c7p+0", "0x1.2326fc9bcd28ep-7"),
+    ("fernandes2018", "full", "rational"):
+        ("0x1.03bc89dcafbcdp+10", "0x1.609c2e072d182p-1",
+         "0x1.03b676c28d1cap+10", "0x1.6070519a6a080p-1"),
+    ("fernandes2018", "full", "constant"):
+        ("0x1.e939c42574fb0p+9", "0x1.068d31c8d6e1cp-1",
+         "0x1.e92d7acf47162p+9", "0x1.06794b25775fep-1"),
+    ("fernandes2018", "text60", "rational"):
+        ("0x1.023f2999187dcp+10", "0x1.8b3738445f179p-1",
+         "0x1.027db85474fb7p+10", "0x1.83790e9b6a3c2p-1"),
+    ("fernandes2018", "text60", "constant"):
+        ("0x1.e9214e357e949p+9", "0x1.07087d0d3993ap-1",
+         "0x1.e977f9af1a901p+9", "0x1.094c39e1cbdb3p-1"),
+    ("fernandes2018", "text85", "rational"):
+        ("0x1.024247b216097p+10", "0x1.8aa5d6e8d0faep-1",
+         "0x1.026908355fbb7p+10", "0x1.83dc10497ec92p-1"),
+    ("fernandes2018", "text85", "constant"):
+        ("0x1.e9237bef389a8p+9", "0x1.06855e4e2be8fp-1",
+         "0x1.e9b551db499cep+9", "0x1.091e51f9853d7p-1"),
+    ("fernandes2018", "text99", "rational"):
+        ("0x1.01c82c92c6f36p+10", "0x1.8b40621d948e1p-1",
+         "0x1.01fe4094a3952p+10", "0x1.84928e1277823p-1"),
+    ("fernandes2018", "text99", "constant"):
+        ("0x1.e921fea94da6bp+9", "0x1.07a076d4e449dp-1",
+         "0x1.e9874c469bbcdp+9", "0x1.09e92dd6c3f9ep-1"),
+}
+
+
+@pytest.mark.parametrize("case, strategy, kind", list(MONTE_CARLO_PINS))
+def test_monte_carlo_scores_are_pinned(case, strategy, kind):
+    problem = build_case(case).design.problem(strategy)
+    actions = (rational_actions(problem) if kind == "rational" else
+               constant_actions(problem, problem.actions.ids[-1]))
+    got = [monte_carlo_score(problem, actions, n=20_000, seed=5, n_batches=b)
+           for b in (1, 3)]
+    assert [x.hex() for pair in got for x in pair] == list(
+        MONTE_CARLO_PINS[case, strategy, kind])
 
 
 class TestDiscretizedDistribution:

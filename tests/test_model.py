@@ -98,13 +98,13 @@ class TestExpectedScore:
 
     def test_transit_catch_branch(self, transit_scenario2_problem):
         # point mass at 10, arrive at 10: 14*10 + 0 + 14*60
-        belief = Belief.point_mass(10, 31)
+        belief = Belief(np.eye(31)[10])
         got = expected_score(transit_scenario2_problem, "10", belief)
         assert got == pytest.approx(980.0, abs=1e-9)
 
     def test_transit_miss_branch(self, transit_scenario2_problem):
         # point mass at 10, arrive at 11: 14*11 - 14*(10+30-11) + 14*60
-        belief = Belief.point_mass(10, 31)
+        belief = Belief(np.eye(31)[10])
         got = expected_score(transit_scenario2_problem, "11", belief)
         assert got == pytest.approx(588.0, abs=1e-9)
 
@@ -259,7 +259,7 @@ class TestTabulation:
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_realized_transit_score(self, transit_scenario2_problem):
-        belief = Belief.point_mass(10, 31)
+        belief = Belief(np.eye(31)[10])
         got = realized_score(transit_scenario2_problem, "11", "10",
                              context_belief=belief)
         assert got == pytest.approx(588.0)

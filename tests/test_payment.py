@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rabench.cases import build_case
 from rabench.errors import InvalidModelError
 from rabench.generative import TWO_TEAM_STATE_IDS, TwoTeamDGM, kale_joint
 from rabench.model import ActionSpace, ExperimentDesign, MatrixRule, StateSpace
@@ -190,3 +191,39 @@ class TestIncentiveTable:
             )
             table = incentive_table(design)
             assert table.benchmark.incentive >= -1e-9
+
+
+#: incentive_table(method="monte-carlo", n=20_000, seed=4) of each case, as
+#: float.hex: (baseline payment, {row: optimal payment}).
+INCENTIVE_PINS = {
+    "weather": ("0x1.d68db8bac710dp-1", {
+        "mean": "0x1.d68db8bac710dp-1",
+        "CI": "0x1.e2bf338716097p-1",
+        "gradient": "0x1.e2bf338716097p-1",
+        "HOPs": "0x1.e2bf338716097p-1",
+        "benchmark": "0x1.e2bf338716097p-1",
+    }),
+    "kale2020": ("0x1.c57b74c07149cp+0", {
+        "interval": "0x1.1d858c7167f72p+1",
+        "HOPs": "0x1.1d858c7167f72p+1",
+        "density": "0x1.1d858c7167f72p+1",
+        "QDP": "0x1.1d858c7167f72p+1",
+        "benchmark": "0x1.1d858c7167f72p+1",
+    }),
+    "fernandes2018": ("0x1.1e2100ee10a88p+2", {
+        "full": "0x1.2a6f180dc84d5p+2",
+        "text60": "0x1.29c50341a62dfp+2",
+        "text85": "0x1.294e178ce6b71p+2",
+        "text99": "0x1.294cb1edaf592p+2",
+        "benchmark": "0x1.2a6f180dc84d5p+2",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(INCENTIVE_PINS))
+def test_monte_carlo_incentives_are_pinned(case):
+    table = incentive_table(build_case(case).design, method="monte-carlo",
+                            n=20_000, seed=4)
+    baseline, optimal = INCENTIVE_PINS[case]
+    assert {r.payment_baseline.hex() for r in table.rows} == {baseline}
+    assert {r.strategy: r.payment_optimal.hex() for r in table.rows} == optimal
