@@ -15,7 +15,7 @@ import csv
 import io
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -188,10 +188,21 @@ class _TableBuilder:
             return np.fromiter(map(index.__getitem__, values), dtype=np.intp,
                                count=len(values))
         except KeyError:  # new ids: most chunks bring none
-            for value in dict.fromkeys(values):
-                index.setdefault(value, len(index))
+            self.register(name, dict.fromkeys(values))
         return np.fromiter(map(index.__getitem__, values), dtype=np.intp,
                            count=len(values))
+
+    def register(self, name: str, values: Iterable[str]) -> np.ndarray:
+        """The code of each value, new ids getting the next codes in order."""
+        index = self.index[name]
+        return np.array([index.setdefault(v, len(index)) for v in values],
+                        dtype=np.intp)
+
+    def append(self, trial_ids: Sequence[str], **columns: np.ndarray) -> None:
+        """Append rows given as trial ids and the coded columns."""
+        self.trial_ids.extend(trial_ids)
+        for name, values in columns.items():
+            self.chunks[name].append(values)
 
     def add(self, trial_ids: Sequence[str], strategies: Sequence[str],
             signals: Sequence[str], states: Sequence[str],
@@ -213,12 +224,9 @@ class _TableBuilder:
         action[is_action] = self._codes("action", list(compress(responses, is_action)))
         report = np.full(n, np.nan)
         report[~is_action] = [float(r) for r in compress(responses, ~is_action)]
-        self.trial_ids.extend(trial_ids)
-        for name, values in (("strategy", strategies), ("signal", signals),
-                             ("state", states)):
-            self.chunks[name].append(self._codes(name, values))
-        self.chunks["action"].append(action)
-        self.chunks["report"].append(report)
+        self.append(trial_ids, strategy=self._codes("strategy", strategies),
+                    signal=self._codes("signal", signals),
+                    state=self._codes("state", states), action=action, report=report)
 
     def table(self) -> TrialTable:
         columns = {name: np.concatenate(chunks) if chunks else ()
@@ -312,31 +320,143 @@ def _raise_first_fault(rows: list[list[str]], first_line: int) -> None:
                                      f"{response!r} is not a number") from None
 
 
+#: ``_MASKS[k]`` keeps the first k bytes of a little-endian 8-byte word.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: An odd multiplier (2^64 over the golden ratio) that mixes a field's
+#: words into its key.
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _field_words(windows: np.ndarray, start: np.ndarray,
+                 length: np.ndarray) -> list[np.ndarray]:
+    """The 8-byte words that cover each field, its bytes in text order and
+    the bytes past its end zeroed."""
+    words = [windows[start] & _MASKS[np.minimum(length, 8)]]
+    for offset in range(8, int(length.max(initial=0)), 8):
+        # a window past the field's end is read at the end, inside the text
+        at = np.minimum(start + offset, start + length)
+        words.append(windows[at] & _MASKS[np.clip(length - offset, 0, 8)])
+    return words
+
+
+def _field_keys(words: list[np.ndarray], length: np.ndarray) -> np.ndarray:
+    """Each field's words and length folded into one uint64: equal fields
+    get equal keys, different ones almost always different keys."""
+    key = length.astype(np.uint64)
+    for word in words:
+        key = key * _FOLD ^ word
+    return key
+
+
+def _distinct(text: str, start: np.ndarray, length: np.ndarray,
+              words: list[np.ndarray]) -> tuple[list[str], np.ndarray] | None:
+    """The distinct fields of a column in order of first appearance, and
+    each row's index into them; None if two different fields share a key."""
+    keys, group = np.unique(_field_keys(words, length), return_inverse=True)
+    first = np.full(len(keys), len(group))
+    np.minimum.at(first, group, np.arange(len(group)))
+    same = first[group]
+    if any((column[same] != column).any() for column in (length, *words)):
+        return None
+    order = np.argsort(first)
+    first = first[order]
+    values = [text[s:s + n] for s, n in zip(start[first].tolist(),
+                                            length[first].tolist())]
+    return values, np.argsort(order)[group]
+
+
+def _strings(words: list[np.ndarray]) -> list[str]:
+    """The fields covered by ``words``, as str."""
+    # each ASCII byte widened to a UCS-4 code point; the zeroed bytes past a
+    # field's end are the padding of a "U" item
+    data = np.stack(words, axis=1).astype("<u8", copy=False)
+    return data.view(np.uint8).astype("<u4").view(f"<U{8 * len(words)}").ravel().tolist()
+
+
+def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
+    """Append the rows of a chunk of whole lines of ASCII text that holds no
+    quote and no NUL, coding each column with numpy; return the number of
+    lines in it.
+
+    Return None, adding nothing, if a line that is not blank does not hold
+    ``len(TRIAL_CSV_HEADER) - 1`` commas, a response kind is unknown, a
+    report is not a number, or two different fields of a column share a key.
+    """
+    raw = (text + "\0" * 8).encode("ascii")
+    data = np.frombuffer(raw, dtype=np.uint8)
+    if "\r" not in text:
+        ends, step = np.flatnonzero(data == ord("\n")), 1
+    else:
+        ends, step = np.flatnonzero(data == ord("\r")), 2
+        if np.count_nonzero(data == ord("\n")) != len(ends) \
+                or not (data[ends + 1] == ord("\n")).all():
+            # lone "\r" or "\n" line ends: make every line end a "\n"
+            return _add_ascii(builder, text.replace("\r\n", "\n").replace("\r", "\n"))
+    if not len(ends) or ends[-1] + step < len(text):
+        ends = np.append(ends, len(text))  # a last line with no line end
+    starts = np.concatenate(([0], ends[:-1] + step))
+    kept = ends > starts
+    if not kept.any():
+        return len(ends)
+    width = len(TRIAL_CSV_HEADER)
+    commas = np.flatnonzero(data == ord(","))
+    if (np.diff(np.searchsorted(commas, ends), prepend=0)[kept] != width - 1).any():
+        return None
+    commas = commas.reshape(-1, width - 1).T
+    # the 8 bytes from every offset of the text, read unaligned
+    windows = np.ndarray((len(text) + 1,), dtype="<u8", buffer=raw, strides=(1,))
+    columns = []
+    for start, stop in zip([starts[kept], *(commas + 1)], [*commas, ends[kept]]):
+        length = stop - start
+        columns.append((start, length, _field_words(windows, start, length)))
+    (_, _, trial_words), *named, kind, (r_start, r_length, r_words) = columns
+
+    kinds = _distinct(text, *kind)
+    if kinds is None or not set(kinds[0]) <= {"action", "probability"}:
+        return None
+    is_action = np.array([k == "action" for k in kinds[0]], dtype=bool)[kinds[1]]
+    coded = [_distinct(text, *column) for column in named]
+    actions = _distinct(text, r_start[is_action], r_length[is_action],
+                        [w[is_action] for w in r_words])
+    if actions is None or None in coded:
+        return None
+    try:
+        reports = [float(r) for r in _strings([w[~is_action] for w in r_words])]
+    except ValueError:
+        return None
+
+    action = np.full(len(is_action), -1, dtype=np.intp)
+    action[is_action] = builder.register("action", actions[0])[actions[1]]
+    report = np.full(len(is_action), np.nan)
+    report[~is_action] = reports
+    builder.append(
+        _strings(trial_words),
+        **{name: builder.register(name, values)[group]
+           for name, (values, group) in zip(("strategy", "signal", "state"), coded)},
+        action=action, report=report)
+    return len(ends)
+
+
 def _add_text(builder: _TableBuilder, text: str, first_line: int) -> int:
     """Append the rows of a chunk of whole lines that holds no quote and no
     NUL, where every field is the text between commas; return the number
     of lines in it.
 
     Line ends are "\\r\\n", "\\r" or "\\n", as for ``csv.reader``; a line
-    that is not blank must hold ``len(TRIAL_CSV_HEADER) - 1`` commas.
+    that is not blank must hold ``len(TRIAL_CSV_HEADER) - 1`` commas. An
+    ASCII chunk is coded by numpy; any other, or one the numpy coder cannot
+    vouch for, is read row by row.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text ends with a line end
-    records = list(filter(None, lines))
-    if not records:
-        return len(lines)
-    width = len(TRIAL_CSV_HEADER)
-    if not set(map(str.count, records, repeat(","))) - {width - 1}:
-        fields = ",".join(records).split(",")
-        try:
-            builder.add(*(fields[k::width] for k in range(width)))
-            return len(lines)
-        except (ValueError, InvalidModelError):
-            pass
-    # a fault in the chunk: the row-wise path names its first faulty line
-    _add_rows(builder, [line.split(",") if line else [] for line in lines], first_line)
-    return len(lines)
+    count = _add_ascii(builder, text) if text.isascii() else None
+    if count is None:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a line end
+        # the row-wise path names the first faulty line
+        _add_rows(builder, [line.split(",") if line else [] for line in lines],
+                  first_line)
+        count = len(lines)
+    return count
 
 
 def read_trials_csv(path: str | Path) -> TrialTable:

@@ -19,6 +19,7 @@ printed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -344,6 +345,8 @@ def build_fernandes(scenario: int = 2,
     """
     if scenario not in TRANSIT_SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; pick one of 1, 2, 3")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ConfigError(f"grid_step must be positive and finite, not {grid_step!r}")
     trial_ids, dists = read_trial_distributions(
         trial_dists or bundled_demo_trials_path())
 

@@ -54,6 +54,14 @@ def _finite_number(positive: bool):
     return number
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of an integer >= 0."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 def _add_design_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--case", choices=("weather", "kale2020", "fernandes2018"),
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--strategy", default=None,
                        help="strategy to simulate (default: first)")
     p_sim.add_argument("--n", type=int, default=10_000, help="trial count")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_non_negative_int, default=0)
     p_sim.add_argument("--balanced", action="store_true",
                        help="cycle signals in balanced blocks instead of "
                             "i.i.d. draws")

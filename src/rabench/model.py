@@ -421,6 +421,9 @@ class ExperimentDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", dict(self.strategies))
+        if not self.trials_per_experiment >= 1:
+            raise InvalidModelError(f"trials_per_experiment must be a positive "
+                                    f"integer, not {self.trials_per_experiment!r}")
         if not self.strategies:
             raise InvalidModelError("an experiment design needs at least one strategy")
         priors = {k: s.state_marginal() for k, s in self.strategies.items()}

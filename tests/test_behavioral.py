@@ -254,6 +254,9 @@ def read_outcome(read, path):
 #: six; the rest are written as they are.
 AWKWARD_PIECES = (",", '"', "\r", "\n", "\r\n", '""', " ", "é", "日本", "", "a", "b7")
 PLAIN_PIECES = (" ", "é", "", "a", "b7", "-", "=")
+#: ASCII pieces of one, two and three 8-byte words that share their first
+#: word, so ids are keyed by several words and end in a short last one.
+LONG_PIECES = ("abcdefgh", "abcdefghi", "abcdefgh12345678x", "", "a", "-")
 
 
 def random_table(rng, n, pieces):
@@ -336,7 +339,7 @@ CHUNK_CHARS = [behavioral._CSV_CHUNK_CHARS, 1, 7, 40]
 class TestTrialCsvMatchesCsvModule:
     """The chunked reader and writer give what the csv module gives."""
 
-    @pytest.mark.parametrize("pieces", [AWKWARD_PIECES, PLAIN_PIECES])
+    @pytest.mark.parametrize("pieces", [AWKWARD_PIECES, PLAIN_PIECES, LONG_PIECES])
     def test_random_tables(self, tmp_path, monkeypatch, pieces):
         rng = np.random.default_rng(11)
         path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
@@ -349,6 +352,28 @@ class TestTrialCsvMatchesCsvModule:
                 monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
                 assert read_outcome(read_trials_csv, path) == \
                     read_outcome(reference_read_trials_csv, path)
+
+    def test_colliding_keys_are_read_row_by_row(self, tmp_path, monkeypatch):
+        first_lines = []
+        add_rows = behavioral._add_rows
+
+        def counting_add_rows(builder, rows, first_line):
+            first_lines.append(first_line)
+            add_rows(builder, rows, first_line)
+
+        # every field of every column gets the key 0
+        monkeypatch.setattr(behavioral, "_field_keys",
+                            lambda words, length: np.zeros(len(length), dtype=np.uint64))
+        monkeypatch.setattr(behavioral, "_add_rows", counting_add_rows)
+        rng = np.random.default_rng(12)
+        path = tmp_path / "trials.csv"
+        for n in [1, 17, 700]:
+            write_trials_csv(random_table(rng, n, LONG_PIECES), path)
+            for chars in CHUNK_CHARS:
+                monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+                assert read_outcome(read_trials_csv, path) == \
+                    read_outcome(reference_read_trials_csv, path)
+        assert first_lines
 
     def test_ids_that_are_not_str(self, tmp_path):
         records = [TrialRecord(7, 1, "sigma=2", 2.5, "action", "salt"),
@@ -396,7 +421,7 @@ class TestTrialCsvMatchesCsvModule:
             read_trials_csv(path)
 
     def test_quote_free_rows_skip_the_csv_module(self, tmp_path, monkeypatch):
-        parsed, written = [], []
+        parsed, written, row_wise = [], [], []
         reader, writer = csv.reader, csv.writer
 
         def counting_reader(lines):
@@ -416,9 +441,11 @@ class TestTrialCsvMatchesCsvModule:
         path = tmp_path / "trials.csv"
         monkeypatch.setattr(behavioral.csv, "reader", counting_reader)
         monkeypatch.setattr(behavioral.csv, "writer", CountingWriter)
+        monkeypatch.setattr(behavioral, "_add_rows", lambda *args: row_wise.append(args))
         write_trials_csv(table, path)
         assert read_trials_csv(path) == table
         assert parsed == [list(TRIAL_CSV_HEADER)]
+        assert row_wise == []
         assert len(written) == sum(len(getattr(table, f"{name}_ids")) for name in
                                    ("strategy", "signal", "state", "action"))
 

@@ -152,6 +152,12 @@ class TestFernandesCase:
         with pytest.raises(ConfigError):
             build_fernandes(scenario=9)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_grid_step_rejected(self, step):
+        with pytest.raises(ConfigError, match=f"^grid_step must be positive and "
+                                              f"finite, not {step!r}$"):
+            build_fernandes(grid_step=step)
+
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     def test_score_ordering_holds_for_any_distributions(self, scenario):
         case = build_fernandes(scenario=scenario)

@@ -381,6 +381,9 @@ def _trial_dists(row: str) -> str:
      "strategy 's': "),
     ("config", {"rule": {"kind": "matrix", "scores": [[0, "one"], [1, 0]]}}, "rule: "),
     ("config", {"strategies": ["s"]}, "strategies: "),
+    ("config", {"trials_per_experiment": 0}, "trials_per_experiment"),
+    *[("argv", ["simulate", "--case", "weather", "--agent", "rational", "--n", "10",
+                "--seed", seed, "--out", "x.csv"], "--seed") for seed in ("-1", "1.5")],
     *[("argv", ["pre", "--case", "fernandes2018", "--grid-step", step], "--grid-step")
       for step in ("0", "-1", "nan", "inf")],
     *[("argv", ["simulate", "--case", "weather", "--agent", agent, "--out", "x.csv"],

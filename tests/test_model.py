@@ -352,6 +352,20 @@ class TestExperimentDesign:
                 strategies={},
             )
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_non_positive_trials_per_experiment_rejected(self, weather_states, trials):
+        from rabench.model import ExperimentDesign
+
+        structure = InformationStructure(signals=("v",), joint=np.array([[0.5, 0.5]]))
+        with pytest.raises(InvalidModelError, match="^trials_per_experiment must be"):
+            ExperimentDesign(
+                states=weather_states,
+                actions=ActionSpace.finite(("x", "y")),
+                rule=MatrixRule(np.zeros((2, 2))),
+                strategies={"a": structure},
+                trials_per_experiment=trials,
+            )
+
 
 class TestReportMaps:
     """The vectorized ``to_beliefs`` and the scalar ``to_belief`` agree bit
