@@ -322,9 +322,10 @@ def _raise_first_fault(rows: list[list[str]], first_line: int) -> None:
 
 #: ``_MASKS[k]`` keeps the first k bytes of a little-endian 8-byte word.
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-#: An odd multiplier (2^64 over the golden ratio) that mixes a field's
-#: words into its key.
-_FOLD = np.uint64(0x9E3779B97F4A7C15)
+#: The most bytes of words that ``_add_ascii`` makes per char of a chunk:
+#: a few long fields among short ones would make many times the chunk's
+#: size, and such a chunk is read row by row.
+_WORD_BYTES_PER_CHAR = 16
 
 
 def _field_words(windows: np.ndarray, start: np.ndarray,
@@ -339,25 +340,28 @@ def _field_words(windows: np.ndarray, start: np.ndarray,
     return words
 
 
-def _field_keys(words: list[np.ndarray], length: np.ndarray) -> np.ndarray:
-    """Each field's words and length folded into one uint64: equal fields
-    get equal keys, different ones almost always different keys."""
-    key = length.astype(np.uint64)
-    for word in words:
-        key = key * _FOLD ^ word
-    return key
+def _first_rows(group: np.ndarray) -> np.ndarray:
+    """The first row of each group, given each row's group."""
+    first = np.full(group.max(initial=-1) + 1, len(group))
+    np.minimum.at(first, group, np.arange(len(group)))
+    return first
 
 
 def _distinct(text: str, start: np.ndarray, length: np.ndarray,
-              words: list[np.ndarray]) -> tuple[list[str], np.ndarray] | None:
+              words: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
     """The distinct fields of a column in order of first appearance, and
-    each row's index into them; None if two different fields share a key."""
-    keys, group = np.unique(_field_keys(words, length), return_inverse=True)
-    first = np.full(len(keys), len(group))
-    np.minimum.at(first, group, np.arange(len(group)))
-    same = first[group]
-    if any((column[same] != column).any() for column in (length, *words)):
-        return None
+    each row's index into them."""
+    # the text holds no NUL, so a field's words, zeroed past its end, are
+    # equal only for equal fields
+    _, group = np.unique(words[0], return_inverse=True)
+    first = _first_rows(group)
+    for word in words[1:]:
+        if (word[first[group]] != word).any():
+            # split the groups by this word: both codes are below the
+            # number of rows, so each pair is one exact int64 key
+            _, code = np.unique(word, return_inverse=True)
+            _, group = np.unique(group * (code.max() + 1) + code, return_inverse=True)
+            first = _first_rows(group)
     order = np.argsort(first)
     first = first[order]
     values = [text[s:s + n] for s, n in zip(start[first].tolist(),
@@ -379,8 +383,9 @@ def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
     lines in it.
 
     Return None, adding nothing, if a line that is not blank does not hold
-    ``len(TRIAL_CSV_HEADER) - 1`` commas, a response kind is unknown, a
-    report is not a number, or two different fields of a column share a key.
+    ``len(TRIAL_CSV_HEADER) - 1`` commas, the words of the fields would
+    exceed ``_WORD_BYTES_PER_CHAR`` bytes per char, a response kind is
+    unknown, or a report is not a number.
     """
     raw = (text + "\0" * 8).encode("ascii")
     data = np.frombuffer(raw, dtype=np.uint8)
@@ -403,27 +408,32 @@ def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
     if (np.diff(np.searchsorted(commas, ends), prepend=0)[kept] != width - 1).any():
         return None
     commas = commas.reshape(-1, width - 1).T
+    fields = [(start, stop - start) for start, stop in
+              zip([starts[kept], *(commas + 1)], [*commas, ends[kept]])]
+    # every field takes as many words as its column's longest one, and the
+    # words of trial ids and responses are also copied and widened to UCS-4
+    widths = [max(1, -(-int(length.max()) // 8)) for _, length in fields]
+    rows = len(fields[0][0])
+    if 8 * rows * (sum(widths) + 5 * (widths[0] + widths[-1])) \
+            > _WORD_BYTES_PER_CHAR * len(text):
+        return None
     # the 8 bytes from every offset of the text, read unaligned
     windows = np.ndarray((len(text) + 1,), dtype="<u8", buffer=raw, strides=(1,))
-    columns = []
-    for start, stop in zip([starts[kept], *(commas + 1)], [*commas, ends[kept]]):
-        length = stop - start
-        columns.append((start, length, _field_words(windows, start, length)))
+    columns = [(start, length, _field_words(windows, start, length))
+               for start, length in fields]
     (_, _, trial_words), *named, kind, (r_start, r_length, r_words) = columns
 
-    kinds = _distinct(text, *kind)
-    if kinds is None or not set(kinds[0]) <= {"action", "probability"}:
+    kinds, kind_group = _distinct(text, *kind)
+    if not set(kinds) <= {"action", "probability"}:
         return None
-    is_action = np.array([k == "action" for k in kinds[0]], dtype=bool)[kinds[1]]
-    coded = [_distinct(text, *column) for column in named]
-    actions = _distinct(text, r_start[is_action], r_length[is_action],
-                        [w[is_action] for w in r_words])
-    if actions is None or None in coded:
-        return None
+    is_action = np.array([k == "action" for k in kinds], dtype=bool)[kind_group]
     try:
         reports = [float(r) for r in _strings([w[~is_action] for w in r_words])]
     except ValueError:
         return None
+    coded = [_distinct(text, *column) for column in named]
+    actions = _distinct(text, r_start[is_action], r_length[is_action],
+                        [w[is_action] for w in r_words])
 
     action = np.full(len(is_action), -1, dtype=np.intp)
     action[is_action] = builder.register("action", actions[0])[actions[1]]

@@ -239,6 +239,16 @@ def reference_read_trials_csv(path):
     return builder.table()
 
 
+def traced_peak(call, *args):
+    """The peak of memory traced by ``tracemalloc`` during the call."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def read_outcome(read, path):
     """Every column of the table read, or the error raised."""
     try:
@@ -353,27 +363,19 @@ class TestTrialCsvMatchesCsvModule:
                 assert read_outcome(read_trials_csv, path) == \
                     read_outcome(reference_read_trials_csv, path)
 
-    def test_colliding_keys_are_read_row_by_row(self, tmp_path, monkeypatch):
-        first_lines = []
-        add_rows = behavioral._add_rows
-
-        def counting_add_rows(builder, rows, first_line):
-            first_lines.append(first_line)
-            add_rows(builder, rows, first_line)
-
-        # every field of every column gets the key 0
-        monkeypatch.setattr(behavioral, "_field_keys",
-                            lambda words, length: np.zeros(len(length), dtype=np.uint64))
-        monkeypatch.setattr(behavioral, "_add_rows", counting_add_rows)
-        rng = np.random.default_rng(12)
+    @pytest.mark.parametrize("column", [0, 1, 5])
+    def test_a_long_field_costs_no_more_memory_than_the_csv_module(
+            self, tmp_path, column):
+        lines = csv_lines(20_000)
+        fields = lines[3001].split(",")  # an action row
+        fields[column] = "x" * 100_000
+        lines[3001] = ",".join(fields)
         path = tmp_path / "trials.csv"
-        for n in [1, 17, 700]:
-            write_trials_csv(random_table(rng, n, LONG_PIECES), path)
-            for chars in CHUNK_CHARS:
-                monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
-                assert read_outcome(read_trials_csv, path) == \
-                    read_outcome(reference_read_trials_csv, path)
-        assert first_lines
+        path.write_text("\r\n".join([HEADER_LINE, *lines]) + "\r\n", newline="")
+        assert read_outcome(read_trials_csv, path) == \
+            read_outcome(reference_read_trials_csv, path)
+        assert traced_peak(read_trials_csv, path) <= \
+            1.1 * traced_peak(reference_read_trials_csv, path)
 
     def test_ids_that_are_not_str(self, tmp_path):
         records = [TrialRecord(7, 1, "sigma=2", 2.5, "action", "salt"),
@@ -453,19 +455,11 @@ class TestTrialCsvMatchesCsvModule:
         table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8),
                          100_000, seed=4)
         path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
-
-        def peak(call, *args):
-            tracemalloc.start()
-            try:
-                call(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(write_trials_csv, table, path) <= \
-            1.1 * peak(reference_write_trials_csv, table, reference)
+        assert traced_peak(write_trials_csv, table, path) <= \
+            1.1 * traced_peak(reference_write_trials_csv, table, reference)
         assert path.read_bytes() == reference.read_bytes()
-        assert peak(read_trials_csv, path) <= 1.1 * peak(reference_read_trials_csv, path)
+        assert traced_peak(read_trials_csv, path) <= \
+            1.1 * traced_peak(reference_read_trials_csv, path)
 
 
 class TestTrialTable:
