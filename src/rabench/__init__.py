@@ -10,7 +10,6 @@ from .agents import AgentSpec, simulate
 from .behavioral import (
     EmpiricalJoint,
     LossReport,
-    TrialRecord,
     TrialTable,
     behavioral_score,
     behavioral_value_of_information,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidModelError, TrialDataError
 from .model import (
+    NORMALIZATION_TOL,
     ExperimentDesign,
     ReportMap,
     _normalized_beliefs,
@@ -49,35 +50,12 @@ _CSV_CHUNK_ROWS = 8192
 _CSV_CHUNK_CHARS = 1 << 18
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One observed trial: what was shown, what happened, what the agent did.
-
-    ``response`` is an action id for decision tasks and a probability report
-    in [0, 1] for belief tasks, per ``response_kind``.
-    """
-
-    trial_id: str
-    strategy: str
-    signal: str
-    state: str
-    response_kind: str  # "action" | "probability"
-    response: str | float
-
-    def __post_init__(self):
-        if self.response_kind not in ("action", "probability"):
-            raise InvalidModelError(
-                f"response_kind must be 'action' or 'probability', "
-                f"got {self.response_kind!r}"
-            )
-
-
 def _decode(ids: Sequence[str], codes: np.ndarray) -> list[str]:
     return np.array(ids, dtype=object)[codes].tolist()
 
 
 @dataclass(frozen=True, eq=False)
-class TrialTable(Sequence):
+class TrialTable:
     """Trials stored by column, one row per trial.
 
     ``strategy``, ``signal``, ``state`` and ``action`` are integer codes
@@ -85,10 +63,8 @@ class TrialTable(Sequence):
     A decision row has an action code and a NaN ``report``; a probability
     row has action code -1 and its report in ``report``.
 
-    The table is a sequence of :class:`TrialRecord` rows: an integer index
-    gives one record, while a slice, boolean mask or index array gives the
-    selected rows as a table. A table equals any sequence of the same
-    records in the same order.
+    ``len`` gives the number of rows, and a slice, boolean mask or index
+    array gives the selected rows as a table.
     """
 
     trial_ids: np.ndarray
@@ -113,46 +89,19 @@ class TrialTable(Sequence):
         for name, value in columns.items():
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_records(cls, records: Iterable[TrialRecord]) -> "TrialTable":
-        records = list(records)
-        builder = _TableBuilder()
-        builder.add(
-            [r.trial_id for r in records], [r.strategy for r in records],
-            [r.signal for r in records], [r.state for r in records],
-            [r.response_kind for r in records],
-            [str(r.response) if r.response_kind == "action" else r.response
-             for r in records],
-        )
-        return builder.table()
-
     def __len__(self) -> int:
         return len(self.trial_ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            i = range(len(self))[index]  # raises IndexError as a list does
-            return next(iter(self[i:i + 1]))
+    def __getitem__(self, index) -> "TrialTable":
         return replace(self, trial_ids=self.trial_ids[index],
                        strategy=self.strategy[index], signal=self.signal[index],
                        state=self.state[index], action=self.action[index],
                        report=self.report[index])
 
-    def __iter__(self):
-        return map(TrialRecord, *self._columns(report_format=float))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def _columns(self, report_format: Callable[[float], object]) -> tuple[list, ...]:
+    def _columns(self) -> tuple[list, ...]:
         """The six trial columns as lists, in ``TRIAL_CSV_HEADER`` order.
 
-        Responses are action ids, and probability reports passed through
-        ``report_format``.
+        Responses are action ids, and ``repr`` of probability reports.
         """
         is_action = self.action >= 0
         if is_action.all():
@@ -160,7 +109,7 @@ class TrialTable(Sequence):
         else:
             # code -1 picks the placeholder id appended at the end
             actions = _decode(self.action_ids + ("",), self.action)
-            reports = map(report_format, self.report.tolist())
+            reports = map(repr, self.report.tolist())
             responses = [a if k else r
                          for k, a, r in zip(is_action.tolist(), actions, reports)]
         return (self.trial_ids.tolist(),
@@ -235,13 +184,6 @@ class _TableBuilder:
         return TrialTable(trial_ids=self.trial_ids, **ids, **columns)
 
 
-def _as_table(trials: Iterable[TrialRecord]) -> TrialTable:
-    """A table as is; any other iterable of records converted to one."""
-    if isinstance(trials, TrialTable):
-        return trials
-    return TrialTable.from_records(trials)
-
-
 def _csv_fields(values: Iterable) -> tuple[str, ...]:
     """Each value as ``csv.writer`` writes it as one field of a row."""
     buf = io.StringIO()
@@ -259,14 +201,13 @@ def _csv_fields(values: Iterable) -> tuple[str, ...]:
     return tuple(fields)
 
 
-def write_trials_csv(trials: Iterable[TrialRecord], path: str | Path) -> None:
-    """Write trials (a table or records) as CSV; probability reports are
-    written as ``repr`` of their float.
+def write_trials_csv(table: TrialTable, path: str | Path) -> None:
+    """Write a trial table as CSV; probability reports are written as
+    ``repr`` of their float.
 
     The bytes are those of ``csv.writer``: each distinct id is quoted once
     by it, and the rows are joined a chunk at a time.
     """
-    table = _as_table(trials)
     table = replace(table, **{
         f"{name}_ids": _csv_fields(getattr(table, f"{name}_ids"))
         for name in ("strategy", "signal", "state", "action")})
@@ -280,7 +221,7 @@ def write_trials_csv(trials: Iterable[TrialRecord], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRIAL_CSV_HEADER) + "\r\n")
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            columns = table[start:start + _CSV_CHUNK_ROWS]._columns(report_format=repr)
+            columns = table[start:start + _CSV_CHUNK_ROWS]._columns()
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
@@ -378,15 +319,17 @@ def _strings(words: list[np.ndarray]) -> list[str]:
 
 
 def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
-    """Append the rows of a chunk of whole lines of ASCII text that holds no
-    quote and no NUL, coding each column with numpy; return the number of
-    lines in it.
+    """Append the rows of a chunk of whole lines, coding each column with
+    numpy; return the number of lines in it.
 
-    Return None, adding nothing, if a line that is not blank does not hold
+    Return None, adding nothing, if the text is not ASCII or holds a quote
+    or a NUL, a line that is not blank does not hold
     ``len(TRIAL_CSV_HEADER) - 1`` commas, the words of the fields would
     exceed ``_WORD_BYTES_PER_CHAR`` bytes per char, a response kind is
     unknown, or a report is not a number.
     """
+    if not text.isascii() or '"' in text or "\0" in text:
+        return None
     raw = (text + "\0" * 8).encode("ascii")
     data = np.frombuffer(raw, dtype=np.uint8)
     if "\r" not in text:
@@ -447,43 +390,44 @@ def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
     return len(ends)
 
 
-def _add_text(builder: _TableBuilder, text: str, first_line: int) -> int:
-    """Append the rows of a chunk of whole lines that holds no quote and no
-    NUL, where every field is the text between commas; return the number
-    of lines in it.
-
-    Line ends are "\\r\\n", "\\r" or "\\n", as for ``csv.reader``; a line
-    that is not blank must hold ``len(TRIAL_CSV_HEADER) - 1`` commas. An
-    ASCII chunk is coded by numpy; any other, or one the numpy coder cannot
-    vouch for, is read row by row.
-    """
-    count = _add_ascii(builder, text) if text.isascii() else None
-    if count is None:
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if not lines[-1]:
-            lines.pop()  # the text ends with a line end
-        # the row-wise path names the first faulty line
-        _add_rows(builder, [line.split(",") if line else [] for line in lines],
-                  first_line)
-        count = len(lines)
-    return count
+def _add_parsed(builder: _TableBuilder, lines: Iterable[str], line: int) -> int:
+    """Append the rows that ``csv.reader`` parses from ``lines``, a part of
+    ``_CSV_CHUNK_ROWS`` rows at a time; ``line`` is the line number of the
+    first. Return the line number after the last."""
+    part = []
+    try:
+        for row in csv.reader(lines):
+            part.append(row)
+            if len(part) == _CSV_CHUNK_ROWS:
+                _add_rows(builder, part, line)
+                line, part = line + len(part), []
+    except csv.Error as err:  # such as a field over csv's field size limit
+        _raise_first_fault(part, line)
+        raise TrialDataError(f"line {line + len(part)}: {err}") from None
+    if part:
+        _add_rows(builder, part, line)
+    return line + len(part)
 
 
 def read_trials_csv(path: str | Path) -> TrialTable:
     """Read a trial CSV into a table. Blank lines are skipped; a wrong
     header raises ``TrialDataError``, and so does a line with the wrong
-    number of fields, an unknown response kind or a probability report that
-    is not a number, naming the first such line.
+    number of fields, an unknown response kind, a probability report that
+    is not a number or a field that ``csv.reader`` refuses, naming the first
+    such line.
 
-    The file is read a chunk of whole lines at a time. Up to the first
-    chunk that holds a quote or a NUL, fields are split at commas;
-    from there on ``csv.reader`` parses the rest of the file.
+    The file is read a chunk of whole lines at a time. ``_add_ascii`` codes
+    a chunk with numpy; ``csv.reader`` parses each chunk it refuses, and
+    from a chunk that holds a quote on, the rest of the file, since a
+    quoted field can hold a line end.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise TrialDataError("trial file is empty") from None
+        except csv.Error as err:
+            raise TrialDataError(f"line 1: {err}") from None
         if tuple(h.strip() for h in header) != TRIAL_CSV_HEADER:
             raise TrialDataError(
                 f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
@@ -492,13 +436,13 @@ def read_trials_csv(path: str | Path) -> TrialTable:
         line = 2
         # the readline ends the chunk on a line end, a "\r\n" kept whole
         while chunk := fh.read(_CSV_CHUNK_CHARS) + fh.readline():
-            if '"' in chunk or "\0" in chunk:
-                rows = csv.reader(chain(io.StringIO(chunk, newline=""), fh))
-                while part := list(islice(rows, _CSV_CHUNK_ROWS)):
-                    _add_rows(builder, part, line)
-                    line += len(part)
-                break
-            line += _add_text(builder, chunk, line)
+            count = _add_ascii(builder, chunk)
+            if count is not None:
+                line += count
+                continue
+            lines = io.StringIO(chunk, newline="")
+            line = _add_parsed(builder, chain(lines, fh) if '"' in chunk else lines,
+                               line)
     if not builder.trial_ids:
         raise TrialDataError("trial file contains no records")
     return builder.table()
@@ -571,10 +515,9 @@ def _lookup(ids: Sequence[str], known: Iterable[str]) -> np.ndarray:
     return np.array([index.get(i, -1) for i in ids], dtype=np.intp)
 
 
-def ingest(trials: Sequence[TrialRecord], design: ExperimentDesign,
+def ingest(table: TrialTable, design: ExperimentDesign,
            bin_width: float = DEFAULT_BIN_WIDTH) -> EmpiricalJoint:
-    """Fold trials (a table or records) into an empirical (action, state)
-    joint.
+    """Fold a trial table into an empirical (action, state) joint.
 
     Decision tasks count (action, state) pairs directly; belief tasks bin
     the probability reports at ``bin_width`` and treat each bin as an
@@ -582,7 +525,6 @@ def ingest(trials: Sequence[TrialRecord], design: ExperimentDesign,
     signal, state, and action must exist in the design; offenders are
     reported by trial id.
     """
-    table = _as_table(trials)
     if not len(table):
         raise TrialDataError("no trial records to ingest")
     is_action = table.action >= 0
@@ -610,8 +552,10 @@ def ingest(trials: Sequence[TrialRecord], design: ExperimentDesign,
     else:
         p = table.report
         bad_response = ~((p >= 0.0) & (p <= 1.0))
-        row = np.minimum((np.where(bad_response, 0.0, p) / bin_width).astype(np.intp),
-                         n_rows - 1)
+        # a report on a bin edge, such as 0.58 at width 0.02, is in the bin
+        # above it, however the division rounds
+        bins = np.where(bad_response, 0.0, p) / bin_width + NORMALIZATION_TOL
+        row = np.minimum(bins.astype(np.intp), n_rows - 1)
 
     bad = np.zeros(len(table), dtype=bool)
     problems: set[str] = set()
@@ -746,12 +690,10 @@ def optimization_loss(calibrated: float, behavioral: float, delta: float) -> flo
     return (calibrated - behavioral) / delta
 
 
-def decisions_from_beliefs(trials: Sequence[TrialRecord],
-                           design: ExperimentDesign,
+def decisions_from_beliefs(table: TrialTable, design: ExperimentDesign,
                            report_map: ReportMap | None = None) -> TrialTable:
     """Convert belief reports to decision trials by playing the optimal
     action under each report's mapped belief."""
-    table = _as_table(trials)
     actions = table.action >= 0
     if actions.any():
         raise TrialDataError(
@@ -784,14 +726,14 @@ class LossReport:
 
 
 def loss_report(design: ExperimentDesign, strategy: str,
-                trials: Sequence[TrialRecord],
+                table: TrialTable,
                 bin_width: float = DEFAULT_BIN_WIDTH,
                 smoothing_alpha: float = 0.0,
                 *,
                 report: RationalReport | None = None) -> LossReport:
-    """Full post-experimental decomposition for one strategy's trials (a
-    table or records). Trials of any other strategy are refused, by trial
-    id, rather than folded into the joint.
+    """Full post-experimental decomposition for one strategy's trial table.
+    Trials of any other strategy are refused, by trial id, rather than
+    folded into the joint.
 
     ``report`` must be ``rational_report(design)``; a caller that already
     holds it passes it to skip the recomputation.
@@ -801,7 +743,6 @@ def loss_report(design: ExperimentDesign, strategy: str,
     delta = report.value_of_information
     if delta <= 0.0:
         raise InvalidModelError("loss ratios need a positive value of information")
-    table = _as_table(trials)
     own = table.strategy_ids.index(strategy) if strategy in table.strategy_ids else -1
     foreign = table.strategy != own
     if foreign.any():

@@ -375,11 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RabenchError as err:
+    except (RabenchError, OSError) as err:  # OSError: a file that cannot be opened
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except UnicodeDecodeError as err:
+        print(f"error: an input file is not UTF-8 text: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # internal invariant violation
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)

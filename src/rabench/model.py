@@ -33,6 +33,10 @@ from .errors import DimensionError, InvalidModelError, ZeroMassSignalError
 #: renormalized; anything worse is rejected.
 NORMALIZATION_TOL = 1e-9
 
+#: The narrowest probability-report bin: any two bins at least this wide
+#: have distinct ``.6g`` ids.
+MIN_BIN_WIDTH = 1e-5
+
 #: Tolerance used when experiment strategies must share a common state prior.
 PRIOR_MATCH_TOL = 1e-6
 
@@ -169,10 +173,12 @@ def report_bins(bin_width: float) -> tuple[np.ndarray, tuple[str, ...]]:
 
     Bin k covers [k w, (k + 1) w). When w does not divide 1 the last bin is
     cut off at 1 and its midpoint is that of [lo, 1]; widths that divide 1
-    up to rounding have no partial bin.
+    up to rounding have no partial bin. Widths below ``MIN_BIN_WIDTH`` are
+    refused: their bins' ids would collide.
     """
-    if not (0.0 < bin_width <= 1.0):
-        raise InvalidModelError("bin width must lie in (0, 1]")
+    if not (MIN_BIN_WIDTH <= bin_width <= 1.0):
+        raise InvalidModelError(f"bin width must lie in [{MIN_BIN_WIDTH:g}, 1], "
+                                f"not {bin_width!r}")
     n_bins = int(np.ceil(1.0 / bin_width - NORMALIZATION_TOL))
     mids = (np.arange(n_bins) + 0.5) * bin_width
     if n_bins * bin_width > 1.0 + NORMALIZATION_TOL:

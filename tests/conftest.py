@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rabench import behavioral
 from rabench.model import (
     ActionSpace,
     Belief,
@@ -172,3 +173,16 @@ def transit_dists_1000(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("dists") / "transit-1000.csv"
     write_generated_dists(path, 1000, seed=7)
     return path
+
+
+def trial_table(rows) -> behavioral.TrialTable:
+    """A trial table of rows given as (trial id, strategy, signal, state,
+    response kind, response) tuples, coded as the CSV reader codes them."""
+    builder = behavioral._TableBuilder()
+    builder.add(*(list(map(list, zip(*rows))) or [[]] * 6))
+    return builder.table()
+
+
+def trial_rows(table: behavioral.TrialTable) -> list[tuple]:
+    """The rows of a trial table as tuples of the fields written to its CSV."""
+    return list(zip(*table._columns()))

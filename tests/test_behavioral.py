@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 from itertools import islice
 from operator import itemgetter
@@ -12,7 +13,6 @@ from rabench.behavioral import (
     TRIAL_CSV_HEADER,
     EmpiricalJoint,
     LossReport,
-    TrialRecord,
     TrialTable,
     behavioral_score,
     behavioral_value_of_information,
@@ -42,11 +42,11 @@ from rabench.model import (
 )
 from rabench.rational import rational_report
 
-from conftest import weather_design
+from conftest import trial_rows, trial_table, weather_design
 
 
 def record(i, strategy, signal, state, kind="action", response="no-salt"):
-    return TrialRecord(str(i), strategy, signal, state, kind, response)
+    return str(i), strategy, signal, state, kind, response
 
 
 def exact_joint(design, masses, kind="action", scale=10_000.0):
@@ -88,7 +88,7 @@ class TestIngest:
             record(3, "CI", "sigma=2", "not-freezing", response="no-salt"),
             record(4, "CI", "sigma=2", "not-freezing", response="no-salt"),
         ]
-        joint = ingest(records, design)
+        joint = ingest(trial_table(records), design)
         assert joint.kind == "action"
         assert joint.masses[design.actions.index("salt"), 1] == pytest.approx(0.5)
         assert joint.masses[design.actions.index("no-salt"), 0] == pytest.approx(0.5)
@@ -99,7 +99,7 @@ class TestIngest:
             record(1, "CI", "sigma=5", "freezing", "probability", 0.551),
             record(2, "CI", "sigma=5", "freezing", "probability", 0.559),
         ]
-        joint = ingest(records, design, bin_width=0.02)
+        joint = ingest(trial_table(records), design, bin_width=0.02)
         populated = np.flatnonzero(joint.counts.sum(axis=1))
         assert len(populated) == 1
         assert joint.action_values[populated[0]] == pytest.approx(0.55)
@@ -111,16 +111,16 @@ class TestIngest:
             record(99, "CI", "sigma=5", "hail", response="salt"),
         ]
         with pytest.raises(TrialDataError) as err:
-            ingest(records, design)
+            ingest(trial_table(records), design)
         assert "99" in str(err.value)
 
     def test_unknown_action_and_signal_rejected(self):
         design = weather_design()
         with pytest.raises(TrialDataError):
-            ingest([record(1, "CI", "sigma=9", "freezing")], design)
+            ingest(trial_table([record(1, "CI", "sigma=9", "freezing")]), design)
         with pytest.raises(TrialDataError):
-            ingest([record(1, "CI", "sigma=5", "freezing", response="shovel")],
-                   design)
+            ingest(trial_table([record(1, "CI", "sigma=5", "freezing",
+                                       response="shovel")]), design)
 
     def test_mixed_task_types_rejected(self):
         design = weather_design()
@@ -129,24 +129,37 @@ class TestIngest:
             record(2, "CI", "sigma=5", "freezing", "probability", 0.5),
         ]
         with pytest.raises(TrialDataError):
-            ingest(records, design)
+            ingest(trial_table(records), design)
 
     def test_empty_records_rejected(self):
         with pytest.raises(TrialDataError):
-            ingest([], weather_design())
+            ingest(trial_table([]), weather_design())
 
     def test_partial_last_bin_midpoint(self):
         design = weather_design()
         records = [record(1, "CI", "sigma=5", "freezing", "probability", 1.0)]
-        joint = ingest(records, design, bin_width=0.3)
+        joint = ingest(trial_table(records), design, bin_width=0.3)
         assert joint.action_values == pytest.approx((0.15, 0.45, 0.75, 0.95))
         assert joint.counts[3, 1] == 1.0
+
+    @pytest.mark.parametrize("width, per_bin", [(0.02, 2), (0.05, 5), (0.1, 10)])
+    def test_reports_on_bin_edges_land_in_the_bin_above(self, width, per_bin):
+        # bin k covers [k w, (k + 1) w), so report k/100 is in bin
+        # floor(k / (100 w)), the last bin also holding 1
+        design = weather_design()
+        n_bins = 100 // per_bin
+        for k in range(101):
+            table = trial_table([record(k, "CI", "sigma=5", "freezing",
+                                        "probability", k / 100)])
+            joint = ingest(table, design, bin_width=width)
+            assert np.flatnonzero(joint.counts.sum(axis=1)).tolist() == \
+                [min(k // per_bin, n_bins - 1)], k
 
     def test_report_outside_unit_interval_rejected(self):
         design = weather_design()
         with pytest.raises(TrialDataError):
-            ingest([record(1, "CI", "sigma=5", "freezing", "probability", 1.2)],
-                   design)
+            ingest(trial_table([record(1, "CI", "sigma=5", "freezing",
+                                       "probability", 1.2)]), design)
 
 
 class TestTrialCsv:
@@ -156,9 +169,8 @@ class TestTrialCsv:
             record(2, "CI", "sigma=3", "not-freezing", "probability", 0.0478),
         ]
         path = tmp_path / "trials.csv"
-        write_trials_csv(records, path)
-        back = read_trials_csv(path)
-        assert back == records
+        write_trials_csv(trial_table(records), path)
+        assert trial_rows(read_trials_csv(path)) == trial_rows(trial_table(records))
 
     def test_round_trip_quotes_awkward_ids(self, tmp_path):
         records = [
@@ -167,12 +179,11 @@ class TestTrialCsv:
             record("", "CI", "sigma=2", "not-freezing", "probability", 0.1),
         ]
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        write_trials_csv(records, first)
+        write_trials_csv(trial_table(records), first)
         back = read_trials_csv(first)
         write_trials_csv(back, second)
         assert second.read_bytes() == first.read_bytes()
-        assert back == records
-        assert list(back) == records
+        assert trial_rows(back) == trial_rows(trial_table(records))
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -190,8 +201,8 @@ class TestTrialCsv:
 # -- the csv-module trial CSV writer and reader, kept as the reference ----
 
 
-def reference_write_trials_csv(trials, path):
-    columns = behavioral._as_table(trials)._columns(report_format=repr)
+def reference_write_trials_csv(table, path):
+    columns = table._columns()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
@@ -378,11 +389,11 @@ class TestTrialCsvMatchesCsvModule:
             1.1 * traced_peak(reference_read_trials_csv, path)
 
     def test_ids_that_are_not_str(self, tmp_path):
-        records = [TrialRecord(7, 1, "sigma=2", 2.5, "action", "salt"),
-                   TrialRecord(None, "CI", None, "freezing", "probability", 0.5)]
+        table = trial_table([(7, 1, "sigma=2", 2.5, "action", "salt"),
+                             (None, "CI", None, "freezing", "probability", 0.5)])
         path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
-        write_trials_csv(records, path)
-        reference_write_trials_csv(records, reference)
+        write_trials_csv(table, path)
+        reference_write_trials_csv(table, reference)
         assert path.read_bytes() == reference.read_bytes()
 
     def test_large_table_writes_in_chunks(self, tmp_path):
@@ -445,11 +456,67 @@ class TestTrialCsvMatchesCsvModule:
         monkeypatch.setattr(behavioral.csv, "writer", CountingWriter)
         monkeypatch.setattr(behavioral, "_add_rows", lambda *args: row_wise.append(args))
         write_trials_csv(table, path)
-        assert read_trials_csv(path) == table
+        assert trial_rows(read_trials_csv(path)) == trial_rows(table)
         assert parsed == [list(TRIAL_CSV_HEADER)]
         assert row_wise == []
         assert len(written) == sum(len(getattr(table, f"{name}_ids")) for name in
                                    ("strategy", "signal", "state", "action"))
+
+    def test_a_refused_chunk_alone_goes_through_the_csv_module(self, tmp_path,
+                                                               monkeypatch):
+        lines = csv_lines(300)
+        lines[150] = lines[150].replace(",CI,", ",Cé,")
+        path = tmp_path / "trials.csv"
+        path.write_bytes(("\r\n".join([HEADER_LINE, *lines]) + "\r\n").encode("utf-8"))
+        parsed, coded = [], []
+        reader, add_ascii = csv.reader, behavioral._add_ascii
+
+        def counting_reader(lines):
+            for row in reader(lines):
+                parsed.append(row)
+                yield row
+
+        def counting_add_ascii(builder, text):
+            coded.append(add_ascii(builder, text))
+            return coded[-1]
+
+        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", 2000)
+        monkeypatch.setattr(behavioral.csv, "reader", counting_reader)
+        monkeypatch.setattr(behavioral, "_add_ascii", counting_add_ascii)
+        outcome = read_outcome(read_trials_csv, path)
+        monkeypatch.undo()
+        assert outcome == read_outcome(reference_read_trials_csv, path)
+        # one chunk is refused, and the chunks after it are coded by numpy
+        assert coded.count(None) == 1 and coded[-1] is not None
+        header, *rows = parsed
+        assert header == list(TRIAL_CSV_HEADER)
+        first = lines.index(",".join(rows[0]))
+        assert [",".join(row) for row in rows] == lines[first:first + len(rows)]
+        assert lines[150] in lines[first:first + len(rows)]
+        assert len(rows) + sum(c for c in coded if c is not None) == len(lines)
+
+    @pytest.mark.parametrize("fault, message", [
+        (False, "line 7: field larger than field limit (131072)"),
+        (True, "line 4: probability response 'often' is not a number"),
+    ])
+    @pytest.mark.parametrize("field", ['"' + "x" * 200_000 + '"', "x" * 200_000,
+                                       "é" * 200_000])
+    def test_a_field_over_the_csv_field_limit_names_the_first_fault(
+            self, tmp_path, field, fault, message):
+        lines = csv_lines(20)
+        lines[5] = ",".join([field, *lines[5].split(",")[1:]])
+        if fault:
+            lines[2] = "2,CI,sigma=2,freezing,probability,often"
+        path = tmp_path / "trials.csv"
+        path.write_bytes(("\r\n".join([HEADER_LINE, *lines]) + "\r\n").encode("utf-8"))
+        with pytest.raises(TrialDataError, match=f"^{re.escape(message)}$"):
+            read_trials_csv(path)
+
+    def test_a_header_over_the_csv_field_limit_names_line_1(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_bytes(("x" * 200_000 + "\r\n" + ROWS[0]).encode("utf-8"))
+        with pytest.raises(TrialDataError, match="^line 1: field larger than field limit"):
+            read_trials_csv(path)
 
     def test_memory_within_the_csv_module_s(self, tmp_path):
         table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8),
@@ -469,17 +536,13 @@ class TestTrialTable:
             record(2, "mean", "mu=5", "not-freezing", "action", "no-salt"),
             record(3, "CI", "sigma=2", "not-freezing", "probability", 0.25),
         ]
-        table = TrialTable.from_records(records)
+        table = trial_table(records)
         assert len(table) == 3
-        assert table == records and records == table
-        assert table[0] == records[0] and table[-1] == records[-1]
-        with pytest.raises(IndexError):
-            table[3]
         ci = table[table.strategy == table.strategy_ids.index("CI")]
         assert isinstance(ci, TrialTable)
-        assert ci == [records[0], records[2]]
-        assert table[1:] == records[1:]
-        assert table != records[:2]
+        assert trial_rows(ci) == trial_rows(trial_table([records[0], records[2]]))
+        assert trial_rows(table[1:]) == trial_rows(trial_table(records[1:]))
+        assert trial_rows(table[[2, 0]]) == trial_rows(trial_table(records[::-2]))
 
     def test_loss_report_refuses_other_strategies(self):
         # scored as CI, trials of the mean strategy would fold into the joint
@@ -492,7 +555,7 @@ class TestTrialTable:
         mixed = [record(1, "CI", "sigma=5", "freezing", response="salt"),
                  record(2, "mean", "mu=5", "freezing", response="salt")]
         with pytest.raises(TrialDataError) as err:
-            loss_report(design, "CI", mixed)
+            loss_report(design, "CI", trial_table(mixed))
         assert err.value.trial_ids == ["2"]
 
 
@@ -524,7 +587,7 @@ class TestBehavioralScore:
             # below but freezing: no-salt scores -100
             record(3, "CI", "sigma=3", "freezing", "probability", 0.05),
         ]
-        joint = ingest(records, design)
+        joint = ingest(trial_table(records), design)
         assert behavioral_score(joint, design) == pytest.approx(-100.0 / 3.0)
 
 
@@ -604,7 +667,7 @@ class TestLossReports:
         ]
         # not a statistical test: these four records happen to produce
         # conditionals on the rational side of the threshold
-        report = loss_report(design, "CI", records)
+        report = loss_report(design, "CI", trial_table(records))
         assert report.optimization_loss == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_identity(self):
@@ -638,7 +701,7 @@ class TestLossReports:
             record(1, "CI", "sigma=2", "not-freezing", response="salt"),
             record(2, "CI", "sigma=3", "not-freezing", response="salt"),
         ]
-        report = loss_report(design, "CI", records)
+        report = loss_report(design, "CI", trial_table(records))
         assert any("baseline" in w for w in report.warnings)
 
     def test_pooling_weights_by_trial_count(self):
@@ -667,27 +730,26 @@ class TestDecisionsFromBeliefs:
     def test_high_report_hires(self):
         design = self.kale_design()
         signal = design.strategies["QDP"].signals[0]
-        records = [TrialRecord("1", "QDP", signal, "win-win", "probability", 0.95)]
-        out = decisions_from_beliefs(records, design)
-        assert out[0].response == "hire"
-        assert out[0].response_kind == "action"
+        table = trial_table([("1", "QDP", signal, "win-win", "probability", 0.95)])
+        out = decisions_from_beliefs(table, design)
+        assert trial_rows(out) == [("1", "QDP", signal, "win-win", "action", "hire")]
 
     def test_low_report_does_not_hire(self):
         design = self.kale_design()
         signal = design.strategies["QDP"].signals[0]
-        records = [
-            TrialRecord("1", "QDP", signal, "win-win", "probability", 0.55),
-            TrialRecord("2", "QDP", signal, "win-lose", "probability", 0.5),
-        ]
-        out = decisions_from_beliefs(records, design)
-        assert [r.response for r in out] == ["no-hire", "no-hire"]
+        table = trial_table([
+            ("1", "QDP", signal, "win-win", "probability", 0.55),
+            ("2", "QDP", signal, "win-lose", "probability", 0.5),
+        ])
+        out = decisions_from_beliefs(table, design)
+        assert [r[5] for r in trial_rows(out)] == ["no-hire", "no-hire"]
 
     def test_action_records_rejected(self):
         design = self.kale_design()
         signal = design.strategies["QDP"].signals[0]
-        records = [TrialRecord("1", "QDP", signal, "win-win", "action", "hire")]
+        table = trial_table([("1", "QDP", signal, "win-win", "action", "hire")])
         with pytest.raises(TrialDataError):
-            decisions_from_beliefs(records, design)
+            decisions_from_beliefs(table, design)
 
     def test_scoring_beliefs_matches_scoring_mapped_decisions(self):
         # on reports that sit exactly on bin midpoints, scoring the binned
@@ -703,8 +765,9 @@ class TestDecisionsFromBeliefs:
             state = rng.choice(TWO_TEAM_STATE_IDS, p=cond)
             raw = float(np.clip(rng.normal(0.75, 0.12), 0.01, 0.99))
             midpoint = (int(raw / 0.02) + 0.5) * 0.02
-            records.append(TrialRecord(str(i), "QDP", structure.signals[v],
-                                       str(state), "probability", midpoint))
+            records.append((str(i), "QDP", structure.signals[v],
+                            str(state), "probability", midpoint))
+        records = trial_table(records)
         as_reports = behavioral_score(ingest(records, design), design)
         as_decisions = behavioral_score(
             ingest(decisions_from_beliefs(records, design), design), design
@@ -731,9 +794,9 @@ class TestBinningConsistency:
             signal = structure.signals[v]
             q = posteriors[signal]
             noisy = 1.0 / (1.0 + np.exp(-(np.log(q / (1 - q)) + rng.normal(0, 0.6))))
-            records.append(TrialRecord(str(i), "CI", signal,
-                                       design.states.ids[t], "probability",
-                                       float(noisy)))
+            records.append((str(i), "CI", signal, design.states.ids[t],
+                            "probability", float(noisy)))
+        records = trial_table(records)
         c_coarse = calibrate(ingest(records, design, bin_width=0.05),
                              design).calibrated_score
         c_fine = calibrate(ingest(records, design, bin_width=0.02),

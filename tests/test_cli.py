@@ -370,6 +370,7 @@ def _trial_dists(row: str) -> str:
 @pytest.mark.parametrize("source, bad, message", [
     ("config", {}, None),
     ("dists", "b,20,0.1,1,inf", None),
+    ("argv", TRIALS, None),
     *[("dists", row, "trial 'b': mu, sigma and nu must be finite") for row in (
         "b,inf,0.1,1,5", "b,nan,0.1,1,5", "b,20,inf,1,5",
         "b,20,nan,1,5", "b,20,0.1,inf,5", "b,20,0.1,nan,5")],
@@ -390,12 +391,25 @@ def _trial_dists(row: str) -> str:
        "--agent") for agent in ("noisy:k=abc", "lapse:rate=abc")],
     *[("argv", [*TRIALS, "--smoothing-alpha", alpha], "--smoothing-alpha")
       for alpha in ("-1", "nan", "inf")],
+    ("argv", [*TRIALS, "--bin-width", "1e-300"], "bin width must lie in"),
+    ("argv", [*TRIALS[:-1], "long.csv"], "line 2: field larger than field limit"),
+    *[("argv", argv, message) for path, message in (("latin-1.txt", "not UTF-8"),
+                                                     (".", "Is a directory"))
+      for argv in (["post", "--case", "weather", "--trials", path],
+                   ["pre", "--config", path],
+                   ["pre", "--case", "fernandes2018", "--trial-dists", path])],
 ])
 def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
                                  message):
     """Each malformed input exits 2 with a message naming where it is; the
     first cases are well formed and exit 0."""
     monkeypatch.chdir(tmp_path)
+    header = "trial_id,strategy,signal,state,response_kind,response\n"
+    Path("trials.csv").write_text(header + "0,CI,sigma=5,freezing,probability,0.5\n",
+                                  encoding="utf-8")
+    Path("long.csv").write_text(header + f'"{"x" * 200_000}",CI,sigma=5,freezing,'
+                                "action,salt\n", encoding="utf-8")
+    Path("latin-1.txt").write_bytes("é,".encode("latin-1"))
     if source == "dists":
         Path("dists.csv").write_text(_trial_dists(bad), encoding="utf-8")
         argv = ["pre", "--case", "fernandes2018", "--trial-dists", "dists.csv"]

@@ -4,6 +4,7 @@ import pytest
 from rabench.errors import DimensionError, InvalidModelError
 from rabench.generative import two_team_report_map
 from rabench.model import (
+    MIN_BIN_WIDTH,
     ActionSpace,
     Belief,
     DecisionProblem,
@@ -18,6 +19,7 @@ from rabench.model import (
     outcome_scores,
     proper_score,
     realized_score,
+    report_bins,
     validate,
 )
 
@@ -66,6 +68,16 @@ class TestSpaces:
             ActionSpace.probability_reports(states, bin_width=0.0)
         with pytest.raises(InvalidModelError):
             ActionSpace.probability_reports(states, bin_width=1.5)
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-6, 0.99e-5, float("nan")])
+    def test_too_narrow_bins_refused(self, width):
+        with pytest.raises(InvalidModelError, match="bin width must lie in"):
+            report_bins(width)
+
+    @pytest.mark.parametrize("width", [MIN_BIN_WIDTH, 1.7e-5, 3e-5])
+    def test_narrowest_bins_have_distinct_ids(self, width):
+        mids, ids = report_bins(width)
+        assert len(set(ids)) == len(ids) == len(mids)
 
 
 class TestBelief:
