@@ -67,9 +67,6 @@ from .model import (
     ReportMap,
     StateSpace,
     TransitRule,
-    expected_score,
-    optimal_action,
-    proper_score,
     validate,
 )
 from .payment import (

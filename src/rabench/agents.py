@@ -19,13 +19,8 @@ import numpy as np
 from .behavioral import TrialTable, _resolve_report_map
 from .errors import InvalidModelError
 from .generative import sample_cells
-from .model import (
-    Belief,
-    ExperimentDesign,
-    optimal_action,
-    optimal_action_indices,
-)
-from .rational import posterior, prior
+from .model import ExperimentDesign, optimal_action_indices
+from .rational import prior
 
 
 @dataclass(frozen=True)
@@ -152,8 +147,8 @@ def _decision_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
         return optimal_action_indices(problem, problem.structure.posteriors())[v_idx]
 
     if agent.kind == "prior":
-        fixed, _ = optimal_action(problem, prior(problem.structure))
-        return np.full(n, problem.actions.index(fixed))
+        p = prior(problem.structure).probabilities
+        return np.full(n, optimal_action_indices(problem, p[None, :])[0])
 
     if agent.kind == "uniform-random":
         return rng.integers(0, n_actions, size=n)
@@ -172,22 +167,19 @@ def _decision_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
 def _belief_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
     """Each trial's probability report."""
     problem = design.problem(strategy)
-    from_belief = _resolve_report_map(design).from_belief
+    from_beliefs = _resolve_report_map(design).from_beliefs
     n = len(v_idx)
 
     if agent.kind in ("rational", "noisy-belief"):
-        per_signal = np.array([
-            from_belief(posterior(problem.structure, v))
-            for v in problem.structure.signals
-        ])
-        reports = per_signal[v_idx]
+        reports = from_beliefs(problem.structure.posteriors())[v_idx]
         if agent.kind == "noisy-belief" and agent.noise_sd > 0:
             noise = rng.normal(0.0, agent.noise_sd, size=n)
             reports = _sigmoid(_logit(reports) + noise)
         return reports
 
     if agent.kind == "prior":
-        return np.full(n, float(from_belief(prior(problem.structure))))
+        p = prior(problem.structure).probabilities
+        return np.full(n, from_beliefs(p[None, :])[0])
 
     if agent.kind == "uniform-random":
         return rng.uniform(size=n)
@@ -216,6 +208,6 @@ def _noisy_beliefs(design, problem, v_idx, noise_sd, rng) -> np.ndarray:
         raw = posteriors[v_idx]
         bumped = _sigmoid(_logit(raw) + rng.normal(0.0, noise_sd, size=raw.shape))
         return bumped / bumped.sum(axis=1, keepdims=True)
-    axis = np.array([report_map.from_belief(Belief(row)) for row in posteriors])
-    bumped = _sigmoid(_logit(axis[v_idx]) + rng.normal(0.0, noise_sd, size=n))
+    axis = report_map.from_beliefs(posteriors)[v_idx]
+    bumped = _sigmoid(_logit(axis) + rng.normal(0.0, noise_sd, size=n))
     return report_map.to_beliefs(bumped)

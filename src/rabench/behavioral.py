@@ -225,26 +225,27 @@ def write_trials_csv(table: TrialTable, path: str | Path) -> None:
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def _add_rows(builder: _TableBuilder, rows: list[list[str]], first_line: int) -> None:
+def _add_rows(builder: _TableBuilder, rows: list[list[str]],
+              first_lines: list[int]) -> None:
     """Append rows parsed from the file, a blank line being an empty row;
-    ``first_line`` is the line number of the first."""
+    ``first_lines[i]`` is the number of the line that row i starts on."""
     width = len(TRIAL_CSV_HEADER)
     kept = [row for row in rows if row]
     if set(map(len, kept)) - {width}:
-        _raise_first_fault(rows, first_line)
+        _raise_first_fault(rows, first_lines)
     try:
         builder.add(*(list(map(itemgetter(k), kept)) for k in range(width)))
     except (ValueError, InvalidModelError):
-        _raise_first_fault(rows, first_line)
+        _raise_first_fault(rows, first_lines)
         raise
 
 
-def _raise_first_fault(rows: list[list[str]], first_line: int) -> None:
+def _raise_first_fault(rows: list[list[str]], first_lines: list[int]) -> None:
     """Raise ``TrialDataError`` naming the first line, in file order, with
     the wrong number of fields, an unknown response kind or a probability
     report that is not a number; return if there is none."""
     width = len(TRIAL_CSV_HEADER)
-    for i, row in enumerate(rows, start=first_line):
+    for i, row in zip(first_lines, rows):
         if not row:
             continue
         if len(row) != width:
@@ -393,20 +394,27 @@ def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
 def _add_parsed(builder: _TableBuilder, lines: Iterable[str], line: int) -> int:
     """Append the rows that ``csv.reader`` parses from ``lines``, a part of
     ``_CSV_CHUNK_ROWS`` rows at a time; ``line`` is the line number of the
-    first. Return the line number after the last."""
-    part = []
+    first line. Return the line number after the last.
+
+    A quoted field can hold line ends, so a row's first line is counted
+    from the lines that the reader has taken, not from the rows before it.
+    """
+    reader, start = csv.reader(lines), line
+    part, first_lines = [], []
     try:
-        for row in csv.reader(lines):
+        for row in reader:
             part.append(row)
+            first_lines.append(line)
+            line = start + reader.line_num
             if len(part) == _CSV_CHUNK_ROWS:
-                _add_rows(builder, part, line)
-                line, part = line + len(part), []
+                _add_rows(builder, part, first_lines)
+                part, first_lines = [], []
     except csv.Error as err:  # such as a field over csv's field size limit
-        _raise_first_fault(part, line)
-        raise TrialDataError(f"line {line + len(part)}: {err}") from None
+        _raise_first_fault(part, first_lines)
+        raise TrialDataError(f"line {line}: {err}") from None
     if part:
-        _add_rows(builder, part, line)
-    return line + len(part)
+        _add_rows(builder, part, first_lines)
+    return line
 
 
 def read_trials_csv(path: str | Path) -> TrialTable:
@@ -422,8 +430,9 @@ def read_trials_csv(path: str | Path) -> TrialTable:
     quoted field can hold a line end.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise TrialDataError("trial file is empty") from None
         except csv.Error as err:
@@ -433,7 +442,7 @@ def read_trials_csv(path: str | Path) -> TrialTable:
                 f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
             )
         builder = _TableBuilder()
-        line = 2
+        line = reader.line_num + 1
         # the readline ends the chunk on a line end, a "\r\n" kept whole
         while chunk := fh.read(_CSV_CHUNK_CHARS) + fh.readline():
             count = _add_ascii(builder, chunk)

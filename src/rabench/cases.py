@@ -35,8 +35,8 @@ from .generative import (
     TwoTeamDGM,
     discretize,
     kale_joint,
-    two_team_belief,
     two_team_report_map,
+    two_team_rows,
 )
 from .model import (
     ActionSpace,
@@ -153,12 +153,8 @@ def two_team_decision_threshold(rule: MatrixRule) -> float:
     whose gap keeps one sign on (0, 1), where one action dominates, have no
     threshold and are refused.
     """
-
-    def gap(w: float) -> float:
-        ev = rule.scores @ two_team_belief(w).probabilities
-        return float(ev[1] - ev[0])
-
-    g0, g1 = gap(0.0), gap(1.0)
+    ev = two_team_rows(np.array([0.0, 1.0])) @ rule.scores.T
+    g0, g1 = (ev[:, 1] - ev[:, 0]).tolist()
     if not (g0 < 0.0 < g1 or g1 < 0.0 < g0):
         raise InvalidModelError(
             f"no hire/no-hire threshold: the hire-minus-keep gap runs from "

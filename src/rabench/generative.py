@@ -22,12 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import (
-    Belief,
-    DecisionProblem,
-    InformationStructure,
-    outcome_scores,
-)
+from .model import DecisionProblem, InformationStructure, outcome_scores
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -129,14 +124,20 @@ def _pos_to_win(pos: np.ndarray) -> np.ndarray:
 
 def win_probability_to_pos(win: float) -> float:
     """Inverse of :func:`pos_to_win_probability`."""
+    return float(_win_to_pos(np.array([float(win)]))[0])
+
+
+def _win_to_pos(win: np.ndarray) -> np.ndarray:
+    """:func:`win_probability_to_pos` element by element."""
     from scipy.special import ndtr, ndtri
 
-    win = float(win)
-    if not (0.0 < win < 1.0):
+    outside = ~((win > 0.0) & (win < 1.0))
+    if np.any(outside):
         raise InvalidModelError(
-            f"win probability {win!r} must lie strictly inside (0, 1)"
+            f"win probability {float(win[outside][0])!r} must lie strictly "
+            f"inside (0, 1)"
         )
-    return float(ndtr(ndtri(win) / _SQRT2))
+    return ndtr(ndtri(win) / _SQRT2)
 
 
 #: Default superiority levels: a warped geometric grid over [0.55, 0.95]
@@ -182,21 +183,17 @@ class TwoTeamDGM:
         object.__setattr__(self, "pos_levels", levels)
 
     def win_probabilities(self) -> np.ndarray:
-        return np.array([pos_to_win_probability(p) for p in self.pos_levels])
+        return _pos_to_win(np.array(self.pos_levels))
 
 
 #: State order for the two-team game: (incumbent outcome, new-player outcome).
 TWO_TEAM_STATE_IDS = ("lose-lose", "lose-win", "win-lose", "win-win")
 
 
-def two_team_belief(win_probability: float) -> Belief:
-    """Belief over the four (incumbent, new-player) outcomes implied by a
-    new-player win probability; the incumbent side stays at 1/2."""
-    return Belief(_two_team_rows(np.array([float(win_probability)]))[0])
-
-
-def _two_team_rows(win: np.ndarray) -> np.ndarray:
-    """:func:`two_team_belief` for each win probability, one row each."""
+def two_team_rows(win: np.ndarray) -> np.ndarray:
+    """Belief over the four (incumbent, new-player) outcomes implied by each
+    new-player win probability, one row each; the incumbent side stays at
+    1/2."""
     lose_half, win_half = 0.5 * (1.0 - win), 0.5 * win
     return np.column_stack([lose_half, win_half, lose_half, win_half])
 
@@ -207,13 +204,9 @@ def two_team_report_map() -> "ReportMap":
     with it the full four-state belief."""
     from .model import ReportMap
 
-    def from_belief(belief: Belief) -> float:
-        w = float(belief.probabilities[1] + belief.probabilities[3])
-        return win_probability_to_pos(w)
-
     return ReportMap(name="pos-to-win",
-                     belief_rows=lambda r: _two_team_rows(_pos_to_win(r)),
-                     from_belief=from_belief)
+                     belief_rows=lambda r: two_team_rows(_pos_to_win(r)),
+                     from_beliefs=lambda P: _win_to_pos(P[:, 1] + P[:, 3]))
 
 
 def kale_joint(dgm: TwoTeamDGM, check_marginal: bool = True) -> InformationStructure:
@@ -409,9 +402,6 @@ class DiscretizedDistribution:
         mean = self.masses @ self.grid
         return float(mean) if mean.ndim == 0 else mean
 
-    def belief(self) -> Belief:
-        return Belief(self.masses)
-
 
 def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
     """Bin a continuous distribution onto cell centers ``grid``.
@@ -454,15 +444,14 @@ def sample_cells(joint: np.ndarray, n: int,
 
 
 def monte_carlo_score(problem: DecisionProblem, actions,
-                      n: int, seed: int,
-                      n_batches: int = 1) -> tuple[float, float]:
+                      n: int, seed: int) -> tuple[float, float]:
     """Estimate the expected score of playing action index ``actions[i]``
     on signal i, by sampling (signal, state) pairs from the joint.
 
-    Returns (mean, standard error). Batches draw from independently derived
-    child seeds and merge deterministically, so the result depends only on
-    (seed, n, n_batches). Cells score as in :func:`outcome_scores`: a transit
-    cell takes its signal's posterior mean, as the exact analysis does.
+    Returns (mean, standard error); the draws come from a child seed derived
+    from ``seed``, so the result depends only on (seed, n). Cells score as in
+    :func:`outcome_scores`: a transit cell takes its signal's posterior mean,
+    as the exact analysis does.
     """
     if n < 1:
         raise InvalidModelError("need at least one draw")
@@ -470,14 +459,8 @@ def monte_carlo_score(problem: DecisionProblem, actions,
     if len(actions) != len(structure):
         raise InvalidModelError("need one action index per signal")
     table = outcome_scores(problem, actions, structure.posteriors())
-    sizes = [n // n_batches] * n_batches
-    sizes[-1] += n - sum(sizes)
-    total, total_sq = 0.0, 0.0
-    for child, size in zip(np.random.SeedSequence(seed).spawn(n_batches), sizes):
-        rng = np.random.default_rng(child)
-        scores = table[sample_cells(structure.joint, size, rng)]
-        total += scores.sum()
-        total_sq += (scores ** 2).sum()
-    mean = total / n
-    var = max(total_sq / n - mean ** 2, 0.0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    scores = table[sample_cells(structure.joint, n, rng)]
+    mean = scores.sum() / n
+    var = max((scores ** 2).sum() / n - mean ** 2, 0.0)
     return float(mean), float(np.sqrt(var / n))

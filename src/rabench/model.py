@@ -12,9 +12,10 @@ kernels defined here:
   each row's action in every state, shape (rows, states), with the row's
   belief as the context of the transit rule's second bus.
 
-``expected_scores_all``, ``optimal_action``, ``optimal_action_indices``,
-``realized_score`` and ``proper_score`` are one-belief or one-outcome views
-of these two.
+Beliefs are the rows of an (n, states) matrix, so one belief is a
+(1, states) matrix, and ``optimal_action_indices`` gives each row's best
+action. ``Belief`` is only the checked one-vector type of a prior or of one
+signal's posterior.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across workers.
@@ -224,11 +225,6 @@ class Belief:
         p = _normalized_beliefs(p)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
-
-    @staticmethod
-    def binary(p_positive: float) -> "Belief":
-        """Belief over a 2-state space parameterized by the second state's mass."""
-        return Belief(np.array([1.0 - p_positive, p_positive]))
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -459,7 +455,7 @@ class ExperimentDesign:
 
 @dataclass(frozen=True)
 class ReportMap:
-    """Named, invertible mapping between scalar reports and beliefs.
+    """Named, invertible mapping between scalar reports and belief rows.
 
     Belief-report tasks sometimes elicit a quantity that is not literally a
     state probability (e.g. a probability-of-superiority judgment); the map
@@ -468,22 +464,19 @@ class ReportMap:
 
     ``belief_rows`` maps a 1-D array of reports to one unnormalized belief
     row per report, element by element, and raises ``InvalidModelError`` for
-    reports outside the map's domain. ``to_beliefs`` and ``to_belief`` both
-    check and renormalize its rows as :class:`Belief` does, so row i of
-    ``to_beliefs(r)`` equals ``to_belief(r[i]).probabilities`` exactly.
+    reports outside the map's domain; ``to_beliefs`` checks and renormalizes
+    its rows as :class:`Belief` does. ``from_beliefs`` maps an (n, states)
+    matrix of belief rows back to n reports.
     """
 
     name: str
     belief_rows: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    from_belief: Callable[[Belief], float] = field(compare=False)
+    from_beliefs: Callable[[np.ndarray], np.ndarray] = field(compare=False)
 
     def to_beliefs(self, reports) -> np.ndarray:
         """One belief row per report: an (n reports, n states) matrix."""
         rows = self.belief_rows(np.asarray(reports, dtype=float).reshape(-1))
         return _normalized_beliefs(rows)
-
-    def to_belief(self, report: float) -> Belief:
-        return Belief(self.belief_rows(np.array([float(report)]))[0])
 
 
 def binary_report_map(n_states: int = 2) -> ReportMap:
@@ -492,7 +485,7 @@ def binary_report_map(n_states: int = 2) -> ReportMap:
     return ReportMap(
         name="binary",
         belief_rows=lambda r: np.column_stack([1.0 - r, r]),
-        from_belief=lambda b: float(b.probabilities[1]),
+        from_beliefs=lambda P: P[:, 1],
     )
 
 
@@ -554,47 +547,9 @@ def outcome_scores(problem: DecisionProblem, action_idx,
     return fixed[idx] + slope * (P @ theta)[:, None] * miss[idx]
 
 
-def expected_scores_all(problem: DecisionProblem, belief: Belief) -> np.ndarray:
-    """Expected score of every action under ``belief``."""
-    return score_table(problem, belief.probabilities[None, :])[0]
-
-
-def expected_score(problem: DecisionProblem, action_id: str, belief: Belief) -> float:
-    """Expected score of a single action: sum_theta p(theta) * S(a, theta)."""
-    return float(expected_scores_all(problem, belief)[problem.actions.index(action_id)])
-
-
-def optimal_action(problem: DecisionProblem, belief: Belief) -> tuple[str, float]:
-    """Best action under ``belief`` and its expected score.
-
-    Ties break toward the lowest action index, so the result is
-    deterministic.
-    """
-    ev = expected_scores_all(problem, belief)
-    idx = int(np.argmax(ev))  # argmax returns the first (lowest) maximizing index
-    return problem.actions.ids[idx], float(ev[idx])
-
-
 def optimal_action_indices(problem: DecisionProblem, beliefs) -> np.ndarray:
     """Argmax action index for each belief row, ties to the lowest index."""
     return np.argmax(score_table(problem, beliefs), axis=1)
-
-
-def realized_score(problem: DecisionProblem, action_id: str, state_id: str,
-                   context_belief: Belief | None = None) -> float:
-    """Score of one realized (action, state) pair; the transit rule takes its
-    second-bus mean from ``context_belief``."""
-    context = None if context_belief is None else context_belief.probabilities[None, :]
-    row = outcome_scores(problem, [problem.actions.index(action_id)], context)
-    return float(row[0, problem.states.index(state_id)])
-
-
-def proper_score(problem: DecisionProblem, reported_belief: Belief,
-                 state_id: str) -> float:
-    """Score a reported belief by playing its optimal action against the
-    realized state (the proper form of an arbitrary scoring rule)."""
-    best, _ = optimal_action(problem, reported_belief)
-    return realized_score(problem, best, state_id, context_belief=reported_belief)
 
 
 def validate(problem: DecisionProblem) -> list[str]:

@@ -17,7 +17,6 @@ from .model import (
     DecisionProblem,
     ExperimentDesign,
     InformationStructure,
-    optimal_action,
     score_table,
 )
 
@@ -41,9 +40,8 @@ def posterior(structure: InformationStructure, signal_id: str) -> Belief:
 
 def rational_baseline(problem: DecisionProblem) -> float:
     """Expected score of an optimal agent who only knows the prior."""
-    p = prior(problem.structure)
-    _, score = optimal_action(problem, p)
-    return score
+    p = prior(problem.structure).probabilities
+    return float(score_table(problem, p[None, :]).max())
 
 
 def visualization_optimal(problem: DecisionProblem) -> float:

@@ -27,19 +27,17 @@ from rabench.generative import (
 )
 from rabench.model import (
     ActionSpace,
-    Belief,
     DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     StateSpace,
     TransitRule,
-    expected_score,
-    optimal_action,
-    proper_score,
+    optimal_action_indices,
+    outcome_scores,
+    score_table,
 )
 from rabench.payment import incentive_table
 from rabench.rational import (
-    posterior,
     prior,
     rational_baseline,
     rational_benchmark,
@@ -184,7 +182,7 @@ def test_criterion_3_transit_pipeline(tmp_path):
             InformationStructure(("only",), masses[None, :]),
         )
         a = int(rng.integers(0, 31))
-        got = expected_score(problem, str(a), Belief(masses))
+        got = score_table(problem, masses[None, :])[0, actions.index(str(a))]
         want = transit_expected_score_oracle(rule, grid, masses, float(a))
         rel = abs(got - want) / max(abs(want), 1e-12)
         check(failures, rel < 1e-6,
@@ -275,12 +273,12 @@ def exact_channel_joint(problem: DecisionProblem, kind: str,
     n_signals, n_states = structure.joint.shape
     masses = np.zeros((n_actions, n_states))
     if kind == "rational":
-        for i, v in enumerate(structure.signals):
-            a, _ = optimal_action(problem, posterior(structure, v))
-            masses[problem.actions.index(a)] += structure.joint[i]
+        best = optimal_action_indices(problem, structure.posteriors())
+        np.add.at(masses, best, structure.joint)
     elif kind == "prior":
-        a, _ = optimal_action(problem, prior(structure))
-        masses[problem.actions.index(a)] = structure.state_marginal()
+        p = prior(structure).probabilities
+        masses[optimal_action_indices(problem, p[None, :])[0]] = \
+            structure.state_marginal()
     elif kind == "uniform":
         masses[:] = structure.state_marginal()[None, :] / n_actions
     elif kind == "garbled-rational":
@@ -288,11 +286,8 @@ def exact_channel_joint(problem: DecisionProblem, kind: str,
         channel = rng.random((n_signals, k)) + 1e-3
         channel /= channel.sum(axis=1, keepdims=True)
         garbled = channel.T @ structure.joint
-        for j in range(k):
-            q = Belief(garbled[j] / garbled[j].sum())
-            from rabench.model import expected_scores_all
-            a_idx = int(np.argmax(expected_scores_all(problem, q)))
-            masses[a_idx] += garbled[j]
+        q = garbled / garbled.sum(axis=1, keepdims=True)
+        np.add.at(masses, optimal_action_indices(problem, q), garbled)
     else:
         raise ValueError(kind)
     return masses
@@ -336,12 +331,9 @@ def test_criterion_5_invariant_suite():
               f"trial {trial}: garbling increased the optimal")
 
         # propriety of the derived proper scoring rule
-        q = random_belief(rng, len(base.states))
-        _, best = optimal_action(base, q)
-        avg = sum(
-            q.probabilities[i] * proper_score(base, q, sid)
-            for i, sid in enumerate(base.states.ids)
-        )
+        q = random_belief(rng, len(base.states)).probabilities[None, :]
+        best = score_table(base, q).max()
+        avg = outcome_scores(base, optimal_action_indices(base, q), q)[0] @ q[0]
         check(failures, abs(avg - best) <= 1e-9,
               f"trial {trial}: propriety violated")
 

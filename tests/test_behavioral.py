@@ -209,6 +209,15 @@ def reference_write_trials_csv(table, path):
         writer.writerows(zip(*columns))
 
 
+def numbered_rows(reader):
+    """(number of the first line, row) of each row ``reader`` gives: a
+    quoted field can hold line ends, so rows are not lines."""
+    line = reader.line_num + 1
+    for row in reader:
+        yield line, row
+        line = reader.line_num + 1
+
+
 def reference_read_trials_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -222,9 +231,9 @@ def reference_read_trials_csv(path):
             )
         builder = behavioral._TableBuilder()
         width = len(TRIAL_CSV_HEADER)
-        first_line = 2
-        while chunk := list(islice(reader, behavioral._CSV_CHUNK_ROWS)):
-            for i, row in enumerate(chunk, start=first_line):
+        rows = numbered_rows(reader)
+        while chunk := list(islice(rows, behavioral._CSV_CHUNK_ROWS)):
+            for i, row in chunk:
                 if not row:
                     continue
                 if len(row) != width:
@@ -242,12 +251,34 @@ def reference_read_trials_csv(path):
                             f"line {i}: probability response {row[5]!r} "
                             f"is not a number"
                         ) from None
-            rows = [row for row in chunk if row]
-            builder.add(*(list(map(itemgetter(k), rows)) for k in range(width)))
-            first_line += len(chunk)
+            kept = [row for _, row in chunk if row]
+            builder.add(*(list(map(itemgetter(k), kept)) for k in range(width)))
     if not builder.trial_ids:
         raise TrialDataError("trial file contains no records")
     return builder.table()
+
+
+def counting_csv_reader(parsed):
+    """A stand-in for ``csv.reader`` that appends each row it parses to
+    ``parsed``."""
+    reader = csv.reader
+
+    class CountingReader:
+        def __init__(self, lines):
+            self.reader = reader(lines)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            parsed.append(next(self.reader))
+            return parsed[-1]
+
+        @property
+        def line_num(self):
+            return self.reader.line_num
+
+    return CountingReader
 
 
 def traced_peak(call, *args):
@@ -351,6 +382,15 @@ BAD_CSVS = {
     "bad kind after a quote, before too few fields": "\r\n".join(
         [HEADER_LINE, '0,"CI",sigma=2,freezing,action,salt', *ROWS[1:3],
          "3,CI,sigma=2,freezing,Action,salt", "4,CI", *ROWS[5:]]),
+    "not a number after a quoted line end": "\r\n".join(
+        [HEADER_LINE, '"a\r\nb",CI,sigma=5,freezing,action,salt',
+         "1,CI,sigma=2,freezing,probability,often", *ROWS[2:]]),
+    "not a number after a header with a quoted line end": "\r\n".join(
+        ['"trial_id\r\n",strategy,signal,state,response_kind,response', ROWS[0],
+         "1,CI,sigma=2,freezing,probability,often", *ROWS[2:]]),
+    "too few fields in a later part after a quoted line end": "\n".join(
+        [HEADER_LINE, *csv_lines(5), '"a\nb\rc",CI,sigma=5,freezing,action,salt',
+         *csv_lines(9000, 6), "9006,CI", *csv_lines(5, 9007)]),
 }
 #: Characters per read chunk: the default, and sizes that put chunk ends
 #: inside lines and inside "\r\n".
@@ -426,6 +466,12 @@ class TestTrialCsvMatchesCsvModule:
          "line 4: response_kind must be 'action' or 'probability', got 'guess'"),
         ("bad kind after a quote, before too few fields",
          "line 5: response_kind must be 'action' or 'probability', got 'Action'"),
+        ("not a number after a quoted line end",
+         "line 4: probability response 'often' is not a number"),
+        ("not a number after a header with a quoted line end",
+         "line 4: probability response 'often' is not a number"),
+        ("too few fields in a later part after a quoted line end",
+         "line 9010: expected 6 fields"),
     ])
     def test_errors_name_the_line(self, tmp_path, name, message):
         path = tmp_path / "trials.csv"
@@ -435,12 +481,7 @@ class TestTrialCsvMatchesCsvModule:
 
     def test_quote_free_rows_skip_the_csv_module(self, tmp_path, monkeypatch):
         parsed, written, row_wise = [], [], []
-        reader, writer = csv.reader, csv.writer
-
-        def counting_reader(lines):
-            for row in reader(lines):
-                parsed.append(row)
-                yield row
+        writer = csv.writer
 
         class CountingWriter:
             def __init__(self, fh):
@@ -452,7 +493,7 @@ class TestTrialCsvMatchesCsvModule:
 
         table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8), 5000, seed=2)
         path = tmp_path / "trials.csv"
-        monkeypatch.setattr(behavioral.csv, "reader", counting_reader)
+        monkeypatch.setattr(behavioral.csv, "reader", counting_csv_reader(parsed))
         monkeypatch.setattr(behavioral.csv, "writer", CountingWriter)
         monkeypatch.setattr(behavioral, "_add_rows", lambda *args: row_wise.append(args))
         write_trials_csv(table, path)
@@ -469,19 +510,14 @@ class TestTrialCsvMatchesCsvModule:
         path = tmp_path / "trials.csv"
         path.write_bytes(("\r\n".join([HEADER_LINE, *lines]) + "\r\n").encode("utf-8"))
         parsed, coded = [], []
-        reader, add_ascii = csv.reader, behavioral._add_ascii
-
-        def counting_reader(lines):
-            for row in reader(lines):
-                parsed.append(row)
-                yield row
+        add_ascii = behavioral._add_ascii
 
         def counting_add_ascii(builder, text):
             coded.append(add_ascii(builder, text))
             return coded[-1]
 
         monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", 2000)
-        monkeypatch.setattr(behavioral.csv, "reader", counting_reader)
+        monkeypatch.setattr(behavioral.csv, "reader", counting_csv_reader(parsed))
         monkeypatch.setattr(behavioral, "_add_ascii", counting_add_ascii)
         outcome = read_outcome(read_trials_csv, path)
         monkeypatch.undo()

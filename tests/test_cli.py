@@ -266,6 +266,21 @@ class TestSimulateAndPost:
         (["--case", "fernandes2018", "--agent", "rational", "--balanced",
           "--seed", "2"],
          "3922638b76f695664ee1b1702a1f8779966cf3ec6d936344cfe1ab346dd72c8b"),
+        (["--case", "kale2020", "--agent", "rational", "--task", "belief"],
+         "5f29c98691e5c6f4af3a12a6ed3b692212ff3f0c972ea81467bc2993aeed1985"),
+        (["--case", "kale2020", "--agent", "prior", "--task", "belief"],
+         "7446d8e13b587a6a0e1ba48f9629dfffd16bd32db918b335981d4442c18f16a8"),
+        (["--case", "weather", "--strategy", "CI", "--agent", "rational",
+          "--task", "belief"],
+         "83a8c0a52883e25a6e7924f1b333da7eb0551c6430c3dae1077f8b92c2867cc4"),
+        (["--case", "weather", "--strategy", "CI", "--agent", "noisy:k=0.8",
+          "--task", "belief"],
+         "2447615cf6157ace7d189cf9331692b2e306fc61d31942ff980481d06fa30604"),
+        (["--case", "weather", "--strategy", "CI", "--agent", "prior",
+          "--task", "belief"],
+         "2aafb9c34e411c9fb75bdf6e151c47a5a3d30d9f965a97dd4250c2c22a31063b"),
+        (["--case", "weather", "--strategy", "CI", "--agent", "prior"],
+         "0eba9abd9a648247a97b42be62c9dd394757fc41fe416a01b2b4406c473661ee"),
     ])
     def test_simulated_csv_bytes_are_pinned(self, tmp_path, args, sha256):
         out = tmp_path / "trials.csv"

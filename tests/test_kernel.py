@@ -23,7 +23,6 @@ from rabench.model import (
     StateSpace,
     TransitRule,
     binary_report_map,
-    optimal_action,
     optimal_action_indices,
     outcome_scores,
     report_bins,
@@ -84,7 +83,7 @@ def reference_behavioral(joint: EmpiricalJoint, design: ExperimentDesign) -> flo
             action = base.actions.index(joint.action_ids[i])
             total += masses[i].sum() * reference_expected(base, cond)[action]
         else:
-            belief = binary_report_map().to_belief(joint.action_values[i]).probabilities
+            belief = binary_report_map().to_beliefs([joint.action_values[i]])[0]
             best = int(np.argmax(reference_expected(base, belief)))
             total += float(masses[i] @ reference_outcomes(base, best, belief))
     return total
@@ -197,8 +196,9 @@ def test_transit_argmax_matches_per_posterior_optimum(scenario):
     for name in design.strategy_names():
         problem = design.problem(name)
         batch = optimal_action_indices(problem, problem.structure.posteriors())
-        single = [problem.actions.index(optimal_action(problem, posterior(
-            problem.structure, v))[0]) for v in problem.structure.signals]
+        single = [int(np.argmax(reference_expected(
+            problem, posterior(problem.structure, v).probabilities)))
+            for v in problem.structure.signals]
         assert batch.tolist() == single
 
 

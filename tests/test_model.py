@@ -13,13 +13,10 @@ from rabench.model import (
     StateSpace,
     TransitRule,
     binary_report_map,
-    expected_score,
-    expected_scores_all,
-    optimal_action,
+    optimal_action_indices,
     outcome_scores,
-    proper_score,
-    realized_score,
     report_bins,
+    score_table,
     validate,
 )
 
@@ -94,35 +91,47 @@ class TestBelief:
             Belief(np.array([-0.2, 1.2]))
 
     def test_immutable(self):
-        b = Belief.binary(0.3)
+        b = Belief(np.array([0.7, 0.3]))
         with pytest.raises(ValueError):
             b.probabilities[0] = 0.9
+
+
+def binary(p_positive: float) -> np.ndarray:
+    """A one-row belief matrix over a 2-state space, given the second
+    state's mass."""
+    return np.array([[1.0 - p_positive, p_positive]])
+
+
+def best_action(problem, belief) -> tuple[str, float]:
+    """The best action under a one-row belief matrix, and its expected score."""
+    i = optimal_action_indices(problem, belief)[0]
+    return problem.actions.ids[i], score_table(problem, belief)[0, i]
 
 
 class TestExpectedScore:
     def test_salting_certain_not_freezing(self, weather_problem):
         # certain non-freezing row of the table
-        assert expected_score(weather_problem, "salt", Belief.binary(0.0)) == -10.0
+        salt = weather_problem.actions.index("salt")
+        assert score_table(weather_problem, binary(0.0))[0, salt] == -10.0
 
     def test_salting_no_salt_at_prior(self, weather_problem):
-        got = expected_score(weather_problem, "no-salt", Belief.binary(0.0796))
+        no_salt = weather_problem.actions.index("no-salt")
+        got = score_table(weather_problem, binary(0.0796))[0, no_salt]
         assert got == pytest.approx(-7.96, abs=1e-12)
 
     def test_transit_catch_branch(self, transit_scenario2_problem):
         # point mass at 10, arrive at 10: 14*10 + 0 + 14*60
-        belief = Belief(np.eye(31)[10])
-        got = expected_score(transit_scenario2_problem, "10", belief)
+        got = score_table(transit_scenario2_problem, np.eye(31)[10:11])[0, 10]
         assert got == pytest.approx(980.0, abs=1e-9)
 
     def test_transit_miss_branch(self, transit_scenario2_problem):
         # point mass at 10, arrive at 11: 14*11 - 14*(10+30-11) + 14*60
-        belief = Belief(np.eye(31)[10])
-        got = expected_score(transit_scenario2_problem, "11", belief)
+        got = score_table(transit_scenario2_problem, np.eye(31)[10:11])[0, 11]
         assert got == pytest.approx(588.0, abs=1e-9)
 
     def test_dimension_mismatch_is_structured(self, weather_problem):
         with pytest.raises(DimensionError):
-            expected_score(weather_problem, "salt", Belief(np.array([0.2, 0.3, 0.5])))
+            score_table(weather_problem, np.array([[0.2, 0.3, 0.5]]))
 
     def test_affine_in_belief(self):
         rng = np.random.default_rng(11)
@@ -132,11 +141,10 @@ class TestExpectedScore:
             p, q = random_belief(rng, n), random_belief(rng, n)
             lam = rng.random()
             mix = Belief(lam * p.probabilities + (1 - lam) * q.probabilities)
-            for action in problem.actions.ids:
-                left = expected_score(problem, action, mix)
-                right = (lam * expected_score(problem, action, p)
-                         + (1 - lam) * expected_score(problem, action, q))
-                assert left == pytest.approx(right, abs=1e-9)
+            left, at_p, at_q = score_table(problem, np.stack(
+                [mix.probabilities, p.probabilities, q.probabilities]))
+            np.testing.assert_allclose(left, lam * at_p + (1 - lam) * at_q,
+                                       rtol=0, atol=1e-9)
 
     def test_exact_second_bus_matches_plugin(self, transit_scenario2_problem):
         # the literal expectation over the second arrival: the payoff is
@@ -153,22 +161,21 @@ class TestExpectedScore:
         outcome = np.where(a <= first, catch, miss)  # (action, first, second)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            belief = random_belief(rng, 31)
-            p = belief.probabilities
+            p = random_belief(rng, 31).probabilities
             exact = outcome @ p @ p
-            np.testing.assert_allclose(expected_scores_all(problem, belief), exact,
+            np.testing.assert_allclose(score_table(problem, p[None, :])[0], exact,
                                        atol=1e-8)
 
 
 class TestOptimalAction:
     def test_salting_low_probability(self, weather_problem):
         # -100 * 0.05 = -5 beats -10 * 0.95 = -9.5
-        action, score = optimal_action(weather_problem, Belief.binary(0.05))
+        action, score = best_action(weather_problem, binary(0.05))
         assert action == "no-salt"
         assert score == pytest.approx(-5.0)
 
     def test_salting_high_probability(self, weather_problem):
-        action, _ = optimal_action(weather_problem, Belief.binary(0.1587))
+        action, _ = best_action(weather_problem, binary(0.1587))
         assert action == "salt"
 
     def test_tie_breaks_to_lowest_index(self, weather_states):
@@ -180,15 +187,15 @@ class TestOptimalAction:
             structure=InformationStructure(signals=("v",),
                                            joint=np.array([[0.5, 0.5]])),
         )
-        action, _ = optimal_action(problem, Belief.binary(0.3))
+        action, _ = best_action(problem, binary(0.3))
         assert action == "first"
 
     def test_salting_indifference_is_near_one_eleventh(self, weather_problem):
         # the crossing point of -100p and -10(1-p) sits at p = 1/11; the
         # chosen action flips just either side of it
         eps = 1e-6
-        below, _ = optimal_action(weather_problem, Belief.binary(1.0 / 11.0 - eps))
-        above, _ = optimal_action(weather_problem, Belief.binary(1.0 / 11.0 + eps))
+        below, _ = best_action(weather_problem, binary(1.0 / 11.0 - eps))
+        above, _ = best_action(weather_problem, binary(1.0 / 11.0 + eps))
         assert below == "no-salt"
         assert above == "salt"
 
@@ -196,10 +203,9 @@ class TestOptimalAction:
         rng = np.random.default_rng(5)
         for _ in range(100):
             problem = random_matrix_problem(rng)
-            belief = random_belief(rng, len(problem.states))
-            _, best = optimal_action(problem, belief)
-            for action in problem.actions.ids:
-                assert best >= expected_score(problem, action, belief) - 1e-12
+            belief = random_belief(rng, len(problem.states)).probabilities[None, :]
+            _, best = best_action(problem, belief)
+            assert (best >= score_table(problem, belief)[0] - 1e-12).all()
 
     def test_hiring_rule_example(self):
         # two-team decision: keeping the roster pays 3.17 on the incumbent
@@ -213,22 +219,29 @@ class TestOptimalAction:
         structure = InformationStructure(signals=("v",), joint=np.full((1, 4), 0.25))
         problem = DecisionProblem(states, actions, rule, structure)
         w = 0.9
-        belief = Belief(np.array([0.5 * (1 - w), 0.5 * w, 0.5 * (1 - w), 0.5 * w]))
-        action, score = optimal_action(problem, belief)
+        belief = np.array([[0.5 * (1 - w), 0.5 * w, 0.5 * (1 - w), 0.5 * w]])
+        action, score = best_action(problem, belief)
         assert action == "hire"
         assert score == pytest.approx(3.17 * 0.9 - 1.0, abs=1e-12)
-        assert expected_score(problem, "no-hire", belief) == pytest.approx(1.585)
+        assert score_table(problem, belief)[0, 0] == pytest.approx(1.585)
+
+
+def played_scores(problem, reported: np.ndarray) -> np.ndarray:
+    """Score in every state of the best action under each reported belief
+    row, with the row as the transit rule's second-bus context: the proper
+    form of an arbitrary scoring rule."""
+    return outcome_scores(problem, optimal_action_indices(problem, reported), reported)
 
 
 class TestProperScore:
     def test_report_below_threshold_freezing(self, weather_problem):
-        assert proper_score(weather_problem, Belief.binary(0.05), "freezing") == -100.0
+        assert played_scores(weather_problem, binary(0.05))[0, 1] == -100.0
 
     def test_report_above_threshold_freezing(self, weather_problem):
-        assert proper_score(weather_problem, Belief.binary(0.2), "freezing") == 0.0
+        assert played_scores(weather_problem, binary(0.2))[0, 1] == 0.0
 
     def test_certain_report(self, weather_problem):
-        assert proper_score(weather_problem, Belief.binary(1.0), "freezing") == 0.0
+        assert played_scores(weather_problem, binary(1.0))[0, 1] == 0.0
 
     def test_propriety_brute_force(self):
         # averaging the proper score of the true belief over states recovers
@@ -236,45 +249,37 @@ class TestProperScore:
         rng = np.random.default_rng(20)
         for _ in range(200):
             problem = random_matrix_problem(rng, n_states=int(rng.integers(2, 5)))
-            q = random_belief(rng, len(problem.states))
-            _, best = optimal_action(problem, q)
-            avg = sum(
-                q.probabilities[i] * proper_score(problem, q, sid)
-                for i, sid in enumerate(problem.states.ids)
-            )
+            q = random_belief(rng, len(problem.states)).probabilities[None, :]
+            _, best = best_action(problem, q)
+            avg = played_scores(problem, q)[0] @ q[0]
             assert avg == pytest.approx(best, abs=1e-9)
 
     def test_transit_proper_uses_reported_belief(self, transit_scenario2_problem):
         rng = np.random.default_rng(8)
-        belief = random_belief(rng, 31)
-        best, best_score = optimal_action(transit_scenario2_problem, belief)
-        avg = sum(
-            belief.probabilities[i]
-            * proper_score(transit_scenario2_problem, belief, sid)
-            for i, sid in enumerate(transit_scenario2_problem.states.ids)
-        )
+        belief = random_belief(rng, 31).probabilities[None, :]
+        _, best_score = best_action(transit_scenario2_problem, belief)
+        avg = played_scores(transit_scenario2_problem, belief)[0] @ belief[0]
         assert avg == pytest.approx(best_score, abs=1e-8)
 
 
 class TestTabulation:
     def test_matrix_and_transit_agree_when_tabulated(self, transit_scenario2_problem):
         rng = np.random.default_rng(13)
-        belief = random_belief(rng, 31)
+        belief = random_belief(rng, 31).probabilities[None, :]
         problem = transit_scenario2_problem
         n_actions = len(problem.actions)
-        context = np.tile(belief.probabilities, (n_actions, 1))
+        context = np.tile(belief, (n_actions, 1))
         matrix = MatrixRule(outcome_scores(problem, np.arange(n_actions), context))
         wrapped = DecisionProblem(problem.states, problem.actions, matrix,
                                   problem.structure)
-        a = expected_scores_all(problem, belief)
-        b = expected_scores_all(wrapped, belief)
+        a = score_table(problem, belief)
+        b = score_table(wrapped, belief)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_realized_transit_score(self, transit_scenario2_problem):
-        belief = Belief(np.eye(31)[10])
-        got = realized_score(transit_scenario2_problem, "11", "10",
-                             context_belief=belief)
-        assert got == pytest.approx(588.0)
+        problem = transit_scenario2_problem
+        got = outcome_scores(problem, [problem.actions.index("11")], np.eye(31)[10:11])
+        assert got[0, problem.states.index("10")] == pytest.approx(588.0)
 
 
 class TestValidate:
@@ -380,38 +385,43 @@ class TestExperimentDesign:
 
 
 class TestReportMaps:
-    """The vectorized ``to_beliefs`` and the scalar ``to_belief`` agree bit
-    for bit, and refuse the same reports with the same error."""
+    """Each shipped map takes reports to belief rows and back, and refuses
+    reports outside its domain."""
 
     EDGES = [np.nextafter(0.0, 1.0), 1e-12, 0.02, 0.5, 0.98, 1.0 - 1e-12,
              np.nextafter(1.0, 0.0)]
 
-    def check_rows(self, report_map, reports):
-        matrix = report_map.to_beliefs(reports)
-        assert matrix.shape[0] == len(reports)
-        for r, row in zip(reports, matrix):
-            scalar = report_map.to_belief(float(r)).probabilities
-            assert row.tobytes() == scalar.tobytes(), r
+    def check_round_trip(self, report_map, reports):
+        beliefs = report_map.to_beliefs(reports)
+        assert beliefs.shape[0] == len(reports)
+        np.testing.assert_allclose(report_map.from_beliefs(beliefs), reports,
+                                   rtol=1e-9, atol=0)
 
-    def check_refused(self, report_map, bad):
-        with pytest.raises(InvalidModelError) as scalar:
-            report_map.to_belief(bad)
-        with pytest.raises(InvalidModelError) as vector:
-            report_map.to_beliefs(np.array([0.5, bad, 0.5]))
-        assert str(vector.value) == str(scalar.value)
-
-    def test_binary_rows_match_scalar(self):
+    def test_binary_round_trip(self):
         grid = np.concatenate([[0.0, 1.0], self.EDGES, np.linspace(0, 1, 1001)])
-        self.check_rows(binary_report_map(), grid)
+        self.check_round_trip(binary_report_map(), grid)
 
-    def test_pos_to_win_rows_match_scalar(self):
-        grid = np.concatenate([self.EDGES, np.linspace(0, 1, 1001)[1:-1]])
-        self.check_rows(two_team_report_map(), grid)
+    def test_pos_to_win_round_trip(self):
+        # reports whose win probability rounds to 0 or 1 cannot come back:
+        # see test_pos_to_win_refuses_a_certain_win
+        grid = np.concatenate([self.EDGES[1:-2], np.linspace(0, 1, 1001)[1:-1]])
+        self.check_round_trip(two_team_report_map(), grid)
+
+    def test_pos_to_win_refuses_a_certain_win(self):
+        report_map = two_team_report_map()
+        for report in (self.EDGES[0], self.EDGES[-2]):
+            beliefs = report_map.to_beliefs([0.5, report])
+            with pytest.raises(InvalidModelError, match="^win probability"):
+                report_map.from_beliefs(beliefs)
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.01, float("inf")])
-    def test_binary_refuses_like_scalar(self, bad):
-        self.check_refused(binary_report_map(), bad)
+    def test_binary_refuses(self, bad):
+        with pytest.raises(InvalidModelError,
+                           match="^belief entries must be finite and non-negative$"):
+            binary_report_map().to_beliefs(np.array([0.5, bad, 0.5]))
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, -0.5, 1.5])
-    def test_pos_to_win_refuses_like_scalar(self, bad):
-        self.check_refused(two_team_report_map(), bad)
+    def test_pos_to_win_refuses(self, bad):
+        with pytest.raises(InvalidModelError, match=(
+                f"^superiority probability {bad!r} must lie strictly inside")):
+            two_team_report_map().to_beliefs(np.array([0.5, bad, 0.5]))
