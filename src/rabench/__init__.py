@@ -74,20 +74,13 @@ from .payment import (
     ConversionRule,
     FlooredAffineConversion,
     IncentiveTable,
-    ShiftedAffineConversion,
-    convert,
     incentive_table,
 )
 from .rational import (
     RationalReport,
-    information_loss,
-    posterior,
     prior,
     rational_baseline,
-    rational_benchmark,
     rational_report,
-    value_of_information,
-    visualization_optimal,
 )
 
 __version__ = "0.1.0"

@@ -471,7 +471,6 @@ class EmpiricalJoint:
     counts: np.ndarray
     kind: str  # "action" | "report"
     action_values: tuple[float, ...] | None = None
-    state_values: tuple[float, ...] | None = None
     bin_width: float | None = None
 
     def __post_init__(self):
@@ -495,9 +494,6 @@ class EmpiricalJoint:
 
     def action_marginal(self) -> np.ndarray:
         return self.masses.sum(axis=1)
-
-    def state_marginal(self) -> np.ndarray:
-        return self.masses.sum(axis=0)
 
     def conditionals(self, rows, smoothing_alpha: float = 0.0) -> np.ndarray:
         """Empirical state-conditional of each row index in ``rows``, one
@@ -604,7 +600,6 @@ def ingest(table: TrialTable, design: ExperimentDesign,
             counts=counts,
             kind="action",
             action_values=design.actions.values,
-            state_values=states.values,
         )
     return EmpiricalJoint(
         action_ids=bin_ids,
@@ -612,7 +607,6 @@ def ingest(table: TrialTable, design: ExperimentDesign,
         counts=counts,
         kind="report",
         action_values=tuple(float(m) for m in mids),
-        state_values=states.values,
         bin_width=float(bin_width),
     )
 

@@ -37,11 +37,7 @@ from .model import (
     rule_violations,
     validate,
 )
-from .payment import (
-    AffineConversion,
-    FlooredAffineConversion,
-    ShiftedAffineConversion,
-)
+from .payment import AffineConversion, FlooredAffineConversion
 
 SCHEMA_VERSION = 1
 
@@ -96,9 +92,6 @@ def design_to_config(design: ExperimentDesign) -> dict:
         elif isinstance(c, FlooredAffineConversion):
             conversion = {"kind": "floored-affine", "base": c.base,
                           "rate": c.rate, "floor": c.floor}
-        elif isinstance(c, ShiftedAffineConversion):
-            conversion = {"kind": "shifted-affine", "base": c.base,
-                          "rate": c.rate, "shift": c.shift}
         else:
             raise ConfigError(f"cannot serialize conversion {type(c).__name__}")
 
@@ -185,9 +178,6 @@ def _load_conversion(cfg: dict | None):
     if kind == "floored-affine":
         return FlooredAffineConversion(base=cfg["base"], rate=cfg["rate"],
                                        floor=cfg["floor"])
-    if kind == "shifted-affine":
-        return ShiftedAffineConversion(base=cfg["base"], rate=cfg["rate"],
-                                       shift=cfg["shift"])
     raise ConfigError(f"unknown conversion kind {kind!r}")
 
 
@@ -253,8 +243,7 @@ def design_from_config(cfg: dict) -> ExperimentDesign:
             strategies=strategies,
             conversion=_section("conversion",
                                 lambda: _load_conversion(cfg.get("conversion"))),
-            trials_per_experiment=_section("trials_per_experiment", lambda: int(
-                cfg.get("trials_per_experiment", 1))),
+            trials_per_experiment=cfg.get("trials_per_experiment", 1),
             initial_score=_section(
                 "initial_score", lambda: float(cfg.get("initial_score", 0.0))),
             report_map=report_map,

@@ -98,21 +98,18 @@ def weather_joint(dgm: GaussianThresholdDGM) -> InformationStructure:
 # Two-team score game (hire/no-hire)
 
 
-def pos_to_win_probability(pos: float) -> float:
+def pos_to_win_probability(pos):
     """Map a probability-of-superiority judgment to the probability that the
-    new-player score clears the fixed 100 threshold.
+    new-player score clears the fixed 100 threshold, for a number or element
+    by element for an array.
 
     With both scores Gaussian at a shared sigma and the incumbent mean pinned
     to the threshold, the difference has sqrt(2) times the sigma of a single
     score, giving win = Phi(sqrt(2) * Phi^-1(pos)).
     """
-    return float(_pos_to_win(np.array([float(pos)]))[0])
-
-
-def _pos_to_win(pos: np.ndarray) -> np.ndarray:
-    """:func:`pos_to_win_probability` element by element."""
     from scipy.special import ndtr, ndtri
 
+    pos = np.asarray(pos, dtype=float)
     outside = ~((pos > 0.0) & (pos < 1.0))
     if np.any(outside):
         raise InvalidModelError(
@@ -122,15 +119,11 @@ def _pos_to_win(pos: np.ndarray) -> np.ndarray:
     return ndtr(_SQRT2 * ndtri(pos))
 
 
-def win_probability_to_pos(win: float) -> float:
-    """Inverse of :func:`pos_to_win_probability`."""
-    return float(_win_to_pos(np.array([float(win)]))[0])
-
-
-def _win_to_pos(win: np.ndarray) -> np.ndarray:
-    """:func:`win_probability_to_pos` element by element."""
+def win_probability_to_pos(win):
+    """Inverse of :func:`pos_to_win_probability`, for a number or an array."""
     from scipy.special import ndtr, ndtri
 
+    win = np.asarray(win, dtype=float)
     outside = ~((win > 0.0) & (win < 1.0))
     if np.any(outside):
         raise InvalidModelError(
@@ -183,7 +176,7 @@ class TwoTeamDGM:
         object.__setattr__(self, "pos_levels", levels)
 
     def win_probabilities(self) -> np.ndarray:
-        return _pos_to_win(np.array(self.pos_levels))
+        return pos_to_win_probability(self.pos_levels)
 
 
 #: State order for the two-team game: (incumbent outcome, new-player outcome).
@@ -205,8 +198,8 @@ def two_team_report_map() -> "ReportMap":
     from .model import ReportMap
 
     return ReportMap(name="pos-to-win",
-                     belief_rows=lambda r: two_team_rows(_pos_to_win(r)),
-                     from_beliefs=lambda P: _win_to_pos(P[:, 1] + P[:, 3]))
+                     belief_rows=lambda r: two_team_rows(pos_to_win_probability(r)),
+                     from_beliefs=lambda P: win_probability_to_pos(P[:, 1] + P[:, 3]))
 
 
 def kale_joint(dgm: TwoTeamDGM, check_marginal: bool = True) -> InformationStructure:
@@ -226,19 +219,11 @@ def kale_joint(dgm: TwoTeamDGM, check_marginal: bool = True) -> InformationStruc
             f"average win probability {marginal_win:.4f} misses the "
             f"{WIN_PRIOR_TARGET} +- {WIN_PRIOR_TOL} design target"
         )
-    n = len(wins)
-    rows = []
-    for w in wins:
-        rows.append([
-            0.5 * (1.0 - w) / n,  # lose-lose
-            0.5 * w / n,          # lose-win
-            0.5 * (1.0 - w) / n,  # win-lose
-            0.5 * w / n,          # win-win
-        ])
     signals = tuple(
         f"pos{i + 1}={p:.4f}" for i, p in enumerate(dgm.pos_levels)
     )
-    return InformationStructure(signals=signals, joint=np.array(rows))
+    return InformationStructure(signals=signals,
+                                joint=two_team_rows(wins) / len(wins))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +350,6 @@ class BoxCoxTDist:
             out = out[..., 0]
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        return self.quantile(rng.uniform(size=size))
-
 
 # ---------------------------------------------------------------------------
 # Discretization
@@ -397,10 +379,6 @@ class DiscretizedDistribution:
         m.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "masses", m)
-
-    def mean(self) -> float | np.ndarray:
-        mean = self.masses @ self.grid
-        return float(mean) if mean.ndim == 0 else mean
 
 
 def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
@@ -458,6 +436,10 @@ def monte_carlo_score(problem: DecisionProblem, actions,
     structure = problem.structure
     if len(actions) != len(structure):
         raise InvalidModelError("need one action index per signal")
+    n_actions = len(problem.actions)
+    idx = np.asarray(actions)
+    if ((idx < 0) | (idx >= n_actions)).any():
+        raise InvalidModelError(f"action indices must lie in [0, {n_actions})")
     table = outcome_scores(problem, actions, structure.posteriors())
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     scores = table[sample_cells(structure.joint, n, rng)]

@@ -14,8 +14,9 @@ kernels defined here:
 
 Beliefs are the rows of an (n, states) matrix, so one belief is a
 (1, states) matrix, and ``optimal_action_indices`` gives each row's best
-action. ``Belief`` is only the checked one-vector type of a prior or of one
-signal's posterior.
+action; ``InformationStructure.posteriors()`` gives every signal's posterior
+as one such matrix. ``Belief`` is only the checked one-vector type of a
+prior.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across workers.
@@ -315,14 +316,9 @@ class InformationStructure:
     signals: tuple[str, ...]
     joint: np.ndarray
     check: bool = True
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(str(v) for v in self.signals))
-        index: dict[str, int] = {}
-        for i, signal in enumerate(self.signals):
-            index.setdefault(signal, i)  # a duplicate id finds its first row
-        object.__setattr__(self, "_index", index)
         j = np.array(self.joint, dtype=float)
         if self.check:
             problems = structure_violations(self.signals, j)
@@ -339,12 +335,6 @@ class InformationStructure:
     def __len__(self) -> int:
         return len(self.signals)
 
-    def signal_index(self, signal_id: str) -> int:
-        try:
-            return self._index[str(signal_id)]
-        except KeyError:
-            raise InvalidModelError(f"unknown signal {signal_id!r}") from None
-
     def signal_marginal(self) -> np.ndarray:
         return self.joint.sum(axis=1)
 
@@ -352,10 +342,10 @@ class InformationStructure:
         return self.joint.sum(axis=0)
 
     def posteriors(self) -> np.ndarray:
-        """Posterior over states given each signal, one row per signal.
-
-        Row i equals ``rational.posterior(self, signals[i]).probabilities``
-        bit for bit; a signal of zero mass raises ``ZeroMassSignalError``.
+        """Posterior over states given each signal, one row per signal:
+        row i is the joint's row i divided by its mass, checked and
+        renormalized as :class:`Belief` is. A signal of zero mass raises
+        ``ZeroMassSignalError``.
         """
         mass = self.joint.sum(axis=1, keepdims=True)
         if (mass <= 0.0).any():
@@ -423,9 +413,11 @@ class ExperimentDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", dict(self.strategies))
-        if not self.trials_per_experiment >= 1:
+        trials = self.trials_per_experiment
+        if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+                or trials < 1):
             raise InvalidModelError(f"trials_per_experiment must be a positive "
-                                    f"integer, not {self.trials_per_experiment!r}")
+                                    f"integer, not {trials!r}")
         if not self.strategies:
             raise InvalidModelError("an experiment design needs at least one strategy")
         priors = {k: s.state_marginal() for k, s in self.strategies.items()}

@@ -56,27 +56,7 @@ class FlooredAffineConversion:
         return self.base + self.rate * max(0.0, score - self.floor)
 
 
-@dataclass(frozen=True)
-class ShiftedAffineConversion:
-    """payment = base + rate * (score - shift)
-
-    Subtracting a guaranteed-attainable score ``shift`` before conversion
-    raises the incentive-to-guarantee ratio without changing the incentive
-    itself.
-    """
-
-    base: float
-    rate: float
-    shift: float
-
-    def __post_init__(self):
-        _check_rate(self.rate)
-
-    def convert(self, score: float) -> float:
-        return self.base + self.rate * (score - self.shift)
-
-
-ConversionRule = AffineConversion | FlooredAffineConversion | ShiftedAffineConversion
+ConversionRule = AffineConversion | FlooredAffineConversion
 
 
 def _check_rate(rate: float) -> None:
@@ -86,10 +66,6 @@ def _check_rate(rate: float) -> None:
         raise InvalidModelError(
             "conversion must be nondecreasing in score (rate >= 0)"
         )
-
-
-def convert(rule: ConversionRule, score: float) -> float:
-    return rule.convert(float(score))
 
 
 def experiment_score(design: ExperimentDesign, per_trial_score: float) -> float:
@@ -130,11 +106,11 @@ def incentive_table(design: ExperimentDesign,
                     report: RationalReport | None = None) -> IncentiveTable:
     """Expected payments to a rational agent with and without the signal.
 
-    One row per strategy plus a ``benchmark`` row for the best strategy. The
-    default evaluates the conversion at the expected cumulative score; for
-    floored conversions that is a linearization, and ``method="monte-carlo"``
-    instead simulates per-trial scores, accumulates each session, converts,
-    and averages.
+    One row per strategy plus a ``benchmark`` row for the best strategy, so
+    no strategy may be named ``benchmark``. The default evaluates the
+    conversion at the expected cumulative score; for floored conversions
+    that is a linearization, and ``method="monte-carlo"`` instead simulates
+    per-trial scores, accumulates each session, converts, and averages.
 
     ``report`` must be ``rational_report(design)``; a caller that already
     holds it passes it to skip the recomputation.
@@ -144,6 +120,9 @@ def incentive_table(design: ExperimentDesign,
         raise InvalidModelError("the design carries no conversion rule")
     if method not in ("linearized", "monte-carlo"):
         raise InvalidModelError(f"unknown incentive method {method!r}")
+    if "benchmark" in design.strategies:
+        raise InvalidModelError("a strategy named 'benchmark' clashes with the "
+                                "incentive table's benchmark row")
 
     if report is None:
         report = rational_report(design)
@@ -151,7 +130,7 @@ def incentive_table(design: ExperimentDesign,
     # each signal plays its optimal action under its row of ``beliefs`` (or the prior's)
     def payment(per_trial: float, strategy: str, beliefs: np.ndarray) -> float:
         if method == "linearized":
-            return convert(rule, experiment_score(design, per_trial))
+            return rule.convert(experiment_score(design, per_trial))
         problem = design.problem(strategy)
         actions = np.broadcast_to(optimal_action_indices(problem, beliefs),
                                   len(problem.structure))

@@ -1,8 +1,9 @@
 """Rational-agent quantities: baseline, per-strategy optima, benchmark,
 value of information, and information loss.
 
-All quantities are computed exactly from the tabular joint; Monte Carlo
-estimation lives in :mod:`rabench.generative`.
+All quantities are computed exactly from the tabular joint by
+:func:`rational_report`; Monte Carlo estimation lives in
+:mod:`rabench.generative`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModelError, ZeroMassSignalError
 from .model import (
     Belief,
     DecisionProblem,
@@ -26,60 +26,10 @@ def prior(structure: InformationStructure) -> Belief:
     return Belief(structure.state_marginal())
 
 
-def posterior(structure: InformationStructure, signal_id: str) -> Belief:
-    """Bayesian update on one signal: q(theta) = pi(v, theta) / pi(v)."""
-    idx = structure.signal_index(signal_id)
-    row = structure.joint[idx]
-    mass = row.sum()
-    if mass <= 0.0:
-        raise ZeroMassSignalError(
-            f"signal {signal_id!r} has zero marginal mass; no posterior exists"
-        )
-    return Belief(row / mass)
-
-
 def rational_baseline(problem: DecisionProblem) -> float:
     """Expected score of an optimal agent who only knows the prior."""
     p = prior(problem.structure).probabilities
     return float(score_table(problem, p[None, :]).max())
-
-
-def visualization_optimal(problem: DecisionProblem) -> float:
-    """Expected score of an optimal agent acting on the posterior of each
-    signal, weighted by the signal marginal."""
-    return _optimum(problem, problem.structure.posteriors())
-
-
-def _optimum(problem: DecisionProblem, posteriors: np.ndarray) -> float:
-    """:func:`visualization_optimal`, given the structure's posteriors."""
-    best = score_table(problem, posteriors).max(axis=1)
-    return float(problem.structure.signal_marginal() @ best)
-
-
-def rational_benchmark(design: ExperimentDesign) -> float:
-    """Best visualization optimal across all compared strategies."""
-    names = design.strategy_names()
-    if not names:
-        raise InvalidModelError("empty strategy set")
-    return max(visualization_optimal(design.problem(name)) for name in names)
-
-
-def value_of_information(design: ExperimentDesign) -> float:
-    """Headroom the signals add over the prior: benchmark minus baseline."""
-    base = rational_baseline(design.any_problem())
-    return rational_benchmark(design) - base
-
-
-def information_loss(design: ExperimentDesign, strategy: str) -> float:
-    """Fraction of the information value lost by showing ``strategy``
-    instead of the most informative strategy."""
-    delta = value_of_information(design)
-    if delta <= 0.0:
-        raise InvalidModelError(
-            "no information value to normalize by (benchmark equals baseline)"
-        )
-    rv = visualization_optimal(design.problem(strategy))
-    return (rational_benchmark(design) - rv) / delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +58,17 @@ class RationalReport:
     prior: Belief
     strategies: dict[str, StrategySummary]
 
-    def visualization_optimal(self, strategy: str) -> float:
-        return self.strategies[strategy].visualization_optimal
-
 
 def rational_report(design: ExperimentDesign) -> RationalReport:
     """Compute baseline, benchmark, information value, and per-strategy
-    optima/losses in one pass."""
+    optima/losses in one pass.
+
+    A strategy's visualization optimum is the expected score of an optimal
+    agent acting on the posterior of each signal, weighted by the signal
+    marginal; the benchmark is the best optimum, and a strategy's
+    information loss is the share of the value of information (benchmark
+    minus baseline) that it gives up.
+    """
     base_problem = design.any_problem()
     baseline = rational_baseline(base_problem)
     p = prior(base_problem.structure)
@@ -124,7 +78,8 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
         problem = design.problem(name)
         posteriors[name] = problem.structure.posteriors()
         posteriors[name].setflags(write=False)
-        optima[name] = _optimum(problem, posteriors[name])
+        best = score_table(problem, posteriors[name]).max(axis=1)
+        optima[name] = float(problem.structure.signal_marginal() @ best)
     benchmark = max(optima.values())
     delta = benchmark - baseline
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rabench import behavioral
+from rabench.errors import ZeroMassSignalError
 from rabench.model import (
     ActionSpace,
     Belief,
@@ -17,6 +18,7 @@ from rabench.model import (
     TransitRule,
     optimal_action_indices,
 )
+from rabench.rational import rational_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -112,6 +114,30 @@ def weather_design() -> ExperimentDesign:
         },
         name="weather",
     )
+
+
+def posterior(structure: InformationStructure, signal_id: str) -> Belief:
+    """Bayesian update on one signal, q(theta) = pi(v, theta) / pi(v): the
+    one-signal oracle that ``InformationStructure.posteriors()`` must match
+    bit for bit. A repeated signal id finds its first row."""
+    row = structure.joint[structure.signals.index(signal_id)]
+    mass = row.sum()
+    if mass <= 0.0:
+        raise ZeroMassSignalError(
+            f"signal {signal_id!r} has zero marginal mass; no posterior exists"
+        )
+    return Belief(row / mass)
+
+
+def as_design(problem: DecisionProblem) -> ExperimentDesign:
+    """A design whose one strategy, ``s``, is the problem's structure."""
+    return ExperimentDesign(problem.states, problem.actions, problem.rule,
+                            {"s": problem.structure})
+
+
+def optimum(problem: DecisionProblem) -> float:
+    """The problem's visualization optimum, read from ``rational_report``."""
+    return rational_report(as_design(problem)).strategies["s"].visualization_optimal
 
 
 def rational_actions(problem: DecisionProblem) -> np.ndarray:

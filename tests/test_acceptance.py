@@ -39,10 +39,7 @@ from rabench.model import (
 from rabench.payment import incentive_table
 from rabench.rational import (
     prior,
-    rational_baseline,
-    rational_benchmark,
     rational_report,
-    visualization_optimal,
 )
 
 from conftest import (
@@ -316,10 +313,10 @@ def test_criterion_5_invariant_suite():
             strategies={"full": base.structure, "coarse": garbled},
         )
 
-        baseline = rational_baseline(design.any_problem())
-        benchmark = rational_benchmark(design)
-        rv_full = visualization_optimal(design.problem("full"))
-        rv_coarse = visualization_optimal(design.problem("coarse"))
+        report = rational_report(design)
+        baseline, benchmark = report.baseline, report.benchmark
+        rv_full = report.strategies["full"].visualization_optimal
+        rv_coarse = report.strategies["coarse"].visualization_optimal
         for rv, name in ((rv_full, "full"), (rv_coarse, "coarse")):
             check(failures, baseline <= rv + 1e-9,
                   f"trial {trial}: baseline > optimal ({name})")

@@ -58,7 +58,6 @@ def exact_joint(design, masses, kind="action", scale=10_000.0):
         counts=masses * scale,
         kind=kind,
         action_values=design.actions.values,
-        state_values=design.states.values,
     )
 
 

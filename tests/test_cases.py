@@ -14,12 +14,7 @@ from rabench.cases import (
 from rabench.errors import ConfigError, InvalidModelError
 from rabench.model import MatrixRule, validate
 from rabench.payment import incentive_table
-from rabench.rational import (
-    rational_baseline,
-    rational_benchmark,
-    rational_report,
-    visualization_optimal,
-)
+from rabench.rational import rational_baseline, rational_report
 
 
 class TestWeatherCase:
@@ -95,9 +90,9 @@ class TestKaleCase:
     def test_visualization_optimal_for_every_format(self):
         case = build_kale()
         pin = case.expected["visualization_optimal"]
-        for name in case.design.strategy_names():
-            rv = visualization_optimal(case.design.problem(name))
-            assert abs(rv - pin.value) <= pin.tol
+        for name, summary in rational_report(case.design).strategies.items():
+            rv = summary.visualization_optimal
+            assert abs(rv - pin.value) <= pin.tol, name
 
     def test_value_of_information(self):
         case = build_kale()
@@ -161,11 +156,11 @@ class TestFernandesCase:
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     def test_score_ordering_holds_for_any_distributions(self, scenario):
         case = build_fernandes(scenario=scenario)
-        baseline = rational_baseline(case.design.any_problem())
-        full = visualization_optimal(case.design.problem("full"))
-        benchmark = rational_benchmark(case.design)
-        for name in case.design.strategy_names():
-            rv = visualization_optimal(case.design.problem(name))
+        report = rational_report(case.design)
+        baseline, benchmark = report.baseline, report.benchmark
+        full = report.strategies["full"].visualization_optimal
+        for name, summary in report.strategies.items():
+            rv = summary.visualization_optimal
             assert baseline <= rv + 1e-9
             if name != "full":
                 assert rv <= full + 1e-9

@@ -413,6 +413,9 @@ def _trial_dists(row: str) -> str:
       for argv in (["post", "--case", "weather", "--trials", path],
                    ["pre", "--config", path],
                    ["pre", "--case", "fernandes2018", "--trial-dists", path])],
+    ("config", {"strategies": {"benchmark": SMALL_CONFIG["strategies"]["s"]},
+                "conversion": {"kind": "affine", "base": 1.0, "rate": 0.1}},
+     "named 'benchmark'"),
 ])
 def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
                                  message):

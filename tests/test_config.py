@@ -135,3 +135,20 @@ class TestLoading:
         cfg["conversion"] = {"kind": "quadratic", "base": 0, "rate": 1}
         with pytest.raises(ConfigError):
             design_from_config(cfg)
+
+    def test_shifted_affine_is_an_unknown_conversion_kind(self):
+        # a shift is an affine conversion with base - rate * shift
+        cfg = design_to_config(build_weather().design)
+        cfg["conversion"] = {"kind": "shifted-affine", "base": 10.0, "rate": 0.01,
+                             "shift": 50.0}
+        with pytest.raises(ConfigError,
+                           match="^unknown conversion kind 'shifted-affine'$"):
+            design_from_config(cfg)
+
+    @pytest.mark.parametrize("trials", [32.9, 32.0, True, "32", 0, None])
+    def test_trials_per_experiment_must_be_a_positive_integer(self, trials):
+        cfg = design_to_config(build_kale().design)
+        cfg["trials_per_experiment"] = trials
+        with pytest.raises(ConfigError, match=(
+                f"^trials_per_experiment must be a positive integer, not {trials!r}$")):
+            design_from_config(cfg)

@@ -1,4 +1,5 @@
-"""The package imports scipy only where a design needs a special function."""
+"""The package imports scipy only where a design needs a special function,
+and exports a pinned set of public names."""
 
 import json
 import subprocess
@@ -35,3 +36,37 @@ def test_kale_loads_neither_stats_nor_optimize(tmp_path):
                                   tmp_path)
     assert not [m for m in loaded
                 if m.startswith(("scipy.stats", "scipy.optimize"))]
+
+
+#: Every public name of ``rabench`` (submodules excluded). ``perfbench/run.py``
+#: calls ``build_case``, ``AgentSpec``, ``rational_report``,
+#: ``incentive_table``, ``simulate``, ``write_trials_csv``,
+#: ``read_trials_csv`` and ``loss_report`` through it.
+PUBLIC_NAMES = {
+    "ActionSpace", "AffineConversion", "AgentSpec", "Belief", "BoxCoxTDist",
+    "CaseStudy", "ConfigError", "ConversionRule", "DecisionProblem",
+    "DimensionError", "DiscretizedDistribution", "EmpiricalJoint",
+    "ExperimentDesign", "FlooredAffineConversion", "GaussianThresholdDGM",
+    "IncentiveTable", "InformationStructure", "InvalidModelError", "LossReport",
+    "MatrixRule", "PinnedValue", "RabenchError", "RationalReport", "ReportMap",
+    "StateSpace", "TransitRule", "TrialDataError", "TrialTable", "TwoTeamDGM",
+    "ZeroMassSignalError", "behavioral_score", "behavioral_value_of_information",
+    "belief_loss", "build_case", "build_fernandes", "build_kale", "build_weather",
+    "calibrate", "decisions_from_beliefs", "design_from_config",
+    "design_to_config", "discretize", "incentive_table", "ingest", "kale_joint",
+    "load_design_config", "loss_report", "monte_carlo_score",
+    "optimization_loss", "pooled_loss_report", "pos_to_win_probability", "prior",
+    "rational_baseline", "rational_report", "read_trials_csv",
+    "save_design_config", "simulate", "validate", "weather_joint",
+    "win_probability_to_pos", "write_trials_csv",
+}
+
+
+def test_public_names_are_pinned():
+    import types
+
+    import rabench
+
+    public = {name for name, value in vars(rabench).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == PUBLIC_NAMES

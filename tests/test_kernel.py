@@ -1,7 +1,7 @@
 """The batched scoring kernel against per-belief reference loops.
 
 ``score_table`` and ``outcome_scores`` replace per-signal and per-row
-Python loops in ``visualization_optimal``, ``behavioral_score`` and
+Python loops in ``rational_report``, ``behavioral_score`` and
 ``calibrate``. The references here write those loops out again, with the
 transit payoff spelled out outcome by outcome, and the kernel must agree
 with them to 1e-12 relative on random matrix and random transit designs.
@@ -28,9 +28,8 @@ from rabench.model import (
     report_bins,
     score_table,
 )
-from rabench.rational import posterior, visualization_optimal
 
-from conftest import random_matrix_problem
+from conftest import as_design, optimum, posterior, random_matrix_problem
 
 RTOL = 1e-12
 
@@ -125,11 +124,6 @@ def random_transit_problem(rng: np.random.Generator) -> DecisionProblem:
     )
 
 
-def as_design(problem: DecisionProblem) -> ExperimentDesign:
-    return ExperimentDesign(problem.states, problem.actions, problem.rule,
-                            {"s": problem.structure})
-
-
 def random_action_joint(rng, problem: DecisionProblem) -> EmpiricalJoint:
     counts = rng.integers(0, 50, size=(len(problem.actions), len(problem.states)))
     counts[rng.random(len(problem.actions)) < 0.3] = 0  # some actions unseen
@@ -147,7 +141,7 @@ def random_problems(seed: int):
 class TestAgainstReferenceLoops:
     def test_visualization_optimal(self):
         for _, problem in random_problems(41):
-            assert visualization_optimal(problem) == pytest.approx(
+            assert optimum(problem) == pytest.approx(
                 reference_visualization_optimal(problem), rel=RTOL)
 
     def test_behavioral_score_on_action_joints(self):

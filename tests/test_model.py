@@ -335,14 +335,6 @@ class TestValidate:
                 joint=np.array([[1.0, 0.0], [0.0, 0.0]]),
             )
 
-    def test_signal_index(self):
-        structure = InformationStructure(
-            signals=("v1", 2, "v1"), joint=np.full((3, 2), 1 / 6), check=False)
-        assert structure.signal_index("v1") == 0  # a duplicate finds its first row
-        assert structure.signal_index(2) == structure.signal_index("2") == 1
-        with pytest.raises(InvalidModelError, match="unknown signal 'v3'"):
-            structure.signal_index("v3")
-
 
 class TestExperimentDesign:
     def test_prior_mismatch_rejected(self, weather_states):
@@ -369,19 +361,26 @@ class TestExperimentDesign:
                 strategies={},
             )
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_non_positive_trials_per_experiment_rejected(self, weather_states, trials):
+    @staticmethod
+    def design_of_trials(states, trials):
         from rabench.model import ExperimentDesign
 
         structure = InformationStructure(signals=("v",), joint=np.array([[0.5, 0.5]]))
-        with pytest.raises(InvalidModelError, match="^trials_per_experiment must be"):
-            ExperimentDesign(
-                states=weather_states,
-                actions=ActionSpace.finite(("x", "y")),
-                rule=MatrixRule(np.zeros((2, 2))),
-                strategies={"a": structure},
-                trials_per_experiment=trials,
-            )
+        return ExperimentDesign(states=states, actions=ActionSpace.finite(("x", "y")),
+                                rule=MatrixRule(np.zeros((2, 2))),
+                                strategies={"a": structure},
+                                trials_per_experiment=trials)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, 32.0, True, "32", None])
+    def test_non_positive_trials_per_experiment_rejected(self, weather_states, trials):
+        with pytest.raises(InvalidModelError, match=(
+                f"^trials_per_experiment must be a positive integer, not {trials!r}$")):
+            self.design_of_trials(weather_states, trials)
+
+    @pytest.mark.parametrize("trials", [1, 32, np.int64(32)])
+    def test_integer_trials_per_experiment_accepted(self, weather_states, trials):
+        design = self.design_of_trials(weather_states, trials)
+        assert design.trials_per_experiment == trials
 
 
 class TestReportMaps:

@@ -8,8 +8,6 @@ from rabench.model import ActionSpace, ExperimentDesign, MatrixRule, StateSpace
 from rabench.payment import (
     AffineConversion,
     FlooredAffineConversion,
-    ShiftedAffineConversion,
-    convert,
     experiment_score,
     incentive_table,
 )
@@ -48,22 +46,24 @@ def kale_design() -> ExperimentDesign:
 class TestConvert:
     def test_weather_dollar_conversion(self):
         rule = AffineConversion(base=1.0, rate=0.01)
-        assert convert(rule, -7.96) == pytest.approx(0.920, abs=5e-4)
-        assert convert(rule, -5.69) == pytest.approx(0.943, abs=5e-4)
+        assert rule.convert(-7.96) == pytest.approx(0.920, abs=5e-4)
+        assert rule.convert(-5.69) == pytest.approx(0.943, abs=5e-4)
 
     def test_zero_rate_is_constant(self):
         rule = AffineConversion(base=2.5, rate=0.0)
-        assert convert(rule, -100.0) == 2.5
-        assert convert(rule, 100.0) == 2.5
+        assert rule.convert(-100.0) == 2.5
+        assert rule.convert(100.0) == 2.5
 
     def test_floored_conversion(self):
         rule = FlooredAffineConversion(base=1.0, rate=0.08, floor=150.0)
-        assert convert(rule, 140.0) == pytest.approx(1.0)
-        assert convert(rule, 160.0) == pytest.approx(1.8)
+        assert rule.convert(140.0) == pytest.approx(1.0)
+        assert rule.convert(160.0) == pytest.approx(1.8)
 
     def test_shifted_conversion(self):
-        rule = ShiftedAffineConversion(base=1.25, rate=0.001, shift=240.0)
-        assert convert(rule, 240.0) == pytest.approx(1.25)
+        # paying for the score above a shift of 240 is an affine rule with
+        # base 1.25 - 0.001 * 240
+        rule = AffineConversion(base=1.25 - 0.001 * 240.0, rate=0.001)
+        assert rule.convert(240.0) == pytest.approx(1.25)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -73,11 +73,10 @@ class TestConvert:
         rules = [
             AffineConversion(base=1.0, rate=0.01),
             FlooredAffineConversion(base=1.0, rate=0.08, floor=150.0),
-            ShiftedAffineConversion(base=1.25, rate=0.001, shift=240.0),
         ]
         xs = np.linspace(-200, 400, 60)
         for rule in rules:
-            ys = [convert(rule, x) for x in xs]
+            ys = [rule.convert(x) for x in xs]
             assert all(b >= a - 1e-12 for a, b in zip(ys, ys[1:]))
 
 
@@ -151,7 +150,7 @@ class TestIncentiveTable:
         # unchanged but shrinks the guarantee it is compared against
         base = weather_design()
         plain = AffineConversion(base=10.0, rate=0.01)
-        shifted = ShiftedAffineConversion(base=10.0, rate=0.01, shift=50.0)
+        shifted = AffineConversion(base=10.0 - 0.01 * 50.0, rate=0.01)
         t_plain = incentive_table(base, rule=plain)
         t_shift = incentive_table(base, rule=shifted)
         assert t_shift.benchmark.incentive == pytest.approx(
@@ -167,14 +166,25 @@ class TestIncentiveTable:
         design = build_fernandes(scenario=2).design
         plain = design.conversion
         guaranteed = 40 * 30 * 14.0  # trials x minutes x activity rate
-        shifted = ShiftedAffineConversion(base=plain.base, rate=plain.rate,
-                                          shift=guaranteed)
+        shifted = AffineConversion(base=plain.base - plain.rate * guaranteed,
+                                   rate=plain.rate)
         t_plain = incentive_table(design)
         t_shift = incentive_table(design, rule=shifted)
         assert t_shift.benchmark.incentive == pytest.approx(
             t_plain.benchmark.incentive, abs=1e-9
         )
         assert t_shift.benchmark.incentive_ratio > t_plain.benchmark.incentive_ratio
+
+    def test_a_strategy_named_benchmark_is_refused(self):
+        # its row would collide with the table's own benchmark row
+        base = weather_design_with_conversion()
+        strategies = dict(base.strategies)
+        strategies["benchmark"] = strategies.pop("mean")
+        design = ExperimentDesign(states=base.states, actions=base.actions,
+                                  rule=base.rule, strategies=strategies,
+                                  conversion=base.conversion)
+        with pytest.raises(InvalidModelError, match="named 'benchmark'"):
+            incentive_table(design)
 
     def test_incentive_is_never_negative_for_monotone_rules(self):
         from conftest import random_matrix_problem

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rabench.behavioral import loss_report
 from rabench.errors import InvalidModelError, ZeroMassSignalError
 from rabench.model import (
     ActionSpace,
@@ -10,18 +11,16 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
 )
-from rabench.rational import (
-    information_loss,
-    posterior,
-    prior,
-    rational_baseline,
-    rational_benchmark,
-    rational_report,
-    value_of_information,
-    visualization_optimal,
-)
+from rabench.rational import prior, rational_baseline, rational_report
 
-from conftest import random_matrix_problem, weather_design, write_generated_dists
+from conftest import (
+    optimum,
+    posterior,
+    random_matrix_problem,
+    trial_table,
+    weather_design,
+    write_generated_dists,
+)
 
 
 class TestPriorPosterior:
@@ -65,22 +64,23 @@ class TestRationalQuantities:
     def test_weather_visualization_optimal(self, weather_problem):
         # no-salt on the two tight forecasts, salt on the two wide ones:
         # -100*(0.00155+0.01195) - 10*(0.2236+0.2103) = -5.689
-        assert visualization_optimal(weather_problem) == pytest.approx(-5.689, abs=1e-9)
+        assert optimum(weather_problem) == pytest.approx(-5.689, abs=1e-9)
 
     def test_mean_only_strategy_equals_baseline(self):
         design = weather_design()
-        problem = design.problem("mean")
-        assert visualization_optimal(problem) == pytest.approx(
-            rational_baseline(problem), abs=1e-12
+        report = rational_report(design)
+        assert report.strategies["mean"].visualization_optimal == pytest.approx(
+            rational_baseline(design.problem("mean")), abs=1e-12
         )
 
     def test_weather_benchmark(self):
         design = weather_design()
-        assert rational_benchmark(design) == pytest.approx(-5.689, abs=1e-9)
+        assert rational_report(design).benchmark == pytest.approx(-5.689, abs=1e-9)
 
     def test_weather_value_of_information(self):
         design = weather_design()
-        assert value_of_information(design) == pytest.approx(2.271, abs=1e-9)
+        report = rational_report(design)
+        assert report.value_of_information == pytest.approx(2.271, abs=1e-9)
 
     def test_single_strategy_benchmark(self, weather_problem):
         design = ExperimentDesign(
@@ -89,9 +89,8 @@ class TestRationalQuantities:
             rule=weather_problem.rule,
             strategies={"only": weather_problem.structure},
         )
-        assert rational_benchmark(design) == pytest.approx(
-            visualization_optimal(weather_problem)
-        )
+        report = rational_report(design)
+        assert report.benchmark == report.strategies["only"].visualization_optimal
 
     def test_independent_signals_have_zero_value(self):
         # signals carry no state information: posteriors equal the prior
@@ -104,7 +103,8 @@ class TestRationalQuantities:
             rule=MatrixRule(np.array([[1.0, 0.0], [0.0, 1.0]])),
             strategies={"noise": InformationStructure(("v1", "v2"), joint)},
         )
-        assert value_of_information(design) == pytest.approx(0.0, abs=1e-12)
+        assert rational_report(design).value_of_information == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_zero_value_loss_refused(self):
         states = StateSpace(ids=("a", "b"))
@@ -115,19 +115,23 @@ class TestRationalQuantities:
             rule=MatrixRule(np.array([[1.0, 0.0], [0.0, 1.0]])),
             strategies={"noise": InformationStructure(("v1", "v2"), joint)},
         )
-        with pytest.raises(InvalidModelError):
-            information_loss(design, "noise")
+        trials = trial_table([("1", "noise", "v1", "a", "action", "x")])
+        with pytest.raises(InvalidModelError,
+                           match="need a positive value of information"):
+            loss_report(design, "noise", trials)
 
 
 class TestInformationLoss:
     def test_weather_mean_loses_everything(self):
-        design = weather_design()
-        assert information_loss(design, "mean") == pytest.approx(1.0, abs=1e-12)
+        report = rational_report(weather_design())
+        assert report.strategies["mean"].information_loss == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_weather_uncertainty_strategies_lose_nothing(self):
-        design = weather_design()
+        report = rational_report(weather_design())
         for strategy in ("CI", "gradient", "HOPs"):
-            assert information_loss(design, strategy) == pytest.approx(0.0, abs=1e-12)
+            assert report.strategies[strategy].information_loss == pytest.approx(
+                0.0, abs=1e-12)
 
     def test_argmax_strategy_loss_is_zero(self):
         rng = np.random.default_rng(17)
@@ -147,14 +151,15 @@ class TestInformationLoss:
                     "coarse": InformationStructure(("g1", "g2", "g3"), garbled),
                 },
             )
-            delta = value_of_information(design)
-            if delta <= 1e-9:
+            report = rational_report(design)
+            if report.value_of_information <= 1e-9:
                 continue
             best = max(
                 design.strategy_names(),
-                key=lambda s: visualization_optimal(design.problem(s)),
+                key=lambda s: report.strategies[s].visualization_optimal,
             )
-            assert information_loss(design, best) == pytest.approx(0.0, abs=1e-9)
+            assert report.strategies[best].information_loss == pytest.approx(
+                0.0, abs=1e-9)
 
 
 class TestOrderingInvariants:
@@ -178,13 +183,12 @@ class TestOrderingInvariants:
                     ),
                 },
             )
-            baseline = rational_baseline(design.any_problem())
-            benchmark = rational_benchmark(design)
-            for name in design.strategy_names():
-                rv = visualization_optimal(design.problem(name))
-                assert baseline <= rv + 1e-9
-                assert rv <= benchmark + 1e-9
-            assert value_of_information(design) >= -1e-9
+            report = rational_report(design)
+            for summary in report.strategies.values():
+                rv = summary.visualization_optimal
+                assert report.baseline <= rv + 1e-9
+                assert rv <= report.benchmark + 1e-9
+            assert report.value_of_information >= -1e-9
 
     def test_garbling_never_increases_optimal(self):
         rng = np.random.default_rng(31)
@@ -201,10 +205,7 @@ class TestOrderingInvariants:
                 base.rule,
                 InformationStructure(tuple(f"g{i}" for i in range(k)), garbled_joint),
             )
-            assert (
-                visualization_optimal(garbled)
-                <= visualization_optimal(base) + 1e-9
-            )
+            assert optimum(garbled) <= optimum(base) + 1e-9
 
     def test_merging_identical_posteriors_is_lossless(self):
         # duplicate a signal row, then merge the duplicates back together
@@ -218,9 +219,7 @@ class TestOrderingInvariants:
                 base.states, base.actions, base.rule,
                 InformationStructure(names, split),
             )
-            assert visualization_optimal(split_problem) == pytest.approx(
-                visualization_optimal(base), abs=1e-9
-            )
+            assert optimum(split_problem) == pytest.approx(optimum(base), abs=1e-9)
 
 
 class TestReport:
