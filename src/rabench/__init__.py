@@ -43,7 +43,6 @@ from .errors import (
     InvalidModelError,
     RabenchError,
     TrialDataError,
-    ZeroMassSignalError,
 )
 from .generative import (
     BoxCoxTDist,

@@ -33,7 +33,7 @@ from .model import (
     report_bins,
     score_table,
 )
-from .rational import RationalReport, rational_report
+from .rational import rational_report
 
 #: Default width of the probability-report bins.
 DEFAULT_BIN_WIDTH = 0.02
@@ -731,18 +731,12 @@ class LossReport:
 def loss_report(design: ExperimentDesign, strategy: str,
                 table: TrialTable,
                 bin_width: float = DEFAULT_BIN_WIDTH,
-                smoothing_alpha: float = 0.0,
-                *,
-                report: RationalReport | None = None) -> LossReport:
+                smoothing_alpha: float = 0.0) -> LossReport:
     """Full post-experimental decomposition for one strategy's trial table.
     Trials of any other strategy are refused, by trial id, rather than
     folded into the joint.
-
-    ``report`` must be ``rational_report(design)``; a caller that already
-    holds it passes it to skip the recomputation.
     """
-    if report is None:
-        report = rational_report(design)
+    report = rational_report(design)
     delta = report.value_of_information
     if delta <= 0.0:
         raise InvalidModelError("loss ratios need a positive value of information")

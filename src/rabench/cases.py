@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError, InvalidModelError
 from .generative import (
-    DEFAULT_POS_LEVELS,
     BoxCoxTDist,
     TWO_TEAM_STATE_IDS,
     TwoTeamDGM,
@@ -163,14 +162,9 @@ def two_team_decision_threshold(rule: MatrixRule) -> float:
     return g0 / (g0 - g1)
 
 
-def build_kale(levels: tuple[float, ...] | None = None) -> CaseStudy:
-    """Hire/no-hire decisions over eight superiority levels.
-
-    ``levels`` overrides the default calibrated grid; overrides must still
-    satisfy the 0.805 average-win-probability constraint.
-    """
-    dgm = TwoTeamDGM(pos_levels=tuple(levels) if levels else DEFAULT_POS_LEVELS)
-    structure = kale_joint(dgm)
+def build_kale() -> CaseStudy:
+    """Hire/no-hire decisions over eight superiority levels."""
+    structure = kale_joint(TwoTeamDGM())
     # every display format carries the full distribution, so all four
     # strategies share one information structure
     design = ExperimentDesign(
@@ -304,12 +298,12 @@ def bundled_demo_trials_path() -> Path:
 
 
 def quantile_text_partition(trial_ids: Sequence[str], dists: BoxCoxTDist,
-                            level: float, rounding: float = 1.0) -> dict[str, str]:
+                            level: float) -> dict[str, str]:
     """Example text-display coarsening: trials whose ``level``-quantile
     rounds to the same displayed minute share a signal. ``dists`` holds a
     row per trial, in the order of ``trial_ids``."""
     return {
-        tid: f"within {round(q / rounding) * rounding:g} min at {level:.0%}"
+        tid: f"within {round(q):g} min at {level:.0%}"
         for tid, q in zip(trial_ids, dists.quantile(level).tolist())
     }
 
@@ -328,16 +322,13 @@ def _coarsen(full: InformationStructure,
 
 def build_fernandes(scenario: int = 2,
                     trial_dists: str | Path | None = None,
-                    text_partition: dict[str, dict[str, str]] | None = None,
                     grid_step: float = 0.25) -> CaseStudy:
     """Bus-departure timing for one payoff scenario.
 
     Arrival distributions come from ``trial_dists`` (defaults to the bundled
     demo file). The full-information strategy gives one signal per trial;
-    text strategies coarsen trials into display-equivalence classes, by
-    default via quantile display rounding at 60/85/99%. Supplying
-    ``text_partition`` (strategy name -> {trial_id -> class}) replaces the
-    default coarsenings.
+    text strategies coarsen trials into display-equivalence classes by
+    quantile display rounding at 60/85/99%.
     """
     if scenario not in TRANSIT_SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; pick one of 1, 2, 3")
@@ -355,14 +346,10 @@ def build_fernandes(scenario: int = 2,
     full = InformationStructure(signals=trial_ids,
                                 joint=discretize(dists, grid).masses * weight)
 
-    if text_partition is None:
-        text_partition = {
-            f"text{int(level * 100)}": quantile_text_partition(trial_ids, dists, level)
-            for level in (0.60, 0.85, 0.99)
-        }
-    strategies: dict[str, InformationStructure] = {"full": full}
-    for name, partition in text_partition.items():
-        strategies[name] = _coarsen(full, partition)
+    strategies = {"full": full}
+    for level in (0.60, 0.85, 0.99):
+        strategies[f"text{int(level * 100)}"] = _coarsen(
+            full, quantile_text_partition(trial_ids, dists, level))
 
     r0, rw, rd, T = TRANSIT_SCENARIOS[scenario]
     d = TRANSIT_DOLLARS_PER_KILOCOIN[scenario]

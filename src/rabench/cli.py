@@ -162,7 +162,7 @@ def cmd_pre(args) -> int:
 
     incentives = None
     if design.conversion is not None:
-        table = incentive_table(design, report=report)
+        table = incentive_table(design)
         print()
         print(f"{'strategy':<16}{'pay(base)':>12}{'pay(opt)':>12}"
               f"{'incentive':>12}{'ratio':>12}")
@@ -218,8 +218,7 @@ def cmd_post(args) -> int:
         own = trials[trials.strategy == trials.strategy_ids.index(name)]
         lr = loss_report(design, name, own,
                          bin_width=args.bin_width,
-                         smoothing_alpha=args.smoothing_alpha,
-                         report=report)
+                         smoothing_alpha=args.smoothing_alpha)
         reports.append(lr)
         print(f"{name:<16}{int(lr.n_trials):>8}{_fmt(lr.behavioral)}"
               f"{_fmt(lr.calibrated)}"

@@ -25,7 +25,6 @@ from .generative import (
 )
 from .model import (
     ActionSpace,
-    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     MatrixRule,
@@ -34,8 +33,8 @@ from .model import (
     StateSpace,
     TransitRule,
     binary_report_map,
+    joint_violations,
     rule_violations,
-    validate,
 )
 from .payment import AffineConversion, FlooredAffineConversion
 
@@ -130,28 +129,29 @@ def _load_actions(cfg: dict) -> ActionSpace:
     raise ConfigError("action space needs ids, or a grid low/high")
 
 
-def _load_strategy(cfg: dict) -> InformationStructure:
+def _load_strategy(cfg: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """A strategy's (signals, joint), not yet checked."""
     if "dgm" in cfg:
         dgm_cfg = dict(cfg["dgm"])
         dgm_kind = dgm_cfg.pop("kind", None)
         if dgm_kind == "gaussian-threshold":
             sigmas = dgm_cfg.pop("sigmas")
-            return weather_joint(GaussianThresholdDGM.uniform_sigmas(
+            structure = weather_joint(GaussianThresholdDGM.uniform_sigmas(
                 mean=dgm_cfg["mean"], sigmas=sigmas,
                 threshold=dgm_cfg.get("threshold", 0.0),
                 direction=dgm_cfg.get("direction", "below"),
             ))
-        if dgm_kind == "two-team":
+        elif dgm_kind == "two-team":
             levels = dgm_cfg.get("pos_levels")
-            dgm = TwoTeamDGM(pos_levels=tuple(levels)) if levels else TwoTeamDGM()
-            return kale_joint(dgm)
-        raise InvalidModelError(f"unknown dgm kind {dgm_kind!r}")
+            structure = kale_joint(TwoTeamDGM(pos_levels=tuple(levels))
+                                   if levels else TwoTeamDGM())
+        else:
+            raise InvalidModelError(f"unknown dgm kind {dgm_kind!r}")
+        return structure.signals, structure.joint
     if "signals" not in cfg or "joint" not in cfg:
         raise InvalidModelError("needs signals and joint (or a dgm)")
-    return InformationStructure(
-        signals=tuple(cfg["signals"]), joint=np.array(cfg["joint"], dtype=float),
-        check=False,
-    )
+    return (tuple(str(v) for v in cfg["signals"]),
+            np.array(cfg["joint"], dtype=float))
 
 
 def _load_rule(cfg: dict) -> ScoringRule:
@@ -218,20 +218,16 @@ def design_from_config(cfg: dict) -> ExperimentDesign:
         for name, s_cfg in cfg["strategies"].items()
     }
 
-    # validate reports each rule fault for every strategy; report it once
-    rule_faults = rule_violations(states, actions, rule)
     violations = [
         f"strategy {name!r}: {p}"
-        for name, structure in strategies.items()
-        for p in validate(DecisionProblem(states, actions, rule, structure))
-        if p not in rule_faults
-    ] + [f"rule: {p}" for p in rule_faults]
+        for name, (signals, joint) in strategies.items()
+        for p in joint_violations(signals, joint, states)
+    ] + [f"rule: {p}" for p in rule_violations(states, actions, rule)]
     if violations:
         raise ConfigError("; ".join(violations))
 
-    # the checked constructor normalizes each joint
-    strategies = {name: InformationStructure(signals=s.signals, joint=s.joint)
-                  for name, s in strategies.items()}
+    strategies = {name: InformationStructure(signals=signals, joint=joint)
+                  for name, (signals, joint) in strategies.items()}
     report_map = None
     if cfg.get("report_map"):
         report_map = _report_map_by_name(cfg["report_map"], len(states))
@@ -244,8 +240,7 @@ def design_from_config(cfg: dict) -> ExperimentDesign:
             conversion=_section("conversion",
                                 lambda: _load_conversion(cfg.get("conversion"))),
             trials_per_experiment=cfg.get("trials_per_experiment", 1),
-            initial_score=_section(
-                "initial_score", lambda: float(cfg.get("initial_score", 0.0))),
+            initial_score=cfg.get("initial_score", 0.0),
             report_map=report_map,
             name=str(cfg.get("name", "design")),
         )

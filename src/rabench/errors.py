@@ -22,10 +22,6 @@ class DimensionError(InvalidModelError):
     """Shapes of beliefs, rules, and spaces do not line up."""
 
 
-class ZeroMassSignalError(RabenchError):
-    """Conditioning on a signal that carries no probability mass."""
-
-
 class TrialDataError(RabenchError):
     """Trial records reference unknown states, actions, or signals.
 

@@ -159,15 +159,13 @@ class TwoTeamDGM:
 
     The incumbent roster scores N(100, sigma^2), so it wins with probability
     1/2 regardless of sigma. The new-player score's mean is set per trial to
-    realize one of eight superiority levels, drawn uniformly. Both sigmas in
-    ``sigmas`` realize the same superiority-to-win mapping, so they do not
-    enter the joint.
+    realize one of eight superiority levels, drawn uniformly. Every sigma
+    (the study used 5 and 15) realizes the same superiority-to-win mapping,
+    so neither the sigmas nor the means enter the joint: the levels are the
+    model's only parameters.
     """
 
     pos_levels: tuple[float, ...] = DEFAULT_POS_LEVELS
-    baseline_mean: float = 100.0
-    win_threshold: float = 100.0
-    sigmas: tuple[float, ...] = (5.0, 15.0)
 
     def __post_init__(self):
         levels = tuple(float(p) for p in self.pos_levels)
@@ -202,19 +200,18 @@ def two_team_report_map() -> "ReportMap":
                      from_beliefs=lambda P: win_probability_to_pos(P[:, 1] + P[:, 3]))
 
 
-def kale_joint(dgm: TwoTeamDGM, check_marginal: bool = True) -> InformationStructure:
+def kale_joint(dgm: TwoTeamDGM) -> InformationStructure:
     """Equally likely signals (one per superiority level) over the four
     (incumbent, new-player) win/lose combinations.
 
     The two outcomes are independent given the trial: the incumbent wins with
     probability 1/2 and the new player with the level's mapped probability.
-    With ``check_marginal`` set (the default, and required for the shipped
-    case study), level sets whose average win probability strays from 0.805
-    are refused, since that indicates a level-derivation bug.
+    Level sets whose average win probability strays from 0.805 are refused,
+    since that indicates a level-derivation bug.
     """
     wins = dgm.win_probabilities()
     marginal_win = float(wins.mean())
-    if check_marginal and abs(marginal_win - WIN_PRIOR_TARGET) > WIN_PRIOR_TOL:
+    if abs(marginal_win - WIN_PRIOR_TARGET) > WIN_PRIOR_TOL:
         raise InvalidModelError(
             f"average win probability {marginal_win:.4f} misses the "
             f"{WIN_PRIOR_TARGET} +- {WIN_PRIOR_TOL} design target"

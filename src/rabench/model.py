@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, InvalidModelError, ZeroMassSignalError
+from .errors import DimensionError, InvalidModelError
 
 #: Probability vectors whose mass deviates from 1 by at most this much are
 #: renormalized; anything worse is rejected.
@@ -41,6 +41,11 @@ MIN_BIN_WIDTH = 1e-5
 
 #: Tolerance used when experiment strategies must share a common state prior.
 PRIOR_MATCH_TOL = 1e-6
+
+
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer; a bool is not an integer here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_unique(ids: Sequence[str], what: str) -> None:
@@ -127,29 +132,19 @@ class ActionSpace:
 
     @staticmethod
     def integer_grid(low: int, high: int, step: int = 1) -> "ActionSpace":
+        for name, value in (("low", low), ("high", high), ("step", step)):
+            if not _is_integer(value):
+                raise InvalidModelError(f"grid {name} must be an integer, "
+                                        f"not {value!r}")
         if step <= 0:
             raise InvalidModelError("grid step must be positive")
         if high < low:
             raise InvalidModelError("grid upper bound below lower bound")
-        vals = list(range(int(low), int(high) + 1, int(step)))
+        vals = range(low, high + 1, step)
         return ActionSpace(
             ids=tuple(str(v) for v in vals),
             kind="grid",
             values=tuple(float(v) for v in vals),
-        )
-
-    @staticmethod
-    def probability_reports(states: StateSpace, bin_width: float = 0.02) -> "ActionSpace":
-        mids, ids = report_bins(bin_width)
-        if len(states) != 2:
-            raise InvalidModelError(
-                "probability-report actions are only defined for 2-state spaces"
-            )
-        return ActionSpace(
-            ids=ids,
-            kind="report",
-            values=tuple(float(m) for m in mids),
-            bin_width=float(bin_width),
         )
 
     def __len__(self) -> int:
@@ -311,20 +306,22 @@ ScoringRule = Union[MatrixRule, TransitRule]
 @dataclass(frozen=True, eq=False)
 class InformationStructure:
     """Joint distribution over (signal, state) induced by one visualization
-    or communication strategy."""
+    or communication strategy.
+
+    Construction refuses every :func:`structure_violations` fault at once
+    and renormalizes the joint, so every signal has positive mass.
+    """
 
     signals: tuple[str, ...]
     joint: np.ndarray
-    check: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(str(v) for v in self.signals))
         j = np.array(self.joint, dtype=float)
-        if self.check:
-            problems = structure_violations(self.signals, j)
-            if problems:
-                raise InvalidModelError(problems)
-            j = j / j.sum()
+        problems = structure_violations(self.signals, j)
+        if problems:
+            raise InvalidModelError(problems)
+        j = j / j.sum()
         j.setflags(write=False)
         object.__setattr__(self, "joint", j)
 
@@ -344,15 +341,9 @@ class InformationStructure:
     def posteriors(self) -> np.ndarray:
         """Posterior over states given each signal, one row per signal:
         row i is the joint's row i divided by its mass, checked and
-        renormalized as :class:`Belief` is. A signal of zero mass raises
-        ``ZeroMassSignalError``.
+        renormalized as :class:`Belief` is.
         """
-        mass = self.joint.sum(axis=1, keepdims=True)
-        if (mass <= 0.0).any():
-            empty = self.signals[int(np.argmax(mass[:, 0] <= 0.0))]
-            raise ZeroMassSignalError(f"signal {empty!r} has zero marginal mass; "
-                                      f"no posterior exists")
-        return _normalized_beliefs(self.joint / mass)
+        return _normalized_beliefs(self.joint / self.joint.sum(axis=1, keepdims=True))
 
 
 def structure_violations(signals: Sequence[str], joint: np.ndarray) -> list[str]:
@@ -414,10 +405,16 @@ class ExperimentDesign:
     def __post_init__(self):
         object.__setattr__(self, "strategies", dict(self.strategies))
         trials = self.trials_per_experiment
-        if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
-                or trials < 1):
+        if not _is_integer(trials) or trials < 1:
             raise InvalidModelError(f"trials_per_experiment must be a positive "
                                     f"integer, not {trials!r}")
+        score = self.initial_score
+        if (isinstance(score, bool)
+                or not isinstance(score, (int, float, np.integer, np.floating))
+                or not np.isfinite(score)):
+            raise InvalidModelError(f"initial_score must be a finite number, "
+                                    f"not {score!r}")
+        object.__setattr__(self, "initial_score", float(score))
         if not self.strategies:
             raise InvalidModelError("an experiment design needs at least one strategy")
         priors = {k: s.state_marginal() for k, s in self.strategies.items()}
@@ -546,18 +543,26 @@ def optimal_action_indices(problem: DecisionProblem, beliefs) -> np.ndarray:
 
 def validate(problem: DecisionProblem) -> list[str]:
     """Check every invariant of a decision problem; return all violations,
-    those of the structure first and then :func:`rule_violations`.
+    those of :func:`joint_violations` first and then :func:`rule_violations`.
 
     An empty list means the problem is well formed.
     """
     structure = problem.structure
-    out = structure_violations(structure.signals, structure.joint)
-    if structure.joint.ndim == 2 and structure.n_states != len(problem.states):
-        out.append(
-            f"dimension: joint has {structure.n_states} states but the space "
-            f"has {len(problem.states)}"
-        )
-    return out + rule_violations(problem.states, problem.actions, problem.rule)
+    return (joint_violations(structure.signals, structure.joint, problem.states)
+            + rule_violations(problem.states, problem.actions, problem.rule))
+
+
+def joint_violations(signals: Sequence[str], joint: np.ndarray,
+                     states: StateSpace) -> list[str]:
+    """The violations of :func:`validate` that concern a would-be structure:
+    :func:`structure_violations`, then a joint whose state count is not the
+    space's."""
+    j = np.asarray(joint, dtype=float)
+    out = structure_violations(signals, j)
+    if j.ndim == 2 and j.shape[1] != len(states):
+        out.append(f"dimension: joint has {j.shape[1]} states but the space "
+                   f"has {len(states)}")
+    return out
 
 
 def rule_violations(states: StateSpace, actions: ActionSpace,

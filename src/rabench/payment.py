@@ -20,7 +20,7 @@ from .model import (
     optimal_action_indices,
     outcome_scores,
 )
-from .rational import RationalReport, rational_report
+from .rational import rational_report
 
 
 @dataclass(frozen=True)
@@ -98,34 +98,30 @@ class IncentiveTable:
 
 
 def incentive_table(design: ExperimentDesign,
-                    rule: ConversionRule | None = None,
                     method: str = "linearized",
                     n: int = 100_000,
-                    seed: int = 0,
-                    *,
-                    report: RationalReport | None = None) -> IncentiveTable:
-    """Expected payments to a rational agent with and without the signal.
+                    seed: int = 0) -> IncentiveTable:
+    """Expected payments to a rational agent with and without the signal,
+    under the design's conversion rule.
 
     One row per strategy plus a ``benchmark`` row for the best strategy, so
     no strategy may be named ``benchmark``. The default evaluates the
     conversion at the expected cumulative score; for floored conversions
     that is a linearization, and ``method="monte-carlo"`` instead simulates
-    per-trial scores, accumulates each session, converts, and averages.
-
-    ``report`` must be ``rational_report(design)``; a caller that already
-    holds it passes it to skip the recomputation.
+    ``n`` per-trial scores, accumulates each session, converts, and averages.
     """
-    rule = rule if rule is not None else design.conversion
+    rule = design.conversion
     if rule is None:
         raise InvalidModelError("the design carries no conversion rule")
     if method not in ("linearized", "monte-carlo"):
         raise InvalidModelError(f"unknown incentive method {method!r}")
+    if method == "monte-carlo" and n < 1:
+        raise InvalidModelError("need at least one draw")
     if "benchmark" in design.strategies:
         raise InvalidModelError("a strategy named 'benchmark' clashes with the "
                                 "incentive table's benchmark row")
 
-    if report is None:
-        report = rational_report(design)
+    report = rational_report(design)
 
     # each signal plays its optimal action under its row of ``beliefs`` (or the prior's)
     def payment(per_trial: float, strategy: str, beliefs: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rabench.cases import (
+    _coarsen,
     build_case,
     build_fernandes,
     build_kale,
@@ -11,6 +12,7 @@ from rabench.cases import (
     read_trial_distributions,
     two_team_decision_threshold,
 )
+from rabench.config_io import design_from_config, design_to_config
 from rabench.errors import ConfigError, InvalidModelError
 from rabench.model import MatrixRule, validate
 from rabench.payment import incentive_table
@@ -112,19 +114,26 @@ class TestKaleCase:
             pin = case.expected[key]
             assert abs(got - pin.value) <= pin.tol, key
 
+    @staticmethod
+    def config_with_levels(levels) -> dict:
+        cfg = design_to_config(build_kale().design)
+        cfg["strategies"] = {"QDP": {"dgm": {"kind": "two-team",
+                                             "pos_levels": list(levels)}}}
+        return cfg
+
     def test_explicit_levels_override(self):
         # overriding with the default levels reproduces the default case
-        case = build_kale(levels=tuple(np.round(np.array([
+        design = design_from_config(self.config_with_levels(np.round(np.array([
             0.55, 0.586198656357, 0.642980183948, 0.710860179066,
             0.784363687986, 0.856660188620, 0.917771131099, 0.95,
         ]), 12)))
-        report = rational_report(case.design)
+        report = rational_report(design)
         assert report.value_of_information == pytest.approx(0.200, abs=1e-6)
 
     def test_bad_levels_rejected(self):
         geometric = tuple(0.55 * (0.95 / 0.55) ** (i / 7) for i in range(8))
-        with pytest.raises(InvalidModelError):
-            build_kale(levels=geometric)
+        with pytest.raises(ConfigError, match="^strategy 'QDP': average win"):
+            design_from_config(self.config_with_levels(geometric))
 
 
 class TestFernandesCase:
@@ -193,13 +202,14 @@ class TestFernandesCase:
         assert (f_opt - f_base) / f_base == pytest.approx(0.0737, abs=5e-4)
 
     def test_explicit_partition_override(self):
-        ids, _ = read_trial_distributions(bundled_demo_trials_path())
+        full = build_fernandes(scenario=2).design.strategies["full"]
         # two arbitrary halves as one coarse display class each
-        partition = {"coarse": {t: ("A" if i < 20 else "B")
-                                for i, t in enumerate(ids)}}
-        case = build_fernandes(scenario=2, text_partition=partition)
-        assert set(case.design.strategy_names()) == {"full", "coarse"}
-        assert len(case.design.strategies["coarse"]) == 2
+        partition = {t: ("A" if i < 20 else "B") for i, t in enumerate(full.signals)}
+        coarse = _coarsen(full, partition)
+        assert coarse.signals == ("A", "B")
+        np.testing.assert_allclose(coarse.joint,
+                                   [full.joint[:20].sum(axis=0),
+                                    full.joint[20:].sum(axis=0)], rtol=1e-12)
 
     def test_quantile_partition_rounds_display_minutes(self):
         ids, dists = read_trial_distributions(bundled_demo_trials_path())

@@ -398,6 +398,11 @@ def _trial_dists(row: str) -> str:
     ("config", {"rule": {"kind": "matrix", "scores": [[0, "one"], [1, 0]]}}, "rule: "),
     ("config", {"strategies": ["s"]}, "strategies: "),
     ("config", {"trials_per_experiment": 0}, "trials_per_experiment"),
+    *[("config", {"initial_score": score}, "initial_score")
+      for score in ("nan", "inf", True, float("nan"))],
+    *[("config", {"actions": {"kind": "grid", "low": 0, "high": 1, **grid}},
+       "actions: ") for grid in ({"low": 0.5}, {"high": 1.5}, {"step": 1.5},
+                                 {"step": True})],
     *[("argv", ["simulate", "--case", "weather", "--agent", "rational", "--n", "10",
                 "--seed", seed, "--out", "x.csv"], "--seed") for seed in ("-1", "1.5")],
     *[("argv", ["pre", "--case", "fernandes2018", "--grid-step", step], "--grid-step")

@@ -120,6 +120,24 @@ class TestLoading:
             "rule: dimension: score matrix has 3 actions but the space has 2"
         )
 
+    def test_every_violation_is_reported_at_once(self):
+        cfg = {
+            "schema_version": 1,
+            "states": {"ids": ["a", "b"]},
+            "actions": {"kind": "finite", "ids": ["x", "y"]},
+            "rule": {"kind": "matrix", "scores": [[0, 0], [0, 0], [0, 0]]},
+            "strategies": {"s": {"signals": ["v"], "joint": [[0.5, 0.4]]},
+                           "t": {"signals": ["v", "w"],
+                                 "joint": [[0.9, 0.1], [0.0, 0.0]]}},
+        }
+        with pytest.raises(ConfigError) as err:
+            design_from_config(cfg)
+        assert str(err.value) == (
+            "strategy 's': joint mass is 0.9, not 1 within tolerance; "
+            "strategy 't': every signal row needs positive total mass; "
+            "rule: dimension: score matrix has 3 actions but the space has 2"
+        )
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

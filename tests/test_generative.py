@@ -114,16 +114,16 @@ class TestKaleJoint:
         win_marginal = s.joint[:, 1].sum() + s.joint[:, 3].sum()
         assert win_marginal == pytest.approx(0.805, abs=1e-9)
 
-    def test_even_levels_give_even_prior(self):
+    def test_even_levels_are_refused(self):
+        # their average win probability 0.5 misses the 0.805 design target
         dgm = TwoTeamDGM(pos_levels=(0.5,) * 8)
-        s = kale_joint(dgm, check_marginal=False)
-        win_marginal = s.joint[:, 1].sum() + s.joint[:, 3].sum()
-        assert win_marginal == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(InvalidModelError,
+                           match="^average win probability 0.5000 misses"):
+            kale_joint(dgm)
 
-    def test_geometric_levels_match_brute_force_average(self):
-        levels = tuple(0.55 * (0.95 / 0.55) ** (i / 7) for i in range(8))
-        dgm = TwoTeamDGM(pos_levels=levels)
-        s = kale_joint(dgm, check_marginal=False)
+    def test_default_levels_match_brute_force_average(self):
+        levels = TwoTeamDGM().pos_levels
+        s = kale_joint(TwoTeamDGM())
         brute = sum(pos_to_win_probability(p) for p in levels) / 8.0
         win_marginal = s.joint[:, 1].sum() + s.joint[:, 3].sum()
         assert win_marginal == pytest.approx(brute, abs=1e-12)

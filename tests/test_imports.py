@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 SCIPY_MODULES = ("import sys, json; "
                  "print(json.dumps(sorted(m for m in sys.modules "
                  "if m.split('.')[0] == 'scipy')))")
@@ -50,7 +52,7 @@ PUBLIC_NAMES = {
     "IncentiveTable", "InformationStructure", "InvalidModelError", "LossReport",
     "MatrixRule", "PinnedValue", "RabenchError", "RationalReport", "ReportMap",
     "StateSpace", "TransitRule", "TrialDataError", "TrialTable", "TwoTeamDGM",
-    "ZeroMassSignalError", "behavioral_score", "behavioral_value_of_information",
+    "behavioral_score", "behavioral_value_of_information",
     "belief_loss", "build_case", "build_fernandes", "build_kale", "build_weather",
     "calibrate", "decisions_from_beliefs", "design_from_config",
     "design_to_config", "discretize", "incentive_table", "ingest", "kale_joint",
@@ -70,3 +72,26 @@ def test_public_names_are_pinned():
     public = {name for name, value in vars(rabench).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("function, keyword", [
+    ("incentive_table", "report"), ("incentive_table", "rule"),
+    ("loss_report", "report"), ("kale_joint", "check_marginal"),
+    ("build_kale", "levels"), ("build_fernandes", "text_partition"),
+    ("cases.quantile_text_partition", "rounding"), ("InformationStructure", "check"),
+    *[("TwoTeamDGM", field) for field in ("baseline_mean", "win_threshold", "sigmas")],
+])
+def test_removed_options_raise_type_error(function, keyword):
+    import rabench
+
+    owner, _, name = function.rpartition(".")
+    fn = getattr(getattr(rabench, owner) if owner else rabench, name)
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        fn(**{keyword: None})
+
+
+def test_removed_names_are_gone():
+    import rabench
+
+    assert not hasattr(rabench.errors, "ZeroMassSignalError")
+    assert not hasattr(rabench.ActionSpace, "probability_reports")

@@ -12,7 +12,7 @@ import pytest
 
 from rabench.behavioral import EmpiricalJoint, behavioral_score, calibrate
 from rabench.cases import build_case
-from rabench.errors import DimensionError, InvalidModelError, ZeroMassSignalError
+from rabench.errors import DimensionError, InvalidModelError
 from rabench.model import (
     ActionSpace,
     Belief,
@@ -214,11 +214,14 @@ def test_conditionals_equal_normalized_count_rows():
         joint.conditionals([0, 1])
 
 
-def test_posteriors_refuse_a_zero_mass_signal():
+def test_posteriors_never_meet_a_zero_mass_signal():
+    # the constructor refuses a zero-mass signal; a tiny one still conditions
+    with pytest.raises(InvalidModelError, match="every signal row needs positive"):
+        InformationStructure(signals=("a", "b"),
+                             joint=np.array([[0.6, 0.4], [0.0, 0.0]]))
     s = InformationStructure(signals=("a", "b"),
-                             joint=np.array([[0.6, 0.4], [0.0, 0.0]]), check=False)
-    with pytest.raises(ZeroMassSignalError, match="'b'"):
-        s.posteriors()
+                             joint=np.array([[0.6, 0.4 - 2e-300], [1e-300, 1e-300]]))
+    np.testing.assert_array_equal(s.posteriors()[1], [0.5, 0.5])
 
 
 class TestBatchDimensionErrors:

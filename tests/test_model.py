@@ -13,6 +13,7 @@ from rabench.model import (
     StateSpace,
     TransitRule,
     binary_report_map,
+    joint_violations,
     optimal_action_indices,
     outcome_scores,
     report_bins,
@@ -20,7 +21,7 @@ from rabench.model import (
     validate,
 )
 
-from conftest import SALTING_SCORES, random_belief, random_matrix_problem
+from conftest import random_belief, random_matrix_problem
 
 
 class TestSpaces:
@@ -42,29 +43,34 @@ class TestSpaces:
         with pytest.raises(InvalidModelError):
             ActionSpace.integer_grid(0, 10, step=0)
 
+    @pytest.mark.parametrize("bad", [0.5, 3.0, True, "3", None])
+    @pytest.mark.parametrize("which", ["low", "high", "step"])
+    def test_grid_bounds_and_step_must_be_integers(self, which, bad):
+        args = {"low": 0, "high": 3, "step": 1, which: bad}
+        with pytest.raises(InvalidModelError, match=(
+                f"^grid {which} must be an integer, not {bad!r}$")):
+            ActionSpace.integer_grid(**args)
+
     def test_probability_report_bins(self):
-        states = StateSpace(ids=("no", "yes"))
-        space = ActionSpace.probability_reports(states, bin_width=0.02)
-        assert len(space) == 50
-        assert space.values[0] == pytest.approx(0.01)
-        assert space.values[-1] == pytest.approx(0.99)
+        mids, ids = report_bins(0.02)
+        assert len(mids) == len(ids) == 50
+        assert mids[0] == pytest.approx(0.01)
+        assert mids[-1] == pytest.approx(0.99)
 
     def test_partial_last_bin_takes_its_own_midpoint(self):
-        states = StateSpace(ids=("no", "yes"))
-        space = ActionSpace.probability_reports(states, bin_width=0.3)
-        assert space.values == pytest.approx((0.15, 0.45, 0.75, 0.95))
-        assert space.ids == ("0.15", "0.45", "0.75", "0.95")
+        mids, ids = report_bins(0.3)
+        assert mids == pytest.approx((0.15, 0.45, 0.75, 0.95))
+        assert ids == ("0.15", "0.45", "0.75", "0.95")
 
     def test_probability_report_needs_binary(self):
         with pytest.raises(InvalidModelError):
-            ActionSpace.probability_reports(StateSpace(ids=("a", "b", "c")))
+            binary_report_map(3)
 
     def test_bin_width_bounds(self):
-        states = StateSpace(ids=("no", "yes"))
         with pytest.raises(InvalidModelError):
-            ActionSpace.probability_reports(states, bin_width=0.0)
+            report_bins(0.0)
         with pytest.raises(InvalidModelError):
-            ActionSpace.probability_reports(states, bin_width=1.5)
+            report_bins(1.5)
 
     @pytest.mark.parametrize("width", [1e-300, 1e-6, 0.99e-5, float("nan")])
     def test_too_narrow_bins_refused(self, width):
@@ -287,23 +293,14 @@ class TestValidate:
         assert validate(weather_problem) == []
 
     def test_bad_mass_is_reported(self, weather_states):
-        structure = InformationStructure(
-            signals=("v1", "v2"),
-            joint=np.array([[0.4, 0.1], [0.3, 0.1]]),  # mass 0.9
-            check=False,
-        )
-        problem = DecisionProblem(
-            states=weather_states,
-            actions=ActionSpace.finite(("no-salt", "salt")),
-            rule=MatrixRule(np.array(SALTING_SCORES)),
-            structure=structure,
-        )
-        assert any("mass" in v for v in validate(problem))
+        joint = np.array([[0.4, 0.1], [0.3, 0.1]])  # mass 0.9
+        assert any("mass" in v for v in joint_violations(("v1", "v2"), joint,
+                                                         weather_states))
 
     def test_dimension_violation_is_reported(self):
         states = StateSpace(ids=("a", "b", "c"))
         structure = InformationStructure(
-            signals=("v",), joint=np.full((1, 3), 1 / 3), check=True
+            signals=("v",), joint=np.full((1, 3), 1 / 3)
         )
         problem = DecisionProblem(
             states=states,
@@ -315,9 +312,7 @@ class TestValidate:
 
     def test_all_violations_are_returned(self, weather_states):
         structure = InformationStructure(
-            signals=("v1", "v2"),
-            joint=np.array([[0.9, 0.1], [0.0, 0.0]]),  # mass 1 but empty row
-            check=False,
+            signals=("v",), joint=np.full((1, 3), 1 / 3)  # 3 states against 2
         )
         problem = DecisionProblem(
             states=weather_states,
@@ -376,6 +371,26 @@ class TestExperimentDesign:
         with pytest.raises(InvalidModelError, match=(
                 f"^trials_per_experiment must be a positive integer, not {trials!r}$")):
             self.design_of_trials(weather_states, trials)
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf"),
+                                       True, False, "108", None])
+    def test_non_finite_or_boolean_initial_score_rejected(self, weather_states, score):
+        from rabench.model import ExperimentDesign
+
+        design = self.design_of_trials(weather_states, 1)
+        with pytest.raises(InvalidModelError, match=(
+                f"^initial_score must be a finite number, not {score!r}$")):
+            ExperimentDesign(design.states, design.actions, design.rule,
+                             design.strategies, initial_score=score)
+
+    @pytest.mark.parametrize("score", [108, 108.0, np.float64(108.0), np.int64(108)])
+    def test_finite_initial_score_is_kept_as_a_float(self, weather_states, score):
+        from rabench.model import ExperimentDesign
+
+        design = self.design_of_trials(weather_states, 1)
+        design = ExperimentDesign(design.states, design.actions, design.rule,
+                                  design.strategies, initial_score=score)
+        assert type(design.initial_score) is float and design.initial_score == 108.0
 
     @pytest.mark.parametrize("trials", [1, 32, np.int64(32)])
     def test_integer_trials_per_experiment_accepted(self, weather_states, trials):

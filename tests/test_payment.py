@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,11 @@ class TestIncentiveTable:
         b = incentive_table(design, method="monte-carlo", n=50_000, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_monte_carlo_needs_a_draw(self, n):
+        with pytest.raises(InvalidModelError, match="^need at least one draw$"):
+            incentive_table(kale_design(), method="monte-carlo", n=n)
+
     def test_missing_conversion_rejected(self):
         with pytest.raises(InvalidModelError):
             incentive_table(weather_design())
@@ -143,7 +150,7 @@ class TestIncentiveTable:
         # base exactly cancels the baseline payment
         rule = AffineConversion(base=0.0796 * 100 * 0.01, rate=0.01)
         with pytest.raises(InvalidModelError):
-            incentive_table(design, rule=rule)
+            incentive_table(replace(design, conversion=rule))
 
     def test_shift_raises_the_incentive_ratio(self):
         # removing a guaranteed floor from payments leaves the incentive
@@ -151,8 +158,8 @@ class TestIncentiveTable:
         base = weather_design()
         plain = AffineConversion(base=10.0, rate=0.01)
         shifted = AffineConversion(base=10.0 - 0.01 * 50.0, rate=0.01)
-        t_plain = incentive_table(base, rule=plain)
-        t_shift = incentive_table(base, rule=shifted)
+        t_plain = incentive_table(replace(base, conversion=plain))
+        t_shift = incentive_table(replace(base, conversion=shifted))
         assert t_shift.benchmark.incentive == pytest.approx(
             t_plain.benchmark.incentive, abs=1e-12
         )
@@ -169,7 +176,7 @@ class TestIncentiveTable:
         shifted = AffineConversion(base=plain.base - plain.rate * guaranteed,
                                    rate=plain.rate)
         t_plain = incentive_table(design)
-        t_shift = incentive_table(design, rule=shifted)
+        t_shift = incentive_table(replace(design, conversion=shifted))
         assert t_shift.benchmark.incentive == pytest.approx(
             t_plain.benchmark.incentive, abs=1e-9
         )

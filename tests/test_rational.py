@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rabench.behavioral import loss_report
-from rabench.errors import InvalidModelError, ZeroMassSignalError
+from rabench.errors import InvalidModelError
 from rabench.model import (
     ActionSpace,
     DecisionProblem,
@@ -48,13 +48,12 @@ class TestPriorPosterior:
         np.testing.assert_allclose(q.probabilities, [1.0, 0.0])
 
     def test_zero_mass_signal_raises(self):
-        s = InformationStructure(
-            signals=("a", "b"),
-            joint=np.array([[0.6, 0.4], [0.0, 0.0]]),
-            check=False,
-        )
-        with pytest.raises(ZeroMassSignalError):
-            posterior(s, "b")
+        with pytest.raises(InvalidModelError,
+                           match="every signal row needs positive total mass"):
+            InformationStructure(
+                signals=("a", "b"),
+                joint=np.array([[0.6, 0.4], [0.0, 0.0]]),
+            )
 
 
 class TestRationalQuantities:
