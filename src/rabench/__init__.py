@@ -59,14 +59,12 @@ from .generative import (
 from .model import (
     ActionSpace,
     Belief,
-    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     MatrixRule,
     ReportMap,
     StateSpace,
     TransitRule,
-    validate,
 )
 from .payment import (
     AffineConversion,

@@ -117,80 +117,79 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
     """
     if n_trials < 1:
         raise InvalidModelError("need at least one trial")
-    problem = design.problem(strategy)
-    structure = problem.structure
+    if strategy not in design.strategies:
+        raise InvalidModelError(f"unknown strategy {strategy!r}")
+    structure = design.strategies[strategy]
     rng = np.random.default_rng(seed)
     v_idx, t_idx = _draw_stimuli(structure, n_trials, rng, balanced)
 
     if agent.task == "decision":
-        action = _decision_responses(design, strategy, agent, v_idx, rng)
-        action_ids, report = problem.actions.ids, np.full(n_trials, np.nan)
+        action = _decision_responses(design, structure, agent, v_idx, rng)
+        action_ids, report = design.actions.ids, np.full(n_trials, np.nan)
     else:
-        report = _belief_responses(design, strategy, agent, v_idx, rng)
+        report = _belief_responses(design, structure, agent, v_idx, rng)
         action_ids, action = (), np.full(n_trials, -1)
     return TrialTable(
         trial_ids=[str(i) for i in range(n_trials)],
         strategy_ids=(strategy,), strategy=np.zeros(n_trials, dtype=np.intp),
         signal_ids=structure.signals, signal=v_idx,
-        state_ids=problem.states.ids, state=t_idx,
+        state_ids=design.states.ids, state=t_idx,
         action_ids=action_ids, action=action, report=report,
     )
 
 
-def _decision_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
-    """Index of each trial's action in the problem's action space."""
-    problem = design.problem(strategy)
+def _decision_responses(design, structure, agent, v_idx, rng) -> np.ndarray:
+    """Index of each trial's action in the design's action space."""
     n = len(v_idx)
-    n_actions = len(problem.actions)
+    n_actions = len(design.actions)
 
     if agent.kind == "rational":
-        return optimal_action_indices(problem, problem.structure.posteriors())[v_idx]
+        return optimal_action_indices(design, structure.posteriors())[v_idx]
 
     if agent.kind == "prior":
-        p = prior(problem.structure).probabilities
-        return np.full(n, optimal_action_indices(problem, p[None, :])[0])
+        p = prior(structure).probabilities
+        return np.full(n, optimal_action_indices(design, p[None, :])[0])
 
     if agent.kind == "uniform-random":
         return rng.integers(0, n_actions, size=n)
 
     if agent.kind == "noisy-belief":
-        beliefs = _noisy_beliefs(design, problem, v_idx, agent.noise_sd, rng)
-        return optimal_action_indices(problem, beliefs)
+        beliefs = _noisy_beliefs(design, structure, v_idx, agent.noise_sd, rng)
+        return optimal_action_indices(design, beliefs)
 
     # lapse: inner responses first, then replace a seeded fraction
-    inner = _decision_responses(design, strategy, agent.inner, v_idx, rng)
+    inner = _decision_responses(design, structure, agent.inner, v_idx, rng)
     mask = rng.uniform(size=n) < agent.lapse_rate
     picks = rng.integers(0, n_actions, size=n)
     return np.where(mask, picks, inner)
 
 
-def _belief_responses(design, strategy, agent, v_idx, rng) -> np.ndarray:
+def _belief_responses(design, structure, agent, v_idx, rng) -> np.ndarray:
     """Each trial's probability report."""
-    problem = design.problem(strategy)
     from_beliefs = _resolve_report_map(design).from_beliefs
     n = len(v_idx)
 
     if agent.kind in ("rational", "noisy-belief"):
-        reports = from_beliefs(problem.structure.posteriors())[v_idx]
+        reports = from_beliefs(structure.posteriors())[v_idx]
         if agent.kind == "noisy-belief" and agent.noise_sd > 0:
             noise = rng.normal(0.0, agent.noise_sd, size=n)
             reports = _sigmoid(_logit(reports) + noise)
         return reports
 
     if agent.kind == "prior":
-        p = prior(problem.structure).probabilities
+        p = prior(structure).probabilities
         return np.full(n, from_beliefs(p[None, :])[0])
 
     if agent.kind == "uniform-random":
         return rng.uniform(size=n)
 
-    inner = _belief_responses(design, strategy, agent.inner, v_idx, rng)
+    inner = _belief_responses(design, structure, agent.inner, v_idx, rng)
     mask = rng.uniform(size=n) < agent.lapse_rate
     uniform = rng.uniform(size=n)
     return np.where(mask, uniform, inner)
 
 
-def _noisy_beliefs(design, problem, v_idx, noise_sd, rng) -> np.ndarray:
+def _noisy_beliefs(design, structure, v_idx, noise_sd, rng) -> np.ndarray:
     """Posterior beliefs perturbed in log-odds, one row per trial.
 
     Designs with a scalar belief axis (binary states, or an explicit report
@@ -199,7 +198,7 @@ def _noisy_beliefs(design, problem, v_idx, noise_sd, rng) -> np.ndarray:
     and the vector renormalized.
     """
     n = len(v_idx)
-    posteriors = problem.structure.posteriors()
+    posteriors = structure.posteriors()
     if noise_sd == 0.0:
         return posteriors[v_idx]
     try:

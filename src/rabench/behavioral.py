@@ -461,8 +461,8 @@ def read_trials_csv(path: str | Path) -> TrialTable:
 class EmpiricalJoint:
     """Counts and normalized masses over (observed action, realized state).
 
-    ``kind`` records the provenance: raw action counts, or probability
-    reports binned at ``bin_width`` with one row per bin (midpoints in
+    ``kind`` records the provenance: raw action counts, or binned
+    probability reports with one row per bin (midpoints in
     ``action_values``).
     """
 
@@ -471,7 +471,6 @@ class EmpiricalJoint:
     counts: np.ndarray
     kind: str  # "action" | "report"
     action_values: tuple[float, ...] | None = None
-    bin_width: float | None = None
 
     def __post_init__(self):
         c = np.array(self.counts, dtype=float)
@@ -607,7 +606,6 @@ def ingest(table: TrialTable, design: ExperimentDesign,
         counts=counts,
         kind="report",
         action_values=tuple(float(m) for m in mids),
-        bin_width=float(bin_width),
     )
 
 
@@ -631,20 +629,19 @@ def behavioral_score(joint: EmpiricalJoint, design: ExperimentDesign) -> float:
     the joint, and well defined for the transit rule). Report joints score
     each bin by playing the optimal action of the bin-midpoint belief.
     """
-    base = design.any_problem()
     if joint.kind == "action":
         marginal = joint.action_marginal()
         rows = np.flatnonzero(marginal > 0)
-        actions = [base.actions.index(joint.action_ids[i]) for i in rows]
-        ev = score_table(base, joint.conditionals(rows))
+        actions = [design.actions.index(joint.action_ids[i]) for i in rows]
+        ev = score_table(design, joint.conditionals(rows))
         return _running_total(marginal[rows] * ev[np.arange(len(rows)), actions])
 
     masses = joint.masses
     rows = np.flatnonzero(masses.sum(axis=1) > 0)
     mids = np.asarray(joint.action_values)[rows]
     beliefs = _resolve_report_map(design).to_beliefs(mids)
-    best = optimal_action_indices(base, beliefs)
-    return _running_total(masses[rows] * outcome_scores(base, best, beliefs))
+    best = optimal_action_indices(design, beliefs)
+    return _running_total(masses[rows] * outcome_scores(design, best, beliefs))
 
 
 @dataclass(frozen=True)
@@ -664,8 +661,7 @@ def calibrate(joint: EmpiricalJoint, design: ExperimentDesign,
     """
     marginal = joint.action_marginal()
     rows = np.flatnonzero(marginal > 0)
-    ev = score_table(design.any_problem(),
-                     joint.conditionals(rows, smoothing_alpha=smoothing_alpha))
+    ev = score_table(design, joint.conditionals(rows, smoothing_alpha=smoothing_alpha))
     best = np.argmax(ev, axis=1)
     policy = {joint.action_ids[i]: design.actions.ids[b] for i, b in zip(rows, best)}
     score = _running_total(marginal[rows] * ev[np.arange(len(rows)), best])
@@ -693,20 +689,18 @@ def optimization_loss(calibrated: float, behavioral: float, delta: float) -> flo
     return (calibrated - behavioral) / delta
 
 
-def decisions_from_beliefs(table: TrialTable, design: ExperimentDesign,
-                           report_map: ReportMap | None = None) -> TrialTable:
+def decisions_from_beliefs(table: TrialTable, design: ExperimentDesign) -> TrialTable:
     """Convert belief reports to decision trials by playing the optimal
-    action under each report's mapped belief."""
+    action under each report's belief, mapped by the design's report map."""
     actions = table.action >= 0
     if actions.any():
         raise TrialDataError(
             "decisions_from_beliefs needs probability records",
             trial_ids=table.trial_ids[actions].tolist(),
         )
-    mapping = report_map or _resolve_report_map(design)
-    base = design.any_problem()
-    best = optimal_action_indices(base, mapping.to_beliefs(table.report))
-    return replace(table, action_ids=base.actions.ids, action=best,
+    beliefs = _resolve_report_map(design).to_beliefs(table.report)
+    best = optimal_action_indices(design, beliefs)
+    return replace(table, action_ids=design.actions.ids, action=best,
                    report=np.full(len(table), np.nan))
 
 

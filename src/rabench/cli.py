@@ -261,16 +261,29 @@ def cmd_post(args) -> int:
     return EXIT_OK
 
 
+#: Each ``--agent`` kind and the parameters it takes.
+_AGENT_PARAMS = {"rational": (), "prior": (), "random": (), "uniform-random": (),
+                 "noisy": ("k",), "noisy-belief": ("k",), "lapse": ("rate", "inner")}
+
+
 def _parse_agent(text: str, task: str) -> AgentSpec:
     head, _, params_text = text.partition(":")
+    kind = head.strip().lower()
+    if kind not in _AGENT_PARAMS:
+        raise RabenchError(
+            f"unknown agent {head!r}; use rational, prior, random, "
+            f"noisy[:k=SD], or lapse[:rate=R,inner=KIND]"
+        )
     params = {}
     if params_text:
         for chunk in params_text.split(","):
             key, _, value = chunk.partition("=")
             if not value:
                 raise RabenchError(f"malformed agent parameter {chunk!r}")
-            params[key.strip()] = value.strip()
-    kind = head.strip().lower()
+            key = key.strip()
+            if key not in _AGENT_PARAMS[kind]:
+                raise RabenchError(f"--agent: {kind} takes no parameter {key!r}")
+            params[key] = value.strip()
     if kind == "rational":
         return AgentSpec.rational(task)
     if kind == "prior":
@@ -279,13 +292,8 @@ def _parse_agent(text: str, task: str) -> AgentSpec:
         return AgentSpec.uniform_random(task)
     if kind in ("noisy", "noisy-belief"):
         return AgentSpec.noisy_belief(_agent_number(params, "k", "0.5"), task)
-    if kind == "lapse":
-        inner = _parse_agent(params.get("inner", "rational"), task)
-        return AgentSpec.lapsing(_agent_number(params, "rate", "0.1"), inner)
-    raise RabenchError(
-        f"unknown agent {head!r}; use rational, prior, random, "
-        f"noisy[:k=SD], or lapse[:rate=R,inner=KIND]"
-    )
+    inner = _parse_agent(params.get("inner", "rational"), task)
+    return AgentSpec.lapsing(_agent_number(params, "rate", "0.1"), inner)
 
 
 def _agent_number(params: dict[str, str], key: str, default: str) -> float:

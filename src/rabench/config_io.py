@@ -62,8 +62,6 @@ def design_to_config(design: ExperimentDesign) -> dict:
     actions: dict = {"kind": design.actions.kind, "ids": list(design.actions.ids)}
     if design.actions.values is not None:
         actions["values"] = list(design.actions.values)
-    if design.actions.bin_width is not None:
-        actions["bin_width"] = design.actions.bin_width
 
     rule = design.rule
     if isinstance(rule, MatrixRule):
@@ -121,7 +119,6 @@ def _load_actions(cfg: dict) -> ActionSpace:
             ids=tuple(cfg["ids"]),
             kind=kind,
             values=tuple(cfg["values"]) if cfg.get("values") is not None else None,
-            bin_width=cfg.get("bin_width"),
         )
     if kind == "grid":
         return ActionSpace.integer_grid(cfg["low"], cfg["high"],
@@ -252,9 +249,10 @@ def load_design_config(path: str | Path) -> ExperimentDesign:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from None
+        cfg = json.loads(text)
+    except ValueError as err:  # not JSON, or an integer too long for int()
+        raise ConfigError(f"config cannot be read as JSON: {err}") from None
     return design_from_config(cfg)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import DecisionProblem, InformationStructure, outcome_scores
+from .model import ExperimentDesign, InformationStructure, outcome_scores
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -418,10 +418,10 @@ def sample_cells(joint: np.ndarray, n: int,
     return np.unravel_index(cells, joint.shape)
 
 
-def monte_carlo_score(problem: DecisionProblem, actions,
+def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
                       n: int, seed: int) -> tuple[float, float]:
     """Estimate the expected score of playing action index ``actions[i]``
-    on signal i, by sampling (signal, state) pairs from the joint.
+    on signal i of ``strategy``, by sampling (signal, state) pairs from its joint.
 
     Returns (mean, standard error); the draws come from a child seed derived
     from ``seed``, so the result depends only on (seed, n). Cells score as in
@@ -430,14 +430,16 @@ def monte_carlo_score(problem: DecisionProblem, actions,
     """
     if n < 1:
         raise InvalidModelError("need at least one draw")
-    structure = problem.structure
+    if strategy not in design.strategies:
+        raise InvalidModelError(f"unknown strategy {strategy!r}")
+    structure = design.strategies[strategy]
     if len(actions) != len(structure):
         raise InvalidModelError("need one action index per signal")
-    n_actions = len(problem.actions)
+    n_actions = len(design.actions)
     idx = np.asarray(actions)
     if ((idx < 0) | (idx >= n_actions)).any():
         raise InvalidModelError(f"action indices must lie in [0, {n_actions})")
-    table = outcome_scores(problem, actions, structure.posteriors())
+    table = outcome_scores(design, actions, structure.posteriors())
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     scores = table[sample_cells(structure.joint, n, rng)]
     mean = scores.sum() / n

@@ -1,14 +1,15 @@
 """Core domain types for decision experiments.
 
-A decision problem couples a finite state space, a finite action space, a
-scoring rule S(a, theta), and an information structure (a joint distribution
-over signals and states). Everything downstream -- rational baselines and
-benchmarks, behavioral calibration, payments -- is built from two batched
-kernels defined here:
+An experiment design couples a finite state space, a finite action space, a
+scoring rule S(a, theta), and one information structure (a joint
+distribution over signals and states) per strategy. Everything downstream --
+rational baselines and benchmarks, behavioral calibration, payments -- is
+built from two batched kernels defined here, which read only the design's
+states, actions and rule:
 
-* ``score_table(problem, beliefs)``: the expected score of every action
+* ``score_table(design, beliefs)``: the expected score of every action
   under each belief row, shape (beliefs, actions);
-* ``outcome_scores(problem, action_idx, beliefs)``: the realized score of
+* ``outcome_scores(design, action_idx, beliefs)``: the realized score of
   each row's action in every state, shape (rows, states), with the row's
   belief as the context of the transit rule's second bus.
 
@@ -24,6 +25,8 @@ values can be shared freely across workers.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
@@ -106,14 +109,13 @@ class ActionSpace:
 
     kind is one of ``finite`` (explicit ids), ``grid`` (numeric grid expanded
     to one action per step), or ``report`` (probability reports over a binary
-    state space, discretized into bins of ``bin_width``; each action's value
-    is its bin midpoint).
+    state space, discretized into bins; each action's value is its bin
+    midpoint).
     """
 
     ids: tuple[str, ...]
     kind: str = "finite"
     values: tuple[float, ...] | None = None
-    bin_width: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(str(a) for a in self.ids))
@@ -370,21 +372,6 @@ def structure_violations(signals: Sequence[str], joint: np.ndarray) -> list[str]
 
 
 @dataclass(frozen=True)
-class DecisionProblem:
-    """One strategy's complete decision task: spaces, rule, and joint.
-
-    Construction is deliberately lax about cross-component consistency so
-    that :func:`validate` can report every violation at once; operations
-    raise structured errors when dimensions do not line up.
-    """
-
-    states: StateSpace
-    actions: ActionSpace
-    rule: ScoringRule
-    structure: InformationStructure
-
-
-@dataclass(frozen=True)
 class ExperimentDesign:
     """A base decision task plus the set of strategies being compared.
 
@@ -409,9 +396,11 @@ class ExperimentDesign:
             raise InvalidModelError(f"trials_per_experiment must be a positive "
                                     f"integer, not {trials!r}")
         score = self.initial_score
+        # isfinite converts to a float, which an int beyond its range cannot
         if (isinstance(score, bool)
                 or not isinstance(score, (int, float, np.integer, np.floating))
-                or not np.isfinite(score)):
+                or isinstance(score, int) and abs(score) > sys.float_info.max
+                or not math.isfinite(score)):
             raise InvalidModelError(f"initial_score must be a finite number, "
                                     f"not {score!r}")
         object.__setattr__(self, "initial_score", float(score))
@@ -431,15 +420,6 @@ class ExperimentDesign:
 
     def strategy_names(self) -> list[str]:
         return list(self.strategies)
-
-    def problem(self, strategy: str) -> DecisionProblem:
-        if strategy not in self.strategies:
-            raise InvalidModelError(f"unknown strategy {strategy!r}")
-        return DecisionProblem(self.states, self.actions, self.rule,
-                               self.strategies[strategy])
-
-    def any_problem(self) -> DecisionProblem:
-        return self.problem(next(iter(self.strategies)))
 
 
 @dataclass(frozen=True)
@@ -482,15 +462,15 @@ def binary_report_map(n_states: int = 2) -> ReportMap:
 # Scoring kernel
 
 
-def _checked_beliefs(problem: DecisionProblem, beliefs) -> np.ndarray:
-    """``beliefs`` as an (n, states) float matrix that fits the problem's rule."""
+def _checked_beliefs(design: ExperimentDesign, beliefs) -> np.ndarray:
+    """``beliefs`` as an (n, states) float matrix that fits the design's rule."""
     P = np.asarray(beliefs, dtype=float)
-    rule = problem.rule
+    rule = design.rule
     matrix = isinstance(rule, MatrixRule)
-    if matrix and rule.n_actions != len(problem.actions):
+    if matrix and rule.n_actions != len(design.actions):
         raise DimensionError(f"rule scores {rule.n_actions} actions but the "
-                             f"space has {len(problem.actions)}")
-    n_states = rule.n_states if matrix else len(problem.states)
+                             f"space has {len(design.actions)}")
+    n_states = rule.n_states if matrix else len(design.states)
     if P.ndim != 2 or P.shape[1] != n_states:
         raise DimensionError(
             f"beliefs of shape {P.shape} do not match the rule's {n_states} states"
@@ -498,23 +478,23 @@ def _checked_beliefs(problem: DecisionProblem, beliefs) -> np.ndarray:
     return P
 
 
-def score_table(problem: DecisionProblem, beliefs) -> np.ndarray:
+def score_table(design: ExperimentDesign, beliefs) -> np.ndarray:
     """Expected score of every action under each belief row: (n, actions).
 
     A transit row plugs in its own mean arrival for the second bus, so the
     table is quadratic in the belief: P fixed' + slope (P theta) (P miss').
     """
-    P = _checked_beliefs(problem, beliefs)
-    rule = problem.rule
+    P = _checked_beliefs(design, beliefs)
+    rule = design.rule
     if isinstance(rule, MatrixRule):
         # einsum sums each row in state order, whatever the batch around it
         return np.einsum("ns,as->na", P, rule.scores)
-    theta = problem.states.numeric_values()
-    fixed, miss, slope = rule.score_terms(problem.actions.numeric_values(), theta)
+    theta = design.states.numeric_values()
+    fixed, miss, slope = rule.score_terms(design.actions.numeric_values(), theta)
     return P @ fixed.T + slope * (P @ theta)[:, None] * (P @ miss.T)
 
 
-def outcome_scores(problem: DecisionProblem, action_idx,
+def outcome_scores(design: ExperimentDesign, action_idx,
                    beliefs=None) -> np.ndarray:
     """Realized score of action ``action_idx[i]`` in every state: (n, states).
 
@@ -523,40 +503,29 @@ def outcome_scores(problem: DecisionProblem, action_idx,
     was chosen) and needs ``beliefs``.
     """
     idx = np.asarray(action_idx, dtype=np.intp)
-    rule = problem.rule
+    rule = design.rule
     if isinstance(rule, MatrixRule):
-        if rule.scores.shape != (len(problem.actions), len(problem.states)):
+        if rule.scores.shape != (len(design.actions), len(design.states)):
             raise DimensionError("score matrix does not match the action/state spaces")
         return rule.scores[idx]
     if beliefs is None:
         raise InvalidModelError("transit scores need a context belief for the second bus")
-    P = _checked_beliefs(problem, beliefs)
-    theta = problem.states.numeric_values()
-    fixed, miss, slope = rule.score_terms(problem.actions.numeric_values(), theta)
+    P = _checked_beliefs(design, beliefs)
+    theta = design.states.numeric_values()
+    fixed, miss, slope = rule.score_terms(design.actions.numeric_values(), theta)
     return fixed[idx] + slope * (P @ theta)[:, None] * miss[idx]
 
 
-def optimal_action_indices(problem: DecisionProblem, beliefs) -> np.ndarray:
+def optimal_action_indices(design: ExperimentDesign, beliefs) -> np.ndarray:
     """Argmax action index for each belief row, ties to the lowest index."""
-    return np.argmax(score_table(problem, beliefs), axis=1)
-
-
-def validate(problem: DecisionProblem) -> list[str]:
-    """Check every invariant of a decision problem; return all violations,
-    those of :func:`joint_violations` first and then :func:`rule_violations`.
-
-    An empty list means the problem is well formed.
-    """
-    structure = problem.structure
-    return (joint_violations(structure.signals, structure.joint, problem.states)
-            + rule_violations(problem.states, problem.actions, problem.rule))
+    return np.argmax(score_table(design, beliefs), axis=1)
 
 
 def joint_violations(signals: Sequence[str], joint: np.ndarray,
                      states: StateSpace) -> list[str]:
-    """The violations of :func:`validate` that concern a would-be structure:
-    :func:`structure_violations`, then a joint whose state count is not the
-    space's."""
+    """All invariant violations of a would-be strategy of a design on
+    ``states``: :func:`structure_violations`, then a joint whose state count
+    is not the space's."""
     j = np.asarray(joint, dtype=float)
     out = structure_violations(signals, j)
     if j.ndim == 2 and j.shape[1] != len(states):
@@ -567,7 +536,7 @@ def joint_violations(signals: Sequence[str], joint: np.ndarray,
 
 def rule_violations(states: StateSpace, actions: ActionSpace,
                     rule: ScoringRule) -> list[str]:
-    """The violations of :func:`validate` that concern the rule alone."""
+    """All violations of a rule that does not fit a design's spaces."""
     if isinstance(rule, MatrixRule):
         return [f"dimension: score matrix has {n} {what} but the space has {len(space)}"
                 for n, what, space in ((rule.n_actions, "actions", actions),

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import InvalidModelError
 from .generative import sample_cells
 from .model import (
-    DecisionProblem,
     ExperimentDesign,
+    InformationStructure,
     optimal_action_indices,
     outcome_scores,
 )
@@ -127,10 +127,10 @@ def incentive_table(design: ExperimentDesign,
     def payment(per_trial: float, strategy: str, beliefs: np.ndarray) -> float:
         if method == "linearized":
             return rule.convert(experiment_score(design, per_trial))
-        problem = design.problem(strategy)
-        actions = np.broadcast_to(optimal_action_indices(problem, beliefs),
-                                  len(problem.structure))
-        return _simulated_payment(design, rule, problem, actions, n, seed)
+        structure = design.strategies[strategy]
+        actions = np.broadcast_to(optimal_action_indices(design, beliefs),
+                                  len(structure))
+        return _simulated_payment(design, rule, structure, actions, n, seed)
 
     base_payment = payment(report.baseline, next(iter(report.strategies)),
                            report.prior.probabilities[None, :])
@@ -151,10 +151,10 @@ def incentive_table(design: ExperimentDesign,
 
 
 def _simulated_payment(design: ExperimentDesign, rule: ConversionRule,
-                       problem: DecisionProblem, actions: np.ndarray,
+                       structure: InformationStructure, actions: np.ndarray,
                        n: int, seed: int) -> float:
     """Average converted payment over simulated sessions of playing action
-    index ``actions[i]`` on signal i.
+    index ``actions[i]`` on signal i of ``structure``.
 
     Sessions draw ``trials_per_experiment`` i.i.d. trial scores, so floors
     and other nonlinearities are honored exactly up to Monte Carlo error.
@@ -163,9 +163,9 @@ def _simulated_payment(design: ExperimentDesign, rule: ConversionRule,
     sessions = max(n // trials, 1)
     # one long score stream reshaped into sessions keeps the estimate
     # seeded and deterministic without per-session generator churn
-    cells = sample_cells(problem.structure.joint, sessions * trials,
+    cells = sample_cells(structure.joint, sessions * trials,
                          np.random.default_rng(seed))
-    scores = outcome_scores(problem, actions, problem.structure.posteriors())[cells]
+    scores = outcome_scores(design, actions, structure.posteriors())[cells]
     per_session = scores.reshape(sessions, trials).sum(axis=1)
     payments = [rule.convert(design.initial_score + s) for s in per_session]
     return float(np.mean(payments))

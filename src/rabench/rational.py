@@ -14,7 +14,6 @@ import numpy as np
 
 from .model import (
     Belief,
-    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     score_table,
@@ -26,10 +25,10 @@ def prior(structure: InformationStructure) -> Belief:
     return Belief(structure.state_marginal())
 
 
-def rational_baseline(problem: DecisionProblem) -> float:
-    """Expected score of an optimal agent who only knows the prior."""
-    p = prior(problem.structure).probabilities
-    return float(score_table(problem, p[None, :]).max())
+def rational_baseline(design: ExperimentDesign) -> float:
+    """Expected score of an optimal agent who only knows the shared prior."""
+    p = prior(next(iter(design.strategies.values()))).probabilities
+    return float(score_table(design, p[None, :]).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +68,15 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
     information loss is the share of the value of information (benchmark
     minus baseline) that it gives up.
     """
-    base_problem = design.any_problem()
-    baseline = rational_baseline(base_problem)
-    p = prior(base_problem.structure)
+    baseline = rational_baseline(design)
+    p = prior(next(iter(design.strategies.values())))
 
     optima, posteriors = {}, {}
-    for name in design.strategy_names():
-        problem = design.problem(name)
-        posteriors[name] = problem.structure.posteriors()
+    for name, structure in design.strategies.items():
+        posteriors[name] = structure.posteriors()
         posteriors[name].setflags(write=False)
-        best = score_table(problem, posteriors[name]).max(axis=1)
-        optima[name] = float(problem.structure.signal_marginal() @ best)
+        best = score_table(design, posteriors[name]).max(axis=1)
+        optima[name] = float(structure.signal_marginal() @ best)
     benchmark = max(optima.values())
     delta = benchmark - baseline
 

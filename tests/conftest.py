@@ -9,13 +9,14 @@ from rabench import behavioral
 from rabench.model import (
     ActionSpace,
     Belief,
-    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     MatrixRule,
     StateSpace,
     TransitRule,
+    joint_violations,
     optimal_action_indices,
+    rule_violations,
 )
 from rabench.rational import rational_report
 
@@ -53,22 +54,26 @@ def weather_states() -> StateSpace:
     return StateSpace(ids=("not-freezing", "freezing"))
 
 
+# The fixtures and helpers named ``*_problem`` build one-strategy designs
+# whose one strategy is named ``s``.
+
+
 @pytest.fixture
-def weather_problem(weather_states) -> DecisionProblem:
+def weather_problem(weather_states) -> ExperimentDesign:
     structure = InformationStructure(
         signals=("sigma=2", "sigma=3", "sigma=4", "sigma=5"),
         joint=np.array(WEATHER_JOINT),
     )
-    return DecisionProblem(
+    return ExperimentDesign(
         states=weather_states,
         actions=ActionSpace.finite(("no-salt", "salt")),
         rule=MatrixRule(np.array(SALTING_SCORES)),
-        structure=structure,
+        strategies={"s": structure},
     )
 
 
 @pytest.fixture
-def transit_scenario2_problem() -> DecisionProblem:
+def transit_scenario2_problem() -> ExperimentDesign:
     """Second transit scenario: 14/min activity, -14/min waiting, 14/min at
     destination for up to 60 minutes, on an integer arrival grid."""
     minutes = list(range(0, 31))
@@ -78,7 +83,7 @@ def transit_scenario2_problem() -> DecisionProblem:
     )
     # placeholder uniform joint; rule-level tests supply their own beliefs
     joint = np.full((1, len(minutes)), 1.0 / len(minutes))
-    return DecisionProblem(
+    return ExperimentDesign(
         states=states,
         actions=ActionSpace.integer_grid(0, 30),
         rule=TransitRule(
@@ -87,7 +92,7 @@ def transit_scenario2_problem() -> DecisionProblem:
             destination_rate=14.0,
             max_destination_minutes=60.0,
         ),
-        structure=InformationStructure(signals=("only",), joint=joint),
+        strategies={"s": InformationStructure(signals=("only",), joint=joint)},
     )
 
 
@@ -123,43 +128,46 @@ def posterior(structure: InformationStructure, signal_id: str) -> Belief:
     return Belief(row / row.sum())
 
 
-def as_design(problem: DecisionProblem) -> ExperimentDesign:
-    """A design whose one strategy, ``s``, is the problem's structure."""
-    return ExperimentDesign(problem.states, problem.actions, problem.rule,
-                            {"s": problem.structure})
+def violations(design: ExperimentDesign) -> list[str]:
+    """Every fault of a design's parts: each strategy's joint against the
+    state space, then the rule against the spaces."""
+    return ([v for s in design.strategies.values()
+             for v in joint_violations(s.signals, s.joint, design.states)]
+            + rule_violations(design.states, design.actions, design.rule))
 
 
-def optimum(problem: DecisionProblem) -> float:
-    """The problem's visualization optimum, read from ``rational_report``."""
-    return rational_report(as_design(problem)).strategies["s"].visualization_optimal
+def optimum(design: ExperimentDesign, strategy: str = "s") -> float:
+    """The strategy's visualization optimum, read from ``rational_report``."""
+    return rational_report(design).strategies[strategy].visualization_optimal
 
 
-def rational_actions(problem: DecisionProblem) -> np.ndarray:
+def rational_actions(design: ExperimentDesign, strategy: str = "s") -> np.ndarray:
     """Action indices of an agent who plays the optimum on each posterior."""
-    return optimal_action_indices(problem, problem.structure.posteriors())
+    return optimal_action_indices(design, design.strategies[strategy].posteriors())
 
 
-def constant_actions(problem: DecisionProblem, action_id: str) -> np.ndarray:
+def constant_actions(design: ExperimentDesign, action_id: str,
+                     strategy: str = "s") -> np.ndarray:
     """Action indices of an agent who plays ``action_id`` on every signal."""
-    return np.full(len(problem.structure), problem.actions.index(action_id))
+    return np.full(len(design.strategies[strategy]), design.actions.index(action_id))
 
 
 def random_matrix_problem(rng: np.random.Generator, n_states=None, n_actions=None,
-                          n_signals=None) -> DecisionProblem:
-    """Small random decision problem for property checks."""
+                          n_signals=None) -> ExperimentDesign:
+    """Small random one-strategy design for property checks."""
     n_states = n_states or int(rng.integers(2, 6))
     n_actions = n_actions or int(rng.integers(2, 6))
     n_signals = n_signals or int(rng.integers(1, 7))
     joint = rng.random((n_signals, n_states)) + 1e-3
     joint /= joint.sum()
     scores = rng.uniform(-10.0, 10.0, size=(n_actions, n_states))
-    return DecisionProblem(
+    return ExperimentDesign(
         states=StateSpace(ids=tuple(f"s{i}" for i in range(n_states))),
         actions=ActionSpace.finite(tuple(f"a{i}" for i in range(n_actions))),
         rule=MatrixRule(scores),
-        structure=InformationStructure(
+        strategies={"s": InformationStructure(
             signals=tuple(f"v{i}" for i in range(n_signals)), joint=joint
-        ),
+        )},
     )
 
 

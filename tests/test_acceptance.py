@@ -27,7 +27,6 @@ from rabench.generative import (
 )
 from rabench.model import (
     ActionSpace,
-    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     StateSpace,
@@ -174,9 +173,9 @@ def test_criterion_3_transit_pipeline(tmp_path):
             nu=float(rng.uniform(-0.5, 1.5)), tau=float(rng.uniform(4, 40)),
         )
         masses = discretize(dist, grid).masses
-        problem = DecisionProblem(
+        problem = ExperimentDesign(
             states, actions, rule,
-            InformationStructure(("only",), masses[None, :]),
+            {"s": InformationStructure(("only",), masses[None, :])},
         )
         a = int(rng.integers(0, 31))
         got = score_table(problem, masses[None, :])[0, actions.index(str(a))]
@@ -262,10 +261,11 @@ def test_criterion_4_decomposition_recovery():
     verdict(4, "simulated agents recover their known loss structure", failures)
 
 
-def exact_channel_joint(problem: DecisionProblem, kind: str,
+def exact_channel_joint(problem: ExperimentDesign, kind: str,
                         rng: np.random.Generator) -> np.ndarray:
-    """Exact (action, state) joint of a synthetic agent, no sampling."""
-    structure = problem.structure
+    """Exact (action, state) joint of a synthetic agent on the one strategy
+    ``s``, no sampling."""
+    structure = problem.strategies["s"]
     n_actions = len(problem.actions)
     n_signals, n_states = structure.joint.shape
     masses = np.zeros((n_actions, n_states))
@@ -298,19 +298,19 @@ def test_criterion_5_invariant_suite():
 
     for trial in range(n_problems):
         base = random_matrix_problem(rng)
-        n_sig = len(base.structure.signals)
+        n_sig = len(base.strategies["s"].signals)
 
         # a garbled second strategy shares the prior by construction
         k = int(rng.integers(1, n_sig + 1))
         channel = rng.random((n_sig, k)) + 1e-3
         channel /= channel.sum(axis=1, keepdims=True)
-        garbled_joint = channel.T @ base.structure.joint
+        garbled_joint = channel.T @ base.strategies["s"].joint
         garbled = InformationStructure(
             tuple(f"g{i}" for i in range(k)), garbled_joint
         )
         design = ExperimentDesign(
             states=base.states, actions=base.actions, rule=base.rule,
-            strategies={"full": base.structure, "coarse": garbled},
+            strategies={"full": base.strategies["s"], "coarse": garbled},
         )
 
         report = rational_report(design)
@@ -362,13 +362,13 @@ def test_criterion_6_monte_carlo_consistency():
     from conftest import weather_design
 
     design = weather_design()
-    problem = design.problem("CI")
     failures: list[str] = []
     bad_runs = 0
     for seed in range(100):
-        m1, se1 = monte_carlo_score(problem, constant_actions(problem, "no-salt"),
+        m1, se1 = monte_carlo_score(design, "CI",
+                                    constant_actions(design, "no-salt", "CI"),
                                     100_000, seed)
-        m2, se2 = monte_carlo_score(problem, rational_actions(problem),
+        m2, se2 = monte_carlo_score(design, "CI", rational_actions(design, "CI"),
                                     100_000, seed)
         if abs(m1 - (-7.96)) > 3 * se1 or abs(m2 - (-5.689)) > 3 * se2:
             bad_runs += 1

@@ -14,16 +14,17 @@ from rabench.cases import (
 )
 from rabench.config_io import design_from_config, design_to_config
 from rabench.errors import ConfigError, InvalidModelError
-from rabench.model import MatrixRule, validate
+from rabench.model import MatrixRule
 from rabench.payment import incentive_table
 from rabench.rational import rational_baseline, rational_report
+
+from conftest import violations
 
 
 class TestWeatherCase:
     def test_design_is_valid(self):
         case = build_weather()
-        for name in case.design.strategy_names():
-            assert validate(case.design.problem(name)) == []
+        assert violations(case.design) == []
 
     def test_pinned_rational_quantities(self):
         case = build_weather()
@@ -54,8 +55,7 @@ class TestWeatherCase:
 class TestKaleCase:
     def test_design_is_valid(self):
         case = build_kale()
-        for name in case.design.strategy_names():
-            assert validate(case.design.problem(name)) == []
+        assert violations(case.design) == []
 
     def test_prior_win_probability(self):
         case = build_kale()
@@ -85,7 +85,7 @@ class TestKaleCase:
 
     def test_baseline_band(self):
         case = build_kale()
-        baseline = rational_baseline(case.design.any_problem())
+        baseline = rational_baseline(case.design)
         assert 1.55 <= baseline <= 1.60
         assert baseline == pytest.approx(1.585, abs=1e-9)
 
@@ -139,8 +139,7 @@ class TestKaleCase:
 class TestFernandesCase:
     def test_design_is_valid(self):
         case = build_fernandes(scenario=2)
-        for name in case.design.strategy_names():
-            assert validate(case.design.problem(name)) == []
+        assert violations(case.design) == []
 
     def test_demo_file_loads_forty_trials(self):
         ids, dists = read_trial_distributions(bundled_demo_trials_path())
@@ -222,13 +221,13 @@ class TestFernandesCase:
         # independent oracle: evaluate every integer departure against the
         # prior with a plain python loop and take the best
         case = build_fernandes(scenario=scenario)
-        problem = case.design.problem("full")
-        rule = problem.rule
-        grid = problem.states.numeric_values()
-        masses = problem.structure.state_marginal()
+        design = case.design
+        rule = design.rule
+        grid = design.states.numeric_values()
+        masses = design.strategies["full"].state_marginal()
         mean = float(sum(m * g for m, g in zip(masses, grid)))
         best = -np.inf
-        for a in problem.actions.numeric_values():
+        for a in design.actions.numeric_values():
             total = 0.0
             for m, theta in zip(masses, grid):
                 if a <= theta:
@@ -244,7 +243,7 @@ class TestFernandesCase:
                                   * (rule.max_destination_minutes
                                      - (mean - theta)))
             best = max(best, total)
-        assert rational_baseline(problem) == pytest.approx(best, rel=1e-12)
+        assert rational_baseline(design) == pytest.approx(best, rel=1e-12)
 
     def test_reference_table_values_are_flagged_not_asserted(self):
         case = build_fernandes(scenario=2)

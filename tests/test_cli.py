@@ -421,6 +421,16 @@ def _trial_dists(row: str) -> str:
     ("config", {"strategies": {"benchmark": SMALL_CONFIG["strategies"]["s"]},
                 "conversion": {"kind": "affine", "base": 1.0, "rate": 0.1}},
      "named 'benchmark'"),
+    ("config", {"initial_score": 10**400}, "initial_score must be a finite number"),
+    pytest.param("config", json.dumps(SMALL_CONFIG)[:-1] + ', "initial_score": 1'
+                 + "0" * 5000 + "}", "cannot be read as JSON",
+                 id="config-5001-digit-integer"),
+    *[("argv", ["simulate", "--case", "weather", "--agent", agent, "--out", "x.csv"],
+       f"takes no parameter {key!r}")
+      for agent, key in (("noisy:sd=2", "sd"), ("rational:k=3", "k"),
+                         ("lapse:rate=0.1,k=2", "k"), ("lapse:inner=prior:k=2", "k"))],
+    ("argv", ["simulate", "--case", "weather", "--strategy", "nope", "--agent",
+              "rational", "--out", "x.csv"], "unknown strategy 'nope'"),
 ])
 def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
                                  message):
@@ -436,9 +446,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
     if source == "dists":
         Path("dists.csv").write_text(_trial_dists(bad), encoding="utf-8")
         argv = ["pre", "--case", "fernandes2018", "--trial-dists", "dists.csv"]
-    elif source == "config":
-        Path("design.json").write_text(json.dumps({**SMALL_CONFIG, **bad}),
-                                       encoding="utf-8")
+    elif source == "config":  # a str is the config's text, as is
+        text = bad if isinstance(bad, str) else json.dumps({**SMALL_CONFIG, **bad})
+        Path("design.json").write_text(text, encoding="utf-8")
         argv = ["pre", "--config", "design.json"]
     else:
         argv = bad

@@ -144,6 +144,12 @@ class TestLoading:
         with pytest.raises(ConfigError):
             load_design_config(path)
 
+    def test_actions_bin_width_key_is_ignored(self):
+        cfg = design_to_config(build_weather().design)
+        cfg["actions"]["bin_width"] = 0.02
+        assert design_to_config(design_from_config(cfg)) == \
+            design_to_config(build_weather().design)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_design_config(tmp_path / "absent.json")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,14 +20,19 @@ from rabench.generative import (
 )
 from rabench.model import (
     ActionSpace,
-    DecisionProblem,
+    ExperimentDesign,
     InformationStructure,
     StateSpace,
     TransitRule,
-    validate,
 )
 
-from conftest import constant_actions, optimum, posterior, rational_actions
+from conftest import (
+    constant_actions,
+    optimum,
+    posterior,
+    rational_actions,
+    violations,
+)
 
 
 def forecast_dgm() -> GaussianThresholdDGM:
@@ -54,11 +61,7 @@ class TestWeatherJoint:
 
     def test_structure_passes_validation(self, weather_problem):
         s = weather_joint(forecast_dgm())
-        problem = DecisionProblem(
-            weather_problem.states, weather_problem.actions,
-            weather_problem.rule, s,
-        )
-        assert validate(problem) == []
+        assert violations(replace(weather_problem, strategies={"s": s})) == []
 
     def test_posteriors_from_the_generative_route(self):
         # conditional freeze probabilities per spread level; the widest
@@ -447,14 +450,14 @@ class TestDiscretize:
                 values=tuple(grid),
             )
             rows = np.array([discretize(d, grid).masses / len(dists) for d in dists])
-            problem = DecisionProblem(
+            problem = ExperimentDesign(
                 states=states,
                 actions=ActionSpace.integer_grid(0, 30),
                 rule=rule,
-                structure=InformationStructure(
+                strategies={"s": InformationStructure(
                     signals=tuple(f"trial{i}" for i in range(len(dists))),
                     joint=rows,
-                ),
+                )},
             )
             values.append(optimum(problem))
         assert abs(values[1] - values[0]) / abs(values[0]) < 1e-3
@@ -463,12 +466,12 @@ class TestDiscretize:
 class TestMonteCarlo:
     def test_rational_policy_recovers_the_exact_value(self, weather_problem):
         actions = rational_actions(weather_problem)
-        mean, se = monte_carlo_score(weather_problem, actions, n=100_000, seed=11)
+        mean, se = monte_carlo_score(weather_problem, "s", actions, n=100_000, seed=11)
         assert abs(mean - (-5.689)) <= 3 * se
 
     def test_constant_policy_recovers_the_baseline(self, weather_problem):
         mean, se = monte_carlo_score(
-            weather_problem, constant_actions(weather_problem, "no-salt"),
+            weather_problem, "s", constant_actions(weather_problem, "no-salt"),
             n=100_000, seed=13
         )
         assert abs(mean - (-7.96)) <= 3 * se
@@ -478,29 +481,30 @@ class TestMonteCarlo:
             signals=("v1", "v2"),
             joint=np.array([[0.5, 0.0], [0.5, 0.0]]),
         )
-        problem = DecisionProblem(
-            weather_problem.states, weather_problem.actions,
-            weather_problem.rule, structure,
-        )
-        mean, se = monte_carlo_score(problem, constant_actions(problem, "no-salt"),
+        problem = replace(weather_problem, strategies={"s": structure})
+        mean, se = monte_carlo_score(problem, "s", constant_actions(problem, "no-salt"),
                                      n=10_000, seed=5)
         assert mean == 0.0
         assert se == 0.0
 
     def test_one_action_per_signal_required(self, weather_problem):
         with pytest.raises(InvalidModelError, match="one action index per signal"):
-            monte_carlo_score(weather_problem, [0, 1], n=100, seed=0)
+            monte_carlo_score(weather_problem, "s", [0, 1], n=100, seed=0)
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_action_indices_must_be_in_range(self, weather_problem, index):
         with pytest.raises(InvalidModelError,
                            match=r"^action indices must lie in \[0, 2\)$"):
-            monte_carlo_score(weather_problem, [index] * 4, n=100, seed=0)
+            monte_carlo_score(weather_problem, "s", [index] * 4, n=100, seed=0)
+
+    def test_unknown_strategy_refused(self, weather_problem):
+        with pytest.raises(InvalidModelError, match="^unknown strategy 'nope'$"):
+            monte_carlo_score(weather_problem, "nope", [0] * 4, n=100, seed=0)
 
     def test_seeded_and_deterministic(self, weather_problem):
         actions = rational_actions(weather_problem)
-        a = monte_carlo_score(weather_problem, actions, n=5_000, seed=3)
-        b = monte_carlo_score(weather_problem, actions, n=5_000, seed=3)
+        a = monte_carlo_score(weather_problem, "s", actions, n=5_000, seed=3)
+        b = monte_carlo_score(weather_problem, "s", actions, n=5_000, seed=3)
         assert a == b
 
     def test_transit_policy_matches_exact_value(self):
@@ -511,16 +515,16 @@ class TestMonteCarlo:
         grid = np.arange(0.0, 30.0 + 1e-9, 0.25)
         states = StateSpace(ids=tuple(f"{g:g}" for g in grid), values=tuple(grid))
         rows = np.array([discretize(d, grid).masses / 2.0 for d in dists])
-        problem = DecisionProblem(
+        problem = ExperimentDesign(
             states=states,
             actions=ActionSpace.integer_grid(0, 30),
             rule=TransitRule(activity_rate=8.0, waiting_rate=-14.0,
                              destination_rate=14.0, max_destination_minutes=90.0),
-            structure=InformationStructure(signals=("t0", "t1"), joint=rows),
+            strategies={"s": InformationStructure(signals=("t0", "t1"), joint=rows)},
         )
         exact = optimum(problem)
         mean, se = monte_carlo_score(
-            problem, rational_actions(problem), n=60_000, seed=21
+            problem, "s", rational_actions(problem), n=60_000, seed=21
         )
         assert abs(mean - exact) <= 3 * se
 
@@ -581,10 +585,10 @@ MONTE_CARLO_PINS = {
 
 @pytest.mark.parametrize("case, strategy, kind", list(MONTE_CARLO_PINS))
 def test_monte_carlo_scores_are_pinned(case, strategy, kind):
-    problem = build_case(case).design.problem(strategy)
-    actions = (rational_actions(problem) if kind == "rational" else
-               constant_actions(problem, problem.actions.ids[-1]))
-    got = monte_carlo_score(problem, actions, n=20_000, seed=5)
+    design = build_case(case).design
+    actions = (rational_actions(design, strategy) if kind == "rational" else
+               constant_actions(design, design.actions.ids[-1], strategy))
+    got = monte_carlo_score(design, strategy, actions, n=20_000, seed=5)
     assert tuple(x.hex() for x in got) == MONTE_CARLO_PINS[case, strategy, kind]
 
 

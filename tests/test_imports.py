@@ -46,9 +46,8 @@ def test_kale_loads_neither_stats_nor_optimize(tmp_path):
 #: ``read_trials_csv`` and ``loss_report`` through it.
 PUBLIC_NAMES = {
     "ActionSpace", "AffineConversion", "AgentSpec", "Belief", "BoxCoxTDist",
-    "CaseStudy", "ConfigError", "ConversionRule", "DecisionProblem",
-    "DimensionError", "DiscretizedDistribution", "EmpiricalJoint",
-    "ExperimentDesign", "FlooredAffineConversion", "GaussianThresholdDGM",
+    "CaseStudy", "ConfigError", "ConversionRule", "DimensionError",
+    "DiscretizedDistribution", "EmpiricalJoint", "ExperimentDesign", "FlooredAffineConversion", "GaussianThresholdDGM",
     "IncentiveTable", "InformationStructure", "InvalidModelError", "LossReport",
     "MatrixRule", "PinnedValue", "RabenchError", "RationalReport", "ReportMap",
     "StateSpace", "TransitRule", "TrialDataError", "TrialTable", "TwoTeamDGM",
@@ -59,7 +58,7 @@ PUBLIC_NAMES = {
     "load_design_config", "loss_report", "monte_carlo_score",
     "optimization_loss", "pooled_loss_report", "pos_to_win_probability", "prior",
     "rational_baseline", "rational_report", "read_trials_csv",
-    "save_design_config", "simulate", "validate", "weather_joint",
+    "save_design_config", "simulate", "weather_joint",
     "win_probability_to_pos", "write_trials_csv",
 }
 
@@ -80,6 +79,8 @@ def test_public_names_are_pinned():
     ("build_kale", "levels"), ("build_fernandes", "text_partition"),
     ("cases.quantile_text_partition", "rounding"), ("InformationStructure", "check"),
     *[("TwoTeamDGM", field) for field in ("baseline_mean", "win_threshold", "sigmas")],
+    ("EmpiricalJoint", "bin_width"), ("ActionSpace", "bin_width"),
+    ("decisions_from_beliefs", "report_map"),
 ])
 def test_removed_options_raise_type_error(function, keyword):
     import rabench

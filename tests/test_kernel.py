@@ -16,7 +16,6 @@ from rabench.errors import DimensionError, InvalidModelError
 from rabench.model import (
     ActionSpace,
     Belief,
-    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     MatrixRule,
@@ -29,7 +28,7 @@ from rabench.model import (
     score_table,
 )
 
-from conftest import as_design, optimum, posterior, random_matrix_problem
+from conftest import optimum, posterior, random_matrix_problem
 
 RTOL = 1e-12
 
@@ -44,7 +43,7 @@ def transit_outcome(rule: TransitRule, a: float, theta: float, m: float) -> floa
     return r0 * a + rw * (m + rule.second_bus_offset - a) + rd * (T - (m - theta))
 
 
-def reference_outcomes(problem: DecisionProblem, action: int, p: np.ndarray) -> np.ndarray:
+def reference_outcomes(problem: ExperimentDesign, action: int, p: np.ndarray) -> np.ndarray:
     """Realized score of one action in every state, under context belief p."""
     rule = problem.rule
     if isinstance(rule, MatrixRule):
@@ -55,13 +54,13 @@ def reference_outcomes(problem: DecisionProblem, action: int, p: np.ndarray) -> 
     return np.array([transit_outcome(rule, a, t, m) for t in theta])
 
 
-def reference_expected(problem: DecisionProblem, p: np.ndarray) -> np.ndarray:
+def reference_expected(problem: ExperimentDesign, p: np.ndarray) -> np.ndarray:
     return np.array([float(p @ reference_outcomes(problem, a, p))
                      for a in range(len(problem.actions))])
 
 
-def reference_visualization_optimal(problem: DecisionProblem) -> float:
-    structure = problem.structure
+def reference_visualization_optimal(problem: ExperimentDesign) -> float:
+    structure = problem.strategies["s"]
     marginal = structure.signal_marginal()
     total = 0.0
     for i, signal in enumerate(structure.signals):
@@ -70,8 +69,7 @@ def reference_visualization_optimal(problem: DecisionProblem) -> float:
     return total
 
 
-def reference_behavioral(joint: EmpiricalJoint, design: ExperimentDesign) -> float:
-    base = design.any_problem()
+def reference_behavioral(joint: EmpiricalJoint, base: ExperimentDesign) -> float:
     masses = joint.masses
     total = 0.0
     for i in range(len(joint.action_ids)):
@@ -88,9 +86,8 @@ def reference_behavioral(joint: EmpiricalJoint, design: ExperimentDesign) -> flo
     return total
 
 
-def reference_calibrate(joint: EmpiricalJoint, design: ExperimentDesign,
+def reference_calibrate(joint: EmpiricalJoint, base: ExperimentDesign,
                         alpha: float) -> tuple[float, dict[str, str]]:
-    base = design.any_problem()
     marginal = joint.action_marginal()
     total, policy = 0.0, {}
     for i, a in enumerate(joint.action_ids):
@@ -103,7 +100,7 @@ def reference_calibrate(joint: EmpiricalJoint, design: ExperimentDesign,
     return total, policy
 
 
-def random_transit_problem(rng: np.random.Generator) -> DecisionProblem:
+def random_transit_problem(rng: np.random.Generator) -> ExperimentDesign:
     n_states = int(rng.integers(4, 25))
     minutes = np.sort(rng.choice(np.arange(0.0, 40.0, 0.5), n_states, replace=False))
     rule = TransitRule(
@@ -114,17 +111,17 @@ def random_transit_problem(rng: np.random.Generator) -> DecisionProblem:
     )
     n_signals = int(rng.integers(1, 7))
     joint = rng.random((n_signals, n_states)) + 1e-3
-    return DecisionProblem(
+    return ExperimentDesign(
         states=StateSpace(ids=tuple(f"{m:g}" for m in minutes), values=tuple(minutes)),
         actions=ActionSpace.integer_grid(0, 40, int(rng.integers(1, 5))),
         rule=rule,
-        structure=InformationStructure(
+        strategies={"s": InformationStructure(
             signals=tuple(f"v{i}" for i in range(n_signals)), joint=joint / joint.sum()
-        ),
+        )},
     )
 
 
-def random_action_joint(rng, problem: DecisionProblem) -> EmpiricalJoint:
+def random_action_joint(rng, problem: ExperimentDesign) -> EmpiricalJoint:
     counts = rng.integers(0, 50, size=(len(problem.actions), len(problem.states)))
     counts[rng.random(len(problem.actions)) < 0.3] = 0  # some actions unseen
     counts[0, 0] += 1  # at least one observation
@@ -146,9 +143,9 @@ class TestAgainstReferenceLoops:
 
     def test_behavioral_score_on_action_joints(self):
         for rng, problem in random_problems(42):
-            joint, design = random_action_joint(rng, problem), as_design(problem)
-            assert behavioral_score(joint, design) == pytest.approx(
-                reference_behavioral(joint, design), rel=RTOL)
+            joint = random_action_joint(rng, problem)
+            assert behavioral_score(joint, problem) == pytest.approx(
+                reference_behavioral(joint, problem), rel=RTOL)
 
     def test_behavioral_score_on_report_joints(self):
         rng = np.random.default_rng(43)
@@ -159,23 +156,22 @@ class TestAgainstReferenceLoops:
             counts = rng.integers(0, 30, size=(len(mids), 2))
             counts[0, 1] += 1
             joint = EmpiricalJoint(ids, problem.states.ids, counts, "report",
-                                   action_values=tuple(mids), bin_width=width)
-            design = as_design(problem)
-            assert behavioral_score(joint, design) == pytest.approx(
-                reference_behavioral(joint, design), rel=RTOL)
+                                   action_values=tuple(mids))
+            assert behavioral_score(joint, problem) == pytest.approx(
+                reference_behavioral(joint, problem), rel=RTOL)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_calibrate(self, alpha):
         for rng, problem in random_problems(44):
-            joint, design = random_action_joint(rng, problem), as_design(problem)
-            got = calibrate(joint, design, smoothing_alpha=alpha)
-            score, policy = reference_calibrate(joint, design, alpha)
+            joint = random_action_joint(rng, problem)
+            got = calibrate(joint, problem, smoothing_alpha=alpha)
+            score, policy = reference_calibrate(joint, problem, alpha)
             assert got.calibrated_score == pytest.approx(score, rel=RTOL)
             assert got.policy == policy
 
     def test_outcome_rows_average_to_the_score_table(self):
         for rng, problem in random_problems(45):
-            beliefs = problem.structure.posteriors()
+            beliefs = problem.strategies["s"].posteriors()
             actions = rng.integers(0, len(problem.actions), size=len(beliefs))
             rows = outcome_scores(problem, actions, beliefs)
             table = score_table(problem, beliefs)
@@ -187,12 +183,11 @@ class TestAgainstReferenceLoops:
 @pytest.mark.parametrize("scenario", [1, 2, 3])
 def test_transit_argmax_matches_per_posterior_optimum(scenario):
     design = build_case("fernandes2018", scenario=scenario).design
-    for name in design.strategy_names():
-        problem = design.problem(name)
-        batch = optimal_action_indices(problem, problem.structure.posteriors())
+    for structure in design.strategies.values():
+        batch = optimal_action_indices(design, structure.posteriors())
         single = [int(np.argmax(reference_expected(
-            problem, posterior(problem.structure, v).probabilities)))
-            for v in problem.structure.signals]
+            design, posterior(structure, v).probabilities)))
+            for v in structure.signals]
         assert batch.tolist() == single
 
 

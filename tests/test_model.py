@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from rabench.model import (
     MIN_BIN_WIDTH,
     ActionSpace,
     Belief,
-    DecisionProblem,
+    ExperimentDesign,
     InformationStructure,
     MatrixRule,
     StateSpace,
@@ -18,10 +20,9 @@ from rabench.model import (
     outcome_scores,
     report_bins,
     score_table,
-    validate,
 )
 
-from conftest import random_belief, random_matrix_problem
+from conftest import random_belief, random_matrix_problem, violations
 
 
 class TestSpaces:
@@ -186,12 +187,12 @@ class TestOptimalAction:
 
     def test_tie_breaks_to_lowest_index(self, weather_states):
         # identical rows are tied at every belief; the first action wins
-        problem = DecisionProblem(
+        problem = ExperimentDesign(
             states=weather_states,
             actions=ActionSpace.finite(("first", "second")),
             rule=MatrixRule(np.array([[1.0, -2.0], [1.0, -2.0]])),
-            structure=InformationStructure(signals=("v",),
-                                           joint=np.array([[0.5, 0.5]])),
+            strategies={"s": InformationStructure(signals=("v",),
+                                                  joint=np.array([[0.5, 0.5]]))},
         )
         action, _ = best_action(problem, binary(0.3))
         assert action == "first"
@@ -223,7 +224,7 @@ class TestOptimalAction:
             [-1.0, 2.17, -1.0, 2.17],
         ]))
         structure = InformationStructure(signals=("v",), joint=np.full((1, 4), 0.25))
-        problem = DecisionProblem(states, actions, rule, structure)
+        problem = ExperimentDesign(states, actions, rule, {"s": structure})
         w = 0.9
         belief = np.array([[0.5 * (1 - w), 0.5 * w, 0.5 * (1 - w), 0.5 * w]])
         action, score = best_action(problem, belief)
@@ -276,8 +277,7 @@ class TestTabulation:
         n_actions = len(problem.actions)
         context = np.tile(belief, (n_actions, 1))
         matrix = MatrixRule(outcome_scores(problem, np.arange(n_actions), context))
-        wrapped = DecisionProblem(problem.states, problem.actions, matrix,
-                                  problem.structure)
+        wrapped = replace(problem, rule=matrix)
         a = score_table(problem, belief)
         b = score_table(wrapped, belief)
         np.testing.assert_allclose(a, b, atol=1e-9)
@@ -290,7 +290,7 @@ class TestTabulation:
 
 class TestValidate:
     def test_weather_problem_is_clean(self, weather_problem):
-        assert validate(weather_problem) == []
+        assert violations(weather_problem) == []
 
     def test_bad_mass_is_reported(self, weather_states):
         joint = np.array([[0.4, 0.1], [0.3, 0.1]])  # mass 0.9
@@ -302,26 +302,25 @@ class TestValidate:
         structure = InformationStructure(
             signals=("v",), joint=np.full((1, 3), 1 / 3)
         )
-        problem = DecisionProblem(
+        problem = ExperimentDesign(
             states=states,
             actions=ActionSpace.finite(("x", "y")),
             rule=MatrixRule(np.zeros((2, 2))),  # 2x2 against 3 states
-            structure=structure,
+            strategies={"s": structure},
         )
-        assert any("dimension" in v for v in validate(problem))
+        assert any("dimension" in v for v in violations(problem))
 
     def test_all_violations_are_returned(self, weather_states):
         structure = InformationStructure(
             signals=("v",), joint=np.full((1, 3), 1 / 3)  # 3 states against 2
         )
-        problem = DecisionProblem(
+        problem = ExperimentDesign(
             states=weather_states,
             actions=ActionSpace.finite(("x", "y")),
             rule=MatrixRule(np.zeros((3, 2))),
-            structure=structure,
+            strategies={"s": structure},
         )
-        violations = validate(problem)
-        assert len(violations) >= 2
+        assert len(violations(problem)) >= 2
 
     def test_zero_row_rejected_on_checked_construction(self):
         with pytest.raises(InvalidModelError):
@@ -333,8 +332,6 @@ class TestValidate:
 
 class TestExperimentDesign:
     def test_prior_mismatch_rejected(self, weather_states):
-        from rabench.model import ExperimentDesign
-
         s1 = InformationStructure(signals=("v",), joint=np.array([[0.9, 0.1]]))
         s2 = InformationStructure(signals=("v",), joint=np.array([[0.5, 0.5]]))
         with pytest.raises(InvalidModelError):
@@ -346,8 +343,6 @@ class TestExperimentDesign:
             )
 
     def test_empty_strategy_set_rejected(self, weather_states):
-        from rabench.model import ExperimentDesign
-
         with pytest.raises(InvalidModelError):
             ExperimentDesign(
                 states=weather_states,
@@ -358,8 +353,6 @@ class TestExperimentDesign:
 
     @staticmethod
     def design_of_trials(states, trials):
-        from rabench.model import ExperimentDesign
-
         structure = InformationStructure(signals=("v",), joint=np.array([[0.5, 0.5]]))
         return ExperimentDesign(states=states, actions=ActionSpace.finite(("x", "y")),
                                 rule=MatrixRule(np.zeros((2, 2))),
@@ -372,11 +365,10 @@ class TestExperimentDesign:
                 f"^trials_per_experiment must be a positive integer, not {trials!r}$")):
             self.design_of_trials(weather_states, trials)
 
-    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf"),
-                                       True, False, "108", None])
+    @pytest.mark.parametrize("score", [
+        float("nan"), float("inf"), -float("inf"), True, False, "108", None,
+        pytest.param(10**400, id="1e400"), pytest.param(-10**400, id="-1e400")])
     def test_non_finite_or_boolean_initial_score_rejected(self, weather_states, score):
-        from rabench.model import ExperimentDesign
-
         design = self.design_of_trials(weather_states, 1)
         with pytest.raises(InvalidModelError, match=(
                 f"^initial_score must be a finite number, not {score!r}$")):
@@ -385,12 +377,16 @@ class TestExperimentDesign:
 
     @pytest.mark.parametrize("score", [108, 108.0, np.float64(108.0), np.int64(108)])
     def test_finite_initial_score_is_kept_as_a_float(self, weather_states, score):
-        from rabench.model import ExperimentDesign
-
         design = self.design_of_trials(weather_states, 1)
         design = ExperimentDesign(design.states, design.actions, design.rule,
                                   design.strategies, initial_score=score)
         assert type(design.initial_score) is float and design.initial_score == 108.0
+
+    def test_integer_initial_score_beyond_int64_is_kept(self, weather_states):
+        design = self.design_of_trials(weather_states, 1)
+        design = ExperimentDesign(design.states, design.actions, design.rule,
+                                  design.strategies, initial_score=10**20)
+        assert design.initial_score == 1e20
 
     @pytest.mark.parametrize("trials", [1, 32, np.int64(32)])
     def test_integer_trials_per_experiment_accepted(self, weather_states, trials):

@@ -202,7 +202,7 @@ class TestIncentiveTable:
             base = random_matrix_problem(rng)
             design = ExperimentDesign(
                 states=base.states, actions=base.actions, rule=base.rule,
-                strategies={"s": base.structure},
+                strategies={"s": base.strategies["s"]},
                 conversion=AffineConversion(base=float(rng.uniform(1, 5)),
                                             rate=float(rng.uniform(0, 2))),
             )

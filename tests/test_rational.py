@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from rabench.behavioral import loss_report
 from rabench.errors import InvalidModelError
 from rabench.model import (
     ActionSpace,
-    DecisionProblem,
     ExperimentDesign,
     InformationStructure,
     MatrixRule,
@@ -25,7 +26,7 @@ from conftest import (
 
 class TestPriorPosterior:
     def test_weather_prior(self, weather_problem):
-        p = prior(weather_problem.structure)
+        p = prior(weather_problem.strategies["s"])
         assert p.probabilities[1] == pytest.approx(0.0796, abs=1e-12)
 
     def test_single_signal_prior_equals_conditional(self):
@@ -35,9 +36,9 @@ class TestPriorPosterior:
         np.testing.assert_allclose(p.probabilities, q.probabilities)
 
     def test_weather_posteriors(self, weather_problem):
-        q2 = posterior(weather_problem.structure, "sigma=2")
+        q2 = posterior(weather_problem.strategies["s"], "sigma=2")
         assert q2.probabilities[1] == pytest.approx(0.0062, abs=1e-12)
-        q5 = posterior(weather_problem.structure, "sigma=5")
+        q5 = posterior(weather_problem.strategies["s"], "sigma=5")
         assert q5.probabilities[1] == pytest.approx(0.1588, abs=1e-12)
 
     def test_deterministic_signal_gives_point_mass(self):
@@ -69,7 +70,7 @@ class TestRationalQuantities:
         design = weather_design()
         report = rational_report(design)
         assert report.strategies["mean"].visualization_optimal == pytest.approx(
-            rational_baseline(design.problem("mean")), abs=1e-12
+            rational_baseline(design), abs=1e-12
         )
 
     def test_weather_benchmark(self):
@@ -86,7 +87,7 @@ class TestRationalQuantities:
             states=weather_problem.states,
             actions=weather_problem.actions,
             rule=weather_problem.rule,
-            strategies={"only": weather_problem.structure},
+            strategies={"only": weather_problem.strategies["s"]},
         )
         report = rational_report(design)
         assert report.benchmark == report.strategies["only"].visualization_optimal
@@ -137,16 +138,16 @@ class TestInformationLoss:
         for _ in range(20):
             base = random_matrix_problem(rng)
             # a garbled copy shares the base prior by construction
-            n_sig = len(base.structure.signals)
+            n_sig = len(base.strategies["s"].signals)
             channel = rng.random((n_sig, 3)) + 1e-3
             channel /= channel.sum(axis=1, keepdims=True)
-            garbled = channel.T @ base.structure.joint
+            garbled = channel.T @ base.strategies["s"].joint
             design = ExperimentDesign(
                 states=base.states,
                 actions=base.actions,
                 rule=base.rule,
                 strategies={
-                    "full": base.structure,
+                    "full": base.strategies["s"],
                     "coarse": InformationStructure(("g1", "g2", "g3"), garbled),
                 },
             )
@@ -166,17 +167,17 @@ class TestOrderingInvariants:
         rng = np.random.default_rng(29)
         for _ in range(100):
             base = random_matrix_problem(rng)
-            n_sig = len(base.structure.signals)
+            n_sig = len(base.strategies["s"].signals)
             k = int(rng.integers(1, 4))
             channel = rng.random((n_sig, k)) + 1e-3
             channel /= channel.sum(axis=1, keepdims=True)
-            garbled = channel.T @ base.structure.joint
+            garbled = channel.T @ base.strategies["s"].joint
             design = ExperimentDesign(
                 states=base.states,
                 actions=base.actions,
                 rule=base.rule,
                 strategies={
-                    "full": base.structure,
+                    "full": base.strategies["s"],
                     "coarse": InformationStructure(
                         tuple(f"g{i}" for i in range(k)), garbled
                     ),
@@ -193,17 +194,13 @@ class TestOrderingInvariants:
         rng = np.random.default_rng(31)
         for _ in range(100):
             base = random_matrix_problem(rng, n_signals=int(rng.integers(2, 5)))
-            n_sig = len(base.structure.signals)
+            n_sig = len(base.strategies["s"].signals)
             k = int(rng.integers(1, n_sig + 1))
             channel = rng.random((n_sig, k)) + 1e-3
             channel /= channel.sum(axis=1, keepdims=True)
-            garbled_joint = channel.T @ base.structure.joint
-            garbled = DecisionProblem(
-                base.states,
-                base.actions,
-                base.rule,
-                InformationStructure(tuple(f"g{i}" for i in range(k)), garbled_joint),
-            )
+            garbled_joint = channel.T @ base.strategies["s"].joint
+            garbled = replace(base, strategies={"s": InformationStructure(
+                tuple(f"g{i}" for i in range(k)), garbled_joint)})
             assert optimum(garbled) <= optimum(base) + 1e-9
 
     def test_merging_identical_posteriors_is_lossless(self):
@@ -211,13 +208,11 @@ class TestOrderingInvariants:
         rng = np.random.default_rng(37)
         for _ in range(50):
             base = random_matrix_problem(rng)
-            joint = base.structure.joint
+            joint = base.strategies["s"].joint
             split = np.vstack([joint[:1] * 0.5, joint[:1] * 0.5, joint[1:]])
             names = tuple(f"v{i}" for i in range(split.shape[0]))
-            split_problem = DecisionProblem(
-                base.states, base.actions, base.rule,
-                InformationStructure(names, split),
-            )
+            split_problem = replace(
+                base, strategies={"s": InformationStructure(names, split)})
             assert optimum(split_problem) == pytest.approx(optimum(base), abs=1e-9)
 
 
