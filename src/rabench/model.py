@@ -16,11 +16,12 @@ states, actions and rule:
 Beliefs are the rows of an (n, states) matrix, so one belief is a
 (1, states) matrix, and ``optimal_action_indices`` gives each row's best
 action; ``InformationStructure.posteriors()`` gives every signal's posterior
-as one such matrix. ``Belief`` is only the checked one-vector type of a
-prior.
+as one such matrix, built on first use and then shared read-only by every
+caller. ``Belief`` is only the checked one-vector type of a prior.
 
-All types are immutable after construction and all operations are pure, so
-values can be shared freely across workers.
+All types are immutable after construction (a structure's cached posterior
+matrix is read-only) and all operations are pure, so values can be shared
+freely across workers.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -45,10 +47,26 @@ MIN_BIN_WIDTH = 1e-5
 #: Tolerance used when experiment strategies must share a common state prior.
 PRIOR_MATCH_TOL = 1e-6
 
+#: The largest ``trials_per_experiment``: 2**53, the largest integer a float
+#: holds exactly, since payments multiply it by a float score.
+MAX_TRIALS_PER_EXPERIMENT = 2**53
+
 
 def _is_integer(value) -> bool:
     """True for an int or numpy integer; a bool is not an integer here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message, or the digit count of an int
+    too long for Python to print (over 4300 digits by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(int(value))
+        digits = int(n.bit_length() * math.log10(2)) + 1
+        digits += (10 ** digits <= n) - (10 ** (digits - 1) > n)
+        return f"an integer of {digits} digits"
 
 
 def _check_unique(ids: Sequence[str], what: str) -> None:
@@ -177,7 +195,7 @@ def report_bins(bin_width: float) -> tuple[np.ndarray, tuple[str, ...]]:
     """
     if not (MIN_BIN_WIDTH <= bin_width <= 1.0):
         raise InvalidModelError(f"bin width must lie in [{MIN_BIN_WIDTH:g}, 1], "
-                                f"not {bin_width!r}")
+                                f"not {_shown(bin_width)}")
     n_bins = int(np.ceil(1.0 / bin_width - NORMALIZATION_TOL))
     mids = (np.arange(n_bins) + 0.5) * bin_width
     if n_bins * bin_width > 1.0 + NORMALIZATION_TOL:
@@ -343,9 +361,26 @@ class InformationStructure:
     def posteriors(self) -> np.ndarray:
         """Posterior over states given each signal, one row per signal:
         row i is the joint's row i divided by its mass, checked and
-        renormalized as :class:`Belief` is.
+        renormalized as :class:`Belief` is. The matrix is built on the first
+        call; every call returns that same read-only array, so ``.copy()``
+        it to modify it.
         """
-        return _normalized_beliefs(self.joint / self.joint.sum(axis=1, keepdims=True))
+        return self._posteriors
+
+    @cached_property
+    def _posteriors(self) -> np.ndarray:
+        P = _normalized_beliefs(self.joint / self.joint.sum(axis=1, keepdims=True))
+        P.setflags(write=False)
+        return P
+
+    def __getstate__(self):
+        # unpickled arrays are writeable: a copy freezes its joint again and
+        # builds its own posterior matrix rather than carrying this one's
+        return {"signals": self.signals, "joint": self.joint}
+
+    def __setstate__(self, state):
+        state["joint"].setflags(write=False)
+        self.__dict__.update(state)
 
 
 def structure_violations(signals: Sequence[str], joint: np.ndarray) -> list[str]:
@@ -394,7 +429,10 @@ class ExperimentDesign:
         trials = self.trials_per_experiment
         if not _is_integer(trials) or trials < 1:
             raise InvalidModelError(f"trials_per_experiment must be a positive "
-                                    f"integer, not {trials!r}")
+                                    f"integer, not {_shown(trials)}")
+        if trials > MAX_TRIALS_PER_EXPERIMENT:
+            raise InvalidModelError(f"trials_per_experiment must be at most 2**53, "
+                                    f"not {_shown(trials)}")
         score = self.initial_score
         # isfinite converts to a float, which an int beyond its range cannot
         if (isinstance(score, bool)
@@ -402,7 +440,7 @@ class ExperimentDesign:
                 or isinstance(score, int) and abs(score) > sys.float_info.max
                 or not math.isfinite(score)):
             raise InvalidModelError(f"initial_score must be a finite number, "
-                                    f"not {score!r}")
+                                    f"not {_shown(score)}")
         object.__setattr__(self, "initial_score", float(score))
         if not self.strategies:
             raise InvalidModelError("an experiment design needs at least one strategy")

@@ -34,8 +34,9 @@ def rational_baseline(design: ExperimentDesign) -> float:
 @dataclass(frozen=True, eq=False)
 class StrategySummary:
     """One strategy's optimum and information loss, and the posterior over
-    states given each of its signals: row i of ``posteriors`` (the
-    structure's ``posteriors()``) belongs to ``signals[i]``."""
+    states given each of its signals: row i of ``posteriors`` belongs to
+    ``signals[i]``. ``posteriors`` is the structure's own read-only
+    ``posteriors()`` matrix, shared, not copied."""
 
     visualization_optimal: float
     information_loss: float | None
@@ -71,11 +72,9 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
     baseline = rational_baseline(design)
     p = prior(next(iter(design.strategies.values())))
 
-    optima, posteriors = {}, {}
+    optima = {}
     for name, structure in design.strategies.items():
-        posteriors[name] = structure.posteriors()
-        posteriors[name].setflags(write=False)
-        best = score_table(design, posteriors[name]).max(axis=1)
+        best = score_table(design, structure.posteriors()).max(axis=1)
         optima[name] = float(structure.signal_marginal() @ best)
     benchmark = max(optima.values())
     delta = benchmark - baseline
@@ -83,11 +82,12 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
     strategies = {}
     for name, rv in optima.items():
         loss = (benchmark - rv) / delta if delta > 0 else None
+        structure = design.strategies[name]
         strategies[name] = StrategySummary(
             visualization_optimal=rv,
             information_loss=loss,
-            signals=design.strategies[name].signals,
-            posteriors=posteriors[name],
+            signals=structure.signals,
+            posteriors=structure.posteriors(),
         )
     return RationalReport(
         baseline=baseline,

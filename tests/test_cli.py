@@ -2,12 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rabench.cli import main
+from rabench.model import InformationStructure
 
 CLI = [sys.executable, "-m", "rabench.cli"]
 
@@ -431,6 +433,9 @@ def _trial_dists(row: str) -> str:
                          ("lapse:rate=0.1,k=2", "k"), ("lapse:inner=prior:k=2", "k"))],
     ("argv", ["simulate", "--case", "weather", "--strategy", "nope", "--agent",
               "rational", "--out", "x.csv"], "unknown strategy 'nope'"),
+    *[("config", {"trials_per_experiment": trials,
+                  "conversion": {"kind": "affine", "base": 1.0, "rate": 0.1}},
+       "trials_per_experiment must be at most 2**53") for trials in (2**53 + 1, 10**400)],
 ])
 def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
                                  message):
@@ -459,3 +464,37 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
     err = capsys.readouterr().err
     assert code == (0 if message is None else 2), err
     assert message is None or message in err
+
+
+@pytest.fixture
+def posterior_builds(monkeypatch):
+    """The structures whose posterior matrix was built, one entry per build."""
+    builds = []
+    build = InformationStructure._posteriors.func
+
+    def counted(structure):
+        builds.append(structure)
+        return build(structure)
+
+    counting = cached_property(counted)
+    counting.__set_name__(InformationStructure, "_posteriors")
+    monkeypatch.setattr(InformationStructure, "_posteriors", counting)
+    return builds
+
+
+def test_each_command_builds_a_posterior_matrix_once_per_strategy(
+        tmp_path, capsys, posterior_builds):
+    """fernandes2018 has 4 strategies: ``pre`` and ``post`` analyse all of
+    them and share each matrix between the rational report, the incentive
+    table and the loss report; ``simulate`` needs the simulated one only."""
+    trials = tmp_path / "trials.csv"
+    assert main(["simulate", "--case", "fernandes2018", "--agent", "rational",
+                 "--n", "200", "--seed", "1", "--out", str(trials)]) == 0
+    assert len(posterior_builds) == 1
+    posterior_builds.clear()
+    assert main(["pre", "--case", "fernandes2018"]) == 0
+    assert len(posterior_builds) == 4
+    assert len(set(map(id, posterior_builds))) == 4
+    posterior_builds.clear()
+    assert main(["post", "--case", "fernandes2018", "--trials", str(trials)]) == 0
+    assert len(posterior_builds) == 4

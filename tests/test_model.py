@@ -1,8 +1,11 @@
+import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rabench.cases import build_case
 from rabench.errors import DimensionError, InvalidModelError
 from rabench.generative import two_team_report_map
 from rabench.model import (
@@ -14,6 +17,7 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
     TransitRule,
+    _normalized_beliefs,
     binary_report_map,
     joint_violations,
     optimal_action_indices,
@@ -21,6 +25,8 @@ from rabench.model import (
     report_bins,
     score_table,
 )
+
+from rabench.rational import rational_report
 
 from conftest import random_belief, random_matrix_problem, violations
 
@@ -72,6 +78,8 @@ class TestSpaces:
             report_bins(0.0)
         with pytest.raises(InvalidModelError):
             report_bins(1.5)
+        with pytest.raises(InvalidModelError, match="not an integer of 5001 digits$"):
+            report_bins(10**5000)
 
     @pytest.mark.parametrize("width", [1e-300, 1e-6, 0.99e-5, float("nan")])
     def test_too_narrow_bins_refused(self, width):
@@ -388,10 +396,85 @@ class TestExperimentDesign:
                                   design.strategies, initial_score=10**20)
         assert design.initial_score == 1e20
 
-    @pytest.mark.parametrize("trials", [1, 32, np.int64(32)])
+    @pytest.mark.parametrize("trials", [1, 32, np.int64(32), 2**53])
     def test_integer_trials_per_experiment_accepted(self, weather_states, trials):
         design = self.design_of_trials(weather_states, trials)
         assert design.trials_per_experiment == trials
+
+    @pytest.mark.parametrize("trials", [2**53 + 1, np.int64(2**62), 10**400])
+    def test_trials_per_experiment_beyond_exact_floats_rejected(self, weather_states,
+                                                                trials):
+        # payments multiply it by a float score
+        with pytest.raises(InvalidModelError, match=(
+                "^trials_per_experiment must be at most 2\\*\\*53, "
+                f"not {re.escape(repr(trials))}$")):
+            self.design_of_trials(weather_states, trials)
+
+    @pytest.mark.parametrize("field, message", [
+        ("initial_score", "must be a finite number"),
+        ("trials_per_experiment", "must be at most 2\\*\\*53"),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_refusal_gives_the_digit_count_of_an_unprintable_int(
+            self, weather_states, field, message, sign):
+        # 10**5000 has more digits than Python prints (4300 by default)
+        if field == "trials_per_experiment" and sign < 0:
+            message = "must be a positive integer"
+        design = self.design_of_trials(weather_states, 1)
+        with pytest.raises(InvalidModelError, match=(
+                f"^{field} {message}, not an integer of 5001 digits$")):
+            replace(design, **{field: sign * 10**5000})
+
+
+def _shared_posterior_designs(transit_dists_1000):
+    yield "weather", build_case("weather").design
+    yield "kale2020", build_case("kale2020").design
+    for scenario in (1, 2, 3):
+        yield f"fernandes2018-{scenario}", build_case("fernandes2018",
+                                                      scenario=scenario).design
+    yield "transit-1000", build_case("fernandes2018",
+                                     trial_dists=transit_dists_1000).design
+
+
+class TestSharedPosteriors:
+    """``posteriors()`` builds a structure's matrix once and hands every
+    caller that same read-only array."""
+
+    def test_every_case_strategy_shares_one_read_only_matrix(self, transit_dists_1000):
+        for case, design in _shared_posterior_designs(transit_dists_1000):
+            report = rational_report(design)
+            for name, structure in design.strategies.items():
+                P = structure.posteriors()
+                assert structure.posteriors() is P, (case, name)
+                assert report.strategies[name].posteriors is P, (case, name)
+                assert not P.flags.writeable, (case, name)
+                joint = structure.joint
+                np.testing.assert_array_equal(
+                    P, _normalized_beliefs(joint / joint.sum(axis=1, keepdims=True)))
+                with pytest.raises(ValueError, match="read-only"):
+                    P[0, 0] = 0.5
+
+    def test_replaced_joint_gets_its_own_matrix(self):
+        structure = build_case("weather").design.strategies["CI"]
+        P = structure.posteriors()
+        flipped = replace(structure, joint=structure.joint[::-1])
+        assert flipped.posteriors() is not P
+        assert not flipped.posteriors().flags.writeable
+        np.testing.assert_array_equal(flipped.posteriors(), P[::-1])
+        np.testing.assert_array_equal(structure.posteriors(), P)
+
+    def test_pickled_copy_builds_its_own_read_only_matrix(self):
+        structure = build_case("weather").design.strategies["CI"]
+        P = structure.posteriors()
+        copy = pickle.loads(pickle.dumps(structure))
+        assert copy.signals == structure.signals
+        np.testing.assert_array_equal(copy.joint, structure.joint)
+        assert not copy.joint.flags.writeable
+        assert "_posteriors" not in vars(copy)
+        assert copy.posteriors() is not P
+        assert copy.posteriors() is copy.posteriors()
+        assert not copy.posteriors().flags.writeable
+        np.testing.assert_array_equal(copy.posteriors(), P)
 
 
 class TestReportMaps:
