@@ -26,7 +26,9 @@ from .model import (
     NORMALIZATION_TOL,
     ExperimentDesign,
     ReportMap,
+    _is_finite_number,
     _normalized_beliefs,
+    _shown,
     binary_report_map,
     optimal_action_indices,
     outcome_scores,
@@ -131,16 +133,6 @@ class _TableBuilder:
         self.chunks: dict[str, list[np.ndarray]] = {
             name: [] for name in ("strategy", "signal", "state", "action", "report")}
 
-    def _codes(self, name: str, values: Sequence[str]) -> np.ndarray:
-        index = self.index[name]
-        try:
-            return np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                               count=len(values))
-        except KeyError:  # new ids: most chunks bring none
-            self.register(name, dict.fromkeys(values))
-        return np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                           count=len(values))
-
     def register(self, name: str, values: Iterable[str]) -> np.ndarray:
         """The code of each value, new ids getting the next codes in order."""
         index = self.index[name]
@@ -170,12 +162,12 @@ class _TableBuilder:
         n = len(kinds)
         is_action = np.fromiter(map("action".__eq__, kinds), dtype=bool, count=n)
         action = np.full(n, -1, dtype=np.intp)
-        action[is_action] = self._codes("action", list(compress(responses, is_action)))
+        action[is_action] = self.register("action", compress(responses, is_action))
         report = np.full(n, np.nan)
         report[~is_action] = [float(r) for r in compress(responses, ~is_action)]
-        self.append(trial_ids, strategy=self._codes("strategy", strategies),
-                    signal=self._codes("signal", signals),
-                    state=self._codes("state", states), action=action, report=report)
+        self.append(trial_ids, strategy=self.register("strategy", strategies),
+                    signal=self.register("signal", signals),
+                    state=self.register("state", states), action=action, report=report)
 
     def table(self) -> TrialTable:
         columns = {name: np.concatenate(chunks) if chunks else ()
@@ -497,9 +489,9 @@ class EmpiricalJoint:
     def conditionals(self, rows, smoothing_alpha: float = 0.0) -> np.ndarray:
         """Empirical state-conditional of each row index in ``rows``, one
         belief row each; ``smoothing_alpha`` is added to every count first."""
-        if not (0.0 <= smoothing_alpha < np.inf):
+        if not (_is_finite_number(smoothing_alpha) and smoothing_alpha >= 0.0):
             raise InvalidModelError(f"smoothing_alpha must be non-negative and "
-                                    f"finite, not {smoothing_alpha!r}")
+                                    f"finite, not {_shown(smoothing_alpha)}")
         rows = np.asarray(rows, dtype=np.intp)
         counts = self.counts[rows]
         if smoothing_alpha > 0.0:

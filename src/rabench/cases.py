@@ -19,7 +19,6 @@ printed.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -44,6 +43,8 @@ from .model import (
     MatrixRule,
     StateSpace,
     TransitRule,
+    _is_finite_number,
+    _shown,
 )
 from .payment import AffineConversion, FlooredAffineConversion
 
@@ -315,7 +316,7 @@ def _coarsen(full: InformationStructure,
     labels = [partition.get(tid, tid) for tid in full.signals]
     names = tuple(sorted(set(labels)))
     code = {name: i for i, name in enumerate(names)}
-    joint = np.zeros((len(names), full.n_states))
+    joint = np.zeros((len(names), full.joint.shape[1]))
     np.add.at(joint, [code[label] for label in labels], full.joint)
     return InformationStructure(signals=names, joint=joint)
 
@@ -332,8 +333,9 @@ def build_fernandes(scenario: int = 2,
     """
     if scenario not in TRANSIT_SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; pick one of 1, 2, 3")
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ConfigError(f"grid_step must be positive and finite, not {grid_step!r}")
+    if not (_is_finite_number(grid_step) and grid_step > 0.0):
+        raise ConfigError(f"grid_step must be positive and finite, "
+                          f"not {_shown(grid_step)}")
     trial_ids, dists = read_trial_distributions(
         trial_dists or bundled_demo_trials_path())
 

@@ -33,8 +33,7 @@ from .model import (
     StateSpace,
     TransitRule,
     binary_report_map,
-    joint_violations,
-    rule_violations,
+    design_violations,
 )
 from .payment import AffineConversion, FlooredAffineConversion
 
@@ -215,19 +214,16 @@ def design_from_config(cfg: dict) -> ExperimentDesign:
         for name, s_cfg in cfg["strategies"].items()
     }
 
-    violations = [
-        f"strategy {name!r}: {p}"
-        for name, (signals, joint) in strategies.items()
-        for p in joint_violations(signals, joint, states)
-    ] + [f"rule: {p}" for p in rule_violations(states, actions, rule)]
+    report_map = None
+    if cfg.get("report_map"):
+        report_map = _section("report_map", lambda: _report_map_by_name(
+            cfg["report_map"], len(states)))
+    violations = design_violations(states, actions, rule, strategies, report_map)
     if violations:
         raise ConfigError("; ".join(violations))
 
     strategies = {name: InformationStructure(signals=signals, joint=joint)
                   for name, (signals, joint) in strategies.items()}
-    report_map = None
-    if cfg.get("report_map"):
-        report_map = _report_map_by_name(cfg["report_map"], len(states))
     try:
         return ExperimentDesign(
             states=states,

@@ -13,6 +13,11 @@ states, actions and rule:
   each row's action in every state, shape (rows, states), with the row's
   belief as the context of the transit rule's second bus.
 
+A design is valid by construction: ``ExperimentDesign`` refuses every
+misfit among its parts that ``design_violations`` lists (a joint or rule of
+the wrong size, a transit rule over spaces without values, a report map of
+the wrong width), so the kernels check only the beliefs they are given.
+
 Beliefs are the rows of an (n, states) matrix, so one belief is a
 (1, states) matrix, and ``optimal_action_indices`` gives each row's best
 action; ``InformationStructure.posteriors()`` gives every signal's posterior
@@ -55,6 +60,15 @@ MAX_TRIALS_PER_EXPERIMENT = 2**53
 def _is_integer(value) -> bool:
     """True for an int or numpy integer; a bool is not an integer here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """True for an int or float (numpy's too, but not a bool) that a float
+    holds finitely; ``math.isfinite`` alone overflows on a huge int."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max)
+            and math.isfinite(value))
 
 
 def _shown(value) -> str:
@@ -110,14 +124,6 @@ class StateSpace:
             return self.ids.index(str(state_id))
         except ValueError:
             raise InvalidModelError(f"unknown state {state_id!r}") from None
-
-    def numeric_values(self) -> np.ndarray:
-        if self.values is None:
-            raise InvalidModelError(
-                "state space has no numeric values; supply values= to use "
-                "magnitude-based rules"
-            )
-        return np.asarray(self.values)
 
 
 @dataclass(frozen=True)
@@ -175,14 +181,6 @@ class ActionSpace:
             return self.ids.index(str(action_id))
         except ValueError:
             raise InvalidModelError(f"unknown action {action_id!r}") from None
-
-    def numeric_values(self) -> np.ndarray:
-        if self.values is None:
-            raise InvalidModelError(
-                "action space has no numeric values; magnitude-based rules "
-                "need a grid or report space"
-            )
-        return np.asarray(self.values)
 
 
 def report_bins(bin_width: float) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -261,14 +259,6 @@ class MatrixRule:
         s.setflags(write=False)
         object.__setattr__(self, "scores", s)
 
-    @property
-    def n_actions(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.scores.shape[1]
-
 
 @dataclass(frozen=True)
 class TransitRule:
@@ -345,10 +335,6 @@ class InformationStructure:
         j.setflags(write=False)
         object.__setattr__(self, "joint", j)
 
-    @property
-    def n_states(self) -> int:
-        return self.joint.shape[1]
-
     def __len__(self) -> int:
         return len(self.signals)
 
@@ -406,10 +392,48 @@ def structure_violations(signals: Sequence[str], joint: np.ndarray) -> list[str]
     return out
 
 
+def design_violations(states: StateSpace, actions: ActionSpace, rule: ScoringRule,
+                      strategies: Mapping, report_map: "ReportMap | None" = None
+                      ) -> list[str]:
+    """Every misfit among a would-be design's parts: each strategy's
+    :func:`structure_violations` and state count, prefixed ``strategy 'name': ``
+    (a strategy is a raw ``(signals, joint)`` pair, or an
+    :class:`InformationStructure` whose joint is valid, so only its shape is
+    read); then the rule's fit to the spaces, prefixed ``rule: ``; then the
+    report map's belief width at the report 0.5, prefixed ``report_map: ``."""
+    out = []
+    for name, strategy in strategies.items():
+        if isinstance(strategy, InformationStructure):
+            faults, shape = [], strategy.joint.shape
+        else:
+            signals, joint = strategy
+            joint = np.asarray(joint, dtype=float)
+            faults, shape = structure_violations(signals, joint), joint.shape
+        if len(shape) == 2 and shape[1] != len(states):
+            faults.append(f"dimension: joint has {shape[1]} states but the space "
+                          f"has {len(states)}")
+        out += [f"strategy {name!r}: {p}" for p in faults]
+    if isinstance(rule, MatrixRule):
+        out += [f"rule: dimension: score matrix has {n} {what} but the space has {k}"
+                for n, what, k in zip(rule.scores.shape, ("actions", "states"),
+                                      (len(actions), len(states))) if n != k]
+    else:
+        out += [f"rule: transit rule needs numeric {what} values"
+                for what, space in (("action", actions), ("state", states))
+                if space.values is None]
+    if report_map is not None:
+        width = report_map.belief_rows(np.array([0.5])).shape[1]
+        if width != len(states):
+            out.append(f"report_map: dimension: map {report_map.name!r} gives "
+                       f"{width} states but the space has {len(states)}")
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentDesign:
     """A base decision task plus the set of strategies being compared.
 
+    Construction refuses every :func:`design_violations` misfit at once.
     All strategies must share the same data-generating process, i.e. their
     joints must marginalize to one common state prior.
     """
@@ -434,22 +458,20 @@ class ExperimentDesign:
             raise InvalidModelError(f"trials_per_experiment must be at most 2**53, "
                                     f"not {_shown(trials)}")
         score = self.initial_score
-        # isfinite converts to a float, which an int beyond its range cannot
-        if (isinstance(score, bool)
-                or not isinstance(score, (int, float, np.integer, np.floating))
-                or isinstance(score, int) and abs(score) > sys.float_info.max
-                or not math.isfinite(score)):
+        if not _is_finite_number(score):
             raise InvalidModelError(f"initial_score must be a finite number, "
                                     f"not {_shown(score)}")
         object.__setattr__(self, "initial_score", float(score))
         if not self.strategies:
             raise InvalidModelError("an experiment design needs at least one strategy")
+        problems = design_violations(self.states, self.actions, self.rule,
+                                     self.strategies, self.report_map)
+        if problems:
+            raise InvalidModelError(problems)
         priors = {k: s.state_marginal() for k, s in self.strategies.items()}
         ref_name = next(iter(priors))
         ref = priors[ref_name]
         for k, p in priors.items():
-            if p.shape != ref.shape:
-                raise InvalidModelError("strategies disagree on the state space size")
             if np.max(np.abs(p - ref)) > PRIOR_MATCH_TOL:
                 raise InvalidModelError(
                     f"strategy {k!r} marginalizes to a different state prior "
@@ -501,17 +523,12 @@ def binary_report_map(n_states: int = 2) -> ReportMap:
 
 
 def _checked_beliefs(design: ExperimentDesign, beliefs) -> np.ndarray:
-    """``beliefs`` as an (n, states) float matrix that fits the design's rule."""
+    """``beliefs`` as an (n, states) float matrix over the design's states."""
     P = np.asarray(beliefs, dtype=float)
-    rule = design.rule
-    matrix = isinstance(rule, MatrixRule)
-    if matrix and rule.n_actions != len(design.actions):
-        raise DimensionError(f"rule scores {rule.n_actions} actions but the "
-                             f"space has {len(design.actions)}")
-    n_states = rule.n_states if matrix else len(design.states)
+    n_states = len(design.states)
     if P.ndim != 2 or P.shape[1] != n_states:
         raise DimensionError(
-            f"beliefs of shape {P.shape} do not match the rule's {n_states} states"
+            f"beliefs of shape {P.shape} do not match the design's {n_states} states"
         )
     return P
 
@@ -527,8 +544,8 @@ def score_table(design: ExperimentDesign, beliefs) -> np.ndarray:
     if isinstance(rule, MatrixRule):
         # einsum sums each row in state order, whatever the batch around it
         return np.einsum("ns,as->na", P, rule.scores)
-    theta = design.states.numeric_values()
-    fixed, miss, slope = rule.score_terms(design.actions.numeric_values(), theta)
+    theta = np.asarray(design.states.values)
+    fixed, miss, slope = rule.score_terms(design.actions.values, theta)
     return P @ fixed.T + slope * (P @ theta)[:, None] * (P @ miss.T)
 
 
@@ -543,14 +560,12 @@ def outcome_scores(design: ExperimentDesign, action_idx,
     idx = np.asarray(action_idx, dtype=np.intp)
     rule = design.rule
     if isinstance(rule, MatrixRule):
-        if rule.scores.shape != (len(design.actions), len(design.states)):
-            raise DimensionError("score matrix does not match the action/state spaces")
         return rule.scores[idx]
     if beliefs is None:
         raise InvalidModelError("transit scores need a context belief for the second bus")
     P = _checked_beliefs(design, beliefs)
-    theta = design.states.numeric_values()
-    fixed, miss, slope = rule.score_terms(design.actions.numeric_values(), theta)
+    theta = np.asarray(design.states.values)
+    fixed, miss, slope = rule.score_terms(design.actions.values, theta)
     return fixed[idx] + slope * (P @ theta)[:, None] * miss[idx]
 
 
@@ -558,28 +573,3 @@ def optimal_action_indices(design: ExperimentDesign, beliefs) -> np.ndarray:
     """Argmax action index for each belief row, ties to the lowest index."""
     return np.argmax(score_table(design, beliefs), axis=1)
 
-
-def joint_violations(signals: Sequence[str], joint: np.ndarray,
-                     states: StateSpace) -> list[str]:
-    """All invariant violations of a would-be strategy of a design on
-    ``states``: :func:`structure_violations`, then a joint whose state count
-    is not the space's."""
-    j = np.asarray(joint, dtype=float)
-    out = structure_violations(signals, j)
-    if j.ndim == 2 and j.shape[1] != len(states):
-        out.append(f"dimension: joint has {j.shape[1]} states but the space "
-                   f"has {len(states)}")
-    return out
-
-
-def rule_violations(states: StateSpace, actions: ActionSpace,
-                    rule: ScoringRule) -> list[str]:
-    """All violations of a rule that does not fit a design's spaces."""
-    if isinstance(rule, MatrixRule):
-        return [f"dimension: score matrix has {n} {what} but the space has {len(space)}"
-                for n, what, space in ((rule.n_actions, "actions", actions),
-                                       (rule.n_states, "states", states))
-                if n != len(space)]
-    return [f"transit rule needs numeric {what} values"
-            for what, space in (("action", actions), ("state", states))
-            if space.values is None]

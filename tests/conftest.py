@@ -14,9 +14,8 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
     TransitRule,
-    joint_violations,
+    design_violations,
     optimal_action_indices,
-    rule_violations,
 )
 from rabench.rational import rational_report
 
@@ -129,11 +128,10 @@ def posterior(structure: InformationStructure, signal_id: str) -> Belief:
 
 
 def violations(design: ExperimentDesign) -> list[str]:
-    """Every fault of a design's parts: each strategy's joint against the
-    state space, then the rule against the spaces."""
-    return ([v for s in design.strategies.values()
-             for v in joint_violations(s.signals, s.joint, design.states)]
-            + rule_violations(design.states, design.actions, design.rule))
+    """Every misfit of a design's parts, as ``design_violations`` finds it;
+    a design that was built has none."""
+    return design_violations(design.states, design.actions, design.rule,
+                             design.strategies, design.report_map)
 
 
 def optimum(design: ExperimentDesign, strategy: str = "s") -> float:

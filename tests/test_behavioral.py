@@ -672,6 +672,14 @@ class TestCalibrate:
         with pytest.raises(InvalidModelError, match="smoothing_alpha"):
             calibrate(joint, design, smoothing_alpha=alpha)
 
+    def test_huge_integer_smoothing_alpha_rejected(self):
+        # below inf, yet adding it to the float counts overflows
+        design = weather_design()
+        joint = exact_joint(design, np.array([[0.5, 0.5], [0.0, 0.0]]), scale=1.0)
+        with pytest.raises(InvalidModelError, match=(
+                f"^smoothing_alpha must be non-negative and finite, not {10**400}$")):
+            calibrate(joint, design, smoothing_alpha=10**400)
+
 
 class TestLossPieces:
     def test_behavioral_value_of_information(self):

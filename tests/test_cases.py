@@ -161,6 +161,12 @@ class TestFernandesCase:
                                               f"finite, not {step!r}$"):
             build_fernandes(grid_step=step)
 
+    def test_huge_integer_grid_step_rejected(self):
+        # math.isfinite cannot convert it to a float
+        with pytest.raises(ConfigError, match="^grid_step must be positive and "
+                                              "finite, not an integer of 5001 digits$"):
+            build_fernandes(grid_step=10**5000)
+
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     def test_score_ordering_holds_for_any_distributions(self, scenario):
         case = build_fernandes(scenario=scenario)
@@ -223,11 +229,11 @@ class TestFernandesCase:
         case = build_fernandes(scenario=scenario)
         design = case.design
         rule = design.rule
-        grid = design.states.numeric_values()
+        grid = design.states.values
         masses = design.strategies["full"].state_marginal()
         mean = float(sum(m * g for m, g in zip(masses, grid)))
         best = -np.inf
-        for a in design.actions.numeric_values():
+        for a in design.actions.values:
             total = 0.0
             for m, theta in zip(masses, grid):
                 if a <= theta:

@@ -436,6 +436,8 @@ def _trial_dists(row: str) -> str:
     *[("config", {"trials_per_experiment": trials,
                   "conversion": {"kind": "affine", "base": 1.0, "rate": 0.1}},
        "trials_per_experiment must be at most 2**53") for trials in (2**53 + 1, 10**400)],
+    ("config", {"report_map": "pos-to-win"},
+     "report_map: dimension: map 'pos-to-win' gives 4 states but the space has 2"),
 ])
 def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
                                  message):

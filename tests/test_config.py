@@ -138,6 +138,19 @@ class TestLoading:
             "rule: dimension: score matrix has 3 actions but the space has 2"
         )
 
+    def test_binary_report_map_needs_two_states(self):
+        cfg = {
+            "schema_version": 1,
+            "states": {"ids": ["a", "b", "c"]},
+            "actions": {"kind": "finite", "ids": ["x", "y"]},
+            "rule": {"kind": "matrix", "scores": [[0, 1, 0], [1, 0, 0]]},
+            "strategies": {"s": {"signals": ["v"], "joint": [[0.3, 0.3, 0.4]]}},
+            "report_map": "binary",
+        }
+        with pytest.raises(ConfigError, match=(
+                "^report_map: the default report map needs a binary state space$")):
+            design_from_config(cfg)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -48,8 +48,8 @@ def reference_outcomes(problem: ExperimentDesign, action: int, p: np.ndarray) ->
     rule = problem.rule
     if isinstance(rule, MatrixRule):
         return rule.scores[action]
-    a = problem.actions.numeric_values()[action]
-    theta = problem.states.numeric_values()
+    a = problem.actions.values[action]
+    theta = np.asarray(problem.states.values)
     m = float(p @ theta)
     return np.array([transit_outcome(rule, a, t, m) for t in theta])
 

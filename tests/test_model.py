@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rabench.agents import AgentSpec, simulate
+from rabench.behavioral import loss_report, read_trials_csv, write_trials_csv
 from rabench.cases import build_case
 from rabench.errors import DimensionError, InvalidModelError
 from rabench.generative import two_team_report_map
@@ -19,7 +21,7 @@ from rabench.model import (
     TransitRule,
     _normalized_beliefs,
     binary_report_map,
-    joint_violations,
+    design_violations,
     optimal_action_indices,
     outcome_scores,
     report_bins,
@@ -168,8 +170,8 @@ class TestExpectedScore:
         rule = problem.rule
         r0, rw, rd = rule.activity_rate, rule.waiting_rate, rule.destination_rate
         T, off = rule.max_destination_minutes, rule.second_bus_offset
-        a = problem.actions.numeric_values()[:, None, None]
-        theta = problem.states.numeric_values()
+        a = np.asarray(problem.actions.values)[:, None, None]
+        theta = np.asarray(problem.states.values)
         first, second = theta[None, :, None], theta[None, None, :]
         catch = r0 * a + rw * (first - a) + rd * T
         miss = r0 * a + rw * (second + off - a) + rd * (T - (second - first))
@@ -300,35 +302,43 @@ class TestValidate:
     def test_weather_problem_is_clean(self, weather_problem):
         assert violations(weather_problem) == []
 
-    def test_bad_mass_is_reported(self, weather_states):
+    def test_bad_mass_is_reported(self, weather_problem):
         joint = np.array([[0.4, 0.1], [0.3, 0.1]])  # mass 0.9
-        assert any("mass" in v for v in joint_violations(("v1", "v2"), joint,
-                                                         weather_states))
+        assert design_violations(
+            weather_problem.states, weather_problem.actions, weather_problem.rule,
+            {"s": (("v1", "v2"), joint)},
+        ) == ["strategy 's': joint mass is 0.9, not 1 within tolerance"]
 
     def test_dimension_violation_is_reported(self):
-        states = StateSpace(ids=("a", "b", "c"))
         structure = InformationStructure(
             signals=("v",), joint=np.full((1, 3), 1 / 3)
         )
-        problem = ExperimentDesign(
-            states=states,
-            actions=ActionSpace.finite(("x", "y")),
-            rule=MatrixRule(np.zeros((2, 2))),  # 2x2 against 3 states
-            strategies={"s": structure},
-        )
-        assert any("dimension" in v for v in violations(problem))
+        with pytest.raises(InvalidModelError) as err:
+            ExperimentDesign(
+                states=StateSpace(ids=("a", "b", "c")),
+                actions=ActionSpace.finite(("x", "y")),
+                rule=MatrixRule(np.zeros((2, 2))),  # 2x2 against 3 states
+                strategies={"s": structure},
+            )
+        assert err.value.violations == [
+            "rule: dimension: score matrix has 2 states but the space has 3"]
 
     def test_all_violations_are_returned(self, weather_states):
+        # a 3-state joint and a 2x3 matrix over a 2-state space
         structure = InformationStructure(
-            signals=("v",), joint=np.full((1, 3), 1 / 3)  # 3 states against 2
+            signals=("v",), joint=np.full((1, 3), 1 / 3)
         )
-        problem = ExperimentDesign(
-            states=weather_states,
-            actions=ActionSpace.finite(("x", "y")),
-            rule=MatrixRule(np.zeros((3, 2))),
-            strategies={"s": structure},
-        )
-        assert len(violations(problem)) >= 2
+        with pytest.raises(InvalidModelError) as err:
+            ExperimentDesign(
+                states=weather_states,
+                actions=ActionSpace.finite(("x", "y")),
+                rule=MatrixRule(np.zeros((2, 3))),
+                strategies={"s": structure},
+            )
+        assert err.value.violations == [
+            "strategy 's': dimension: joint has 3 states but the space has 2",
+            "rule: dimension: score matrix has 3 states but the space has 2",
+        ]
 
     def test_zero_row_rejected_on_checked_construction(self):
         with pytest.raises(InvalidModelError):
@@ -336,6 +346,105 @@ class TestValidate:
                 signals=("v1", "v2"),
                 joint=np.array([[1.0, 0.0], [0.0, 0.0]]),
             )
+
+
+MISFITS = {
+    "matrix": (None, "joint width", "rule rows", "rule columns", "report map"),
+    "transit": (None, "joint width", "state values", "action values", "report map"),
+}
+
+
+def fit_sweep_parts(rng: np.random.Generator, kind: str, misfit: str | None,
+                    n: int):
+    """The parts, as keywords, of a small random matrix or transit design
+    over ``n`` states with ``misfit`` injected (or none), and the one
+    violation that misfit must raise.
+
+    Signal i puts most of its mass on state i (mod the state count), and a
+    matrix rule pays action a in state a, so the value of information is
+    positive and ``loss_report`` has ratios to give.
+    """
+    n_signals = int(rng.integers(2, 6))
+    peak = np.arange(n) == np.arange(n_signals)[:, None] % n
+    joint = rng.random((n_signals, n)) + 20.0 * peak
+    joint /= joint.sum()
+    mean = InformationStructure(signals=("m",), joint=joint.sum(axis=0, keepdims=True))
+    step = int(rng.integers(1, 4))
+    values = tuple(float(step * i) for i in range(n))
+    if kind == "matrix":
+        states = StateSpace(ids=tuple(f"s{i}" for i in range(n)))
+        n_actions = int(rng.integers(2, 6))
+        actions = ActionSpace.finite(tuple(f"a{i}" for i in range(n_actions)))
+        scores = rng.uniform(-1.0, 1.0, size=(n_actions, n)) \
+            + 10.0 * (np.arange(n_actions)[:, None] == np.arange(n))
+    else:
+        states = StateSpace(ids=tuple(f"{v:g}" for v in values), values=values)
+        actions = ActionSpace.integer_grid(0, step * (n - 1))
+        rule = TransitRule(activity_rate=rng.uniform(1.0, 20.0),
+                           waiting_rate=-rng.uniform(1.0, 20.0),
+                           destination_rate=rng.uniform(1.0, 20.0),
+                           max_destination_minutes=60.0)
+    report_map = binary_report_map() if kind == "matrix" and n == 2 else None
+    expected = []
+    if misfit == "joint width":
+        joint = np.column_stack([joint, rng.random(n_signals)])
+        joint /= joint.sum()
+        expected = [f"strategy 's': dimension: joint has {n + 1} states but the "
+                    f"space has {n}"]
+    elif misfit in ("rule rows", "rule columns"):
+        rows = misfit == "rule rows"
+        scores = np.pad(scores, ((0, rows), (0, not rows)))
+        what, size = ("actions", n_actions) if rows else ("states", n)
+        expected = [f"rule: dimension: score matrix has {size + 1} {what} but the "
+                    f"space has {size}"]
+    elif misfit == "state values":
+        states = StateSpace(ids=states.ids)
+        expected = ["rule: transit rule needs numeric state values"]
+    elif misfit == "action values":
+        actions = ActionSpace.finite(actions.ids)
+        expected = ["rule: transit rule needs numeric action values"]
+    elif misfit == "report map":
+        report_map = two_team_report_map() if n == 2 else binary_report_map()
+        width = 4 if n == 2 else 2
+        expected = [f"report_map: dimension: map {report_map.name!r} gives {width} "
+                    f"states but the space has {n}"]
+    if kind == "matrix":
+        rule = MatrixRule(scores)
+    strategies = {"s": InformationStructure(
+        signals=tuple(f"v{i}" for i in range(n_signals)), joint=joint), "mean": mean}
+    return dict(states=states, actions=actions, rule=rule, strategies=strategies,
+                report_map=report_map), expected
+
+
+class TestEveryBuiltDesignRuns:
+    """A design with one misfit among its parts is refused at construction,
+    naming just that misfit; a design that builds runs the whole pipeline."""
+
+    @pytest.mark.parametrize("kind, misfit", [
+        (kind, misfit) for kind, misfits in MISFITS.items() for misfit in misfits])
+    def test_sweep(self, kind, misfit, tmp_path):
+        rng = np.random.default_rng(list(MISFITS).index(kind) * 10
+                                    + MISFITS[kind].index(misfit))
+        for i in range(8):
+            parts, expected = fit_sweep_parts(rng, kind, misfit, n=2 + i % 4)
+            assert design_violations(**parts) == expected
+            if misfit is not None:
+                with pytest.raises(InvalidModelError) as err:
+                    ExperimentDesign(**parts)
+                assert err.value.violations == expected
+                continue
+            design = ExperimentDesign(**parts)
+            report = rational_report(design)
+            assert len(report.prior) == len(design.states)
+            assert report.value_of_information > 0.0
+            tasks = ("decision", "belief") if design.report_map else ("decision",)
+            for task in tasks:
+                table = simulate(design, "s", AgentSpec.rational(task), n_trials=60,
+                                 seed=i)
+                path = tmp_path / f"{i}-{task}.csv"
+                write_trials_csv(table, path)
+                result = loss_report(design, "s", read_trials_csv(path))
+                assert result.n_trials == 60
 
 
 class TestExperimentDesign:
