@@ -19,7 +19,7 @@ import numpy as np
 from .behavioral import TrialTable, _resolve_report_map
 from .errors import InvalidModelError
 from .generative import sample_cells
-from .model import ExperimentDesign, optimal_action_indices
+from .model import ExperimentDesign, _is_finite_number, _shown, optimal_action_indices
 from .rational import prior
 
 
@@ -44,10 +44,12 @@ class AgentSpec:
             raise InvalidModelError(f"unknown agent kind {self.kind!r}")
         if self.task not in ("decision", "belief"):
             raise InvalidModelError(f"unknown task {self.task!r}")
-        if not (0.0 <= self.noise_sd < np.inf):
-            raise InvalidModelError("noise sd must be non-negative and finite")
-        if not (0.0 <= self.lapse_rate <= 1.0):
-            raise InvalidModelError("lapse rate must lie in [0, 1]")
+        if not (_is_finite_number(self.noise_sd) and self.noise_sd >= 0.0):
+            raise InvalidModelError("noise sd must be non-negative and finite, "
+                                    f"not {_shown(self.noise_sd)}")
+        if not (_is_finite_number(self.lapse_rate) and 0.0 <= self.lapse_rate <= 1.0):
+            raise InvalidModelError("lapse rate must lie in [0, 1], "
+                                    f"not {_shown(self.lapse_rate)}")
         if self.kind == "lapse":
             if self.inner is None:
                 raise InvalidModelError("lapse agents need an inner agent")

@@ -517,9 +517,10 @@ def ingest(table: TrialTable, design: ExperimentDesign,
 
     Decision tasks count (action, state) pairs directly; belief tasks bin
     the probability reports at ``bin_width`` and treat each bin as an
-    action. Trials must be of one task type, and every referenced strategy,
-    signal, state, and action must exist in the design; offenders are
-    reported by trial id.
+    action; ``report_bins`` refuses a bad ``bin_width`` for either task.
+    Trials must be of one task type, every referenced strategy, signal,
+    state, and action must exist in the design, and every report must lie
+    in [0, 1]; offenders are reported by trial id.
     """
     if not len(table):
         raise TrialDataError("no trial records to ingest")
@@ -528,11 +529,8 @@ def ingest(table: TrialTable, design: ExperimentDesign,
         raise TrialDataError("records mix decision and belief responses")
     decision = bool(is_action[0])
     states = design.states
-    if decision:
-        n_rows = len(design.actions)
-    else:
-        mids, bin_ids = report_bins(bin_width)
-        n_rows = len(mids)
+    mids, bin_ids = report_bins(bin_width)
+    n_rows = len(design.actions) if decision else len(mids)
 
     # each distinct id is looked up once; a trial's first problem names it
     strategy = _lookup(table.strategy_ids, design.strategies)
@@ -576,7 +574,7 @@ def ingest(table: TrialTable, design: ExperimentDesign,
                         for v in np.unique(p[mask]))
     if bad.any():
         raise TrialDataError(
-            f"{int(bad.sum())} record(s) reference unknown design elements: "
+            f"{int(bad.sum())} record(s) refused: "
             + "; ".join(sorted(problems)),
             trial_ids=table.trial_ids[bad].tolist(),
         )

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .agents import AgentSpec, simulate
 from .behavioral import (
@@ -34,6 +35,7 @@ from .behavioral import (
 from .cases import CaseStudy, build_case
 from .config_io import load_design_config, save_design_config
 from .errors import RabenchError
+from .floattext import repr_rows
 from .model import ExperimentDesign
 from .payment import incentive_table
 from .rational import RationalReport, StrategySummary, rational_report
@@ -97,29 +99,41 @@ def _write_json(payload: dict, out: Path | None,
     """
     if out is None:
         return
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    for name, summary in (report.strategies.items() if report else ()):
-        text = text.replace(f'"posteriors": {json.dumps(_posteriors_key(name))}',
-                            f'"posteriors": {_posteriors_json(summary, depth=3)}', 1)
-    out.write_text(text + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    blocks = []
+    for name in (report.strategies if report else ()):
+        placeholder = json.dumps(_posteriors_key(name))
+        at = text.index(f'"posteriors": {placeholder}') + len('"posteriors": ')
+        blocks.append((at, at + len(placeholder), name))
+    with out.open("wb") as fh:
+        start = 0
+        for at, end, name in sorted(blocks):
+            fh.write(text[start:at].encode("utf-8"))
+            fh.writelines(_posteriors_json(report.strategies[name], depth=3))
+            start = end
+        fh.write(text[start:].encode("utf-8"))
 
 
 def _posteriors_key(strategy: str) -> str:
     return f"\0posteriors of {strategy}"
 
 
-def _posteriors_json(summary: StrategySummary, depth: int) -> str:
-    """``json.dumps({signal: row})`` of a strategy's posterior rows, with
-    ``indent=2`` and ``sort_keys=True`` for a value ``depth`` levels deep,
-    built by joins of ``float.__repr__`` (the encoder's text for a finite
-    float) rather than the encoder's per-element calls."""
+def _posteriors_json(summary: StrategySummary, depth: int) -> Iterator[bytes | memoryview]:
+    """The bytes of ``json.dumps({signal: row})`` of a strategy's posterior
+    rows, with ``indent=2`` and ``sort_keys=True`` for a value ``depth``
+    levels deep, in pieces. The rows are ``floattext.repr_rows``' joins of
+    ``float.__repr__`` text, the encoder's text for a finite float."""
     close = "\n" + "  " * depth
     key_pad, value_pad = close + "  ", close + "    "
-    rows, signals = summary.posteriors.tolist(), summary.signals
-    items = [json.dumps(signals[i]) + ": [" + value_pad
-             + ("," + value_pad).join(map(float.__repr__, rows[i])) + key_pad + "]"
-             for i in sorted(range(len(signals)), key=signals.__getitem__)]
-    return "{" + key_pad + ("," + key_pad).join(items) + close + "}"
+    signals = summary.signals
+    order = sorted(range(len(signals)), key=signals.__getitem__)
+    rows = repr_rows(summary.posteriors[order], f",{value_pad}".encode("ascii"))
+    before = "{"
+    for i, row in zip(order, rows):
+        yield f"{before}{key_pad}{json.dumps(signals[i])}: [{value_pad}".encode("ascii")
+        yield row
+        before = f"{key_pad}],"
+    yield f"{key_pad}]{close}}}".encode("ascii")
 
 
 def _fmt(x: float | None, width: int = 12, digits: int = 4) -> str:

@@ -31,6 +31,19 @@ class TestAgentSpec:
         with pytest.raises(InvalidModelError):
             AgentSpec.noisy_belief(sd)
 
+    @pytest.mark.parametrize("sd", [pytest.param(10**400, id="10**400"), True])
+    def test_huge_integer_or_bool_noise_rejected(self, sd):
+        with pytest.raises(InvalidModelError, match="noise sd must be non-negative"):
+            simulate(weather_design(), "CI",
+                     AgentSpec(kind="noisy-belief", task="belief", noise_sd=sd), 10, 1)
+
+    @pytest.mark.parametrize("rate", [True, pytest.param(10**400, id="10**400"),
+                                      pytest.param(-10**400, id="-10**400"),
+                                      float("nan"), -0.1, 1.5])
+    def test_bad_lapse_rate_rejected(self, rate):
+        with pytest.raises(InvalidModelError, match=r"lapse rate must lie in \[0, 1\]"):
+            AgentSpec(kind="lapse", lapse_rate=rate, inner=AgentSpec.rational())
+
 
 class TestSimulate:
     def test_deterministic_per_seed(self):

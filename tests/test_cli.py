@@ -215,6 +215,71 @@ class TestPosteriorWriter:
         assert set(json.loads(text)["strategies"]['s"1']["posteriors"]) == set(AWKWARD_IDS)
 
 
+def repr_join_rows(matrix: np.ndarray, sep: bytes) -> list[bytes]:
+    """The reference ``repr_rows`` must match: each row's ``float.__repr__``
+    texts joined by ``sep``."""
+    return [sep.decode().join(map(float.__repr__, row)).encode() for row in matrix.tolist()]
+
+
+def kernel_rows(matrix: np.ndarray, sep: bytes) -> list[bytes]:
+    from rabench.floattext import repr_rows
+    return [bytes(row) for row in repr_rows(matrix, sep)]
+
+
+#: Values outside the kernel's domain, [2**-1022, 1), and its two ends.
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-310, np.nextafter(2.0**-1022, 0), 2.0**-1022,
+               np.nextafter(1.0, 0), 1.0, 2.0, 1e300, -0.5, np.inf, -np.inf, np.nan]
+
+
+class TestReprRows:
+    """``floattext.repr_rows``, which writes the ``pre --out`` posterior rows,
+    gives the bytes of the ``float.__repr__`` join."""
+
+    def test_oracle_sweep(self):
+        from rabench.floattext import _LOW_BITS, _ONE_BITS
+        rng = np.random.default_rng(20180618)
+        random = rng.integers(_LOW_BITS, _ONE_BITS, size=1_000_000, dtype=np.uint64)
+        # each count of trailing zero bits of the mantissa, on exponents near
+        # 1, where the truncated digits can be exact, and on random ones
+        odd = rng.integers(0, 2**51, size=(53, 120), dtype=np.uint64) * 2 + 1
+        fraction = (odd << np.arange(53, dtype=np.uint64)[:, None]) & np.uint64(2**52 - 1)
+        biased = np.concatenate([np.arange(963, 1023), rng.integers(1, 1023, size=60)])
+        trailing = (biased.astype(np.uint64) << np.uint64(52)) | fraction
+        powers_of_two = 2.0 ** -np.arange(1, 1023)
+        powers_of_ten = np.array([float(f"1e-{k}") for k in range(301)])
+        values = np.concatenate([
+            random.view(np.float64), trailing.ravel().view(np.float64), powers_of_two,
+            powers_of_ten, np.nextafter(powers_of_ten, 0), np.nextafter(powers_of_ten, 1),
+            EDGE_VALUES])
+        values = np.concatenate([values, np.zeros(-len(values) % 1000)]).reshape(-1, 1000)
+        assert kernel_rows(values, b",") == repr_join_rows(values, b",")
+
+    def test_chunk_edges(self):
+        from rabench.floattext import CHUNK
+        rng = np.random.default_rng(3)
+        for n in (1, CHUNK - 1, CHUNK, CHUNK + 1):
+            values = rng.uniform(size=n) ** rng.integers(1, 60, size=n)
+            values[rng.integers(0, n, size=3)] = EDGE_VALUES[:3]
+            for matrix in (values[:, None], values[None, :]):
+                assert kernel_rows(matrix, b", ") == repr_join_rows(matrix, b", ")
+
+    def test_only_zeros_take_the_fallback_on_the_workload(self, tmp_path, capsys,
+                                                          monkeypatch, transit_dists_1000):
+        from rabench import floattext
+        outside = []
+        repr_text = floattext._repr_text
+
+        def recording_repr_text(value):
+            outside.append(value)
+            return repr_text(value)
+
+        monkeypatch.setattr(floattext, "_repr_text", recording_repr_text)
+        assert main(["pre", "--case", "fernandes2018", "--scenario", "2",
+                     "--trial-dists", str(transit_dists_1000),
+                     "--out", str(tmp_path / "pre.json")]) == 0
+        assert outside and {np.float64(v).view(np.uint64) for v in outside} == {0}
+
+
 class TestSimulateAndPost:
     def test_rational_pipeline_recovers_the_optimal(self, tmp_path):
         trials = tmp_path / "trials.csv"
@@ -438,6 +503,10 @@ def _trial_dists(row: str) -> str:
        "trials_per_experiment must be at most 2**53") for trials in (2**53 + 1, 10**400)],
     ("config", {"report_map": "pos-to-win"},
      "report_map: dimension: map 'pos-to-win' gives 4 states but the space has 2"),
+    ("argv", [*TRIALS[:-1], "actions.csv"], None),
+    *[("argv", [*TRIALS[:-1], path, "--bin-width", width],
+       f"bin width must lie in [1e-05, 1], not {float(width)!r}")
+      for width in ("nan", "0", "-1", "2") for path in ("trials.csv", "actions.csv")],
 ])
 def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
                                  message):
@@ -447,6 +516,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
     header = "trial_id,strategy,signal,state,response_kind,response\n"
     Path("trials.csv").write_text(header + "0,CI,sigma=5,freezing,probability,0.5\n",
                                   encoding="utf-8")
+    Path("actions.csv").write_text(header + "0,CI,sigma=5,freezing,action,salt\n",
+                                   encoding="utf-8")
     Path("long.csv").write_text(header + f'"{"x" * 200_000}",CI,sigma=5,freezing,'
                                 "action,salt\n", encoding="utf-8")
     Path("latin-1.txt").write_bytes("é,".encode("latin-1"))

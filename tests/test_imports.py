@@ -33,6 +33,16 @@ def test_weather_runs_without_scipy(tmp_path):
     assert loaded_scipy_modules(code, tmp_path) == []
 
 
+def test_float_text_tables_wait_for_first_use(tmp_path):
+    code = "\n".join([
+        "import rabench, rabench.cli",
+        "from rabench import floattext",
+        "assert floattext._ryu_tables.cache_info().currsize == 0",
+        "assert floattext._text_tables.cache_info().currsize == 0",
+    ])
+    assert loaded_scipy_modules(code, tmp_path) == []
+
+
 def test_kale_loads_neither_stats_nor_optimize(tmp_path):
     loaded = loaded_scipy_modules("import rabench\nrabench.build_case('kale2020')",
                                   tmp_path)
