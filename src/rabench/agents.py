@@ -29,7 +29,8 @@ class AgentSpec:
 
     kind: rational | prior | uniform-random | noisy-belief | lapse.
     ``noise_sd`` is the log-odds noise of the noisy-belief agent;
-    ``lapse_rate`` mixes ``inner`` with a uniform-random response.
+    ``lapse_rate`` mixes ``inner`` with a uniform-random response. A kind
+    is refused a nonzero parameter, or an ``inner``, that it does not use.
     """
 
     kind: str
@@ -50,6 +51,10 @@ class AgentSpec:
         if not (_is_finite_number(self.lapse_rate) and 0.0 <= self.lapse_rate <= 1.0):
             raise InvalidModelError("lapse rate must lie in [0, 1], "
                                     f"not {_shown(self.lapse_rate)}")
+        for name, owner in (("noise_sd", "noisy-belief"), ("lapse_rate", "lapse"),
+                            ("inner", "lapse")):
+            if self.kind != owner and getattr(self, name):
+                raise InvalidModelError(f"a {self.kind!r} agent takes no {name}")
         if self.kind == "lapse":
             if self.inner is None:
                 raise InvalidModelError("lapse agents need an inner agent")
@@ -100,13 +105,12 @@ def _draw_stimuli(structure, n_trials: int, rng: np.random.Generator,
     n_signals = joint.shape[0]
     v_idx = np.arange(n_trials) % n_signals
     t_idx = np.empty(n_trials, dtype=int)
-    conditionals = joint / joint.sum(axis=1, keepdims=True)
+    cum = np.cumsum(joint / joint.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
     u = rng.uniform(size=n_trials)
-    for v in range(n_signals):
-        mask = v_idx == v
-        cum = np.cumsum(conditionals[v])
-        cum[-1] = 1.0
-        t_idx[mask] = np.searchsorted(cum, u[mask], side="right")
+    # signal v is shown on trials v, v + n_signals, ...
+    for v in range(min(n_signals, n_trials)):
+        t_idx[v::n_signals] = np.searchsorted(cum[v], u[v::n_signals], side="right")
     return v_idx, t_idx
 
 
@@ -173,7 +177,7 @@ def _belief_responses(design, structure, agent, v_idx, rng) -> np.ndarray:
 
     if agent.kind in ("rational", "noisy-belief"):
         reports = from_beliefs(structure.posteriors())[v_idx]
-        if agent.kind == "noisy-belief" and agent.noise_sd > 0:
+        if agent.noise_sd > 0:
             noise = rng.normal(0.0, agent.noise_sd, size=n)
             reports = _sigmoid(_logit(reports) + noise)
         return reports

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, compress
@@ -36,6 +37,9 @@ from .model import (
     score_table,
 )
 from .rational import rational_report
+
+#: A character that makes ``csv.writer`` quote the field holding it.
+_QUOTED_CHAR = re.compile('[,"\r\n]')
 
 #: Default width of the probability-report bins.
 DEFAULT_BIN_WIDTH = 0.02
@@ -177,7 +181,8 @@ class _TableBuilder:
 
 
 def _csv_fields(values: Iterable) -> tuple[str, ...]:
-    """Each value as ``csv.writer`` writes it as one field of a row."""
+    """Each value as ``csv.writer`` writes it as one field of a row; a
+    ``str`` that ``_QUOTED_CHAR`` does not match is written as it is."""
     buf = io.StringIO()
     # the default "\r\n" terminator, stripped below: the writer quotes a
     # field holding any character of its terminator, so an empty terminator
@@ -185,6 +190,9 @@ def _csv_fields(values: Iterable) -> tuple[str, ...]:
     writer = csv.writer(buf)
     fields = []
     for value in values:
+        if type(value) is str and not _QUOTED_CHAR.search(value):
+            fields.append(value)
+            continue
         # a second, empty field: a row of one empty field is written '""'
         writer.writerow((value, ""))
         fields.append(buf.getvalue()[:-3])
@@ -197,17 +205,19 @@ def write_trials_csv(table: TrialTable, path: str | Path) -> None:
     """Write a trial table as CSV; probability reports are written as
     ``repr`` of their float.
 
-    The bytes are those of ``csv.writer``: each distinct id is quoted once
-    by it, and the rows are joined a chunk at a time.
+    The bytes are those of ``csv.writer``: each distinct id that it would
+    quote is quoted once by it, and the rows are joined a chunk at a time.
     """
     table = replace(table, **{
         f"{name}_ids": _csv_fields(getattr(table, f"{name}_ids"))
         for name in ("strategy", "signal", "state", "action")})
     trial_ids = table.trial_ids.tolist()
     try:
-        quote = any(c in "".join(trial_ids) for c in ',"\r\n')
+        text = "".join(trial_ids)
     except TypeError:  # an id that is not a str: csv.writer formats it
         quote = True
+    else:
+        quote = any(c in text for c in ',"\r\n')
     if quote:
         table = replace(table, trial_ids=_csv_fields(trial_ids))
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -563,15 +573,18 @@ def ingest(table: TrialTable, design: ExperimentDesign,
     if decision:
         checks.append((bad_response, table.action, table.action_ids,
                        "unknown action"))
+    # np.unique imports numpy.ma (numpy 2.4), so it runs only on a fault
     for mask, codes, ids, what in checks:
         mask = mask & ~bad
-        bad |= mask
-        problems.update(f"{what} {ids[c]!r}" for c in np.unique(codes[mask]))
+        if mask.any():
+            bad |= mask
+            problems.update(f"{what} {ids[c]!r}" for c in np.unique(codes[mask]))
     if not decision:
         mask = bad_response & ~bad
-        bad |= mask
-        problems.update(f"probability report {float(v)!r} outside [0, 1]"
-                        for v in np.unique(p[mask]))
+        if mask.any():
+            bad |= mask
+            problems.update(f"probability report {float(v)!r} outside [0, 1]"
+                            for v in np.unique(p[mask]))
     if bad.any():
         raise TrialDataError(
             f"{int(bad.sum())} record(s) refused: "

@@ -201,6 +201,17 @@ def transit_dists_1000(tmp_path_factory) -> Path:
     return path
 
 
+class FixedUniforms:
+    """A generator stand-in whose ``uniform`` returns the given draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
 def trial_table(rows) -> behavioral.TrialTable:
     """A trial table of rows given as (trial id, strategy, signal, state,
     response kind, response) tuples, coded as the CSV reader codes them."""

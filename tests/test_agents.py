@@ -1,11 +1,27 @@
 import numpy as np
 import pytest
 
-from rabench.agents import AgentSpec, simulate
+from rabench.agents import AgentSpec, _draw_stimuli, simulate
 from rabench.behavioral import behavioral_score, calibrate, ingest, loss_report
 from rabench.errors import InvalidModelError
 
-from conftest import trial_rows, weather_design
+from conftest import FixedUniforms, trial_rows, weather_design
+
+
+def masked_balanced_stimuli(joint, n_trials, rng):
+    """Balanced stimuli drawn with one full-length mask per signal: the
+    reference that balanced mode must match draw for draw."""
+    n_signals = joint.shape[0]
+    v_idx = np.arange(n_trials) % n_signals
+    t_idx = np.empty(n_trials, dtype=int)
+    conditionals = joint / joint.sum(axis=1, keepdims=True)
+    u = rng.uniform(size=n_trials)
+    for v in range(n_signals):
+        mask = v_idx == v
+        cum = np.cumsum(conditionals[v])
+        cum[-1] = 1.0
+        t_idx[mask] = np.searchsorted(cum, u[mask], side="right")
+    return v_idx, t_idx
 
 
 class TestAgentSpec:
@@ -37,12 +53,43 @@ class TestAgentSpec:
             simulate(weather_design(), "CI",
                      AgentSpec(kind="noisy-belief", task="belief", noise_sd=sd), 10, 1)
 
+    @pytest.mark.parametrize("kind, parameter, value", [
+        *[(kind, "noise_sd", 0.5)
+          for kind in ("rational", "prior", "uniform-random", "lapse")],
+        *[(kind, "lapse_rate", 0.2)
+          for kind in ("rational", "prior", "uniform-random", "noisy-belief")],
+        *[(kind, "inner", AgentSpec.rational())
+          for kind in ("rational", "prior", "uniform-random", "noisy-belief")],
+    ])
+    def test_parameters_of_another_kind_rejected(self, kind, parameter, value):
+        params = {parameter: value}
+        if kind == "lapse":
+            params["inner"] = AgentSpec.rational()
+        with pytest.raises(InvalidModelError,
+                           match=f"^a '{kind}' agent takes no {parameter}$"):
+            AgentSpec(kind=kind, **params)
+
+    def test_zero_parameters_of_another_kind_accepted(self):
+        for kind in ("rational", "prior", "uniform-random", "noisy-belief"):
+            AgentSpec(kind=kind, noise_sd=0.0, lapse_rate=0.0)
+        AgentSpec(kind="lapse", noise_sd=0.0, inner=AgentSpec.rational())
+
     @pytest.mark.parametrize("rate", [True, pytest.param(10**400, id="10**400"),
                                       pytest.param(-10**400, id="-10**400"),
                                       float("nan"), -0.1, 1.5])
     def test_bad_lapse_rate_rejected(self, rate):
         with pytest.raises(InvalidModelError, match=r"lapse rate must lie in \[0, 1\]"):
             AgentSpec(kind="lapse", lapse_rate=rate, inner=AgentSpec.rational())
+
+
+@pytest.fixture(scope="module")
+def transit_1000_structure(transit_dists_1000):
+    """Strategy ``full`` of scenario 2 on the 1000-trial generated file."""
+    from rabench.cases import build_fernandes
+
+    design = build_fernandes(scenario=2, trial_dists=transit_dists_1000).design
+    assert len(design.strategies["full"]) == 1_000
+    return design.strategies["full"]
 
 
 class TestSimulate:
@@ -108,6 +155,39 @@ class TestSimulate:
                            balanced=True)
         counts = np.bincount(records.signal, minlength=len(records.signal_ids))
         assert set(counts.tolist()) == {1_000}
+
+    @pytest.mark.parametrize("n_trials", [1, 3, 4, 5, 4_001])
+    def test_balanced_weather_matches_the_masked_draws(self, n_trials):
+        structure = weather_design().strategies["CI"]
+        got = _draw_stimuli(structure, n_trials, np.random.default_rng(9),
+                            balanced=True)
+        want = masked_balanced_stimuli(structure.joint, n_trials,
+                                       np.random.default_rng(9))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_trials", [999, 1_000, 20_001])
+    def test_balanced_transit_matches_the_masked_draws(self, n_trials,
+                                                        transit_1000_structure):
+        structure = transit_1000_structure
+        got = _draw_stimuli(structure, n_trials, np.random.default_rng(3),
+                            balanced=True)
+        want = masked_balanced_stimuli(structure.joint, n_trials,
+                                       np.random.default_rng(3))
+        np.testing.assert_array_equal(got, want)
+
+    def test_balanced_draws_on_cdf_entries(self, transit_1000_structure):
+        # each trial's draw is an entry of its signal's conditional CDF,
+        # zero-mass runs included
+        joint = transit_1000_structure.joint
+        n_signals, n_states = joint.shape
+        n_trials = 3 * n_signals + 7
+        cum = np.array([np.cumsum(row / row.sum()) for row in joint])
+        signal = np.arange(n_trials) % n_signals
+        entry = np.random.default_rng(4).integers(0, n_states - 1, size=n_trials)
+        u = FixedUniforms(cum[signal, entry])
+        got = _draw_stimuli(transit_1000_structure, n_trials, u, balanced=True)
+        want = masked_balanced_stimuli(joint, n_trials, u)
+        np.testing.assert_array_equal(got, want)
 
     def test_belief_reports_live_in_unit_interval(self):
         design = weather_design()

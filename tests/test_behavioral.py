@@ -499,8 +499,9 @@ class TestTrialCsvMatchesCsvModule:
         assert trial_rows(read_trials_csv(path)) == trial_rows(table)
         assert parsed == [list(TRIAL_CSV_HEADER)]
         assert row_wise == []
-        assert len(written) == sum(len(getattr(table, f"{name}_ids")) for name in
-                                   ("strategy", "signal", "state", "action"))
+        # no weather id holds a character csv.writer quotes, so none is
+        # formatted by it
+        assert written == []
 
     def test_a_refused_chunk_alone_goes_through_the_csv_module(self, tmp_path,
                                                                monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rabench import generative
 from rabench.cases import build_case, quantile_text_partition
 from rabench.errors import InvalidModelError
 from rabench.generative import (
@@ -15,6 +16,7 @@ from rabench.generative import (
     kale_joint,
     monte_carlo_score,
     pos_to_win_probability,
+    sample_cells,
     weather_joint,
     win_probability_to_pos,
 )
@@ -27,6 +29,7 @@ from rabench.model import (
 )
 
 from conftest import (
+    FixedUniforms,
     constant_actions,
     optimum,
     posterior,
@@ -527,6 +530,58 @@ class TestMonteCarlo:
             problem, "s", rational_actions(problem), n=60_000, seed=21
         )
         assert abs(mean - exact) <= 3 * se
+
+
+def direct_search_cells(joint, u):
+    """The inverse-CDF search of each uniform in ``u``, one at a time in draw
+    order: the reference that ``sample_cells`` must match on every joint."""
+    cum = np.cumsum(joint.reshape(-1))
+    cum[-1] = 1.0
+    return np.unravel_index(np.searchsorted(cum, u, side="right"), joint.shape)
+
+
+def sparse_joint(rng, shape) -> np.ndarray:
+    """A random joint with about a third of its cells at zero mass, and so
+    runs of equal CDF values. The last cell has mass: it takes whatever the
+    rounded CDF leaves below 1."""
+    joint = rng.random(shape) * (rng.random(shape) < 0.65)
+    joint.flat[0] = 0.0
+    joint.flat[-1] = 1.0
+    return joint / joint.sum()
+
+
+#: Joint shapes on both sides of the sampler's sorted-search size.
+SAMPLER_SHAPES = [(4, 2), (8, 4), (32, 32), (41, 25), (1000, 121)]
+
+
+class TestSampleCells:
+    def test_shapes_straddle_the_sorted_search_size(self):
+        sizes = [rows * columns for rows, columns in SAMPLER_SHAPES]
+        assert min(sizes) <= generative._SORTED_SEARCH_CELLS < max(sizes)
+
+    @pytest.mark.parametrize("shape", SAMPLER_SHAPES)
+    @pytest.mark.parametrize("n", [1, 7, 20_000])
+    def test_matches_the_direct_search(self, shape, n):
+        joint = sparse_joint(np.random.default_rng(shape[0] * n), shape)
+        got = sample_cells(joint, n, np.random.default_rng(n))
+        want = direct_search_cells(joint, np.random.default_rng(n).uniform(size=n))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", SAMPLER_SHAPES)
+    def test_draws_on_cdf_entries(self, shape):
+        # every CDF entry below 1 (repeated ones included), its neighbours one
+        # ulp away and 0.0, shuffled so that the draws come unsorted
+        joint = sparse_joint(np.random.default_rng(sum(shape)), shape)
+        cum = np.cumsum(joint.reshape(-1))
+        edges = cum[cum < 1.0]
+        u = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, 1.0), [0.0, 0.0]])
+        u = u[u < 1.0]
+        np.random.default_rng(0).shuffle(u)
+        got = sample_cells(joint, len(u), FixedUniforms(u))
+        np.testing.assert_array_equal(got, direct_search_cells(joint, u))
+        # no draw lands on a zero-mass cell
+        assert (joint[got] > 0).all()
 
 
 #: monte_carlo_score(n=20_000, seed=5) of each case strategy's rational and
