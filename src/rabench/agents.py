@@ -4,6 +4,18 @@ These agents are test fixtures for the decomposition pipeline, not cognitive
 models: the rational agent recovers zero losses, the prior agent pure belief
 loss, and the noisy-belief agent a belief loss that grows with its noise.
 
+Per trial, the rational agent holds its signal's posterior and the prior
+agent the prior; the decision task plays the belief's optimal action, the
+belief task reports the report map's ``from_beliefs`` of it. The
+uniform-random agent plays a uniform action or reports a uniform number in
+[0, 1). The noisy-belief agent adds normal noise of sd ``noise_sd`` to the
+posterior's log-odds: on the report map's axis when the design has one
+(binary designs do), bounded to [1e-12, 1 - 1e-12], that noisy report
+being the belief task's response and its ``to_beliefs`` row the decision
+task's belief; otherwise (decision task only) on each state, renormalized.
+The lapse agent swaps its inner agent's response for a uniform-random one
+on a seeded ``lapse_rate`` fraction of trials.
+
 Simulation is deterministic per seed. Stimuli are drawn first and response
 noise afterwards, so agents that ignore their noise draws (zero noise, zero
 lapse) reproduce the corresponding noiseless agent's records exactly under
@@ -13,24 +25,26 @@ the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .behavioral import TrialTable, _resolve_report_map
 from .errors import InvalidModelError
-from .generative import sample_cells
-from .model import ExperimentDesign, _is_finite_number, _shown, optimal_action_indices
+from .generative import _cdf, sample_cells
+from .model import (ExperimentDesign, _check_count, _is_finite_number, _shown,
+                    optimal_action_indices)
 from .rational import prior
+
+#: Noisy beliefs stay this far inside (0, 1).
+_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """What kind of synthetic agent to run and on which task.
-
-    kind: rational | prior | uniform-random | noisy-belief | lapse.
-    ``noise_sd`` is the log-odds noise of the noisy-belief agent;
-    ``lapse_rate`` mixes ``inner`` with a uniform-random response. A kind
-    is refused a nonzero parameter, or an ``inner``, that it does not use.
+    """What kind of synthetic agent (see the module docstring) to run on
+    which task. A kind is refused a nonzero ``noise_sd`` or ``lapse_rate``,
+    or an ``inner``, that it does not use.
     """
 
     kind: str
@@ -83,13 +97,11 @@ class AgentSpec:
                          inner=inner)
 
 
-def _logit(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return np.log(p / (1.0 - p))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _jittered(p: np.ndarray, noise_sd: float, rng) -> np.ndarray:
+    """``p``, clipped to the bound, with normal noise added to its log-odds."""
+    p = np.clip(p, _BOUND, 1.0 - _BOUND)
+    noise = rng.normal(0.0, noise_sd, size=p.shape)
+    return 1.0 / (1.0 + np.exp(-(np.log(p / (1.0 - p)) + noise)))
 
 
 def _draw_stimuli(structure, n_trials: int, rng: np.random.Generator,
@@ -105,12 +117,12 @@ def _draw_stimuli(structure, n_trials: int, rng: np.random.Generator,
     n_signals = joint.shape[0]
     v_idx = np.arange(n_trials) % n_signals
     t_idx = np.empty(n_trials, dtype=int)
-    cum = np.cumsum(joint / joint.sum(axis=1, keepdims=True), axis=1)
-    cum[:, -1] = 1.0
+    conditionals = joint / joint.sum(axis=1, keepdims=True)
     u = rng.uniform(size=n_trials)
     # signal v is shown on trials v, v + n_signals, ...
     for v in range(min(n_signals, n_trials)):
-        t_idx[v::n_signals] = np.searchsorted(cum[v], u[v::n_signals], side="right")
+        t_idx[v::n_signals] = np.searchsorted(_cdf(conditionals[v]),
+                                              u[v::n_signals], side="right")
     return v_idx, t_idx
 
 
@@ -121,98 +133,54 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
     Returns the trials in draw order, with ids "0", "1", ...; identical
     inputs give identical trials.
     """
-    if n_trials < 1:
-        raise InvalidModelError("need at least one trial")
+    _check_count(n_trials, "trial")
     if strategy not in design.strategies:
         raise InvalidModelError(f"unknown strategy {strategy!r}")
     structure = design.strategies[strategy]
     rng = np.random.default_rng(seed)
     v_idx, t_idx = _draw_stimuli(structure, n_trials, rng, balanced)
-
-    if agent.task == "decision":
-        action = _decision_responses(design, structure, agent, v_idx, rng)
-        action_ids, report = design.actions.ids, np.full(n_trials, np.nan)
-    else:
-        report = _belief_responses(design, structure, agent, v_idx, rng)
-        action_ids, action = (), np.full(n_trials, -1)
+    responses = _responses(design, structure, agent, v_idx, rng)
+    decision = agent.task == "decision"
     return TrialTable(
         trial_ids=[str(i) for i in range(n_trials)],
         strategy_ids=(strategy,), strategy=np.zeros(n_trials, dtype=np.intp),
         signal_ids=structure.signals, signal=v_idx,
         state_ids=design.states.ids, state=t_idx,
-        action_ids=action_ids, action=action, report=report,
+        action_ids=design.actions.ids if decision else (),
+        action=responses if decision else np.full(n_trials, -1),
+        report=np.full(n_trials, np.nan) if decision else responses,
     )
 
 
-def _decision_responses(design, structure, agent, v_idx, rng) -> np.ndarray:
-    """Index of each trial's action in the design's action space."""
+def _responses(design, structure, agent, v_idx, rng) -> np.ndarray:
+    """Each trial's response: an action index on the decision task, a
+    report on the belief task."""
     n = len(v_idx)
-    n_actions = len(design.actions)
+    decision = agent.task == "decision"
+    # the task picks how a belief row becomes a response, and a uniform pick
+    respond = (partial(optimal_action_indices, design) if decision
+               else _resolve_report_map(design).from_beliefs)
+    pick = (partial(rng.integers, 0, len(design.actions), size=n) if decision
+            else partial(rng.uniform, size=n))
 
-    if agent.kind == "rational":
-        return optimal_action_indices(design, structure.posteriors())[v_idx]
-
+    if agent.kind == "rational" or agent.kind == "noisy-belief" and not agent.noise_sd:
+        return respond(structure.posteriors())[v_idx]
     if agent.kind == "prior":
-        p = prior(structure).probabilities
-        return np.full(n, optimal_action_indices(design, p[None, :])[0])
-
+        return np.full(n, respond(prior(structure).probabilities[None, :])[0])
     if agent.kind == "uniform-random":
-        return rng.integers(0, n_actions, size=n)
+        return pick()
+    if agent.kind == "lapse":
+        # inner responses first, then replace a seeded fraction
+        inner = _responses(design, structure, agent.inner, v_idx, rng)
+        lapsed = rng.uniform(size=n) < agent.lapse_rate
+        return np.where(lapsed, pick(), inner)
 
-    if agent.kind == "noisy-belief":
-        beliefs = _noisy_beliefs(design, structure, v_idx, agent.noise_sd, rng)
-        return optimal_action_indices(design, beliefs)
-
-    # lapse: inner responses first, then replace a seeded fraction
-    inner = _decision_responses(design, structure, agent.inner, v_idx, rng)
-    mask = rng.uniform(size=n) < agent.lapse_rate
-    picks = rng.integers(0, n_actions, size=n)
-    return np.where(mask, picks, inner)
-
-
-def _belief_responses(design, structure, agent, v_idx, rng) -> np.ndarray:
-    """Each trial's probability report."""
-    from_beliefs = _resolve_report_map(design).from_beliefs
-    n = len(v_idx)
-
-    if agent.kind in ("rational", "noisy-belief"):
-        reports = from_beliefs(structure.posteriors())[v_idx]
-        if agent.noise_sd > 0:
-            noise = rng.normal(0.0, agent.noise_sd, size=n)
-            reports = _sigmoid(_logit(reports) + noise)
-        return reports
-
-    if agent.kind == "prior":
-        p = prior(structure).probabilities
-        return np.full(n, from_beliefs(p[None, :])[0])
-
-    if agent.kind == "uniform-random":
-        return rng.uniform(size=n)
-
-    inner = _belief_responses(design, structure, agent.inner, v_idx, rng)
-    mask = rng.uniform(size=n) < agent.lapse_rate
-    uniform = rng.uniform(size=n)
-    return np.where(mask, uniform, inner)
-
-
-def _noisy_beliefs(design, structure, v_idx, noise_sd, rng) -> np.ndarray:
-    """Posterior beliefs perturbed in log-odds, one row per trial.
-
-    Designs with a scalar belief axis (binary states, or an explicit report
-    map) are perturbed along that axis, which keeps structured state spaces
-    coherent; otherwise each component's log-odds is jittered independently
-    and the vector renormalized.
-    """
-    n = len(v_idx)
     posteriors = structure.posteriors()
-    if noise_sd == 0.0:
-        return posteriors[v_idx]
     try:
         report_map = _resolve_report_map(design)
-    except InvalidModelError:
-        raw = posteriors[v_idx]
-        bumped = _sigmoid(_logit(raw) + rng.normal(0.0, noise_sd, size=raw.shape))
-        return bumped / bumped.sum(axis=1, keepdims=True)
-    axis = report_map.from_beliefs(posteriors)[v_idx]
-    bumped = _sigmoid(_logit(axis) + rng.normal(0.0, noise_sd, size=n))
-    return report_map.to_beliefs(bumped)
+    except InvalidModelError:  # no belief axis: jitter each state
+        bumped = _jittered(posteriors[v_idx], agent.noise_sd, rng)
+        return respond(bumped / bumped.sum(axis=1, keepdims=True))
+    reports = np.clip(_jittered(report_map.from_beliefs(posteriors)[v_idx],
+                                agent.noise_sd, rng), _BOUND, 1.0 - _BOUND)
+    return respond(report_map.to_beliefs(reports)) if decision else reports

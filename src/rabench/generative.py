@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import ExperimentDesign, InformationStructure, outcome_scores
+from .model import (ExperimentDesign, InformationStructure, _check_count,
+                    _is_integer, _shown, outcome_scores)
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -419,6 +420,15 @@ def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
 _SORTED_SEARCH_CELLS = 1024
 
 
+def _cdf(masses: np.ndarray) -> np.ndarray:
+    """Running sum of 1-d ``masses`` for an inverse-CDF search. Every entry
+    from the first one that reaches the total on is exactly 1.0, so no
+    uniform in [0, 1) lands on a zero-mass cell after the last positive one."""
+    cum = np.cumsum(masses)
+    cum[np.searchsorted(cum, cum[-1]):] = 1.0
+    return cum
+
+
 def sample_cells(joint: np.ndarray, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(row index, column index) of ``n`` i.i.d. draws from a 2-d joint,
@@ -428,8 +438,7 @@ def sample_cells(joint: np.ndarray, n: int,
     joint the uniforms are searched in sorted order, which finds the same
     cells and keeps the CDF's lookups in cache.
     """
-    cum = np.cumsum(joint.reshape(-1))
-    cum[-1] = 1.0
+    cum = _cdf(joint.reshape(-1))
     u = rng.uniform(size=n)
     if cum.size <= _SORTED_SEARCH_CELLS:
         cells = np.searchsorted(cum, u, side="right")
@@ -450,8 +459,7 @@ def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
     :func:`outcome_scores`: a transit cell takes its signal's posterior mean,
     as the exact analysis does.
     """
-    if n < 1:
-        raise InvalidModelError("need at least one draw")
+    _check_count(n, "draw")
     if strategy not in design.strategies:
         raise InvalidModelError(f"unknown strategy {strategy!r}")
     structure = design.strategies[strategy]
@@ -459,6 +467,10 @@ def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
         raise InvalidModelError("need one action index per signal")
     n_actions = len(design.actions)
     idx = np.asarray(actions)
+    bad = [a for a in actions if not _is_integer(a)]
+    if bad:
+        raise InvalidModelError("action indices must be integers, "
+                                f"not {_shown(bad[0])}")
     if ((idx < 0) | (idx >= n_actions)).any():
         raise InvalidModelError(f"action indices must lie in [0, {n_actions})")
     table = outcome_scores(design, actions, structure.posteriors())

@@ -62,6 +62,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(n, noun: str) -> None:
+    """Refuse a count of ``noun``s that is not a positive integer."""
+    if not _is_integer(n):
+        raise InvalidModelError(f"{noun} count must be an integer, not {_shown(n)}")
+    if n < 1:
+        raise InvalidModelError(f"need at least one {noun}")
+
+
 def _is_finite_number(value) -> bool:
     """True for an int or float (numpy's too, but not a bool) that a float
     holds finitely; ``math.isfinite`` alone overflows on a huge int."""

@@ -17,6 +17,7 @@ from .generative import sample_cells
 from .model import (
     ExperimentDesign,
     InformationStructure,
+    _check_count,
     optimal_action_indices,
     outcome_scores,
 )
@@ -115,8 +116,8 @@ def incentive_table(design: ExperimentDesign,
         raise InvalidModelError("the design carries no conversion rule")
     if method not in ("linearized", "monte-carlo"):
         raise InvalidModelError(f"unknown incentive method {method!r}")
-    if method == "monte-carlo" and n < 1:
-        raise InvalidModelError("need at least one draw")
+    if method == "monte-carlo":
+        _check_count(n, "draw")
     if "benchmark" in design.strategies:
         raise InvalidModelError("a strategy named 'benchmark' clashes with the "
                                 "incentive table's benchmark row")

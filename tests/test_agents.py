@@ -1,9 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rabench.agents import AgentSpec, _draw_stimuli, simulate
-from rabench.behavioral import behavioral_score, calibrate, ingest, loss_report
+from rabench.behavioral import (_resolve_report_map, behavioral_score, calibrate,
+                                ingest, loss_report)
+from rabench.cases import build_kale
+from rabench.cli import main
 from rabench.errors import InvalidModelError
+from rabench.model import optimal_action_indices
+from rabench.rational import prior
 
 from conftest import FixedUniforms, trial_rows, weather_design
 
@@ -83,13 +90,18 @@ class TestAgentSpec:
 
 
 @pytest.fixture(scope="module")
-def transit_1000_structure(transit_dists_1000):
-    """Strategy ``full`` of scenario 2 on the 1000-trial generated file."""
+def transit_1000_design(transit_dists_1000):
+    """Scenario 2 on the 1000-trial generated file."""
     from rabench.cases import build_fernandes
 
-    design = build_fernandes(scenario=2, trial_dists=transit_dists_1000).design
-    assert len(design.strategies["full"]) == 1_000
-    return design.strategies["full"]
+    return build_fernandes(scenario=2, trial_dists=transit_dists_1000).design
+
+
+@pytest.fixture(scope="module")
+def transit_1000_structure(transit_1000_design):
+    """Strategy ``full`` of scenario 2 on the 1000-trial generated file."""
+    assert len(transit_1000_design.strategies["full"]) == 1_000
+    return transit_1000_design.strategies["full"]
 
 
 class TestSimulate:
@@ -189,6 +201,20 @@ class TestSimulate:
         want = masked_balanced_stimuli(joint, n_trials, u)
         np.testing.assert_array_equal(got, want)
 
+    def test_balanced_row_never_draws_its_trailing_zero_cell(self):
+        # signal 0's conditional CDF rounds to one ulp below 1 at its last
+        # positive cell; a uniform in that gap draws that cell, not the zero
+        # cell after it; signal 1 ends in a positive cell
+        joint = np.array([[0.691, 0.179, 0.396, 0.006, 0.262, 0.0],
+                          [0.421, 0.106, 0.633, 0.38, 0.725, 0.3]])
+        joint /= joint.sum()
+        conditionals = joint / joint.sum(axis=1, keepdims=True)
+        gap = np.cumsum(conditionals[0])[-1]
+        assert gap < 1.0
+        u = FixedUniforms([gap, gap, np.nextafter(1.0, 0.0), 0.0])
+        _, t_idx = _draw_stimuli(SimpleNamespace(joint=joint), 4, u, balanced=True)
+        np.testing.assert_array_equal(t_idx, [4, 5, 4, 0])
+
     def test_belief_reports_live_in_unit_interval(self):
         design = weather_design()
         for agent in (AgentSpec.rational("belief"),
@@ -264,3 +290,171 @@ class TestDecompositionRecovery:
         c = calibrate(joint, design).calibrated_score
         # state-independent behavior carries no information; 3 se margin
         assert abs(c - (-7.96)) <= 0.26
+
+
+# The three response functions that answered trials before one rule per agent
+# kind replaced them, kept as the reference that ``simulate`` must match.
+
+def _logit(p):
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return np.log(p / (1.0 - p))
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_decisions(design, structure, agent, v_idx, rng):
+    n = len(v_idx)
+    n_actions = len(design.actions)
+    if agent.kind == "rational":
+        return optimal_action_indices(design, structure.posteriors())[v_idx]
+    if agent.kind == "prior":
+        p = prior(structure).probabilities
+        return np.full(n, optimal_action_indices(design, p[None, :])[0])
+    if agent.kind == "uniform-random":
+        return rng.integers(0, n_actions, size=n)
+    if agent.kind == "noisy-belief":
+        beliefs = reference_noisy_beliefs(design, structure, v_idx,
+                                          agent.noise_sd, rng)
+        return optimal_action_indices(design, beliefs)
+    inner = reference_decisions(design, structure, agent.inner, v_idx, rng)
+    mask = rng.uniform(size=n) < agent.lapse_rate
+    picks = rng.integers(0, n_actions, size=n)
+    return np.where(mask, picks, inner)
+
+
+def reference_reports(design, structure, agent, v_idx, rng):
+    from_beliefs = _resolve_report_map(design).from_beliefs
+    n = len(v_idx)
+    if agent.kind in ("rational", "noisy-belief"):
+        reports = from_beliefs(structure.posteriors())[v_idx]
+        if agent.noise_sd > 0:
+            noise = rng.normal(0.0, agent.noise_sd, size=n)
+            reports = _sigmoid(_logit(reports) + noise)
+        return reports
+    if agent.kind == "prior":
+        p = prior(structure).probabilities
+        return np.full(n, from_beliefs(p[None, :])[0])
+    if agent.kind == "uniform-random":
+        return rng.uniform(size=n)
+    inner = reference_reports(design, structure, agent.inner, v_idx, rng)
+    mask = rng.uniform(size=n) < agent.lapse_rate
+    uniform = rng.uniform(size=n)
+    return np.where(mask, uniform, inner)
+
+
+def reference_noisy_beliefs(design, structure, v_idx, noise_sd, rng):
+    n = len(v_idx)
+    posteriors = structure.posteriors()
+    if noise_sd == 0.0:
+        return posteriors[v_idx]
+    try:
+        report_map = _resolve_report_map(design)
+    except InvalidModelError:
+        raw = posteriors[v_idx]
+        bumped = _sigmoid(_logit(raw) + rng.normal(0.0, noise_sd, size=raw.shape))
+        return bumped / bumped.sum(axis=1, keepdims=True)
+    axis = report_map.from_beliefs(posteriors)[v_idx]
+    bumped = _sigmoid(_logit(axis) + rng.normal(0.0, noise_sd, size=n))
+    return report_map.to_beliefs(bumped)
+
+
+def reference_responses(design, strategy, agent, n_trials, seed, balanced):
+    structure = design.strategies[strategy]
+    rng = np.random.default_rng(seed)
+    v_idx, _ = _draw_stimuli(structure, n_trials, rng, balanced)
+    respond = reference_decisions if agent.task == "decision" else reference_reports
+    return respond(design, structure, agent, v_idx, rng)
+
+
+def agents_of_every_kind(task):
+    """Each kind, noisy-belief at k = 0 and 0.8, and lapse at rate 0, 0.3
+    and 1 over each of the others."""
+    plain = [AgentSpec.rational(task), AgentSpec.prior_only(task),
+             AgentSpec.uniform_random(task), AgentSpec.noisy_belief(0.0, task),
+             AgentSpec.noisy_belief(0.8, task)]
+    return plain + [AgentSpec.lapsing(rate, inner)
+                    for rate in (0.0, 0.3, 1.0) for inner in plain]
+
+
+class TestResponsesMatchTheReference:
+    @pytest.mark.parametrize("balanced", [False, True], ids=["iid", "balanced"])
+    @pytest.mark.parametrize("task", ["decision", "belief"])
+    @pytest.mark.parametrize("case, strategy", [("weather", "CI"),
+                                                ("kale2020", "interval")])
+    def test_binary_cases(self, case, strategy, task, balanced):
+        design = weather_design() if case == "weather" else build_kale().design
+        self.check_every_agent(design, strategy, task, balanced, 2_000)
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["iid", "balanced"])
+    def test_transit_1000_decisions(self, transit_1000_design, balanced):
+        self.check_every_agent(transit_1000_design, "full", "decision", balanced,
+                               3_000)
+
+    @staticmethod
+    def check_every_agent(design, strategy, task, balanced, n_trials):
+        for agent in agents_of_every_kind(task):
+            for seed in (0, 7, 12):
+                table = simulate(design, strategy, agent, n_trials, seed,
+                                 balanced=balanced)
+                got = table.action if task == "decision" else table.report
+                want = reference_responses(design, strategy, agent, n_trials,
+                                           seed, balanced)
+                np.testing.assert_array_equal(got, want, err_msg=f"{agent} {seed}")
+                assert got.dtype == want.dtype
+
+
+class TestNoiselessLimits:
+    @pytest.mark.parametrize("case, strategy, task", [
+        ("weather", "CI", "decision"), ("weather", "CI", "belief"),
+        ("kale2020", "interval", "decision"), ("kale2020", "interval", "belief"),
+        ("transit", "full", "decision"),
+    ])
+    def test_zero_noise_and_zero_lapse_change_no_record(
+            self, case, strategy, task, transit_1000_design):
+        design = {"weather": weather_design, "kale2020": lambda: build_kale().design,
+                  "transit": lambda: transit_1000_design}[case]()
+        for balanced in (False, True):
+            def rows(agent):
+                return trial_rows(simulate(design, strategy, agent, 2_000, seed=3,
+                                           balanced=balanced))
+
+            assert rows(AgentSpec.noisy_belief(0.0, task)) == \
+                rows(AgentSpec.rational(task))
+            for inner in agents_of_every_kind(task)[:5]:
+                assert rows(AgentSpec.lapsing(0.0, inner)) == rows(inner)
+
+
+class TestLargeNoise:
+    @pytest.mark.parametrize("case, strategy", [("weather", "CI"),
+                                                ("kale2020", "interval")])
+    def test_reports_stay_strictly_inside_the_unit_interval(self, case, strategy):
+        design = weather_design() if case == "weather" else build_kale().design
+        for seed in range(5):
+            table = simulate(design, strategy, AgentSpec.noisy_belief(50.0, "belief"),
+                             2_000, seed)
+            assert ((table.report > 0.0) & (table.report < 1.0)).all()
+            assert table.report.min() == 1e-12
+            assert table.report.max() == 1.0 - 1e-12
+            # the decision task plays through the same bounded reports
+            simulate(design, strategy, AgentSpec.noisy_belief(50.0), 2_000, seed)
+
+    def test_kale2020_cli_simulates_at_large_noise(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--case", "kale2020", "--agent", "noisy:k=20",
+                     "--n", "2000", "--seed", "1", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2_001
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+    def test_non_integer_refused(self, n):
+        with pytest.raises(InvalidModelError,
+                           match="^trial count must be an integer, not "):
+            simulate(weather_design(), "CI", AgentSpec.rational(), n, 1)
+
+    def test_numpy_integer_accepted(self):
+        table = simulate(weather_design(), "CI", AgentSpec.rational(),
+                         np.int64(5), 1)
+        assert len(table) == 5

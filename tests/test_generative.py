@@ -500,6 +500,25 @@ class TestMonteCarlo:
                            match=r"^action indices must lie in \[0, 2\)$"):
             monte_carlo_score(weather_problem, "s", [index] * 4, n=100, seed=0)
 
+    @pytest.mark.parametrize("actions", [[0.9] * 4, [True] * 4, [0, 1, 0, 1.0],
+                                         [0, 1, 0, np.True_]])
+    def test_non_integer_action_indices_refused(self, weather_problem, actions):
+        with pytest.raises(InvalidModelError,
+                           match="^action indices must be integers, not "):
+            monte_carlo_score(weather_problem, "s", actions, n=100, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, 100.0, True])
+    def test_non_integer_draw_count_refused(self, weather_problem, n):
+        with pytest.raises(InvalidModelError,
+                           match="^draw count must be an integer, not "):
+            monte_carlo_score(weather_problem, "s", [0] * 4, n=n, seed=0)
+
+    def test_numpy_integers_accepted(self, weather_problem):
+        actions = np.asarray(rational_actions(weather_problem), dtype=np.int32)
+        assert monte_carlo_score(weather_problem, "s", actions, n=np.int64(100),
+                                 seed=0) == \
+            monte_carlo_score(weather_problem, "s", actions.tolist(), n=100, seed=0)
+
     def test_unknown_strategy_refused(self, weather_problem):
         with pytest.raises(InvalidModelError, match="^unknown strategy 'nope'$"):
             monte_carlo_score(weather_problem, "nope", [0] * 4, n=100, seed=0)
@@ -582,6 +601,29 @@ class TestSampleCells:
         np.testing.assert_array_equal(got, direct_search_cells(joint, u))
         # no draw lands on a zero-mass cell
         assert (joint[got] > 0).all()
+
+
+    @pytest.mark.parametrize("n_cells", [6, 2_000])
+    def test_trailing_zero_mass_cell_never_drawn(self, n_cells):
+        # the running sum of these masses rounds to one ulp below 1, so a
+        # uniform in that gap must draw the last positive cell, 4; the larger
+        # joint pads them with zero cells to take the sorted search
+        masses = np.zeros(n_cells)
+        masses[:5] = [0.13139089030396614, 0.019954829182505313,
+                      0.00804925015178311, 0.3960769575916508,
+                      0.44452807277009454]
+        gap = np.cumsum(masses)[-1]
+        assert gap == np.nextafter(1.0, 0.0)
+        u = FixedUniforms([gap, 0.5, 0.0, gap])
+        rows, cells = sample_cells(masses[None, :], 4, u)
+        np.testing.assert_array_equal(rows, 0)
+        np.testing.assert_array_equal(cells, [4, 3, 0, 4])
+
+    def test_cdf_is_one_from_the_last_positive_cell_on(self):
+        masses = np.array([0.0, 0.25, 0.0, 0.5, 0.25 - 2**-54, 0.0, 0.0])
+        cum = generative._cdf(masses)
+        np.testing.assert_array_equal(cum[:4], np.cumsum(masses)[:4])
+        np.testing.assert_array_equal(cum[4:], 1.0)
 
 
 #: monte_carlo_score(n=20_000, seed=5) of each case strategy's rational and

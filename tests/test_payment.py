@@ -141,6 +141,16 @@ class TestIncentiveTable:
         with pytest.raises(InvalidModelError, match="^need at least one draw$"):
             incentive_table(kale_design(), method="monte-carlo", n=n)
 
+    @pytest.mark.parametrize("n", [2.5, 1.0, True])
+    def test_monte_carlo_draw_count_must_be_an_integer(self, n):
+        with pytest.raises(InvalidModelError,
+                           match="^draw count must be an integer, not "):
+            incentive_table(kale_design(), method="monte-carlo", n=n)
+
+    def test_linearized_ignores_the_draw_count(self):
+        design = kale_design()
+        assert incentive_table(design, n=2.5) == incentive_table(design)
+
     def test_missing_conversion_rejected(self):
         with pytest.raises(InvalidModelError):
             incentive_table(weather_design())
