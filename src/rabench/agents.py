@@ -130,8 +130,9 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
              n_trials: int, seed: int, balanced: bool = False) -> TrialTable:
     """Run a synthetic agent through ``n_trials`` draws of one strategy.
 
-    Returns the trials in draw order, with ids "0", "1", ...; identical
-    inputs give identical trials.
+    Returns the trials in draw order; identical inputs give identical
+    trials. The trial ids are the row numbers, an integer array 0, 1, ...,
+    written to a trial CSV as "0", "1", ....
     """
     _check_count(n_trials, "trial")
     if strategy not in design.strategies:
@@ -142,7 +143,7 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
     responses = _responses(design, structure, agent, v_idx, rng)
     decision = agent.task == "decision"
     return TrialTable(
-        trial_ids=[str(i) for i in range(n_trials)],
+        trial_ids=np.arange(n_trials),
         strategy_ids=(strategy,), strategy=np.zeros(n_trials, dtype=np.intp),
         signal_ids=structure.signals, signal=v_idx,
         state_ids=design.states.ids, state=t_idx,

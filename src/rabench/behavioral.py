@@ -56,10 +56,6 @@ _CSV_CHUNK_ROWS = 8192
 _CSV_CHUNK_CHARS = 1 << 18
 
 
-def _decode(ids: Sequence[str], codes: np.ndarray) -> list[str]:
-    return np.array(ids, dtype=object)[codes].tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class TrialTable:
     """Trials stored by column, one row per trial.
@@ -68,6 +64,10 @@ class TrialTable:
     into ``strategy_ids``, ``signal_ids``, ``state_ids`` and ``action_ids``.
     A decision row has an action code and a NaN ``report``; a probability
     row has action code -1 and its report in ``report``.
+
+    ``trial_ids`` is kept as an integer array when given one (``simulate``
+    numbers its rows so) and as an object array otherwise; an integer id is
+    written to a CSV, and named by ``TrialDataError``, as ``str(id)``.
 
     ``len`` gives the number of rows, and a slice, boolean mask or index
     array gives the selected rows as a table.
@@ -85,8 +85,12 @@ class TrialTable:
     report: np.ndarray
 
     def __post_init__(self):
-        columns = {"trial_ids": np.asarray(self.trial_ids, dtype=object),
-                   "report": np.asarray(self.report, dtype=float)}
+        ids = self.trial_ids
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+            # not a bare asarray: a fixed-width "U" array of n ids would
+            # take n times the longest one's width
+            ids = np.asarray(ids, dtype=object)
+        columns = {"trial_ids": ids, "report": np.asarray(self.report, dtype=float)}
         for name in ("strategy", "signal", "state", "action"):
             columns[name] = np.asarray(getattr(self, name), dtype=np.intp)
         if len({c.shape for c in columns.values()}) != 1 \
@@ -103,27 +107,6 @@ class TrialTable:
                        strategy=self.strategy[index], signal=self.signal[index],
                        state=self.state[index], action=self.action[index],
                        report=self.report[index])
-
-    def _columns(self) -> tuple[list, ...]:
-        """The six trial columns as lists, in ``TRIAL_CSV_HEADER`` order.
-
-        Responses are action ids, and ``repr`` of probability reports.
-        """
-        is_action = self.action >= 0
-        if is_action.all():
-            responses = _decode(self.action_ids, self.action)
-        else:
-            # code -1 picks the placeholder id appended at the end
-            actions = _decode(self.action_ids + ("",), self.action)
-            reports = map(repr, self.report.tolist())
-            responses = [a if k else r
-                         for k, a, r in zip(is_action.tolist(), actions, reports)]
-        return (self.trial_ids.tolist(),
-                _decode(self.strategy_ids, self.strategy),
-                _decode(self.signal_ids, self.signal),
-                _decode(self.state_ids, self.state),
-                _decode(("probability", "action"), is_action.astype(np.intp)),
-                responses)
 
 
 class _TableBuilder:
@@ -180,9 +163,15 @@ class _TableBuilder:
         return TrialTable(trial_ids=self.trial_ids, **ids, **columns)
 
 
-def _csv_fields(values: Iterable) -> tuple[str, ...]:
-    """Each value as ``csv.writer`` writes it as one field of a row; a
-    ``str`` that ``_QUOTED_CHAR`` does not match is written as it is."""
+def _csv_fields(values: Sequence) -> Sequence[str]:
+    """Each value as ``csv.writer`` writes it as one field of a row; values
+    that are all ``str`` and that ``_QUOTED_CHAR`` does not match are
+    returned as they are."""
+    try:
+        if not _QUOTED_CHAR.search("".join(values)):
+            return values
+    except TypeError:  # a value that is not a str
+        pass
     buf = io.StringIO()
     # the default "\r\n" terminator, stripped below: the writer quotes a
     # field holding any character of its terminator, so an empty terminator
@@ -198,33 +187,48 @@ def _csv_fields(values: Iterable) -> tuple[str, ...]:
         fields.append(buf.getvalue()[:-3])
         buf.seek(0)
         buf.truncate()
-    return tuple(fields)
+    return fields
+
+
+def _with_comma(ids: Sequence, end: str = "") -> np.ndarray:
+    """Each id's field, led by a comma and followed by ``end``."""
+    return np.array([f",{f}{end}" for f in _csv_fields(ids)], dtype=object)
 
 
 def write_trials_csv(table: TrialTable, path: str | Path) -> None:
     """Write a trial table as CSV; probability reports are written as
-    ``repr`` of their float.
+    ``repr`` of their float, and integer trial ids as ``str`` of them.
 
     The bytes are those of ``csv.writer``: each distinct id that it would
-    quote is quoted once by it, and the rows are joined a chunk at a time.
+    quote is quoted once by it. A chunk of rows is written by one join of
+    its fields, each carrying the comma before it or the line end after it.
     """
-    table = replace(table, **{
-        f"{name}_ids": _csv_fields(getattr(table, f"{name}_ids"))
-        for name in ("strategy", "signal", "state", "action")})
-    trial_ids = table.trial_ids.tolist()
-    try:
-        text = "".join(trial_ids)
-    except TypeError:  # an id that is not a str: csv.writer formats it
-        quote = True
-    else:
-        quote = any(c in text for c in ',"\r\n')
-    if quote:
-        table = replace(table, trial_ids=_csv_fields(trial_ids))
+    strategy, signal, state = (_with_comma(getattr(table, f"{name}_ids"))
+                               for name in ("strategy", "signal", "state"))
+    kinds = np.array([",probability", ",action"], dtype=object)
+    # code -1 picks the placeholder appended at the end
+    actions = np.append(_with_comma(table.action_ids, "\r\n"), None)
+    numbered = table.trial_ids.dtype.kind in "iu"
+    if not numbered:
+        table = replace(table, trial_ids=_csv_fields(table.trial_ids.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRIAL_CSV_HEADER) + "\r\n")
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            columns = table[start:start + _CSV_CHUNK_ROWS]._columns()
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            is_action = chunk.action >= 0
+            responses = actions[chunk.action]
+            if not is_action.all():
+                responses[~is_action] = list(map(",%r\r\n".__mod__,
+                                                 chunk.report[~is_action].tolist()))
+            fields = np.empty((len(chunk), len(TRIAL_CSV_HEADER)), dtype=object)
+            fields[:, 0] = (list(map(str, chunk.trial_ids.tolist())) if numbered
+                            else chunk.trial_ids)
+            fields[:, 1] = strategy[chunk.strategy]
+            fields[:, 2] = signal[chunk.signal]
+            fields[:, 3] = state[chunk.state]
+            fields[:, 4] = kinds[is_action.astype(np.intp)]
+            fields[:, 5] = responses
+            fh.write("".join(fields.ravel().tolist()))
 
 
 def _add_rows(builder: _TableBuilder, rows: list[list[str]],

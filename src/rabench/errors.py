@@ -25,13 +25,14 @@ class DimensionError(InvalidModelError):
 class TrialDataError(RabenchError):
     """Trial records reference unknown states, actions, or signals.
 
-    ``trial_ids`` lists the offending records.
+    ``trial_ids`` lists the offending records, each id as ``str(id)``, as a
+    trial CSV shows an integer id.
     """
 
     def __init__(self, message, trial_ids=()):
-        self.trial_ids = list(trial_ids)
+        self.trial_ids = list(map(str, trial_ids))
         if self.trial_ids:
-            message = f"{message} (trials: {', '.join(map(str, self.trial_ids))})"
+            message = f"{message} (trials: {', '.join(self.trial_ids)})"
         super().__init__(message)
 
 

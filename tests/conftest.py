@@ -221,5 +221,22 @@ def trial_table(rows) -> behavioral.TrialTable:
 
 
 def trial_rows(table: behavioral.TrialTable) -> list[tuple]:
-    """The rows of a trial table as tuples of the fields written to its CSV."""
-    return list(zip(*table._columns()))
+    """The rows of a trial table as tuples of the fields written to its CSV:
+    integer trial ids as ``str`` of them, and responses as action ids or
+    ``repr`` of probability reports."""
+    def decode(ids, codes):
+        return np.array(ids, dtype=object)[codes].tolist()
+
+    trial_ids = table.trial_ids.tolist()
+    if table.trial_ids.dtype.kind in "iu":
+        trial_ids = list(map(str, trial_ids))
+    is_action = table.action >= 0
+    # code -1 picks the placeholder id appended at the end
+    actions = decode(table.action_ids + ("",), table.action)
+    responses = [a if k else repr(r) for k, a, r in
+                 zip(is_action.tolist(), actions, table.report.tolist())]
+    return list(zip(trial_ids, decode(table.strategy_ids, table.strategy),
+                    decode(table.signal_ids, table.signal),
+                    decode(table.state_ids, table.state),
+                    decode(("probability", "action"), is_action.astype(np.intp)),
+                    responses))

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,6 +132,18 @@ class TestSimulate:
         assert {r[5] for r in trial_rows(records)} == {"no-salt"}
         b = behavioral_score(ingest(records, design), design)
         assert abs(b - (-7.96)) <= 0.26  # 3 se of a -100/0 bet at p=0.08
+
+    def test_a_table_holds_no_object_per_trial(self):
+        # six 8-byte columns, trial ids among them
+        tracemalloc.start()
+        try:
+            table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8),
+                             100_000, seed=4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 100_000
+        assert held <= 56 * 100_000
 
     def test_zero_noise_equals_rational(self):
         design = weather_design()

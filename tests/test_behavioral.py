@@ -1,6 +1,7 @@
 import csv
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 from operator import itemgetter
 
@@ -201,11 +202,10 @@ class TestTrialCsv:
 
 
 def reference_write_trials_csv(table, path):
-    columns = table._columns()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
-        writer.writerows(zip(*columns))
+        writer.writerows(trial_rows(table))
 
 
 def numbered_rows(reader):
@@ -435,6 +435,25 @@ class TestTrialCsvMatchesCsvModule:
         reference_write_trials_csv(table, reference)
         assert path.read_bytes() == reference.read_bytes()
 
+    def test_quote_free_str_ids_are_searched_once(self, monkeypatch):
+        searched = []
+        pattern = behavioral._QUOTED_CHAR
+
+        class CountingPattern:
+            def search(self, text):
+                searched.append(text)
+                return pattern.search(text)
+
+        monkeypatch.setattr(behavioral, "_QUOTED_CHAR", CountingPattern())
+        ids = ("sigma=2", "é", "", "b7")
+        assert behavioral._csv_fields(ids) is ids
+        assert searched == ["sigma=2éb7"]
+        searched.clear()
+        # a match, or a value that is not a str, sends each id to csv.writer
+        assert list(behavioral._csv_fields(("a,b", "c", ""))) == ['"a,b"', "c", ""]
+        assert searched == ["a,bc", "a,b", "c", ""]
+        assert list(behavioral._csv_fields((7, "c", None))) == ["7", "c", ""]
+
     def test_large_table_writes_in_chunks(self, tmp_path):
         rng = np.random.default_rng(5)
         table = random_table(rng, 2 * behavioral._CSV_CHUNK_ROWS + 5, AWKWARD_PIECES)
@@ -593,6 +612,72 @@ class TestTrialTable:
         with pytest.raises(TrialDataError) as err:
             loss_report(design, "CI", trial_table(mixed))
         assert err.value.trial_ids == ["2"]
+
+    def test_loss_report_names_integer_ids_as_the_file_shows_them(self):
+        n = 5
+        table = TrialTable(
+            trial_ids=np.arange(n), strategy_ids=("mean",),
+            strategy=np.zeros(n, dtype=int), signal_ids=("mu=5",),
+            signal=np.zeros(n, dtype=int), state_ids=("freezing",),
+            state=np.zeros(n, dtype=int), action_ids=("salt",),
+            action=np.zeros(n, dtype=int), report=np.full(n, np.nan))
+        with pytest.raises(TrialDataError) as err:
+            loss_report(weather_design(), "CI", table)
+        assert err.value.trial_ids == ["0", "1", "2", "3", "4"]
+        assert str(err.value).endswith("(trials: 0, 1, 2, 3, 4)")
+
+
+def integer_id_table(rng, n, dtype):
+    """A random table whose trial ids are ``n`` integers of ``dtype``,
+    spread over its whole range."""
+    info = np.iinfo(dtype)
+    ids = rng.integers(info.min, info.max, size=n, dtype=dtype, endpoint=True)
+    return replace(random_table(rng, n, PLAIN_PIECES), trial_ids=ids)
+
+
+class TestIntegerTrialIds:
+    """Integer trial ids stay integers in the table and are written as
+    ``str`` of them."""
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 20001])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32])
+    def test_written_as_str_ids_are(self, tmp_path, dtype, n):
+        table = integer_id_table(np.random.default_rng(n), n, dtype)
+        assert table.trial_ids.dtype == dtype
+        as_str = replace(table, trial_ids=list(map(str, table.trial_ids.tolist())))
+        path, str_path, reference = (tmp_path / f"{name}.csv"
+                                     for name in ("trials", "str", "reference"))
+        write_trials_csv(table, path)
+        write_trials_csv(as_str, str_path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == str_path.read_bytes() == reference.read_bytes()
+
+        back = read_trials_csv(path)
+        assert {type(i) for i in back.trial_ids.tolist()} == {str}
+        assert trial_rows(back) == trial_rows(table) == trial_rows(as_str)
+
+    def test_slicing_and_masking_keep_integers(self):
+        table = integer_id_table(np.random.default_rng(3), 20, np.int32)
+        for index in (slice(2, 9), table.action >= 0, [5, 1, 1]):
+            selected = table[index]
+            assert selected.trial_ids.dtype == np.int32
+            assert selected.trial_ids.tolist() == table.trial_ids[index].tolist()
+
+    def test_simulate_numbers_its_rows(self):
+        table = simulate(weather_design(), "CI", AgentSpec.rational(), 10, seed=1)
+        assert table.trial_ids.dtype.kind == "i"
+        assert table.trial_ids.tolist() == list(range(10))
+
+    def test_a_boolean_id_array_is_not_taken_as_integers(self, tmp_path):
+        table = replace(random_table(np.random.default_rng(4), 4, PLAIN_PIECES),
+                        trial_ids=np.array([True, False, True, True]))
+        assert table.trial_ids.dtype == object
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        write_trials_csv(table, path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        assert read_trials_csv(path).trial_ids.tolist() == ["True", "False",
+                                                            "True", "True"]
 
 
 class TestBehavioralScore:
