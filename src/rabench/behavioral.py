@@ -16,6 +16,7 @@ import io
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
@@ -48,9 +49,15 @@ TRIAL_CSV_HEADER = ("trial_id", "strategy", "signal", "state",
                     "response_kind", "response")
 
 #: Rows per chunk when writing a trial CSV, or when reading one with
-#: ``csv.reader``; this bounds the memory held by rows not yet joined or
+#: ``csv.reader``; this bounds the memory held by rows not yet written or
 #: encoded.
 _CSV_CHUNK_ROWS = 8192
+#: Bytes of the matrix that a chunk of rows is written from, at most: a
+#: chunk of wider rows is written in parts (one row, if it is wider still).
+_CSV_BLOCK_BYTES = 1 << 20
+#: A byte that UTF-8 never holds: it pads each piece of a row to its
+#: column's width in that matrix, and is dropped from what is written.
+_PAD = 0xFF
 #: Characters read per chunk of a trial CSV before it is completed to a
 #: line end: 6k to 8k rows of the weather and transit cases' files.
 _CSV_CHUNK_CHARS = 1 << 18
@@ -70,7 +77,8 @@ class TrialTable:
     written to a CSV, and named by ``TrialDataError``, as ``str(id)``.
 
     ``len`` gives the number of rows, and a slice, boolean mask or index
-    array gives the selected rows as a table.
+    array gives the selected rows as a table. A code outside its ids, or
+    other than -1 outside them in ``action``, raises ``InvalidModelError``.
     """
 
     trial_ids: np.ndarray
@@ -96,6 +104,11 @@ class TrialTable:
         if len({c.shape for c in columns.values()}) != 1 \
                 or columns["trial_ids"].ndim != 1:
             raise InvalidModelError("trial table columns must be 1-D and of one length")
+        for name in ("strategy", "signal", "state", "action"):
+            codes, count = columns[name], len(getattr(self, f"{name}_ids"))
+            low = -1 if name == "action" else 0
+            if len(codes) and not (low <= codes.min() and codes.max() < count):
+                raise InvalidModelError(f"{name} codes must lie in [{low}, {count})")
         for name, value in columns.items():
             object.__setattr__(self, name, value)
 
@@ -103,10 +116,14 @@ class TrialTable:
         return len(self.trial_ids)
 
     def __getitem__(self, index) -> "TrialTable":
-        return replace(self, trial_ids=self.trial_ids[index],
-                       strategy=self.strategy[index], signal=self.signal[index],
-                       state=self.state[index], action=self.action[index],
-                       report=self.report[index])
+        # rows of a valid table: their codes need no second check
+        rows = object.__new__(TrialTable)
+        vars(rows).update(vars(self), **{
+            name: getattr(self, name)[index] for name in
+            ("trial_ids", "strategy", "signal", "state", "action", "report")})
+        if rows.trial_ids.ndim != 1:
+            raise InvalidModelError("trial table columns must be 1-D and of one length")
+        return rows
 
 
 class _TableBuilder:
@@ -190,9 +207,209 @@ def _csv_fields(values: Sequence) -> Sequence[str]:
     return fields
 
 
-def _with_comma(ids: Sequence, end: str = "") -> np.ndarray:
-    """Each id's field, led by a comma and followed by ``end``."""
-    return np.array([f",{f}{end}" for f in _csv_fields(ids)], dtype=object)
+def _padded(data: np.ndarray, lengths: np.ndarray, width: int,
+            right: bool = False) -> np.ndarray:
+    """Pieces given as their bytes joined and their lengths, each a row of
+    ``width`` bytes padded with ``_PAD``, on its left if ``right``."""
+    rows = np.full((len(lengths), width), _PAD, dtype=np.uint8)
+    # each row's run of bytes and run of padding, in the row's order
+    runs = np.stack((width - lengths, lengths) if right else (lengths, width - lengths),
+                    axis=1).reshape(-1)
+    rows.reshape(-1)[np.repeat(np.tile([not right, right], len(lengths)), runs)] = data
+    return rows
+
+
+def _joined(pieces: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``pieces`` joined, and the offset of each piece's
+    start and of their end."""
+    data = "".join(pieces).encode("utf-8")
+    offsets = np.zeros(len(pieces) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces)),
+              out=offsets[1:])
+    if offsets[-1] != len(data):  # not ASCII: count each piece's bytes
+        np.cumsum([len(p.encode("utf-8")) for p in pieces], out=offsets[1:])
+    return np.frombuffer(data, dtype=np.uint8), offsets
+
+
+def _paired(first: tuple, second: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of the joined pieces ``first`` and ``second`` as one
+    piece, joined: pair (i, j) is piece i * len(second) + j."""
+    (a, a_offsets), (b, b_offsets) = first, second
+    a_lengths, b_lengths = np.diff(a_offsets), np.diff(b_offsets)
+    pairs = np.concatenate([
+        np.repeat(_padded(a, a_lengths, int(a_lengths.max(initial=0))), len(b_lengths), axis=0),
+        np.tile(_padded(b, b_lengths, int(b_lengths.max(initial=0))), (len(a_lengths), 1))],
+        axis=1).ravel()
+    lengths = np.add.outer(a_lengths, b_lengths).ravel()
+    return pairs[pairs != _PAD], np.concatenate(([0], np.cumsum(lengths)))
+
+
+class _Pieces:
+    """A column's distinct pieces, given joined, each a row of ``table``
+    padded with ``_PAD``, on its left if ``right``.
+
+    The table takes about as many bytes as the pieces, or as
+    ``_CSV_BLOCK_BYTES`` if that is more: a piece longer than its width is
+    written as the own piece of each row that shows it.
+    """
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray, right: bool):
+        self.data, self.offsets, self.right = data, offsets, right
+        self.lengths = np.diff(offsets)
+        self.long = self.lengths > max(_CSV_BLOCK_BYTES, len(data)) // max(len(offsets) - 1, 1)
+        kept = np.where(self.long, 0, self.lengths)  # a long piece's row is all padding
+        width = int(kept.max(initial=0))
+        if 0 < width < 16:  # numpy copies rows of 1, 2, 4, 8 or 16 bytes fastest
+            width = 1 << (width - 1).bit_length()
+        self.table = _padded(data[np.repeat(~self.long, self.lengths)], kept, width, right)
+
+    def part(self, codes: np.ndarray, *own: tuple) -> "_Part":
+        """A chunk's rows of the column, given their codes and any rows with
+        their own pieces: the rows and their pieces, joined."""
+        # a row of code -1 is given its own piece
+        rows = np.flatnonzero(self.long[codes] & (codes >= 0)) if self.long.any() else ()
+        if len(rows):
+            starts, lengths = self.offsets[codes[rows]], self.lengths[codes[rows]]
+            own += (rows, np.concatenate([self.data[s:s + n] for s, n in
+                                          zip(starts.tolist(), lengths.tolist())]),
+                    np.concatenate(([0], np.cumsum(lengths)))),
+        return _Part(self, codes, own)
+
+
+class _Part:
+    """A chunk's rows of one column: a row's piece is its code's row of the
+    column's table, or its own piece."""
+
+    def __init__(self, pieces: _Pieces, codes: np.ndarray, own: tuple):
+        self.pieces, self.codes, self.own = pieces, codes, own
+        #: each row's width in the chunk's matrix, or one width for every row
+        self.widths = pieces.table.shape[1]
+        if self.widths > _CSV_BLOCK_BYTES // _CSV_CHUNK_ROWS:
+            # the rows of a wide table are as wide as their pieces
+            self.widths = pieces.lengths[codes]
+        elif own:
+            self.widths = np.full(len(codes), self.widths)
+        for rows, _, offsets in own:
+            self.widths[rows] = np.diff(offsets)
+
+    def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """Write rows ``lo`` to ``hi`` of the chunk into ``out``, a matrix
+        as wide as the widest of them."""
+        table, right = self.pieces.table, self.pieces.right
+        width, have = out.shape[1], table.shape[1]
+        spans = [(rows, data, offsets, *np.searchsorted(rows, (lo, hi)))
+                 for rows, data, offsets in self.own]
+        if sum(end - start for *_, start, end in spans) < hi - lo:
+            codes = self.codes[lo:hi]  # code -1 wraps to a row given its own piece
+            if width < have:  # each row's piece fits: cut padding off the table
+                out[...] = table[codes, have - width:] if right else table[codes, :width]
+            else:
+                pad = slice(0, width - have) if right else slice(have, width)
+                out[:, pad] = _PAD
+                # each row gathered as one item of ``have`` bytes
+                gathered = out[:, pad.stop:] if right else out[:, :have]
+                gathered.view(f"V{have}")[...] = np.take(table.view(f"V{have}"), codes, axis=0)
+        for rows, data, offsets, start, end in spans:
+            if start < end:
+                out[rows[start:end] - lo] = _padded(
+                    data[offsets[start]:offsets[end]],
+                    np.diff(offsets[start:end + 1]), width, right)
+
+
+#: The least number of each count of digits above one.
+_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+@lru_cache
+def _quads() -> np.ndarray:
+    """The four digits of each of 0 to 9999, in text order, as the low half
+    of a little-endian uint64."""
+    digits = (np.arange(10_000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0"))
+    quads = digits.astype(np.uint8).view("<u4").ravel().astype("<u8")
+    quads.setflags(write=False)
+    return quads
+
+
+@lru_cache
+def _digit_fixes(digits: int, width: int) -> np.ndarray:
+    """XOR masks that turn a number's digits, zeros leading to ``digits``
+    of them, right-aligned in ``width`` bytes, into ``str`` of it padded
+    with ``_PAD``: row n for n digits, row ``digits + 1 + n`` for a
+    negative number's n digits."""
+    fixes = np.zeros((2, digits + 1, width), dtype=np.uint8)
+    for n in range(1, digits + 1):
+        fixes[:, n, :width - n] = ord("0") ^ _PAD
+        if n < width:
+            fixes[1, n, width - n - 1] = ord("0") ^ ord("-")
+    fixes.setflags(write=False)
+    return fixes.reshape(-1, width).view("<u8")
+
+
+class _Numbers:
+    """A chunk's integer trial ids, each written as ``str`` of it,
+    right-aligned in ``widths`` bytes."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        low, high = int(values.min()), int(values.max())
+        self.digits = len(str(max(high, -low)))
+        self.signed = low < 0
+        self.widths = -(-(self.digits + self.signed) // 8) * 8
+
+    def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """Write rows ``lo`` to ``hi`` of the chunk into ``out``, a matrix
+        ``widths`` bytes wide: the digits of each number, eight to a word
+        with zeros leading, each word turned by its row of
+        ``_digit_fixes``."""
+        values = self.values[lo:hi]
+        magnitude = values.astype(np.uint64)
+        negative = values < 0 if self.signed else None
+        if self.signed:
+            # the int64 minimum too: its magnitude, 2**63, is a uint64
+            np.negative(magnitude, out=magnitude, where=negative)
+        count = np.searchsorted(_POWERS[:self.digits - 1], magnitude, side="right") + 1
+        if self.signed:
+            count[negative] += self.digits + 1
+        fixes = np.take(_digit_fixes(self.digits, out.shape[1]), count, axis=0)
+        words, rest, quads = out.view("<u8"), magnitude, _quads()
+        for i in range(words.shape[1] - 1, -1, -1):
+            eight = rest
+            if i:
+                rest = rest // 10**8
+                eight = eight - rest * 10**8
+            eight = eight.astype(np.intp)
+            four = eight // 10_000
+            words[:, i] = (quads[four] | quads[eight - four * 10_000] << 32) ^ fixes[:, i]
+
+
+def _write_rows(fh, parts: list, lo: int, hi: int) -> None:
+    """Write rows ``lo`` to ``hi`` of a chunk from a matrix of the parts'
+    pieces side by side, each padded to the part's width in the rows; rows
+    that would take more than ``_CSV_BLOCK_BYTES`` are halved."""
+    widths = [w if isinstance(w, int) else int(w[lo:hi].max())
+              for w in (part.widths for part in parts)]
+    if (hi - lo) * sum(widths) > _CSV_BLOCK_BYTES and hi - lo > 1:
+        middle = (lo + hi) // 2
+        _write_rows(fh, parts, lo, middle)
+        _write_rows(fh, parts, middle, hi)
+        return
+    rows = np.empty((hi - lo, sum(widths)), dtype=np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        part.fill(rows[:, at:at + width], lo, hi)
+        at += width
+    data = rows.ravel()
+    fh.write(data[data != _PAD])
+
+
+def _mixed_radix(group: list, rows: slice) -> np.ndarray:
+    """The code of each row's pieces in a group's table of pairs, from the
+    codes of its columns and the counts of their pieces."""
+    code = 0
+    for codes, count in group:
+        code = code * count + codes[rows]
+    return code
 
 
 def write_trials_csv(table: TrialTable, path: str | Path) -> None:
@@ -200,35 +417,58 @@ def write_trials_csv(table: TrialTable, path: str | Path) -> None:
     ``repr`` of their float, and integer trial ids as ``str`` of them.
 
     The bytes are those of ``csv.writer``: each distinct id that it would
-    quote is quoted once by it. A chunk of rows is written by one join of
-    its fields, each carrying the comma before it or the line end after it.
+    quote is quoted once by it. A chunk of rows is written from one matrix
+    of bytes, a row each: the row's pieces side by side, each padded with
+    ``_PAD`` to its column's width, and written without the padding. The
+    digits of integer ids are made by numpy. An id column's piece, its field
+    with the comma before it, is gathered from a table of its distinct ones,
+    and so is a decision's response, with the line end after it;
+    neighbouring columns with few pairs of pieces share one table of the
+    pairs. Other trial ids and probability responses are made row by row.
     """
-    strategy, signal, state = (_with_comma(getattr(table, f"{name}_ids"))
-                               for name in ("strategy", "signal", "state"))
-    kinds = np.array([",probability", ",action"], dtype=object)
-    # code -1 picks the placeholder appended at the end
-    actions = np.append(_with_comma(table.action_ids, "\r\n"), None)
+    columns = [(getattr(table, name), _joined([
+        f",{f}" for f in _csv_fields(getattr(table, f"{name}_ids"))]))
+        for name in ("strategy", "signal", "state")]
+    responses = _joined([f",action,{f}\r\n" for f in _csv_fields(table.action_ids)])
+    decided = bool((table.action >= 0).all())
+    if decided:
+        columns.append((table.action, responses))
+    # a column joins the group before it while the group's table of pairs
+    # stays small beside the trials and its pieces narrow
+    groups: list[tuple[list, tuple]] = []
+    for codes, pieces in columns:
+        count = len(pieces[1]) - 1
+        if groups:
+            group, joined = groups[-1]
+            longest = sum(np.diff(offsets).max(initial=0) for _, offsets in (joined, pieces))
+            if (len(joined[1]) - 1) * count <= len(table) // 8 \
+                    and longest <= _CSV_BLOCK_BYTES // _CSV_CHUNK_ROWS:
+                groups[-1] = ([*group, (codes, count)], _paired(joined, pieces))
+                continue
+        groups.append(([(codes, count)], pieces))
+    # padding on alternate sides puts a row's padding together
+    groups = [(group, _Pieces(*joined, right=i % 2 == 1))
+              for i, (group, joined) in enumerate(groups)]
+    actions = _Pieces(*responses, right=len(groups) % 2 == 1)
     numbered = table.trial_ids.dtype.kind in "iu"
     if not numbered:
-        table = replace(table, trial_ids=_csv_fields(table.trial_ids.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRIAL_CSV_HEADER) + "\r\n")
+        text_ids = _csv_fields(table.trial_ids.tolist())
+        no_pieces = _Pieces(*_joined([]), right=True)
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRIAL_CSV_HEADER) + "\r\n").encode("utf-8"))
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = table[start:start + _CSV_CHUNK_ROWS]
-            is_action = chunk.action >= 0
-            responses = actions[chunk.action]
-            if not is_action.all():
-                responses[~is_action] = list(map(",%r\r\n".__mod__,
-                                                 chunk.report[~is_action].tolist()))
-            fields = np.empty((len(chunk), len(TRIAL_CSV_HEADER)), dtype=object)
-            fields[:, 0] = (list(map(str, chunk.trial_ids.tolist())) if numbered
-                            else chunk.trial_ids)
-            fields[:, 1] = strategy[chunk.strategy]
-            fields[:, 2] = signal[chunk.signal]
-            fields[:, 3] = state[chunk.state]
-            fields[:, 4] = kinds[is_action.astype(np.intp)]
-            fields[:, 5] = responses
-            fh.write("".join(fields.ravel().tolist()))
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            count = min(_CSV_CHUNK_ROWS, len(table) - start)
+            parts = [_Numbers(table.trial_ids[rows]) if numbered else no_pieces.part(
+                         # every row has its own piece
+                         np.full(count, -1), (np.arange(count), *_joined(text_ids[rows])))]
+            parts += [pieces.part(_mixed_radix(group, rows)) for group, pieces in groups]
+            if not decided:
+                action = table.action[rows]
+                reports = np.flatnonzero(action < 0)
+                parts.append(actions.part(action, (reports, *_joined(list(map(
+                    ",probability,%r\r\n".__mod__, table.report[rows][reports].tolist()))))))
+            _write_rows(fh, parts, 0, count)
 
 
 def _add_rows(builder: _TableBuilder, rows: list[list[str]],
@@ -423,12 +663,19 @@ def _add_parsed(builder: _TableBuilder, lines: Iterable[str], line: int) -> int:
     return line
 
 
+def _skip_byte_order_mark(fh) -> None:
+    """Read past a text file's leading U+FEFF, if it has one, as Excel's
+    "CSV UTF-8" writes; the file is decoded as plain UTF-8 all the same."""
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+
+
 def read_trials_csv(path: str | Path) -> TrialTable:
-    """Read a trial CSV into a table. Blank lines are skipped; a wrong
-    header raises ``TrialDataError``, and so does a line with the wrong
-    number of fields, an unknown response kind, a probability report that
-    is not a number or a field that ``csv.reader`` refuses, naming the first
-    such line.
+    """Read a trial CSV into a table. A leading byte-order mark and blank
+    lines are skipped; a wrong header raises ``TrialDataError``, and so does
+    a line with the wrong number of fields, an unknown response kind, a
+    probability report that is not a number or a field that ``csv.reader``
+    refuses, naming the first such line.
 
     The file is read a chunk of whole lines at a time. ``_add_ascii`` codes
     a chunk with numpy; ``csv.reader`` parses each chunk it refuses, and
@@ -436,6 +683,7 @@ def read_trials_csv(path: str | Path) -> TrialTable:
     quoted field can hold a line end.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        _skip_byte_order_mark(fh)
         reader = csv.reader(fh)
         try:
             header = next(reader)

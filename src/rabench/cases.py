@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .behavioral import _skip_byte_order_mark
 from .errors import ConfigError, InvalidModelError
 from .generative import (
     BoxCoxTDist,
@@ -248,7 +249,7 @@ def _float_or_none(text: str) -> float | None:
 
 def read_trial_distributions(path: str | Path) -> tuple[tuple[str, ...], BoxCoxTDist]:
     """Load per-trial arrival distributions from a CSV with columns
-    trial_id, mu, sigma, nu, tau.
+    trial_id, mu, sigma, nu, tau; a leading byte-order mark is skipped.
 
     Returns the trial ids in file order and one :class:`BoxCoxTDist` whose
     parameter arrays hold a row per trial. A duplicate id, a field that is
@@ -259,6 +260,7 @@ def read_trial_distributions(path: str | Path) -> tuple[tuple[str, ...], BoxCoxT
     if not path.exists():
         raise ConfigError(f"trial distribution file {path} does not exist")
     with open(path, newline="", encoding="utf-8") as fh:
+        _skip_byte_order_mark(fh)
         # restval: a missing field reads as an empty one, not as None
         reader = csv.DictReader(fh, restval="")
         required = {"trial_id", *_DIST_COLUMNS}

@@ -462,6 +462,91 @@ class TestTrialCsvMatchesCsvModule:
         reference_write_trials_csv(table, reference)
         assert path.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("pieces", [AWKWARD_PIECES, PLAIN_PIECES, LONG_PIECES])
+    def test_decision_tables_write_in_chunks(self, tmp_path, pieces):
+        # with no probability row, neighbouring columns of few pieces are
+        # written from one table of their pairs
+        rng = np.random.default_rng(6)
+        table = random_table(rng, 2 * behavioral._CSV_CHUNK_ROWS + 5, pieces)
+        table = replace(table, action=np.where(table.action < 0, 0, table.action),
+                        report=np.full(len(table), np.nan))
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        write_trials_csv(table, path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_probability_reports_are_written_as_repr(self, tmp_path, mixed):
+        reports = [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 - 2**-53, 1.0]
+        n = 3 * len(reports)
+        action = np.full(n, -1)
+        if mixed:
+            action[1::3] = [0, 1] * (len(reports) // 2) + [0] * (len(reports) % 2)
+        table = TrialTable(
+            trial_ids=np.arange(n), strategy_ids=("CI",), strategy=np.zeros(n, dtype=int),
+            signal_ids=("sigma=2",), signal=np.zeros(n, dtype=int),
+            state_ids=("freezing", "not-freezing"), state=np.arange(n) % 2,
+            action_ids=("salt", "no-salt"), action=action,
+            report=np.where(action < 0, np.resize(reports, n), np.nan))
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        write_trials_csv(table, path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"probability,-0.0\r\n" in path.read_bytes()
+
+    @pytest.mark.parametrize("column", ["trial_ids", "signal", "action"])
+    def test_a_long_id_costs_a_few_times_the_file_s_size(self, tmp_path, column):
+        n, long_id = 20_000, "x" * 1_000_000
+        rng = np.random.default_rng(7)
+        table = TrialTable(
+            trial_ids=list(map(str, range(n))), strategy_ids=("CI",),
+            strategy=np.zeros(n, dtype=int), signal_ids=("sigma=2", "sigma=3"),
+            signal=rng.integers(0, 2, n), state_ids=("freezing", "not-freezing"),
+            state=rng.integers(0, 2, n), action_ids=("salt", "no-salt"),
+            action=rng.integers(-1, 2, n), report=rng.uniform(size=n))
+        if column == "trial_ids":
+            ids = table.trial_ids.copy()
+            ids[3001] = long_id
+            table = replace(table, trial_ids=ids)
+        else:
+            # a probability row beside the long action, whose code -1 is
+            # the long id's code wrapped
+            codes = getattr(table, column).copy()
+            codes[3000:3002] = [-1 if column == "action" else 0, 2]
+            table = replace(table, **{column: codes, f"{column}_ids":
+                                      getattr(table, f"{column}_ids") + (long_id,)})
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        peak = traced_peak(write_trials_csv, table, path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        # the long id is written once, and no chunk is assembled as wide as
+        # it; the file is 1.8 MB, and the peak 2.5 to 3 times that
+        assert peak <= 4 * path.stat().st_size
+
+    def test_wide_ids_write_in_parts(self, tmp_path):
+        # pieces too wide for a chunk of 8192 rows in 1 MB, yet kept in
+        # their table: each part of a chunk is as wide as its widest piece
+        n = 20_000
+        rng = np.random.default_rng(9)
+        table = TrialTable(
+            trial_ids=np.arange(n), strategy_ids=("CI",), strategy=np.zeros(n, dtype=int),
+            signal_ids=("s" * 300, "t" * 150, "u"), signal=rng.choice(3, n, p=[0.001, 0.01, 0.989]),
+            state_ids=("freezing", "not-" + "é" * 200), state=rng.integers(0, 2, n),
+            action_ids=("salt", "no-salt"), action=rng.integers(-1, 2, n),
+            report=rng.uniform(size=n))
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        write_trials_csv(table, path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("name", ["crlf", "quoted header", "quote after the first chunk"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, name):
+        # Excel's "CSV UTF-8" leads the file with U+FEFF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(GOOD_CSVS[name].encode("utf-8"))
+        marked.write_bytes(("\ufeff" + GOOD_CSVS[name]).encode("utf-8"))
+        assert read_outcome(read_trials_csv, marked) == read_outcome(read_trials_csv, plain)
+
     @pytest.mark.parametrize("chars", CHUNK_CHARS)
     @pytest.mark.parametrize("name", sorted(GOOD_CSVS.keys() | BAD_CSVS.keys()))
     def test_files(self, tmp_path, monkeypatch, name, chars):
@@ -599,6 +684,27 @@ class TestTrialTable:
         assert trial_rows(table[1:]) == trial_rows(trial_table(records[1:]))
         assert trial_rows(table[[2, 0]]) == trial_rows(trial_table(records[::-2]))
 
+    @pytest.mark.parametrize("column, code", [
+        ("strategy", -1), ("strategy", 1), ("signal", -1), ("signal", 4),
+        ("state", 5), ("state", -1), ("action", -2), ("action", 2)])
+    def test_codes_outside_their_ids_are_refused(self, column, code):
+        columns = {"strategy": [0] * 4, "signal": [3, 2, 1, 0], "state": [0, 1, 1, 0],
+                   "action": [0, 1, -1, 1]}
+        columns[column][1] = code
+        with pytest.raises(InvalidModelError, match=f"^{column} codes must lie in"):
+            TrialTable(trial_ids=np.arange(4), strategy_ids=("CI",),
+                       signal_ids=("sigma=2", "sigma=3", "sigma=4", "sigma=5"),
+                       state_ids=("freezing", "not-freezing"), action_ids=("salt", "no-salt"),
+                       report=[np.nan, np.nan, 0.5, np.nan], **columns)
+
+    def test_selected_rows_are_not_checked_again(self, monkeypatch):
+        table = simulate(weather_design(), "CI", AgentSpec.rational(), 50, seed=1)
+        checked = []
+        monkeypatch.setattr(TrialTable, "__post_init__", lambda self: checked.append(self))
+        assert trial_rows(table[5:9]) == trial_rows(table)[5:9]
+        assert len(table[table.state == 0]) == int((table.state == 0).sum())
+        assert checked == []
+
     def test_loss_report_refuses_other_strategies(self):
         # scored as CI, trials of the mean strategy would fold into the joint
         design = weather_design()
@@ -655,6 +761,35 @@ class TestIntegerTrialIds:
         back = read_trials_csv(path)
         assert {type(i) for i in back.trial_ids.tolist()} == {str}
         assert trial_rows(back) == trial_rows(table) == trial_rows(as_str)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int8, np.int16])
+    def test_whole_ranges_are_written_as_str_ids_are(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        table = integer_id_table(np.random.default_rng(8), 20_001, dtype)
+        ids = table.trial_ids.copy()
+        ids[[0, 1, 8191, 8192, 20_000]] = [info.min, info.max, info.max, 0, info.min]
+        table = replace(table, trial_ids=ids)
+        path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+        write_trials_csv(table, path)
+        reference_write_trials_csv(table, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_every_count_of_digits_is_written_as_str_ids_are(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        edges = [0, 9, 10, info.min, info.max]
+        edges += [n for k in range(1, 20) for n in (10**k - 1, 10**k) if n <= info.max]
+        if info.min < 0:
+            edges += [-1, -10, info.min + 1]
+        # each edge alone, and beside a number of each count of digits
+        for ids in [[n] for n in edges] + [edges, edges[::-1]]:
+            n = len(ids)
+            table = replace(random_table(np.random.default_rng(n), n, PLAIN_PIECES),
+                            trial_ids=np.array(ids, dtype=dtype))
+            path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
+            write_trials_csv(table, path)
+            reference_write_trials_csv(table, reference)
+            assert path.read_bytes() == reference.read_bytes(), ids
 
     def test_slicing_and_masking_keep_integers(self):
         table = integer_id_table(np.random.default_rng(3), 20, np.int32)

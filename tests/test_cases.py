@@ -333,6 +333,18 @@ class TestReadTrialDistributionErrors:
             read_trial_distributions(path)
         assert str(err.value) == message
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" leads the file with U+FEFF
+        text = bundled_demo_trials_path().read_text(encoding="utf-8")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        (ids, dists), (marked_ids, marked_dists) = map(read_trial_distributions,
+                                                       (plain, marked))
+        assert marked_ids == ids
+        for name in ("mu", "sigma", "nu", "tau"):
+            assert np.array_equal(getattr(marked_dists, name), getattr(dists, name))
+
     def test_infinite_tau_is_the_normal_limit(self, tmp_path):
         path = tmp_path / "dists.csv"
         path.write_text(DIST_HEADER + "a,20,0.1,1,inf\n", encoding="utf-8")
