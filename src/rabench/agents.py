@@ -32,8 +32,8 @@ import numpy as np
 from .behavioral import TrialTable, _resolve_report_map
 from .errors import InvalidModelError
 from .generative import _cdf, sample_cells
-from .model import (ExperimentDesign, _check_count, _is_finite_number, _shown,
-                    optimal_action_indices)
+from .model import (ExperimentDesign, _check_count, _check_seed, _is_finite_number,
+                    _shown, optimal_action_indices)
 from .rational import prior
 
 #: Noisy beliefs stay this far inside (0, 1).
@@ -135,6 +135,7 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
     written to a trial CSV as "0", "1", ....
     """
     _check_count(n_trials, "trial")
+    _check_seed(seed)
     if strategy not in design.strategies:
         raise InvalidModelError(f"unknown strategy {strategy!r}")
     structure = design.strategies[strategy]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .model import (ExperimentDesign, InformationStructure, _check_count,
-                    _is_integer, _shown, outcome_scores)
+                    _check_seed, _is_integer, _shown, outcome_scores)
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -446,7 +446,7 @@ def sample_cells(joint: np.ndarray, n: int,
         order = np.argsort(u)
         cells = np.empty(n, dtype=np.intp)
         cells[order] = np.searchsorted(cum, u[order], side="right")
-    return np.unravel_index(cells, joint.shape)
+    return np.divmod(cells, joint.shape[1])
 
 
 def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
@@ -460,6 +460,7 @@ def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
     as the exact analysis does.
     """
     _check_count(n, "draw")
+    _check_seed(seed)
     if strategy not in design.strategies:
         raise InvalidModelError(f"unknown strategy {strategy!r}")
     structure = design.strategies[strategy]

@@ -18,6 +18,7 @@ from .model import (
     ExperimentDesign,
     InformationStructure,
     _check_count,
+    _check_seed,
     optimal_action_indices,
     outcome_scores,
 )
@@ -118,6 +119,7 @@ def incentive_table(design: ExperimentDesign,
         raise InvalidModelError(f"unknown incentive method {method!r}")
     if method == "monte-carlo":
         _check_count(n, "draw")
+        _check_seed(seed)
     if "benchmark" in design.strategies:
         raise InvalidModelError("a strategy named 'benchmark' clashes with the "
                                 "incentive table's benchmark row")

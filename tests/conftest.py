@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,18 @@ def source_tree_on_subprocess_path():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
         yield
+
+
+#: Random seeds that are not non-negative integers, each with its repr.
+BAD_SEEDS = [(True, "True"), (1.5, "1.5"), ("3", "'3'"), (-1, "-1"),
+             (np.float64(2.0), "np.float64(2.0)"), (None, "None")]
+#: Random seeds that are: numpy integers and ints past 64 bits.
+GOOD_SEEDS = [0, np.int64(7), np.uint64(2**64 - 1), 2**100]
+
+
+def seed_refusal(shown: str) -> str:
+    """The pattern of the refusal of a seed whose repr is ``shown``."""
+    return f"^seed must be a non-negative integer, not {re.escape(shown)}$"
 
 
 # The running example: decide whether to salt a parking lot against a

@@ -13,7 +13,8 @@ from rabench.errors import InvalidModelError
 from rabench.model import optimal_action_indices
 from rabench.rational import prior
 
-from conftest import FixedUniforms, trial_rows, weather_design
+from conftest import (BAD_SEEDS, GOOD_SEEDS, FixedUniforms, seed_refusal, trial_rows,
+                      weather_design)
 
 
 def masked_balanced_stimuli(joint, n_trials, rng):
@@ -106,6 +107,18 @@ def transit_1000_structure(transit_1000_design):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("seed, shown", BAD_SEEDS)
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, seed, shown):
+        with pytest.raises(InvalidModelError, match=seed_refusal(shown)):
+            simulate(weather_design(), "CI", AgentSpec.rational(), 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", GOOD_SEEDS)
+    def test_numpy_and_large_integer_seeds_are_accepted(self, seed):
+        design = weather_design()
+        a = simulate(design, "CI", AgentSpec.noisy_belief(0.8), 100, seed=seed)
+        b = simulate(design, "CI", AgentSpec.noisy_belief(0.8), 100, seed=int(seed))
+        assert trial_rows(a) == trial_rows(b)
+
     def test_deterministic_per_seed(self):
         design = weather_design()
         a = simulate(design, "CI", AgentSpec.rational(), 500, seed=7)

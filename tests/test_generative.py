@@ -29,11 +29,14 @@ from rabench.model import (
 )
 
 from conftest import (
+    BAD_SEEDS,
+    GOOD_SEEDS,
     FixedUniforms,
     constant_actions,
     optimum,
     posterior,
     rational_actions,
+    seed_refusal,
     violations,
 )
 
@@ -522,6 +525,18 @@ class TestMonteCarlo:
     def test_unknown_strategy_refused(self, weather_problem):
         with pytest.raises(InvalidModelError, match="^unknown strategy 'nope'$"):
             monte_carlo_score(weather_problem, "nope", [0] * 4, n=100, seed=0)
+
+    @pytest.mark.parametrize("seed, shown", BAD_SEEDS)
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(
+            self, weather_problem, seed, shown):
+        with pytest.raises(InvalidModelError, match=seed_refusal(shown)):
+            monte_carlo_score(weather_problem, "s", [0] * 4, n=100, seed=seed)
+
+    @pytest.mark.parametrize("seed", GOOD_SEEDS)
+    def test_numpy_and_large_integer_seeds_are_accepted(self, weather_problem, seed):
+        actions = rational_actions(weather_problem)
+        assert monte_carlo_score(weather_problem, "s", actions, n=100, seed=seed) == \
+            monte_carlo_score(weather_problem, "s", actions, n=100, seed=int(seed))
 
     def test_seeded_and_deterministic(self, weather_problem):
         actions = rational_actions(weather_problem)

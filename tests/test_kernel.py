@@ -7,6 +7,8 @@ transit payoff spelled out outcome by outcome, and the kernel must agree
 with them to 1e-12 relative on random matrix and random transit designs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
     TransitRule,
+    _normalized_beliefs,
+    _row_argmax,
+    _row_sums,
     binary_report_map,
     optimal_action_indices,
     outcome_scores,
@@ -217,6 +222,89 @@ def test_posteriors_never_meet_a_zero_mass_signal():
     s = InformationStructure(signals=("a", "b"),
                              joint=np.array([[0.6, 0.4 - 2e-300], [1e-300, 1e-300]]))
     np.testing.assert_array_equal(s.posteriors()[1], [0.5, 0.5])
+
+
+#: Widths on both sides of ``model._NARROW``, below which rows are reduced
+#: by column passes.
+WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 121]
+
+
+def assert_same_bits(got, expected) -> None:
+    """Equal dtypes, shapes and 64-bit items (so -0.0 is not 0.0)."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def layouts(M: np.ndarray) -> list[np.ndarray]:
+    """``M`` C-contiguous, and its values in a view of every other column
+    and in a view of every third row of a larger matrix."""
+    columns = np.zeros((len(M), 2 * M.shape[1]))
+    columns[:, ::2] = M
+    rows = np.zeros((3 * len(M), M.shape[1]))
+    rows[::3] = M
+    return [np.ascontiguousarray(M), columns[:, ::2], rows[::3]]
+
+
+class TestNarrowReductions:
+    """Row sums and argmaxes by column passes give numpy's bits, on every
+    layout: the passes must not move one pinned output."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_row_sums_equal_numpy_s(self, width):
+        rng = np.random.default_rng(width)
+        spread = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(3000, width)))
+        for P in layouts(spread):
+            assert_same_bits(_row_sums(P), P.sum(axis=-1))
+            assert_same_bits(_row_sums(P[0]), P[0].sum(axis=-1))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_normalized_beliefs_equal_numpy_s(self, width):
+        rng = np.random.default_rng(width)
+        M = rng.random((3000, width)) + 1e-3
+        M /= M.sum(axis=1, keepdims=True)
+        if width > 1:  # entries just below 0, which are clipped
+            M[::7, 1] += M[::7, 0] + 5e-10
+            M[::7, 0] = -5e-10
+        clipped = M.clip(0.0, None)
+        expected = clipped / clipped.sum(axis=-1, keepdims=True)
+        for P in layouts(M):
+            assert_same_bits(_normalized_beliefs(P), expected)
+
+    @pytest.mark.parametrize("n_actions", WIDTHS)
+    def test_optimal_actions_equal_argmax(self, n_actions):
+        rng = np.random.default_rng(n_actions)
+        design = random_matrix_problem(rng, n_states=3, n_actions=n_actions)
+        beliefs = rng.dirichlet(np.ones(3), size=5000)
+        got = optimal_action_indices(design, beliefs)
+        assert_same_bits(got, np.argmax(score_table(design, beliefs), axis=1))
+
+    @pytest.mark.parametrize("n_actions", WIDTHS)
+    def test_equal_actions_tie_to_the_lowest_index(self, n_actions):
+        rng = np.random.default_rng(n_actions)
+        rows = rng.uniform(-10.0, 10.0, size=(2, 3))
+        design = random_matrix_problem(rng, n_states=3, n_actions=n_actions)
+        design = replace(design, rule=MatrixRule(rows[rng.integers(0, 2, n_actions)]))
+        beliefs = rng.dirichlet(np.ones(3), size=5000)
+        S = score_table(design, beliefs)
+        got = optimal_action_indices(design, beliefs)
+        assert_same_bits(got, np.argmax(S, axis=1))
+        assert (S[np.arange(len(S)), got] == S.max(axis=1)).all()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_signed_zeros_tie(self, width):
+        rng = np.random.default_rng(width)
+        M = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(3000, width),
+                       p=[0.1, 0.4, 0.4, 0.1])
+        for S in layouts(M):
+            assert_same_bits(_row_argmax(S), np.argmax(S, axis=1))
+
+    @pytest.mark.parametrize("n_actions", [2, 9])
+    def test_no_beliefs_have_no_actions(self, n_actions):
+        design = random_matrix_problem(np.random.default_rng(0), n_states=3,
+                                       n_actions=n_actions)
+        got = optimal_action_indices(design, np.empty((0, 3)))
+        assert got.shape == (0,) and got.dtype == np.intp
 
 
 class TestBatchDimensionErrors:

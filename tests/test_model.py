@@ -618,8 +618,8 @@ class TestReportMaps:
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.01, float("inf")])
     def test_binary_refuses(self, bad):
-        with pytest.raises(InvalidModelError,
-                           match="^belief entries must be finite and non-negative$"):
+        with pytest.raises(InvalidModelError, match=(
+                f"^probability report {bad!r} must lie in \\[0, 1\\]$")):
             binary_report_map().to_beliefs(np.array([0.5, bad, 0.5]))
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, -0.5, 1.5])

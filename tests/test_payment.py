@@ -14,7 +14,7 @@ from rabench.payment import (
     incentive_table,
 )
 
-from conftest import weather_design
+from conftest import BAD_SEEDS, GOOD_SEEDS, seed_refusal, weather_design
 
 
 def weather_design_with_conversion() -> ExperimentDesign:
@@ -146,6 +146,17 @@ class TestIncentiveTable:
         with pytest.raises(InvalidModelError,
                            match="^draw count must be an integer, not "):
             incentive_table(kale_design(), method="monte-carlo", n=n)
+
+    @pytest.mark.parametrize("seed, shown", BAD_SEEDS)
+    def test_monte_carlo_seed_must_be_a_non_negative_integer(self, seed, shown):
+        with pytest.raises(InvalidModelError, match=seed_refusal(shown)):
+            incentive_table(kale_design(), method="monte-carlo", n=100, seed=seed)
+
+    @pytest.mark.parametrize("seed", GOOD_SEEDS)
+    def test_monte_carlo_takes_numpy_and_large_integer_seeds(self, seed):
+        design = kale_design()
+        assert incentive_table(design, method="monte-carlo", n=1_000, seed=seed) == \
+            incentive_table(design, method="monte-carlo", n=1_000, seed=int(seed))
 
     def test_linearized_ignores_the_draw_count(self):
         design = kale_design()
