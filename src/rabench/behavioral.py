@@ -58,8 +58,8 @@ _CSV_BLOCK_BYTES = 1 << 20
 #: A byte that UTF-8 never holds: it pads each piece of a row to its
 #: column's width in that matrix, and is dropped from what is written.
 _PAD = 0xFF
-#: Characters read per chunk of a trial CSV before it is completed to a
-#: line end: 6k to 8k rows of the weather and transit cases' files.
+#: Bytes read per chunk of a trial CSV before it is completed to a "\n":
+#: 6k to 8k rows of the weather and transit cases' files.
 _CSV_CHUNK_CHARS = 1 << 18
 
 
@@ -131,7 +131,7 @@ class _TableBuilder:
     a time; ids get codes in order of first appearance."""
 
     def __init__(self):
-        self.trial_ids: list[str] = []
+        self.trial_ids: list[np.ndarray] = []  # an object array per chunk
         self.index: dict[str, dict[str, int]] = {
             name: {} for name in ("strategy", "signal", "state", "action")}
         self.chunks: dict[str, list[np.ndarray]] = {
@@ -145,7 +145,9 @@ class _TableBuilder:
 
     def append(self, trial_ids: Sequence[str], **columns: np.ndarray) -> None:
         """Append rows given as trial ids and the coded columns."""
-        self.trial_ids.extend(trial_ids)
+        if not len(trial_ids):
+            return
+        self.trial_ids.append(np.array(trial_ids, dtype=object))
         for name, values in columns.items():
             self.chunks[name].append(values)
 
@@ -177,7 +179,8 @@ class _TableBuilder:
         columns = {name: np.concatenate(chunks) if chunks else ()
                    for name, chunks in self.chunks.items()}
         ids = {f"{name}_ids": tuple(index) for name, index in self.index.items()}
-        return TrialTable(trial_ids=self.trial_ids, **ids, **columns)
+        trial_ids = np.concatenate(self.trial_ids) if self.trial_ids else ()
+        return TrialTable(trial_ids=trial_ids, **ids, **columns)
 
 
 def _csv_fields(values: Sequence) -> Sequence[str]:
@@ -535,12 +538,16 @@ def _first_rows(group: np.ndarray) -> np.ndarray:
     return first
 
 
-def _distinct(text: str, start: np.ndarray, length: np.ndarray,
+def _distinct(data: bytes, start: np.ndarray, length: np.ndarray,
               words: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """The distinct fields of a column in order of first appearance, and
-    each row's index into them."""
-    # the text holds no NUL, so a field's words, zeroed past its end, are
+    """The distinct fields of a column of ASCII ``data`` in order of first
+    appearance, and each row's index into them."""
+    # the data holds no NUL, so a field's words, zeroed past its end, are
     # equal only for equal fields
+    if len(start) and all((word == word[0]).all() for word in words):
+        # a column of one value, as a file's strategy often is: no sort
+        return [data[start[0]:start[0] + length[0]].decode("ascii")], \
+            np.zeros(len(start), dtype=np.intp)
     _, group = np.unique(words[0], return_inverse=True)
     first = _first_rows(group)
     for word in words[1:]:
@@ -552,41 +559,50 @@ def _distinct(text: str, start: np.ndarray, length: np.ndarray,
             first = _first_rows(group)
     order = np.argsort(first)
     first = first[order]
-    values = [text[s:s + n] for s, n in zip(start[first].tolist(),
-                                            length[first].tolist())]
+    values = [data[s:s + n].decode("ascii") for s, n in
+              zip(start[first].tolist(), length[first].tolist())]
     return values, np.argsort(order)[group]
 
 
-def _strings(words: list[np.ndarray]) -> list[str]:
-    """The fields covered by ``words``, as str."""
+def _strings(words: list[np.ndarray]) -> np.ndarray:
+    """The fields covered by ``words``, as a "U" array."""
     # each ASCII byte widened to a UCS-4 code point; the zeroed bytes past a
     # field's end are the padding of a "U" item
     data = np.stack(words, axis=1).astype("<u8", copy=False)
-    return data.view(np.uint8).astype("<u4").view(f"<U{8 * len(words)}").ravel().tolist()
+    return data.view(np.uint8).astype("<u4").view(f"<U{8 * len(words)}").ravel()
 
 
-def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
+def _rows_of(kind: bytes, length: np.ndarray, words: list[np.ndarray]) -> np.ndarray:
+    """Whether each field is ``kind``, told by its length and its words."""
+    rows = length == len(kind)
+    if rows.any():  # then the fields have at least as many words as kind
+        for word, value in zip(words, np.frombuffer(kind + bytes(-len(kind) % 8), "<u8")):
+            rows &= word == value
+    return rows
+
+
+def _add_ascii(builder: _TableBuilder, text: bytes) -> int | None:
     """Append the rows of a chunk of whole lines, coding each column with
     numpy; return the number of lines in it.
 
-    Return None, adding nothing, if the text is not ASCII or holds a quote
+    Return None, adding nothing, if the bytes are not ASCII or hold a quote
     or a NUL, a line that is not blank does not hold
     ``len(TRIAL_CSV_HEADER) - 1`` commas, the words of the fields would
     exceed ``_WORD_BYTES_PER_CHAR`` bytes per char, a response kind is
     unknown, or a report is not a number.
     """
-    if not text.isascii() or '"' in text or "\0" in text:
+    if not text.isascii() or b'"' in text or b"\0" in text:
         return None
-    raw = (text + "\0" * 8).encode("ascii")
+    raw = text + bytes(8)
     data = np.frombuffer(raw, dtype=np.uint8)
-    if "\r" not in text:
+    if b"\r" not in text:
         ends, step = np.flatnonzero(data == ord("\n")), 1
     else:
         ends, step = np.flatnonzero(data == ord("\r")), 2
         if np.count_nonzero(data == ord("\n")) != len(ends) \
                 or not (data[ends + 1] == ord("\n")).all():
             # lone "\r" or "\n" line ends: make every line end a "\n"
-            return _add_ascii(builder, text.replace("\r\n", "\n").replace("\r", "\n"))
+            return _add_ascii(builder, text.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
     if not len(ends) or ends[-1] + step < len(text):
         ends = np.append(ends, len(text))  # a last line with no line end
     starts = np.concatenate(([0], ends[:-1] + step))
@@ -594,12 +610,17 @@ def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
     if not kept.any():
         return len(ends)
     width = len(TRIAL_CSV_HEADER)
+    line_starts, line_ends = starts[kept], ends[kept]
     commas = np.flatnonzero(data == ord(","))
-    if (np.diff(np.searchsorted(commas, ends), prepend=0)[kept] != width - 1).any():
+    if len(commas) != (width - 1) * len(line_starts):
         return None
+    # width - 1 commas per line in all: each line holds width - 1 of them
+    # if each group of width - 1, in order, starts and ends inside its line
     commas = commas.reshape(-1, width - 1).T
+    if (commas[0] < line_starts).any() or (commas[-1] >= line_ends).any():
+        return None
     fields = [(start, stop - start) for start, stop in
-              zip([starts[kept], *(commas + 1)], [*commas, ends[kept]])]
+              zip([line_starts, *(commas + 1)], [*commas, line_ends])]
     # every field takes as many words as its column's longest one, and the
     # words of trial ids and responses are also copied and widened to UCS-4
     widths = [max(1, -(-int(length.max()) // 8)) for _, length in fields]
@@ -611,14 +632,13 @@ def _add_ascii(builder: _TableBuilder, text: str) -> int | None:
     windows = np.ndarray((len(text) + 1,), dtype="<u8", buffer=raw, strides=(1,))
     columns = [(start, length, _field_words(windows, start, length))
                for start, length in fields]
-    (_, _, trial_words), *named, kind, (r_start, r_length, r_words) = columns
+    (_, _, trial_words), *named, (_, *kind), (r_start, r_length, r_words) = columns
 
-    kinds, kind_group = _distinct(text, *kind)
-    if not set(kinds) <= {"action", "probability"}:
+    is_action = _rows_of(b"action", *kind)
+    if not (is_action | _rows_of(b"probability", *kind)).all():
         return None
-    is_action = np.array([k == "action" for k in kinds], dtype=bool)[kind_group]
     try:
-        reports = [float(r) for r in _strings([w[~is_action] for w in r_words])]
+        reports = [float(r) for r in _strings([w[~is_action] for w in r_words]).tolist()]
     except ValueError:
         return None
     coded = [_distinct(text, *column) for column in named]
@@ -670,42 +690,77 @@ def _skip_byte_order_mark(fh) -> None:
         fh.seek(0)
 
 
+#: A line end, as ``csv.reader`` and ``_add_ascii`` count lines.
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The number of the line that holds the file's first byte that is not
+    UTF-8."""
+    line = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CSV_CHUNK_CHARS) + fh.readline():
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return line + len(_LINE_END.findall(chunk, 0, err.start))
+            line += len(_LINE_END.findall(chunk))
+    return line
+
+
 def read_trials_csv(path: str | Path) -> TrialTable:
     """Read a trial CSV into a table. A leading byte-order mark and blank
     lines are skipped; a wrong header raises ``TrialDataError``, and so does
     a line with the wrong number of fields, an unknown response kind, a
-    probability report that is not a number or a field that ``csv.reader``
-    refuses, naming the first such line.
+    probability report that is not a number, a field that ``csv.reader``
+    refuses or a byte that is not UTF-8, naming the first such line.
 
-    The file is read a chunk of whole lines at a time. ``_add_ascii`` codes
-    a chunk with numpy; ``csv.reader`` parses each chunk it refuses, and
-    from a chunk that holds a quote on, the rest of the file, since a
-    quoted field can hold a line end.
+    The header is parsed by ``csv.reader``, and the rest of the file is read
+    as bytes, a chunk of whole lines at a time. ``_add_ascii`` codes a chunk
+    with numpy; ``csv.reader`` parses each chunk it refuses, and from a
+    chunk that holds a quote on, the rest of the file, since a quoted field
+    can hold a line end.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        _skip_byte_order_mark(fh)
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TrialDataError("trial file is empty") from None
-        except csv.Error as err:
-            raise TrialDataError(f"line 1: {err}") from None
-        if tuple(h.strip() for h in header) != TRIAL_CSV_HEADER:
-            raise TrialDataError(
-                f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
-            )
-        builder = _TableBuilder()
-        line = reader.line_num + 1
-        # the readline ends the chunk on a line end, a "\r\n" kept whole
-        while chunk := fh.read(_CSV_CHUNK_CHARS) + fh.readline():
-            count = _add_ascii(builder, chunk)
-            if count is not None:
-                line += count
-                continue
-            lines = io.StringIO(chunk, newline="")
-            line = _add_parsed(builder, chain(lines, fh) if '"' in chunk else lines,
-                               line)
+    try:
+        with open(path, "rb") as fh:
+            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+            _skip_byte_order_mark(text)
+            offset = text.tell()  # 3 after a byte-order mark, else 0
+            taken = []
+            reader = csv.reader(taken.append(s) or s for s in iter(text.readline, ""))
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise TrialDataError("trial file is empty") from None
+            except csv.Error as err:
+                raise TrialDataError(f"line 1: {err}") from None
+            if tuple(h.strip() for h in header) != TRIAL_CSV_HEADER:
+                raise TrialDataError(
+                    f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
+                )
+            # the header's end in bytes: tell() fails after a lone "\r"
+            text.detach().seek(offset + len("".join(taken).encode("utf-8")))
+            builder = _TableBuilder()
+            line = reader.line_num + 1
+            # the readline ends the chunk on a "\n", splitting no UTF-8
+            # character and no "\r\n"
+            while chunk := fh.read(_CSV_CHUNK_CHARS) + fh.readline():
+                count = _add_ascii(builder, chunk)
+                if count is not None:
+                    line += count
+                    continue
+                lines = io.StringIO(chunk.decode("utf-8"), newline="")
+                if b'"' not in chunk:
+                    line = _add_parsed(builder, lines, line)
+                    continue
+                # a quoted field can hold a line end: csv.reader parses the
+                # rest of the file, and the wrapper closes fh once collected
+                rest = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+                _add_parsed(builder, chain(lines, rest), line)
+                break
+    except UnicodeDecodeError as err:
+        raise TrialDataError(f"line {_undecodable_line(path)}: not UTF-8 text "
+                             f"({err.reason})") from None
     if not builder.trial_ids:
         raise TrialDataError("trial file contains no records")
     return builder.table()

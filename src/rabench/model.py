@@ -16,7 +16,8 @@ states, actions and rule:
 A design is valid by construction: ``ExperimentDesign`` refuses every
 misfit among its parts that ``design_violations`` lists (a joint or rule of
 the wrong size, a transit rule over spaces without values, a report map of
-the wrong width), so the kernels check only the beliefs they are given.
+the wrong width), so the kernels check only the beliefs they are given:
+their shape, and the entries and mass of each row, as ``Belief`` does.
 
 Beliefs are the rows of an (n, states) matrix, so one belief is a
 (1, states) matrix, and ``optimal_action_indices`` gives each row's best
@@ -258,23 +259,33 @@ def _row_argmax(S: np.ndarray) -> np.ndarray:
     return idx.astype(np.intp)
 
 
-def _normalized_beliefs(p: np.ndarray) -> np.ndarray:
-    """Check and renormalize belief vectors along the last axis.
-
-    Entries must be finite and no lower than ``-NORMALIZATION_TOL``, and each
-    vector's mass must be within ``NORMALIZATION_TOL`` of 1; negative
-    entries are clipped to 0 and the vector divided by its clipped mass.
-    A 1-D input is one belief, a 2-D input one belief per row.
-    """
+def _check_beliefs(p: np.ndarray) -> None:
+    """Refuse belief vectors along the last axis unless their entries are
+    finite and no lower than ``-NORMALIZATION_TOL`` and each vector's mass
+    is within ``NORMALIZATION_TOL`` of 1. A 1-D input is one belief, a 2-D
+    input one belief per row."""
     # array methods rather than np.any/np.clip: Belief runs this on every
     # construction, and the functions' dispatch costs more than the work
+    total = _row_sums(p)
+    # min and max make no temporary array and give NaN if an item is NaN;
+    # a NaN or infinite entry makes its vector's mass NaN or infinite
+    if (total.max(initial=1.0) - 1.0 <= NORMALIZATION_TOL
+            and 1.0 - total.min(initial=1.0) <= NORMALIZATION_TOL
+            and p.min(initial=0.0) >= -NORMALIZATION_TOL):
+        return
     if (p < -NORMALIZATION_TOL).any() or not np.isfinite(p).all():
         raise InvalidModelError("belief entries must be finite and non-negative")
-    total = _row_sums(p)
     off = abs(total - 1.0) > NORMALIZATION_TOL
     if off.any():
-        first = total[off][0] if p.ndim > 1 else total
+        first = float(total[off][0] if p.ndim > 1 else total)
         raise InvalidModelError(f"belief mass {first!r} is not 1 within tolerance")
+
+
+def _normalized_beliefs(p: np.ndarray) -> np.ndarray:
+    """Check belief vectors as ``_check_beliefs`` does, and renormalize
+    them: negative entries are clipped to 0 and each vector divided by its
+    clipped mass."""
+    _check_beliefs(p)
     clipped = p.clip(0.0, None)
     clipped /= _row_sums(clipped)[..., None]
     return clipped
@@ -588,13 +599,15 @@ def _binary_rows(reports: np.ndarray) -> np.ndarray:
 
 
 def _checked_beliefs(design: ExperimentDesign, beliefs) -> np.ndarray:
-    """``beliefs`` as an (n, states) float matrix over the design's states."""
+    """``beliefs`` as an (n, states) float matrix over the design's states,
+    refused as ``_check_beliefs`` refuses them and not renormalized."""
     P = np.asarray(beliefs, dtype=float)
     n_states = len(design.states)
     if P.ndim != 2 or P.shape[1] != n_states:
         raise DimensionError(
             f"beliefs of shape {P.shape} do not match the design's {n_states} states"
         )
+    _check_beliefs(P)
     return P
 
 
@@ -604,7 +617,13 @@ def score_table(design: ExperimentDesign, beliefs) -> np.ndarray:
     A transit row plugs in its own mean arrival for the second bus, so the
     table is quadratic in the belief: P fixed' + slope (P theta) (P miss').
     """
-    P = _checked_beliefs(design, beliefs)
+    return _score_table(design, _checked_beliefs(design, beliefs))
+
+
+def _score_table(design: ExperimentDesign, P: np.ndarray) -> np.ndarray:
+    """``score_table`` of an (n, states) matrix known to pass its checks,
+    such as a structure's posteriors: on a small design the check costs
+    more than the table."""
     rule = design.rule
     if isinstance(rule, MatrixRule):
         # einsum sums each row in state order, whatever the batch around it

@@ -16,7 +16,7 @@ from .model import (
     Belief,
     ExperimentDesign,
     InformationStructure,
-    score_table,
+    _score_table,
 )
 
 
@@ -28,7 +28,7 @@ def prior(structure: InformationStructure) -> Belief:
 def rational_baseline(design: ExperimentDesign) -> float:
     """Expected score of an optimal agent who only knows the shared prior."""
     p = prior(next(iter(design.strategies.values()))).probabilities
-    return float(score_table(design, p[None, :]).max())
+    return float(_score_table(design, p[None, :]).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +74,7 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
 
     optima = {}
     for name, structure in design.strategies.items():
-        best = score_table(design, structure.posteriors()).max(axis=1)
+        best = _score_table(design, structure.posteriors()).max(axis=1)
         optima[name] = float(structure.signal_marginal() @ best)
     benchmark = max(optima.values())
     delta = benchmark - baseline

@@ -366,6 +366,13 @@ BAD_CSVS = {
                                  *ROWS[5:]]),
     "too many fields after blank lines": "\r".join(
         [HEADER_LINE, "", ROWS[0], "", "1,CI,sigma=2,freezing,action,salt,x", *ROWS[2:]]),
+    # the right number of commas in all, each line's kind where numpy looks
+    "too many fields, then as many too few": "\r\n".join(
+        [HEADER_LINE, ROWS[0], "1,CI,sigma=2,freezing,action,salt,x",
+         "2,CI,freezing,action,salt", *ROWS[3:]]),
+    "too few fields, then as many too many": "\r\n".join(
+        [HEADER_LINE, ROWS[0], "1,CI,sigma=2,freezing",
+         "2,action,CI,sigma=2,freezing,action,salt,x", *ROWS[3:]]),
     "too few fields after the first chunk": "\r\n".join(
         [HEADER_LINE, *csv_lines(9000), "9000,CI", *csv_lines(5, 9001)]),
     "a blank field list": "\r\n".join([HEADER_LINE, ROWS[0], ",,,,,", ROWS[1]]),
@@ -375,6 +382,10 @@ BAD_CSVS = {
         [HEADER_LINE, '0,"CI",sigma=2,freezing,action,salt', *ROWS[1:4],
          "4,CI,sigma=2,freezing,probability,", *ROWS[5:]]),
     "bad kind": "\n".join([HEADER_LINE, *ROWS[:2], "2,CI,sigma=2,freezing,guess,1"]),
+    "a kind as long as action": "\n".join([HEADER_LINE, *ROWS[:2],
+                                           "2,CI,sigma=2,freezing,actioN,salt", *ROWS[3:]]),
+    "a kind as long as probability": "\n".join(
+        [HEADER_LINE, *ROWS[:4], "4,CI,sigma=2,freezing,probabilitY,0.5", *ROWS[5:]]),
     "not a number before too few fields": "\r\n".join(
         [HEADER_LINE, "0,CI,sigma=2,freezing,probability,often",
          "1,CI,sigma=2,freezing,action", *ROWS[2:]]),
@@ -561,12 +572,18 @@ class TestTrialCsvMatchesCsvModule:
         ("too few fields", "line 6: expected 6 fields"),
         ("too many fields after blank lines", "line 5: expected 6 fields"),
         ("too few fields after the first chunk", "line 9002: expected 6 fields"),
+        ("too many fields, then as many too few", "line 3: expected 6 fields"),
+        ("too few fields, then as many too many", "line 3: expected 6 fields"),
         ("not a number", "line 6: probability response 'often' is not a number"),
         ("not a number after a quote", "line 6: probability response '' is not a number"),
         ("not a number before too few fields",
          "line 2: probability response 'often' is not a number"),
         ("bad kind",
          "line 4: response_kind must be 'action' or 'probability', got 'guess'"),
+        ("a kind as long as action",
+         "line 4: response_kind must be 'action' or 'probability', got 'actioN'"),
+        ("a kind as long as probability",
+         "line 6: response_kind must be 'action' or 'probability', got 'probabilitY'"),
         ("bad kind after a quote, before too few fields",
          "line 5: response_kind must be 'action' or 'probability', got 'Action'"),
         ("not a number after a quoted line end",
@@ -650,6 +667,52 @@ class TestTrialCsvMatchesCsvModule:
         path = tmp_path / "trials.csv"
         path.write_bytes(("\r\n".join([HEADER_LINE, *lines]) + "\r\n").encode("utf-8"))
         with pytest.raises(TrialDataError, match=f"^{re.escape(message)}$"):
+            read_trials_csv(path)
+
+    @pytest.mark.parametrize("chars", CHUNK_CHARS)
+    @pytest.mark.parametrize("name", ["lf", "cr", "crlf", "mixed line ends", "blank lines",
+                                      "no final line end", "spaces kept", "quoted header"])
+    @pytest.mark.parametrize("mark", ["", "\ufeff"])
+    def test_quote_free_ascii_files_skip_the_csv_module(self, tmp_path, monkeypatch,
+                                                        name, chars, mark):
+        # the header goes through csv.reader, and every row through numpy
+        plain, path = tmp_path / "plain.csv", tmp_path / "trials.csv"
+        plain.write_bytes(GOOD_CSVS[name].encode("utf-8"))
+        path.write_bytes((mark + GOOD_CSVS[name]).encode("utf-8"))
+        parsed = []
+        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+        monkeypatch.setattr(behavioral.csv, "reader", counting_csv_reader(parsed))
+        outcome = read_outcome(read_trials_csv, path)
+        monkeypatch.undo()
+        assert outcome == read_outcome(reference_read_trials_csv, plain)
+        assert len(outcome) > 2
+        assert len(parsed) == 1
+        assert [h.strip() for h in parsed[0]] == list(TRIAL_CSV_HEADER)
+
+    @pytest.mark.parametrize("chars", CHUNK_CHARS)
+    @pytest.mark.parametrize("where", ["header", "first chunk", "late chunk",
+                                       "late chunk after a quote", "last line after a quote"])
+    def test_a_byte_that_is_not_utf_8_names_its_line(self, tmp_path, monkeypatch,
+                                                     chars, where):
+        # more rows than the first chunk holds at the default size, line
+        # ends of each kind, and a valid non-ASCII character on line 2
+        n = 9000 if chars == behavioral._CSV_CHUNK_CHARS else 60
+        bad_line, quote_line = {"header": (1, None), "first chunk": (4, None),
+                                "late chunk": (n - 10, None),
+                                "late chunk after a quote": (n - 10, 3),
+                                "last line after a quote": (n + 1, n - 1)}[where]
+        lines = [HEADER_LINE, *csv_lines(n)]
+        lines[1] = lines[1].replace(",CI,", ",Cé,")
+        if quote_line:
+            lines[quote_line - 1] = lines[quote_line - 1].replace(",CI,", ',"CI",')
+        data = [(line + ("\r\n", "\r", "\n")[i % 3]).encode("utf-8")
+                for i, line in enumerate(lines)]
+        data[bad_line - 1] = data[bad_line - 1].replace(b"r", b"\xe9", 1)
+        path = tmp_path / "trials.csv"
+        path.write_bytes(b"".join(data))
+        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+        with pytest.raises(TrialDataError,
+                           match=f"^line {bad_line}: not UTF-8 text \\(invalid"):
             read_trials_csv(path)
 
     def test_a_header_over_the_csv_field_limit_names_line_1(self, tmp_path):

@@ -243,6 +243,50 @@ class TestOptimalAction:
         assert score_table(problem, belief)[0, 0] == pytest.approx(1.585)
 
 
+#: Belief rows the kernels refuse, as ``Belief`` refuses them, and the
+#: message of each; the first row of each is a good one.
+BAD_BELIEFS = [
+    ([[0.3, 0.7], [0.0, np.inf]], "belief entries must be finite and non-negative"),
+    ([[0.3, 0.7], [np.nan, 1.0]], "belief entries must be finite and non-negative"),
+    ([[0.3, 0.7], [2.0, -1.0]], "belief entries must be finite and non-negative"),
+    ([[0.3, 0.7], [0.6, 0.6]], "belief mass 1.2 is not 1 within tolerance"),
+    ([[0.3, 0.7], [0.25, 0.75 - 2**-26]],
+     f"belief mass {1 - 2**-26!r} is not 1 within tolerance"),
+]
+
+
+class TestKernelsCheckBeliefs:
+    """``score_table``, ``outcome_scores`` and ``optimal_action_indices``
+    refuse what ``Belief`` refuses, and score the rows they take as given."""
+
+    @pytest.mark.parametrize("beliefs, message", BAD_BELIEFS)
+    def test_score_table(self, weather_problem, beliefs, message):
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+            score_table(weather_problem, beliefs)
+
+    @pytest.mark.parametrize("beliefs, message", [
+        *BAD_BELIEFS, ([[0, np.inf], [np.nan, 1], [2, -1]],
+                       "belief entries must be finite and non-negative")])
+    def test_optimal_action_indices(self, weather_problem, beliefs, message):
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+            optimal_action_indices(weather_problem, beliefs)
+
+    @pytest.mark.parametrize("entry, message", [
+        (np.nan, "belief entries must be finite and non-negative"),
+        (-0.5, "belief entries must be finite and non-negative"),
+        (0.5, "belief mass 1.5 is not 1 within tolerance")])
+    def test_outcome_scores(self, transit_scenario2_problem, entry, message):
+        beliefs = np.eye(31)[[10, 12]]
+        beliefs[1, 3] = entry
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+            outcome_scores(transit_scenario2_problem, [10, 11], beliefs)
+
+    def test_rows_within_tolerance_are_not_renormalized(self, weather_problem):
+        beliefs = np.array([[0.5 + 4e-10, 0.5], [1e-10 - 5e-10, 1.0]])
+        expected = np.einsum("ns,as->na", beliefs, weather_problem.rule.scores)
+        assert score_table(weather_problem, beliefs).tolist() == expected.tolist()
+
+
 def played_scores(problem, reported: np.ndarray) -> np.ndarray:
     """Score in every state of the best action under each reported belief
     row, with the row as the transit rule's second-bus context: the proper
