@@ -10,7 +10,6 @@ from .agents import AgentSpec, simulate
 from .behavioral import (
     EmpiricalJoint,
     LossReport,
-    TrialTable,
     behavioral_score,
     behavioral_value_of_information,
     belief_loss,
@@ -20,8 +19,6 @@ from .behavioral import (
     loss_report,
     optimization_loss,
     pooled_loss_report,
-    read_trials_csv,
-    write_trials_csv,
 )
 from .cases import (
     CaseStudy,
@@ -51,7 +48,6 @@ from .generative import (
     TwoTeamDGM,
     discretize,
     kale_joint,
-    monte_carlo_score,
     pos_to_win_probability,
     weather_joint,
     win_probability_to_pos,
@@ -79,5 +75,6 @@ from .rational import (
     rational_baseline,
     rational_report,
 )
+from .trials import TrialTable, read_trials_csv, write_trials_csv
 
 __version__ = "0.1.0"

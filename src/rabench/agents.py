@@ -29,12 +29,12 @@ from functools import partial
 
 import numpy as np
 
-from .behavioral import TrialTable, _resolve_report_map
 from .errors import InvalidModelError
 from .generative import _cdf, sample_cells
 from .model import (ExperimentDesign, _check_count, _check_seed, _is_finite_number,
-                    _shown, optimal_action_indices)
+                    _resolve_report_map, _shown, optimal_action_indices)
 from .rational import prior
+from .trials import TrialTable
 
 #: Noisy beliefs stay this far inside (0, 1).
 _BOUND = 1e-12

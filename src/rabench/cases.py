@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .behavioral import _skip_byte_order_mark
 from .errors import ConfigError, InvalidModelError
 from .generative import (
     BoxCoxTDist,
@@ -48,6 +47,7 @@ from .model import (
     _shown,
 )
 from .payment import AffineConversion, FlooredAffineConversion
+from .trials import _skip_byte_order_mark
 
 CASE_NAMES = ("weather", "kale2020", "fernandes2018")
 

@@ -25,13 +25,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .agents import AgentSpec, simulate
-from .behavioral import (
-    DEFAULT_BIN_WIDTH,
-    loss_report,
-    pooled_loss_report,
-    read_trials_csv,
-    write_trials_csv,
-)
+from .behavioral import DEFAULT_BIN_WIDTH, loss_report, pooled_loss_report
 from .cases import CaseStudy, build_case
 from .config_io import load_design_config, save_design_config
 from .errors import RabenchError
@@ -39,6 +33,7 @@ from .floattext import repr_rows
 from .model import ExperimentDesign
 from .payment import incentive_table
 from .rational import RationalReport, StrategySummary, rational_report
+from .trials import read_trials_csv, write_trials_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -22,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import (ExperimentDesign, InformationStructure, _check_count,
-                    _check_seed, _is_integer, _shown, outcome_scores)
+from .model import InformationStructure
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -406,7 +405,7 @@ def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo scoring
+# Sampling (signal, state) cells
 
 
 #: Joints with more cells than this search their draws in sorted order.
@@ -447,36 +446,3 @@ def sample_cells(joint: np.ndarray, n: int,
         cells = np.empty(n, dtype=np.intp)
         cells[order] = np.searchsorted(cum, u[order], side="right")
     return np.divmod(cells, joint.shape[1])
-
-
-def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
-                      n: int, seed: int) -> tuple[float, float]:
-    """Estimate the expected score of playing action index ``actions[i]``
-    on signal i of ``strategy``, by sampling (signal, state) pairs from its joint.
-
-    Returns (mean, standard error); the draws come from a child seed derived
-    from ``seed``, so the result depends only on (seed, n). Cells score as in
-    :func:`outcome_scores`: a transit cell takes its signal's posterior mean,
-    as the exact analysis does.
-    """
-    _check_count(n, "draw")
-    _check_seed(seed)
-    if strategy not in design.strategies:
-        raise InvalidModelError(f"unknown strategy {strategy!r}")
-    structure = design.strategies[strategy]
-    if len(actions) != len(structure):
-        raise InvalidModelError("need one action index per signal")
-    n_actions = len(design.actions)
-    idx = np.asarray(actions)
-    bad = [a for a in actions if not _is_integer(a)]
-    if bad:
-        raise InvalidModelError("action indices must be integers, "
-                                f"not {_shown(bad[0])}")
-    if ((idx < 0) | (idx >= n_actions)).any():
-        raise InvalidModelError(f"action indices must lie in [0, {n_actions})")
-    table = outcome_scores(design, actions, structure.posteriors())
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    scores = table[sample_cells(structure.joint, n, rng)]
-    mean = scores.sum() / n
-    var = max((scores ** 2).sum() / n - mean ** 2, 0.0)
-    return float(mean), float(np.sqrt(var / n))

@@ -584,6 +584,12 @@ def binary_report_map(n_states: int = 2) -> ReportMap:
                      from_beliefs=lambda P: P[:, 1])
 
 
+def _resolve_report_map(design: ExperimentDesign) -> ReportMap:
+    if design.report_map is not None:
+        return design.report_map
+    return binary_report_map(len(design.states))
+
+
 def _binary_rows(reports: np.ndarray) -> np.ndarray:
     """The belief row (1 - r, r) of each probability report r in [0, 1]."""
     # NaN fails both comparisons

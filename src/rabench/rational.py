@@ -2,8 +2,7 @@
 value of information, and information loss.
 
 All quantities are computed exactly from the tabular joint by
-:func:`rational_report`; Monte Carlo estimation lives in
-:mod:`rabench.generative`.
+:func:`rational_report`.
 """
 
 from __future__ import annotations

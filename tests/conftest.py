@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabench import behavioral
+from rabench import trials
+from rabench.errors import InvalidModelError
+from rabench.generative import sample_cells
 from rabench.model import (
     ActionSpace,
     Belief,
@@ -15,8 +17,13 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
     TransitRule,
+    _check_count,
+    _check_seed,
+    _is_integer,
+    _shown,
     design_violations,
     optimal_action_indices,
+    outcome_scores,
 )
 from rabench.rational import rational_report
 
@@ -163,6 +170,39 @@ def constant_actions(design: ExperimentDesign, action_id: str,
     return np.full(len(design.strategies[strategy]), design.actions.index(action_id))
 
 
+def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
+                      n: int, seed: int) -> tuple[float, float]:
+    """Estimate the expected score of playing action index ``actions[i]``
+    on signal i of ``strategy``, by sampling (signal, state) pairs from its joint.
+
+    Returns (mean, standard error); the draws come from a child seed derived
+    from ``seed``, so the result depends only on (seed, n). Cells score as in
+    :func:`outcome_scores`: a transit cell takes its signal's posterior mean,
+    as the exact analysis does.
+    """
+    _check_count(n, "draw")
+    _check_seed(seed)
+    if strategy not in design.strategies:
+        raise InvalidModelError(f"unknown strategy {strategy!r}")
+    structure = design.strategies[strategy]
+    if len(actions) != len(structure):
+        raise InvalidModelError("need one action index per signal")
+    n_actions = len(design.actions)
+    idx = np.asarray(actions)
+    bad = [a for a in actions if not _is_integer(a)]
+    if bad:
+        raise InvalidModelError("action indices must be integers, "
+                                f"not {_shown(bad[0])}")
+    if ((idx < 0) | (idx >= n_actions)).any():
+        raise InvalidModelError(f"action indices must lie in [0, {n_actions})")
+    table = outcome_scores(design, actions, structure.posteriors())
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    scores = table[sample_cells(structure.joint, n, rng)]
+    mean = scores.sum() / n
+    var = max((scores ** 2).sum() / n - mean ** 2, 0.0)
+    return float(mean), float(np.sqrt(var / n))
+
+
 def random_matrix_problem(rng: np.random.Generator, n_states=None, n_actions=None,
                           n_signals=None) -> ExperimentDesign:
     """Small random one-strategy design for property checks."""
@@ -225,15 +265,15 @@ class FixedUniforms:
         return self.u.copy()
 
 
-def trial_table(rows) -> behavioral.TrialTable:
+def trial_table(rows) -> trials.TrialTable:
     """A trial table of rows given as (trial id, strategy, signal, state,
     response kind, response) tuples, coded as the CSV reader codes them."""
-    builder = behavioral._TableBuilder()
+    builder = trials._TableBuilder()
     builder.add(*(list(map(list, zip(*rows))) or [[]] * 6))
     return builder.table()
 
 
-def trial_rows(table: behavioral.TrialTable) -> list[tuple]:
+def trial_rows(table: trials.TrialTable) -> list[tuple]:
     """The rows of a trial table as tuples of the fields written to its CSV:
     integer trial ids as ``str`` of them, and responses as action ids or
     ``repr`` of probability reports."""

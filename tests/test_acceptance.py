@@ -23,7 +23,6 @@ from rabench.cli import main
 from rabench.generative import (
     BoxCoxTDist,
     discretize,
-    monte_carlo_score,
 )
 from rabench.model import (
     ActionSpace,
@@ -43,6 +42,7 @@ from rabench.rational import (
 
 from conftest import (
     constant_actions,
+    monte_carlo_score,
     random_belief,
     random_matrix_problem,
     rational_actions,

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from rabench.agents import AgentSpec, _draw_stimuli, simulate
-from rabench.behavioral import (_resolve_report_map, behavioral_score, calibrate,
-                                ingest, loss_report)
+from rabench.behavioral import behavioral_score, calibrate, ingest, loss_report
 from rabench.cases import build_kale
 from rabench.cli import main
 from rabench.errors import InvalidModelError
-from rabench.model import optimal_action_indices
+from rabench.model import _resolve_report_map, optimal_action_indices
 from rabench.rational import prior
 
 from conftest import (BAD_SEEDS, GOOD_SEEDS, FixedUniforms, seed_refusal, trial_rows,

@@ -1,20 +1,19 @@
 import csv
+import io
 import re
 import tracemalloc
 from dataclasses import replace
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 
 import numpy as np
 import pytest
 
-from rabench import behavioral
+from rabench import trials
 from rabench.agents import AgentSpec, simulate
 from rabench.behavioral import (
-    TRIAL_CSV_HEADER,
     EmpiricalJoint,
     LossReport,
-    TrialTable,
     behavioral_score,
     behavioral_value_of_information,
     belief_loss,
@@ -24,8 +23,6 @@ from rabench.behavioral import (
     loss_report,
     optimization_loss,
     pooled_loss_report,
-    read_trials_csv,
-    write_trials_csv,
 )
 from rabench.cases import build_case
 from rabench.errors import InvalidModelError, TrialDataError
@@ -42,6 +39,7 @@ from rabench.model import (
     StateSpace,
 )
 from rabench.rational import rational_report
+from rabench.trials import TRIAL_CSV_HEADER, TrialTable, read_trials_csv, write_trials_csv
 
 from conftest import trial_rows, trial_table, weather_design
 
@@ -228,10 +226,10 @@ def reference_read_trials_csv(path):
             raise TrialDataError(
                 f"trial file header must be {','.join(TRIAL_CSV_HEADER)}"
             )
-        builder = behavioral._TableBuilder()
+        builder = trials._TableBuilder()
         width = len(TRIAL_CSV_HEADER)
         rows = numbered_rows(reader)
-        while chunk := list(islice(rows, behavioral._CSV_CHUNK_ROWS)):
+        while chunk := list(islice(rows, trials._CSV_CHUNK_ROWS)):
             for i, row in chunk:
                 if not row:
                     continue
@@ -404,7 +402,7 @@ BAD_CSVS = {
 }
 #: Characters per read chunk: the default, and sizes that put chunk ends
 #: inside lines and inside "\r\n".
-CHUNK_CHARS = [behavioral._CSV_CHUNK_CHARS, 1, 7, 40]
+CHUNK_CHARS = [trials._CSV_CHUNK_CHARS, 1, 7, 40]
 
 
 class TestTrialCsvMatchesCsvModule:
@@ -420,7 +418,7 @@ class TestTrialCsvMatchesCsvModule:
             reference_write_trials_csv(table, reference)
             assert path.read_bytes() == reference.read_bytes()
             for chars in CHUNK_CHARS:
-                monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+                monkeypatch.setattr(trials, "_CSV_CHUNK_CHARS", chars)
                 assert read_outcome(read_trials_csv, path) == \
                     read_outcome(reference_read_trials_csv, path)
 
@@ -448,26 +446,26 @@ class TestTrialCsvMatchesCsvModule:
 
     def test_quote_free_str_ids_are_searched_once(self, monkeypatch):
         searched = []
-        pattern = behavioral._QUOTED_CHAR
+        pattern = trials._QUOTED_CHAR
 
         class CountingPattern:
             def search(self, text):
                 searched.append(text)
                 return pattern.search(text)
 
-        monkeypatch.setattr(behavioral, "_QUOTED_CHAR", CountingPattern())
+        monkeypatch.setattr(trials, "_QUOTED_CHAR", CountingPattern())
         ids = ("sigma=2", "é", "", "b7")
-        assert behavioral._csv_fields(ids) is ids
+        assert trials._csv_fields(ids) is ids
         assert searched == ["sigma=2éb7"]
         searched.clear()
         # a match, or a value that is not a str, sends each id to csv.writer
-        assert list(behavioral._csv_fields(("a,b", "c", ""))) == ['"a,b"', "c", ""]
+        assert list(trials._csv_fields(("a,b", "c", ""))) == ['"a,b"', "c", ""]
         assert searched == ["a,bc", "a,b", "c", ""]
-        assert list(behavioral._csv_fields((7, "c", None))) == ["7", "c", ""]
+        assert list(trials._csv_fields((7, "c", None))) == ["7", "c", ""]
 
     def test_large_table_writes_in_chunks(self, tmp_path):
         rng = np.random.default_rng(5)
-        table = random_table(rng, 2 * behavioral._CSV_CHUNK_ROWS + 5, AWKWARD_PIECES)
+        table = random_table(rng, 2 * trials._CSV_CHUNK_ROWS + 5, AWKWARD_PIECES)
         path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
         write_trials_csv(table, path)
         reference_write_trials_csv(table, reference)
@@ -478,7 +476,7 @@ class TestTrialCsvMatchesCsvModule:
         # with no probability row, neighbouring columns of few pieces are
         # written from one table of their pairs
         rng = np.random.default_rng(6)
-        table = random_table(rng, 2 * behavioral._CSV_CHUNK_ROWS + 5, pieces)
+        table = random_table(rng, 2 * trials._CSV_CHUNK_ROWS + 5, pieces)
         table = replace(table, action=np.where(table.action < 0, 0, table.action),
                         report=np.full(len(table), np.nan))
         path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
@@ -486,7 +484,7 @@ class TestTrialCsvMatchesCsvModule:
         reference_write_trials_csv(table, reference)
         assert path.read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("mixed", [False, True, "after a chunk of decisions"])
     def test_probability_reports_are_written_as_repr(self, tmp_path, mixed):
         reports = [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 - 2**-53, 1.0]
         n = 3 * len(reports)
@@ -499,6 +497,10 @@ class TestTrialCsvMatchesCsvModule:
             state_ids=("freezing", "not-freezing"), state=np.arange(n) % 2,
             action_ids=("salt", "no-salt"), action=action,
             report=np.where(action < 0, np.resize(reports, n), np.nan))
+        if mixed == "after a chunk of decisions":
+            # a mixed table whose first chunk holds no report row
+            decisions = np.resize(np.flatnonzero(action >= 0), trials._CSV_CHUNK_ROWS)
+            table = table[np.concatenate((decisions, np.arange(n)))]
         path, reference = tmp_path / "trials.csv", tmp_path / "reference.csv"
         write_trials_csv(table, path)
         reference_write_trials_csv(table, reference)
@@ -563,7 +565,7 @@ class TestTrialCsvMatchesCsvModule:
     def test_files(self, tmp_path, monkeypatch, name, chars):
         path = tmp_path / "trials.csv"
         path.write_bytes(GOOD_CSVS.get(name, BAD_CSVS.get(name)).encode("utf-8"))
-        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+        monkeypatch.setattr(trials, "_CSV_CHUNK_CHARS", chars)
         outcome = read_outcome(read_trials_csv, path)
         assert outcome == read_outcome(reference_read_trials_csv, path)
         assert (len(outcome) == 2) == (name in BAD_CSVS)
@@ -613,9 +615,9 @@ class TestTrialCsvMatchesCsvModule:
 
         table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8), 5000, seed=2)
         path = tmp_path / "trials.csv"
-        monkeypatch.setattr(behavioral.csv, "reader", counting_csv_reader(parsed))
-        monkeypatch.setattr(behavioral.csv, "writer", CountingWriter)
-        monkeypatch.setattr(behavioral, "_add_rows", lambda *args: row_wise.append(args))
+        monkeypatch.setattr(trials.csv, "reader", counting_csv_reader(parsed))
+        monkeypatch.setattr(trials.csv, "writer", CountingWriter)
+        monkeypatch.setattr(trials, "_add_rows", lambda *args: row_wise.append(args))
         write_trials_csv(table, path)
         assert trial_rows(read_trials_csv(path)) == trial_rows(table)
         assert parsed == [list(TRIAL_CSV_HEADER)]
@@ -631,15 +633,15 @@ class TestTrialCsvMatchesCsvModule:
         path = tmp_path / "trials.csv"
         path.write_bytes(("\r\n".join([HEADER_LINE, *lines]) + "\r\n").encode("utf-8"))
         parsed, coded = [], []
-        add_ascii = behavioral._add_ascii
+        add_ascii = trials._add_ascii
 
         def counting_add_ascii(builder, text):
             coded.append(add_ascii(builder, text))
             return coded[-1]
 
-        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", 2000)
-        monkeypatch.setattr(behavioral.csv, "reader", counting_csv_reader(parsed))
-        monkeypatch.setattr(behavioral, "_add_ascii", counting_add_ascii)
+        monkeypatch.setattr(trials, "_CSV_CHUNK_CHARS", 2000)
+        monkeypatch.setattr(trials.csv, "reader", counting_csv_reader(parsed))
+        monkeypatch.setattr(trials, "_add_ascii", counting_add_ascii)
         outcome = read_outcome(read_trials_csv, path)
         monkeypatch.undo()
         assert outcome == read_outcome(reference_read_trials_csv, path)
@@ -680,8 +682,8 @@ class TestTrialCsvMatchesCsvModule:
         plain.write_bytes(GOOD_CSVS[name].encode("utf-8"))
         path.write_bytes((mark + GOOD_CSVS[name]).encode("utf-8"))
         parsed = []
-        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
-        monkeypatch.setattr(behavioral.csv, "reader", counting_csv_reader(parsed))
+        monkeypatch.setattr(trials, "_CSV_CHUNK_CHARS", chars)
+        monkeypatch.setattr(trials.csv, "reader", counting_csv_reader(parsed))
         outcome = read_outcome(read_trials_csv, path)
         monkeypatch.undo()
         assert outcome == read_outcome(reference_read_trials_csv, plain)
@@ -696,7 +698,7 @@ class TestTrialCsvMatchesCsvModule:
                                                      chars, where):
         # more rows than the first chunk holds at the default size, line
         # ends of each kind, and a valid non-ASCII character on line 2
-        n = 9000 if chars == behavioral._CSV_CHUNK_CHARS else 60
+        n = 9000 if chars == trials._CSV_CHUNK_CHARS else 60
         bad_line, quote_line = {"header": (1, None), "first chunk": (4, None),
                                 "late chunk": (n - 10, None),
                                 "late chunk after a quote": (n - 10, 3),
@@ -710,7 +712,7 @@ class TestTrialCsvMatchesCsvModule:
         data[bad_line - 1] = data[bad_line - 1].replace(b"r", b"\xe9", 1)
         path = tmp_path / "trials.csv"
         path.write_bytes(b"".join(data))
-        monkeypatch.setattr(behavioral, "_CSV_CHUNK_CHARS", chars)
+        monkeypatch.setattr(trials, "_CSV_CHUNK_CHARS", chars)
         with pytest.raises(TrialDataError,
                            match=f"^line {bad_line}: not UTF-8 text \\(invalid"):
             read_trials_csv(path)
@@ -720,6 +722,29 @@ class TestTrialCsvMatchesCsvModule:
         path.write_bytes(("x" * 200_000 + "\r\n" + ROWS[0]).encode("utf-8"))
         with pytest.raises(TrialDataError, match="^line 1: field larger than field limit"):
             read_trials_csv(path)
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 7, 64])
+    def test_chunks_end_on_line_ends(self, monkeypatch, chars):
+        lines = [b"ab\r\n", b"cd\r", b"ef\n", b"\r", b"g\r", b"\r\n", b"\n", b"h"]
+        monkeypatch.setattr(trials, "_CSV_CHUNK_CHARS", chars)
+        chunks = list(trials._line_chunks(io.BytesIO(b"".join(lines))))
+        assert b"".join(chunks) == b"".join(lines)
+        # each chunk is whole lines: read a byte at a time, one line
+        ends = list(accumulate(map(len, lines)))
+        assert set(accumulate(map(len, chunks))) <= set(ends)
+        if chars == 1:
+            assert chunks == lines
+
+    def test_lone_cr_line_ends_are_read_in_chunks(self, tmp_path):
+        # a file whose lines all end in a lone "\r" holds no "\n" to end a
+        # chunk on
+        table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8),
+                         100_000, seed=4)
+        crlf, cr = tmp_path / "crlf.csv", tmp_path / "cr.csv"
+        write_trials_csv(table, crlf)
+        cr.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\r"))
+        assert read_outcome(read_trials_csv, cr) == read_outcome(read_trials_csv, crlf)
+        assert traced_peak(read_trials_csv, cr) <= 1.5 * traced_peak(read_trials_csv, crlf)
 
     def test_memory_within_the_csv_module_s(self, tmp_path):
         table = simulate(weather_design(), "CI", AgentSpec.noisy_belief(0.8),

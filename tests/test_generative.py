@@ -14,7 +14,6 @@ from rabench.generative import (
     TwoTeamDGM,
     discretize,
     kale_joint,
-    monte_carlo_score,
     pos_to_win_probability,
     sample_cells,
     weather_joint,
@@ -33,6 +32,7 @@ from conftest import (
     GOOD_SEEDS,
     FixedUniforms,
     constant_actions,
+    monte_carlo_score,
     optimum,
     posterior,
     rational_actions,

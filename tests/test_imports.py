@@ -2,11 +2,15 @@
 and numpy.ma nowhere on the weather case's commands; it exports a pinned set
 of public names."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rabench"
 
 #: Prints the loaded modules of scipy and of numpy.ma, which numpy loads on
 #: first use (``np.unique`` of a plain array, in numpy 2.4, is one).
@@ -68,7 +72,7 @@ PUBLIC_NAMES = {
     "belief_loss", "build_case", "build_fernandes", "build_kale", "build_weather",
     "calibrate", "decisions_from_beliefs", "design_from_config",
     "design_to_config", "discretize", "incentive_table", "ingest", "kale_joint",
-    "load_design_config", "loss_report", "monte_carlo_score",
+    "load_design_config", "loss_report",
     "optimization_loss", "pooled_loss_report", "pos_to_win_probability", "prior",
     "rational_baseline", "rational_report", "read_trials_csv",
     "save_design_config", "simulate", "weather_joint",
@@ -109,3 +113,34 @@ def test_removed_names_are_gone():
 
     assert not hasattr(rabench.errors, "ZeroMassSignalError")
     assert not hasattr(rabench.ActionSpace, "probability_reports")
+    assert not hasattr(rabench, "monte_carlo_score")
+    assert not hasattr(rabench.generative, "monte_carlo_score")
+
+
+def imported_names(module: str) -> list[tuple[str, str]]:
+    """(module, name) of each name that a package module imports, a relative
+    module with its leading dots; ``import m`` gives (m, "")."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            for alias in node.names:
+                # from . import behavioral: the module itself
+                names.append((base + alias.name, "") if node.module is None
+                             else (base, alias.name))
+    return names
+
+
+def test_the_trial_file_format_has_its_own_module():
+    for module in ("agents", "cases", "trials"):
+        assert ".behavioral" not in {m for m, _ in imported_names(module)}, module
+    behavioral = imported_names("behavioral")
+    assert not {m for m, _ in behavioral} & {"csv", "io", "re"}
+    assert [name for m, name in behavioral if m == ".trials"] == ["TrialTable"]
+    for path in PACKAGE.glob("*.py"):
+        private = [name for m, name in imported_names(path.stem)
+                   if m == ".behavioral" and name.startswith("_")]
+        assert private == [], path.name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rabench.agents import AgentSpec, simulate
-from rabench.behavioral import loss_report, read_trials_csv, write_trials_csv
+from rabench.behavioral import loss_report
 from rabench.cases import build_case
 from rabench.errors import DimensionError, InvalidModelError
 from rabench.generative import two_team_report_map
@@ -29,6 +29,7 @@ from rabench.model import (
 )
 
 from rabench.rational import rational_report
+from rabench.trials import read_trials_csv, write_trials_csv
 
 from conftest import random_belief, random_matrix_problem, violations
 
