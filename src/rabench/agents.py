@@ -13,6 +13,10 @@ posterior's log-odds: on the report map's axis when the design has one
 (binary designs do), bounded to [1e-12, 1 - 1e-12], that noisy report
 being the belief task's response and its ``to_beliefs`` row the decision
 task's belief; otherwise (decision task only) on each state, renormalized.
+The clipped log-odds are computed once per signal and gathered per trial,
+and the noise is one ``rng.normal`` draw over the trials (times states), in
+trial order: the same draws and responses as jittering each trial's own
+posterior.
 The lapse agent swaps its inner agent's response for a uniform-random one
 on a seeded ``lapse_rate`` fraction of trials.
 
@@ -32,7 +36,7 @@ import numpy as np
 from .errors import InvalidModelError
 from .generative import _cdf, sample_cells
 from .model import (ExperimentDesign, _check_count, _check_seed, _is_finite_number,
-                    _resolve_report_map, _shown, optimal_action_indices)
+                    _resolve_report_map, _row_argmax, _score_table, _shown)
 from .rational import prior
 from .trials import TrialTable
 
@@ -97,11 +101,17 @@ class AgentSpec:
                          inner=inner)
 
 
-def _jittered(p: np.ndarray, noise_sd: float, rng) -> np.ndarray:
-    """``p``, clipped to the bound, with normal noise added to its log-odds."""
+def _jittered(p: np.ndarray, v_idx: np.ndarray, noise_sd: float, rng) -> np.ndarray:
+    """``p[v_idx]``, clipped to the bound, with normal noise added to its
+    log-odds. ``p`` has one row per signal, whose log-odds are taken once."""
     p = np.clip(p, _BOUND, 1.0 - _BOUND)
-    noise = rng.normal(0.0, noise_sd, size=p.shape)
-    return 1.0 / (1.0 + np.exp(-(np.log(p / (1.0 - p)) + noise)))
+    x = np.log(p / (1.0 - p))[v_idx]
+    x += rng.normal(0.0, noise_sd, size=x.shape)
+    # the sigmoid 1 / (1 + exp(-x)), in place
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def _draw_stimuli(structure, n_trials: int, rng: np.random.Generator,
@@ -159,8 +169,9 @@ def _responses(design, structure, agent, v_idx, rng) -> np.ndarray:
     report on the belief task."""
     n = len(v_idx)
     decision = agent.task == "decision"
-    # the task picks how a belief row becomes a response, and a uniform pick
-    respond = (partial(optimal_action_indices, design) if decision
+    # the task picks how a belief row becomes a response, and a uniform pick;
+    # every row given to respond is checked already, or normalized here
+    respond = ((lambda P: _row_argmax(_score_table(design, P))) if decision
                else _resolve_report_map(design).from_beliefs)
     pick = (partial(rng.integers, 0, len(design.actions), size=n) if decision
             else partial(rng.uniform, size=n))
@@ -181,8 +192,9 @@ def _responses(design, structure, agent, v_idx, rng) -> np.ndarray:
     try:
         report_map = _resolve_report_map(design)
     except InvalidModelError:  # no belief axis: jitter each state
-        bumped = _jittered(posteriors[v_idx], agent.noise_sd, rng)
-        return respond(bumped / bumped.sum(axis=1, keepdims=True))
-    reports = np.clip(_jittered(report_map.from_beliefs(posteriors)[v_idx],
-                                agent.noise_sd, rng), _BOUND, 1.0 - _BOUND)
+        bumped = _jittered(posteriors, v_idx, agent.noise_sd, rng)
+        bumped /= bumped.sum(axis=1, keepdims=True)
+        return respond(bumped)
+    reports = _jittered(report_map.from_beliefs(posteriors), v_idx, agent.noise_sd, rng)
+    np.clip(reports, _BOUND, 1.0 - _BOUND, out=reports)
     return respond(report_map.to_beliefs(reports)) if decision else reports

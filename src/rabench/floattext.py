@@ -199,6 +199,10 @@ def repr_rows(matrix: np.ndarray, sep: bytes) -> Iterator[memoryview]:
     a 2-D float64 matrix, laid out a chunk of whole rows at a time (one
     row when a row alone is longer than ``CHUNK``). ``sep`` holds no NUL."""
     n_rows, width = matrix.shape
+    if not width:  # each row is sep.join([])
+        for _ in range(n_rows):
+            yield memoryview(b"")
+        return
     step = max(1, CHUNK // width)
     text = np.zeros((min(step, n_rows) * width, _TEXT_BYTES + -(-len(sep) // 4) * 4),
                     dtype=np.uint8)

@@ -455,7 +455,7 @@ def write_trials_csv(table: TrialTable, path: str | Path) -> None:
                 action = table.action[rows]
                 reports = np.flatnonzero(action < 0)
                 text = b""
-                if len(reports):  # repr_rows refuses a row of no values
+                if len(reports):  # an empty row would still add a piece
                     # the reports as one row: a piece ends after each "\n"
                     (row,) = repr_rows(table.report[rows][reports][None], b"\r\n,probability,")
                     text = b"".join((b",probability,", row, b"\r\n"))

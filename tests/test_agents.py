@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from rabench.behavioral import behavioral_score, calibrate, ingest, loss_report
 from rabench.cases import build_kale
 from rabench.cli import main
 from rabench.errors import InvalidModelError
-from rabench.model import _resolve_report_map, optimal_action_indices
+from rabench.model import InformationStructure, _resolve_report_map, optimal_action_indices
 from rabench.rational import prior
 
 from conftest import (BAD_SEEDS, GOOD_SEEDS, FixedUniforms, seed_refusal, trial_rows,
@@ -416,6 +417,32 @@ class TestResponsesMatchTheReference:
     def test_transit_1000_decisions(self, transit_1000_design, balanced):
         self.check_every_agent(transit_1000_design, "full", "decision", balanced,
                                3_000)
+
+    @pytest.mark.parametrize("task", ["decision", "belief"])
+    def test_weather_noisy_agent_at_the_benchmark_size(self, task):
+        # 100k trials, as the weather workload of perfbench/run.py simulates
+        design = weather_design()
+        agent = AgentSpec.noisy_belief(0.8, task)
+        table = simulate(design, "CI", agent, 100_000, 11)
+        got = table.action if task == "decision" else table.report
+        want = reference_responses(design, "CI", agent, 100_000, 11, False)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("task", ["decision", "belief"])
+    def test_certain_posteriors(self, task):
+        # posteriors of (1, 0) and (0, 1): their log-odds are infinite unless
+        # clipped to the bound before the noise is added
+        design = replace(weather_design(), strategies={"certain": InformationStructure(
+            signals=("no", "yes", "maybe"), joint=[[0.5, 0.0], [0.0, 0.25], [0.125, 0.125]])})
+        agent = AgentSpec.noisy_belief(0.8, task)
+        table = simulate(design, "certain", agent, 2_000, 4)
+        want = reference_responses(design, "certain", agent, 2_000, 4, False)
+        if task == "decision":
+            np.testing.assert_array_equal(table.action, want)
+        else:  # the reference leaves noisy reports unbounded
+            np.testing.assert_array_equal(table.report, np.clip(want, 1e-12, 1 - 1e-12))
+            assert (want < 1e-12).any() and (want > 1 - 1e-12).any()
 
     @staticmethod
     def check_every_agent(design, strategy, task, balanced, n_trials):

@@ -263,6 +263,12 @@ class TestReprRows:
             for matrix in (values[:, None], values[None, :]):
                 assert kernel_rows(matrix, b", ") == repr_join_rows(matrix, b", ")
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (0, 3)])
+    def test_matrices_with_no_rows_or_no_columns(self, shape):
+        # a row of no values is sep.join([]), an empty row
+        matrix = np.zeros(shape)
+        assert kernel_rows(matrix, b", ") == repr_join_rows(matrix, b", ") == [b""] * shape[0]
+
     def test_only_zeros_take_the_fallback_on_the_workload(self, tmp_path, capsys,
                                                           monkeypatch, transit_dists_1000):
         from rabench import floattext

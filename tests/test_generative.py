@@ -584,14 +584,43 @@ def sparse_joint(rng, shape) -> np.ndarray:
     return joint / joint.sum()
 
 
-#: Joint shapes on both sides of the sampler's sorted-search size.
-SAMPLER_SHAPES = [(4, 2), (8, 4), (32, 32), (41, 25), (1000, 121)]
+#: Joint shapes on both sides of the sampler's sorted-search size, and of
+#: its pass-search size: (3, 3) is one cell past it.
+SAMPLER_SHAPES = [(4, 2), (8, 4), (32, 32), (41, 25), (1000, 121),
+                  (1, 1), (2, 1), (1, 2), (2, 3), (1, 8), (3, 3)]
+
+
+def array_searches(monkeypatch) -> list:
+    """The sizes of the draw arrays that ``np.searchsorted`` is given from
+    here on; ``_cdf``'s search for its scalar total is not counted."""
+    sizes, search = [], np.searchsorted
+
+    def recording_search(a, v, *args, **kwargs):
+        if np.ndim(v):
+            sizes.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recording_search)
+    return sizes
 
 
 class TestSampleCells:
     def test_shapes_straddle_the_sorted_search_size(self):
         sizes = [rows * columns for rows, columns in SAMPLER_SHAPES]
         assert min(sizes) <= generative._SORTED_SEARCH_CELLS < max(sizes)
+
+    def test_shapes_straddle_the_pass_search_size(self):
+        sizes = {rows * columns for rows, columns in SAMPLER_SHAPES}
+        assert {1, generative._NARROW, generative._NARROW + 1} <= sizes
+
+    @pytest.mark.parametrize("shape, searched", [((4, 2), False), ((1, 8), False),
+                                                 ((3, 3), True), ((8, 4), True)])
+    def test_joints_of_at_most_the_pass_size_search_by_passes(
+            self, monkeypatch, shape, searched):
+        joint = sparse_joint(np.random.default_rng(1), shape)
+        sizes = array_searches(monkeypatch)
+        sample_cells(joint, 100, np.random.default_rng(2))
+        assert sizes == ([100] if searched else [])
 
     @pytest.mark.parametrize("shape", SAMPLER_SHAPES)
     @pytest.mark.parametrize("n", [1, 7, 20_000])
@@ -633,6 +662,29 @@ class TestSampleCells:
         rows, cells = sample_cells(masses[None, :], 4, u)
         np.testing.assert_array_equal(rows, 0)
         np.testing.assert_array_equal(cells, [4, 3, 0, 4])
+
+    def test_six_cell_trailing_zero_mass_case_takes_the_pass_search(self, monkeypatch):
+        # the 6-cell joint of test_trailing_zero_mass_cell_never_drawn
+        masses = np.zeros(6)
+        masses[:5] = [0.13139089030396614, 0.019954829182505313,
+                      0.00804925015178311, 0.3960769575916508,
+                      0.44452807277009454]
+        sizes = array_searches(monkeypatch)
+        sample_cells(masses[None, :], 4, np.random.default_rng(0))
+        assert sizes == []
+
+    def test_negative_mass_searches_as_the_direct_search(self, monkeypatch):
+        # joints may hold masses down to -NORMALIZATION_TOL; this one's CDF
+        # falls by 1e-13 after its first cell, and a draw in that dip is
+        # where counting entries and the binary search part
+        joint = np.array([[0.5, -1e-13], [0.25, 0.25 + 1e-13]])
+        cum = np.cumsum(joint.reshape(-1))
+        assert cum[1] < cum[0]
+        u = np.array([(cum[0] + cum[1]) / 2, cum[1], cum[0], 0.6, 0.0])
+        sizes = array_searches(monkeypatch)
+        got = sample_cells(joint, len(u), FixedUniforms(u))
+        assert sizes == [len(u)]
+        np.testing.assert_array_equal(got, direct_search_cells(joint, u))
 
     def test_cdf_is_one_from_the_last_positive_cell_on(self):
         masses = np.array([0.0, 0.25, 0.0, 0.5, 0.25 - 2**-54, 0.0, 0.0])
