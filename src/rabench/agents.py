@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidModelError
-from .generative import _cdf, sample_cells
+from .generative import _cdf, _search, sample_cells
 from .model import (ExperimentDesign, _check_count, _check_seed, _is_finite_number,
                     _resolve_report_map, _row_argmax, _score_table, _shown)
 from .rational import prior
@@ -107,9 +107,10 @@ def _jittered(p: np.ndarray, v_idx: np.ndarray, noise_sd: float, rng) -> np.ndar
     p = np.clip(p, _BOUND, 1.0 - _BOUND)
     x = np.log(p / (1.0 - p))[v_idx]
     x += rng.normal(0.0, noise_sd, size=x.shape)
-    # the sigmoid 1 / (1 + exp(-x)), in place
+    # the sigmoid 1 / (1 + exp(-x)), in place; exp = inf gives its limit 0
     np.negative(x, out=x)
-    np.exp(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)
 
@@ -131,8 +132,7 @@ def _draw_stimuli(structure, n_trials: int, rng: np.random.Generator,
     u = rng.uniform(size=n_trials)
     # signal v is shown on trials v, v + n_signals, ...
     for v in range(min(n_signals, n_trials)):
-        t_idx[v::n_signals] = np.searchsorted(_cdf(conditionals[v]),
-                                              u[v::n_signals], side="right")
+        t_idx[v::n_signals] = _search(_cdf(conditionals[v]), u[v::n_signals])
     return v_idx, t_idx
 
 

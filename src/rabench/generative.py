@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import _NARROW, InformationStructure
+from .model import InformationStructure
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -408,20 +408,13 @@ def discretize(dist, grid: Sequence[float]) -> DiscretizedDistribution:
 # Sampling (signal, state) cells
 
 
-#: Joints with more cells than this search their draws in sorted order;
-#: ``sample_cells`` counts the draws of joints of at most ``_NARROW`` cells
-#: by passes, and searches the ones between directly. Best of 7 runs on a
-#: 2-vCPU Xeon: on weather's 8 cells, 100k draws took 0.32 ms by passes and
-#: 2.9 ms by ``np.searchsorted`` + ``np.divmod`` (the passes won up to 127
-#: cells too, but lost 31 to 7 us at one draw). Sorting lost 2-3x at 8 cells
-#: at every draw count; it won from 64 cells up at 2k-200k draws, but at 1M
-#: draws the argsort's n log n caught up, and direct search won below 256
-#: cells and tied at 256-512. Above 1024 cells sorting won at every count
-#: from 2k to 1M, by 2-3x at 121k cells (transit-1000); at 4M draws neither
-#: won clearly up to 4096 cells. Weather's 8 cells take the passes,
-#: kale2020's 32 the direct search; every fernandes2018 strategy has over
-#: 1600. ``_NARROW`` is reused as an inclusive bound: 8 is weather's joint.
-_SORTED_SEARCH_CELLS = 1024
+#: ``_search`` counts the draws in a CDF of at most ``_PASS_CELLS`` entries
+#: by int8 passes, given ``_PASS_DRAWS`` draws per entry, since a pass costs
+#: a few us whatever the draw count. ``BENCH_sampler.json`` (written by
+#: ``tools/sampler_crossover.py``): the passes beat the sorted search from 1k
+#: draws on 8 entries, 10k on 64, and up to 128 entries at 100k draws.
+_PASS_CELLS = 64  # the counts are int8: at most 128
+_PASS_DRAWS = 128
 
 
 def _cdf(masses: np.ndarray) -> np.ndarray:
@@ -433,37 +426,43 @@ def _cdf(masses: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of each uniform of ``u`` in ``cum``, a CDF from ``_cdf``: exactly
+    ``np.searchsorted(cum, u, side="right")`` for u in [0, 1).
+
+    By passes (see ``_PASS_CELLS``) into int8 counts of the entries at or
+    below each draw, if the CDF does not fall; no uniform reaches the last
+    entry, 1.0. Any other search, a tolerated negative mass's dip included,
+    takes the uniforms in sorted order, which keeps the CDF's lookups in
+    cache.
+    """
+    if (cum.size <= _PASS_CELLS and cum.size * _PASS_DRAWS <= len(u)
+            and (cum[1:] >= cum[:-1]).all()):
+        cells = np.zeros(len(u), dtype=np.int8)
+        for edge in cum[:-1]:
+            cells += (u >= edge).view(np.int8)
+        return cells
+    order = np.argsort(u)
+    cells = np.empty(len(u), dtype=np.intp)
+    cells[order] = np.searchsorted(cum, u[order], side="right")
+    return cells
+
+
 def sample_cells(joint: np.ndarray, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(row index, column index) of ``n`` i.i.d. draws from a 2-d joint,
     one uniform variate per draw.
 
-    Each draw is the exact inverse-CDF search of its uniform: the cell that
-    ``np.searchsorted(cdf, u, side="right")`` finds. A joint of at most
-    ``_NARROW`` cells counts, by one pass per CDF entry, the entries at or
-    below each draw, and by one pass per row end its row (9x faster on
-    weather's 8 cells); a tolerated negative mass, where the CDF falls,
-    takes the search instead. Up to ``_SORTED_SEARCH_CELLS`` cells each
-    uniform is searched directly; above it the uniforms are searched in
-    sorted order, which finds the same cells, 2-3x faster on transit-1000's
-    121k cells, and keeps the CDF's lookups in cache.
+    Each draw is the exact inverse-CDF search of its uniform by ``_search``:
+    by passes on weather's 8 cells and kale2020's 32, in sorted order on
+    transit-1000's 121k. Cells counted by passes get their rows by passes.
     """
-    cum = _cdf(joint.reshape(-1))
-    u = rng.uniform(size=n)
     n_columns = joint.shape[1]
-    if cum.size <= _NARROW and (cum[1:] >= cum[:-1]).all():
-        # counts of at most 8 fit int8, whose adds are the cheapest; the
-        # last entry is 1.0 and no uniform reaches it
-        cells, rows = np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int8)
-        for counts, edges in ((cells, cum[:-1]), (rows, cum[n_columns - 1:-1:n_columns])):
-            for edge in edges:
-                counts += (u >= edge).view(np.int8)
-        cells -= rows * np.int8(n_columns)
-        return rows.astype(np.intp), cells.astype(np.intp)
-    if cum.size <= _SORTED_SEARCH_CELLS:
-        cells = np.searchsorted(cum, u, side="right")
-    else:
-        order = np.argsort(u)
-        cells = np.empty(n, dtype=np.intp)
-        cells[order] = np.searchsorted(cum, u[order], side="right")
-    return np.divmod(cells, n_columns)
+    cells = _search(_cdf(joint.reshape(-1)), rng.uniform(size=n))
+    if cells.dtype != np.int8:
+        return np.divmod(cells, n_columns)
+    rows = np.zeros(n, dtype=np.int8)
+    for start in range(n_columns, joint.size, n_columns):
+        rows += (cells >= start).view(np.int8)
+    cells -= rows * np.int8(n_columns)
+    return rows.astype(np.intp), cells.astype(np.intp)

@@ -254,6 +254,23 @@ def transit_dists_1000(tmp_path_factory) -> Path:
     return path
 
 
+def array_searches(monkeypatch, searched=None) -> list:
+    """The sizes of the draw arrays that ``np.searchsorted`` is given from
+    here on, and the arrays themselves in ``searched`` if it is a list;
+    ``_cdf``'s search for its scalar total is not counted."""
+    sizes, search = [], np.searchsorted
+
+    def recording_search(a, v, *args, **kwargs):
+        if np.ndim(v):
+            sizes.append(np.size(v))
+            if searched is not None:
+                searched.append(np.array(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recording_search)
+    return sizes
+
+
 class FixedUniforms:
     """A generator stand-in whose ``uniform`` returns the given draws."""
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rabench import generative
 from rabench.agents import AgentSpec, _draw_stimuli, simulate
 from rabench.behavioral import behavioral_score, calibrate, ingest, loss_report
 from rabench.cases import build_kale
@@ -13,8 +14,8 @@ from rabench.errors import InvalidModelError
 from rabench.model import InformationStructure, _resolve_report_map, optimal_action_indices
 from rabench.rational import prior
 
-from conftest import (BAD_SEEDS, GOOD_SEEDS, FixedUniforms, seed_refusal, trial_rows,
-                      weather_design)
+from conftest import (BAD_SEEDS, GOOD_SEEDS, FixedUniforms, array_searches, seed_refusal,
+                      trial_rows, weather_design)
 
 
 def masked_balanced_stimuli(joint, n_trials, rng):
@@ -227,6 +228,33 @@ class TestSimulate:
         want = masked_balanced_stimuli(joint, n_trials, u)
         np.testing.assert_array_equal(got, want)
 
+    def test_balanced_weather_draws_on_cdf_entries(self, monkeypatch):
+        # each trial's draw is an entry of its signal's conditional CDF or a
+        # neighbour one ulp away, with enough trials for the passes
+        joint = weather_design().strategies["CI"].joint
+        n_signals, n_states = joint.shape
+        n_trials = n_signals * n_states * generative._PASS_DRAWS + 3
+        cum = np.array([np.cumsum(row / row.sum()) for row in joint])
+        rng = np.random.default_rng(4)
+        edge = cum[np.arange(n_trials) % n_signals,
+                   rng.integers(0, n_states - 1, size=n_trials)]
+        step = rng.integers(-1, 2, size=n_trials)
+        u = FixedUniforms(np.where(step < 0, np.nextafter(edge, 0.0),
+                                   np.where(step > 0, np.nextafter(edge, 1.0), edge)))
+        searches = array_searches(monkeypatch)
+        got = _draw_stimuli(SimpleNamespace(joint=joint), n_trials, u, balanced=True)
+        assert searches == []
+        np.testing.assert_array_equal(got, masked_balanced_stimuli(joint, n_trials, u))
+
+    def test_balanced_transit_searches_each_signal_in_sorted_order(
+            self, monkeypatch, transit_1000_structure):
+        searched = []
+        sizes = array_searches(monkeypatch, searched)
+        _draw_stimuli(transit_1000_structure, 20_001, np.random.default_rng(1),
+                      balanced=True)
+        assert sizes == [21] + [20] * 999
+        assert all((np.diff(u) >= 0).all() for u in searched)
+
     def test_balanced_row_never_draws_its_trailing_zero_cell(self):
         # signal 0's conditional CDF rounds to one ulp below 1 at its last
         # positive cell; a uniform in that gap draws that cell, not the zero
@@ -327,7 +355,8 @@ def _logit(p):
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the limit 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def reference_decisions(design, structure, agent, v_idx, rng):
@@ -357,7 +386,7 @@ def reference_reports(design, structure, agent, v_idx, rng):
         reports = from_beliefs(structure.posteriors())[v_idx]
         if agent.noise_sd > 0:
             noise = rng.normal(0.0, agent.noise_sd, size=n)
-            reports = _sigmoid(_logit(reports) + noise)
+            reports = np.clip(_sigmoid(_logit(reports) + noise), 1e-12, 1.0 - 1e-12)
         return reports
     if agent.kind == "prior":
         p = prior(structure).probabilities
@@ -383,7 +412,7 @@ def reference_noisy_beliefs(design, structure, v_idx, noise_sd, rng):
         return bumped / bumped.sum(axis=1, keepdims=True)
     axis = report_map.from_beliefs(posteriors)[v_idx]
     bumped = _sigmoid(_logit(axis) + rng.normal(0.0, noise_sd, size=n))
-    return report_map.to_beliefs(bumped)
+    return report_map.to_beliefs(np.clip(bumped, 1e-12, 1.0 - 1e-12))
 
 
 def reference_responses(design, strategy, agent, n_trials, seed, balanced):
@@ -440,9 +469,9 @@ class TestResponsesMatchTheReference:
         want = reference_responses(design, "certain", agent, 2_000, 4, False)
         if task == "decision":
             np.testing.assert_array_equal(table.action, want)
-        else:  # the reference leaves noisy reports unbounded
-            np.testing.assert_array_equal(table.report, np.clip(want, 1e-12, 1 - 1e-12))
-            assert (want < 1e-12).any() and (want > 1 - 1e-12).any()
+        else:  # reports reach both ends of the bound
+            np.testing.assert_array_equal(table.report, want)
+            assert (want == 1e-12).any() and (want == 1 - 1e-12).any()
 
     @staticmethod
     def check_every_agent(design, strategy, task, balanced, n_trials):
@@ -483,14 +512,34 @@ class TestLargeNoise:
                                                 ("kale2020", "interval")])
     def test_reports_stay_strictly_inside_the_unit_interval(self, case, strategy):
         design = weather_design() if case == "weather" else build_kale().design
+        agent = AgentSpec.noisy_belief(50.0, "belief")
         for seed in range(5):
-            table = simulate(design, strategy, AgentSpec.noisy_belief(50.0, "belief"),
-                             2_000, seed)
+            table = simulate(design, strategy, agent, 2_000, seed)
+            np.testing.assert_array_equal(
+                table.report,
+                reference_responses(design, strategy, agent, 2_000, seed, False))
             assert ((table.report > 0.0) & (table.report < 1.0)).all()
             assert table.report.min() == 1e-12
             assert table.report.max() == 1.0 - 1e-12
             # the decision task plays through the same bounded reports
             simulate(design, strategy, AgentSpec.noisy_belief(50.0), 2_000, seed)
+
+    @pytest.mark.parametrize("case, strategy, task", [
+        ("weather", "CI", "decision"), ("weather", "CI", "belief"),
+        ("kale2020", "interval", "decision"), ("kale2020", "interval", "belief"),
+        ("transit", "full", "decision"),
+    ])
+    def test_noise_that_overflows_exp_warns_of_nothing(
+            self, case, strategy, task, transit_1000_design):
+        # at k = 800 the noisy log-odds reach -exp's overflow, whose inf is
+        # the sigmoid's limit; tests turn a RuntimeWarning into a failure
+        design = {"weather": weather_design, "kale2020": lambda: build_kale().design,
+                  "transit": lambda: transit_1000_design}[case]()
+        agent = AgentSpec.noisy_belief(800.0, task)
+        table = simulate(design, strategy, agent, 2_000, 1)
+        got = table.action if task == "decision" else table.report
+        want = reference_responses(design, strategy, agent, 2_000, 1, False)
+        np.testing.assert_array_equal(got, want)
 
     def test_kale2020_cli_simulates_at_large_noise(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

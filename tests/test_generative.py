@@ -31,6 +31,7 @@ from conftest import (
     BAD_SEEDS,
     GOOD_SEEDS,
     FixedUniforms,
+    array_searches,
     constant_actions,
     monte_carlo_score,
     optimum,
@@ -584,46 +585,41 @@ def sparse_joint(rng, shape) -> np.ndarray:
     return joint / joint.sum()
 
 
-#: Joint shapes on both sides of the sampler's sorted-search size, and of
-#: its pass-search size: (3, 3) is one cell past it.
+#: Joint shapes on both sides of the sampler's pass-search size: (8, 8) has
+#: its 64 cells and (5, 13) one more.
 SAMPLER_SHAPES = [(4, 2), (8, 4), (32, 32), (41, 25), (1000, 121),
-                  (1, 1), (2, 1), (1, 2), (2, 3), (1, 8), (3, 3)]
+                  (1, 1), (2, 1), (1, 2), (2, 3), (1, 8), (3, 3), (8, 8), (5, 13)]
 
-
-def array_searches(monkeypatch) -> list:
-    """The sizes of the draw arrays that ``np.searchsorted`` is given from
-    here on; ``_cdf``'s search for its scalar total is not counted."""
-    sizes, search = [], np.searchsorted
-
-    def recording_search(a, v, *args, **kwargs):
-        if np.ndim(v):
-            sizes.append(np.size(v))
-        return search(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", recording_search)
-    return sizes
+#: Draw counts below the passes' draws per cell, and above them for every
+#: joint of at most the pass-search size.
+SAMPLER_DRAWS = [1, 7, 20_000]
 
 
 class TestSampleCells:
     def test_shapes_straddle_the_sorted_search_size(self):
-        sizes = [rows * columns for rows, columns in SAMPLER_SHAPES]
-        assert min(sizes) <= generative._SORTED_SEARCH_CELLS < max(sizes)
+        # each joint of at most the pass size is searched in sorted order at
+        # the fewest draws, and by passes at the most
+        assert min(SAMPLER_DRAWS) < generative._PASS_DRAWS
+        assert generative._PASS_CELLS * generative._PASS_DRAWS <= max(SAMPLER_DRAWS)
 
     def test_shapes_straddle_the_pass_search_size(self):
         sizes = {rows * columns for rows, columns in SAMPLER_SHAPES}
-        assert {1, generative._NARROW, generative._NARROW + 1} <= sizes
+        assert {1, generative._PASS_CELLS, generative._PASS_CELLS + 1} <= sizes
 
-    @pytest.mark.parametrize("shape, searched", [((4, 2), False), ((1, 8), False),
-                                                 ((3, 3), True), ((8, 4), True)])
+    @pytest.mark.parametrize("shape, n, searched", [
+        ((4, 2), 1_024, False), ((4, 2), 1_023, True), ((1, 8), 1_024, False),
+        ((3, 3), 1_152, False), ((8, 4), 4_096, False), ((8, 8), 8_192, False),
+        ((8, 8), 8_191, True), ((5, 13), 100_000, True)])
     def test_joints_of_at_most_the_pass_size_search_by_passes(
-            self, monkeypatch, shape, searched):
+            self, monkeypatch, shape, n, searched):
+        # given at least _PASS_DRAWS (128) draws per cell
         joint = sparse_joint(np.random.default_rng(1), shape)
         sizes = array_searches(monkeypatch)
-        sample_cells(joint, 100, np.random.default_rng(2))
-        assert sizes == ([100] if searched else [])
+        sample_cells(joint, n, np.random.default_rng(2))
+        assert sizes == ([n] if searched else [])
 
     @pytest.mark.parametrize("shape", SAMPLER_SHAPES)
-    @pytest.mark.parametrize("n", [1, 7, 20_000])
+    @pytest.mark.parametrize("n", SAMPLER_DRAWS)
     def test_matches_the_direct_search(self, shape, n):
         joint = sparse_joint(np.random.default_rng(shape[0] * n), shape)
         got = sample_cells(joint, n, np.random.default_rng(n))
@@ -633,7 +629,9 @@ class TestSampleCells:
     @pytest.mark.parametrize("shape", SAMPLER_SHAPES)
     def test_draws_on_cdf_entries(self, shape):
         # every CDF entry below 1 (repeated ones included), its neighbours one
-        # ulp away and 0.0, shuffled so that the draws come unsorted
+        # ulp away and 0.0, shuffled so that the draws come unsorted; on a
+        # joint of at most the pass size, also repeated _PASS_DRAWS times,
+        # which gives the passes enough draws
         joint = sparse_joint(np.random.default_rng(sum(shape)), shape)
         cum = np.cumsum(joint.reshape(-1))
         edges = cum[cum < 1.0]
@@ -641,36 +639,43 @@ class TestSampleCells:
                             np.nextafter(edges, 1.0), [0.0, 0.0]])
         u = u[u < 1.0]
         np.random.default_rng(0).shuffle(u)
-        got = sample_cells(joint, len(u), FixedUniforms(u))
-        np.testing.assert_array_equal(got, direct_search_cells(joint, u))
-        # no draw lands on a zero-mass cell
-        assert (joint[got] > 0).all()
+        copies = [1]
+        if joint.size <= generative._PASS_CELLS:
+            copies.append(generative._PASS_DRAWS)
+        for draws in (np.tile(u, k) for k in copies):
+            got = sample_cells(joint, len(draws), FixedUniforms(draws))
+            np.testing.assert_array_equal(got, direct_search_cells(joint, draws))
+            # no draw lands on a zero-mass cell
+            assert (joint[got] > 0).all()
 
 
-    @pytest.mark.parametrize("n_cells", [6, 2_000])
-    def test_trailing_zero_mass_cell_never_drawn(self, n_cells):
+    @pytest.mark.parametrize("n_cells, copies", [(6, 1), (6, 192), (2_000, 1)])
+    def test_trailing_zero_mass_cell_never_drawn(self, n_cells, copies):
         # the running sum of these masses rounds to one ulp below 1, so a
         # uniform in that gap must draw the last positive cell, 4; the larger
-        # joint pads them with zero cells to take the sorted search
+        # joint pads them with zero cells to take the sorted search, and the
+        # 6-cell joint takes the passes at 192 copies of the draws
         masses = np.zeros(n_cells)
         masses[:5] = [0.13139089030396614, 0.019954829182505313,
                       0.00804925015178311, 0.3960769575916508,
                       0.44452807277009454]
         gap = np.cumsum(masses)[-1]
         assert gap == np.nextafter(1.0, 0.0)
-        u = FixedUniforms([gap, 0.5, 0.0, gap])
-        rows, cells = sample_cells(masses[None, :], 4, u)
+        u = FixedUniforms(np.tile([gap, 0.5, 0.0, gap], copies))
+        rows, cells = sample_cells(masses[None, :], 4 * copies, u)
         np.testing.assert_array_equal(rows, 0)
-        np.testing.assert_array_equal(cells, [4, 3, 0, 4])
+        np.testing.assert_array_equal(cells, np.tile([4, 3, 0, 4], copies))
 
     def test_six_cell_trailing_zero_mass_case_takes_the_pass_search(self, monkeypatch):
-        # the 6-cell joint of test_trailing_zero_mass_cell_never_drawn
+        # the 6-cell joint of test_trailing_zero_mass_cell_never_drawn, at
+        # its 768 draws by passes
         masses = np.zeros(6)
         masses[:5] = [0.13139089030396614, 0.019954829182505313,
                       0.00804925015178311, 0.3960769575916508,
                       0.44452807277009454]
+        assert 6 * generative._PASS_DRAWS == 768
         sizes = array_searches(monkeypatch)
-        sample_cells(masses[None, :], 4, np.random.default_rng(0))
+        sample_cells(masses[None, :], 768, np.random.default_rng(0))
         assert sizes == []
 
     def test_negative_mass_searches_as_the_direct_search(self, monkeypatch):
