@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +39,9 @@ from .generative import _cdf, _search, sample_cells
 from .model import (ExperimentDesign, _check_count, _check_seed, _is_finite_number,
                     _resolve_report_map, _row_argmax, _score_table, _shown)
 from .rational import prior
-from .trials import TrialTable
+
+if TYPE_CHECKING:
+    from .trials import TrialTable
 
 #: Noisy beliefs stay this far inside (0, 1).
 _BOUND = 1e-12
@@ -144,6 +147,8 @@ def simulate(design: ExperimentDesign, strategy: str, agent: AgentSpec,
     trials. The trial ids are the row numbers, an integer array 0, 1, ...,
     written to a trial CSV as "0", "1", ....
     """
+    from .trials import TrialTable
+
     _check_count(n_trials, "trial")
     _check_seed(seed)
     if strategy not in design.strategies:

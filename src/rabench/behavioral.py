@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .model import (
     score_table,
 )
 from .rational import rational_report
-from .trials import TrialTable
+
+if TYPE_CHECKING:
+    from .trials import TrialTable
 
 #: Default width of the probability-report bins.
 DEFAULT_BIN_WIDTH = 0.02

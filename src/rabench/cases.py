@@ -47,7 +47,6 @@ from .model import (
     _shown,
 )
 from .payment import AffineConversion, FlooredAffineConversion
-from .trials import _skip_byte_order_mark
 
 CASE_NAMES = ("weather", "kale2020", "fernandes2018")
 
@@ -259,8 +258,7 @@ def read_trial_distributions(path: str | Path) -> tuple[tuple[str, ...], BoxCoxT
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trial distribution file {path} does not exist")
-    with open(path, newline="", encoding="utf-8") as fh:
-        _skip_byte_order_mark(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         # restval: a missing field reads as an empty one, not as None
         reader = csv.DictReader(fh, restval="")
         required = {"trial_id", *_DIST_COLUMNS}

@@ -27,13 +27,11 @@ from typing import Iterator
 from .agents import AgentSpec, simulate
 from .behavioral import DEFAULT_BIN_WIDTH, loss_report, pooled_loss_report
 from .cases import CaseStudy, build_case
-from .config_io import load_design_config, save_design_config
 from .errors import RabenchError
 from .floattext import repr_rows
-from .model import ExperimentDesign
+from .model import ExperimentDesign, report_bins
 from .payment import incentive_table
 from .rational import RationalReport, StrategySummary, rational_report
-from .trials import read_trials_csv, write_trials_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -64,22 +62,33 @@ def _add_design_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--case", choices=("weather", "kale2020", "fernandes2018"),
                        help="builtin case study")
     group.add_argument("--config", type=Path, help="design config JSON")
-    parser.add_argument("--scenario", type=int, default=2,
-                        help="transit payoff scenario (fernandes2018 only)")
-    parser.add_argument("--trial-dists", type=Path, default=None,
+    parser.add_argument("--scenario", type=int,
+                        help="transit payoff scenario (fernandes2018 only; "
+                             "default 2)")
+    parser.add_argument("--trial-dists", type=Path,
                         help="per-trial arrival distribution CSV "
                              "(fernandes2018 only; defaults to the bundled demo)")
     parser.add_argument("--grid-step", type=_finite_number(positive=True),
-                        default=0.25,
-                        help="arrival grid resolution (fernandes2018 only)")
+                        help="arrival grid resolution (fernandes2018 only; "
+                             "default 0.25)")
+
+
+#: The options that only ``--case fernandes2018`` takes, by argparse dest;
+#: ``build_case`` holds their defaults.
+_FERNANDES_OPTIONS = ("scenario", "trial_dists", "grid_step")
 
 
 def _resolve_design(args) -> tuple[ExperimentDesign, CaseStudy | None]:
+    given = {name: getattr(args, name) for name in _FERNANDES_OPTIONS
+             if getattr(args, name) is not None}
+    if given and args.case != "fernandes2018":
+        options = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise RabenchError(f"only --case fernandes2018 takes {options}")
     if args.case:
-        case = build_case(args.case, scenario=args.scenario,
-                          trial_dists=args.trial_dists,
-                          grid_step=args.grid_step)
+        case = build_case(args.case, **given)
         return case.design, case
+    from .config_io import load_design_config
+
     return load_design_config(args.config), None
 
 
@@ -154,6 +163,7 @@ def _pinned_payload(case: CaseStudy | None) -> dict | None:
 def cmd_pre(args) -> int:
     design, case = _resolve_design(args)
     report = rational_report(design)
+    table = incentive_table(design) if design.conversion is not None else None
 
     print(f"design: {design.name}")
     print(f"{'strategy':<16}{'optimal':>12}{'info loss':>12}")
@@ -170,8 +180,7 @@ def cmd_pre(args) -> int:
         print(f"{'base/benchmark':<16}{_fmt(baseline_ratio)}")
 
     incentives = None
-    if design.conversion is not None:
-        table = incentive_table(design)
+    if table is not None:
         print()
         print(f"{'strategy':<16}{'pay(base)':>12}{'pay(opt)':>12}"
               f"{'incentive':>12}{'ratio':>12}")
@@ -215,7 +224,10 @@ def cmd_pre(args) -> int:
 
 
 def cmd_post(args) -> int:
+    from .trials import read_trials_csv
+
     design, _ = _resolve_design(args)
+    report_bins(args.bin_width)  # refuse a bad width before printing anything
     trials = read_trials_csv(args.trials)
 
     report = rational_report(design)
@@ -314,6 +326,8 @@ def _agent_number(params: dict[str, str], key: str, default: str) -> float:
 
 
 def cmd_simulate(args) -> int:
+    from .trials import write_trials_csv
+
     design, _ = _resolve_design(args)
     agent = _parse_agent(args.agent, args.task)
     strategy = args.strategy or design.strategy_names()[0]
@@ -326,6 +340,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .config_io import save_design_config
+
     design, _ = _resolve_design(args)
     save_design_config(design, args.out)
     print(f"wrote design config to {args.out}")

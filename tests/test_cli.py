@@ -450,6 +450,16 @@ SMALL_CONFIG = {
 
 TRIALS = ["post", "--case", "weather", "--trials", "trials.csv"]
 
+#: Options that only --case fernandes2018 takes, and the names the refusal
+#: gives; the last gives each of them.
+FERNANDES_ONLY = (
+    (["--scenario", "7"], "--scenario"),
+    (["--trial-dists", "/nonexistent.csv"], "--trial-dists"),
+    (["--grid-step", "0.5"], "--grid-step"),
+    (["--trial-dists", "/nonexistent.csv", "--scenario", "7", "--grid-step", "0.5"],
+     "--scenario, --trial-dists, --grid-step"),
+)
+
 
 def _trial_dists(row: str) -> str:
     return f"trial_id,mu,sigma,nu,tau\na,20,0.1,1,5\n{row}\n"
@@ -513,11 +523,20 @@ def _trial_dists(row: str) -> str:
     *[("argv", [*TRIALS[:-1], path, "--bin-width", width],
        f"bin width must lie in [1e-05, 1], not {float(width)!r}")
       for width in ("nan", "0", "-1", "2") for path in ("trials.csv", "actions.csv")],
+    *[("argv", ["pre", *source, *options], f"only --case fernandes2018 takes {names}")
+      for source in (["--case", "weather"], ["--case", "kale2020"],
+                     ["--config", "design.json"])
+      for options, names in FERNANDES_ONLY],
+    *[("argv", [command, "--case", "weather", *FERNANDES_ONLY[-1][0], *tail],
+       f"only --case fernandes2018 takes {FERNANDES_ONLY[-1][1]}")
+      for command, tail in (("post", ["--trials", "trials.csv"]),
+                            ("simulate", ["--agent", "rational", "--out", "x.csv"]),
+                            ("export", ["--out", "x.json"]))],
 ])
 def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
                                  message):
-    """Each malformed input exits 2 with a message naming where it is; the
-    first cases are well formed and exit 0."""
+    """Each malformed input exits 2 with a message naming where it is, and
+    prints nothing to stdout; the first cases are well formed and exit 0."""
     monkeypatch.chdir(tmp_path)
     header = "trial_id,strategy,signal,state,response_kind,response\n"
     Path("trials.csv").write_text(header + "0,CI,sigma=5,freezing,probability,0.5\n",
@@ -540,9 +559,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch, source, bad,
         code = main(argv)
     except SystemExit as exit:  # argparse refuses an option value
         code = exit.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == (0 if message is None else 2), err
-    assert message is None or message in err
+    assert message is None or (message in err and out == "")
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """The package imports scipy only where a design needs a special function,
-and numpy.ma nowhere on the weather case's commands; it exports a pinned set
-of public names."""
+and numpy.ma nowhere on the weather case's commands; it imports a module on
+first use of one of its names; it exports a pinned set of public names."""
 
 import ast
 import json
@@ -10,20 +10,30 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rabench"
-
-#: Prints the loaded modules of scipy and of numpy.ma, which numpy loads on
-#: first use (``np.unique`` of a plain array, in numpy 2.4, is one).
-LAZY_MODULES = ("import sys, json; "
-                "print(json.dumps(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])))")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rabench"
 
 
-def loaded_lazy_modules(code: str, cwd) -> list[str]:
-    proc = subprocess.run([sys.executable, "-c", f"{code}\n{LAZY_MODULES}"],
+def loaded_modules(code: str, cwd) -> list[str]:
+    """The modules loaded after ``code`` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys, json\n"
+                           "print(json.dumps(sorted(sys.modules)))"],
                           capture_output=True, text=True, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_lazy_modules(code: str, cwd) -> list[str]:
+    """The loaded modules of scipy and of numpy.ma, which numpy loads on
+    first use (``np.unique`` of a plain array, in numpy 2.4, is one)."""
+    return [m for m in loaded_modules(code, cwd)
+            if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+
+
+def loaded_rabench_modules(code: str, cwd) -> list[str]:
+    """The loaded ``rabench`` submodules, and numpy if loaded."""
+    return [m for m in loaded_modules(code, cwd)
+            if m.startswith("rabench.") or m == "numpy"]
 
 
 def test_weather_runs_without_scipy(tmp_path):
@@ -57,6 +67,30 @@ def test_kale_loads_neither_stats_nor_optimize(tmp_path):
                 if m.startswith(("scipy.stats", "scipy.optimize"))]
 
 
+def test_importing_the_package_loads_no_module(tmp_path):
+    assert loaded_rabench_modules("import rabench", tmp_path) == []
+
+
+def test_building_a_case_loads_no_trial_file_code(tmp_path):
+    loaded = loaded_rabench_modules("import rabench\nrabench.build_case('weather')",
+                                    tmp_path)
+    assert "rabench.cases" in loaded
+    assert not {f"rabench.{m}" for m in ("trials", "floattext", "agents", "behavioral",
+                                         "config_io", "cli")} & set(loaded)
+
+
+def test_the_cli_loads_every_traced_layer(tmp_path):
+    """perfbench's tracer wraps each of its ``LAYERS`` from ``sys.modules``
+    after ``import rabench.cli``, so the cli imports them all up front."""
+    tree = ast.parse((ROOT / "perfbench" / "traced_cli.py").read_text(encoding="utf-8"))
+    layers, = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["LAYERS"]]
+    assert set(layers) >= {"cli", "cases", "agents", "behavioral"}
+    loaded = loaded_rabench_modules("import rabench.cli", tmp_path)
+    assert {f"rabench.{layer}" for layer in layers} <= set(loaded)
+
+
 #: Every public name of ``rabench`` (submodules excluded). ``perfbench/run.py``
 #: calls ``build_case``, ``AgentSpec``, ``rational_report``,
 #: ``incentive_table``, ``simulate``, ``write_trials_csv``,
@@ -85,9 +119,12 @@ def test_public_names_are_pinned():
 
     import rabench
 
-    public = {name for name, value in vars(rabench).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public == PUBLIC_NAMES
+    assert set(rabench.__all__) == PUBLIC_NAMES
+    assert sorted(dir(rabench)) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:  # each resolves, to a name and not a module
+        assert not isinstance(getattr(rabench, name), types.ModuleType), name
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        rabench.nope
 
 
 @pytest.mark.parametrize("function, keyword", [
