@@ -160,6 +160,58 @@ class TestPreJsonBytes:
         assert sha256_of(out) == sha256
 
 
+#: ``simulate`` arguments of the 2000-trial files that the ``post --out``
+#: pins read, by name.
+POST_INPUTS = {
+    "weather": ["--case", "weather", "--agent", "noisy:k=0.8", "--seed", "5"],
+    "weather-CI": ["--case", "weather", "--strategy", "CI", "--agent", "noisy:k=0.8",
+                   "--seed", "5"],
+    "kale2020": ["--case", "kale2020", "--agent", "noisy:k=0.5", "--task", "belief"],
+    "fernandes2018": ["--case", "fernandes2018", "--agent", "rational"],
+}
+
+
+class TestPostJsonBytes:
+    """``post --out`` bytes, pinned: every score, loss ratio and warning of
+    the decomposition stays the same to the bit."""
+
+    @pytest.fixture(scope="class")
+    def trial_files(self, tmp_path_factory) -> dict[str, Path]:
+        """Each ``POST_INPUTS`` file, and "two-strategy": the weather file
+        followed by the rows of the weather-CI file."""
+        folder = tmp_path_factory.mktemp("post-inputs")
+        files = {}
+        for name, args in POST_INPUTS.items():
+            files[name] = folder / f"{name}.csv"
+            assert main(["simulate", *args, "--n", "2000",
+                         "--out", str(files[name])]) == 0
+        files["two-strategy"] = folder / "two-strategy.csv"
+        ci_rows = files["weather-CI"].read_bytes().split(b"\n", 1)[1]
+        files["two-strategy"].write_bytes(files["weather"].read_bytes() + ci_rows)
+        return files
+
+    @pytest.mark.parametrize("name, design, options, sha256", [
+        ("weather", "weather", [],
+         "f8070ba914e2d1575de80372c8bf9296105bde5c09276b9c194c1987e1a6533c"),
+        ("weather", "weather", ["--smoothing-alpha", "0.5"],
+         "0a8adaf85e10e2d496ba05f4d778b2429fec6bc0e59a3f2d2f2f0ceb8c5d6aed"),
+        ("two-strategy", "weather", [],
+         "e684ddcf3998345115a7d07d26557abaa62e45f8af506c4b1f8d51118ef32b36"),
+        ("kale2020", "kale2020", [],
+         "a94c84f4ecb8246a4d652924c0234b6101ba365ce1f9720506ec9de167fc8241"),
+        ("kale2020", "kale2020", ["--bin-width", "0.05"],
+         "28b3205c861786c30c65fafe56098edac03474f674d247b0294daa328692f60e"),
+        ("fernandes2018", "fernandes2018", [],
+         "e7a15a8192a65ae46addcd461be7b82a3661f2a84ced91ef5588122d4fb2ac05"),
+    ])
+    def test_simulated_files(self, tmp_path, capsys, trial_files, name, design,
+                             options, sha256):
+        out = tmp_path / "post.json"
+        assert main(["post", "--case", design, "--trials", str(trial_files[name]),
+                     *options, "--out", str(out)]) == 0
+        assert sha256_of(out) == sha256
+
+
 #: Ids the JSON encoder has to escape, or writes as they are.
 AWKWARD_IDS = ('quote"d', "back\\slash", "é日本", "\x01\n\t\x7f", "", " ", "z", "\u2028")
 
