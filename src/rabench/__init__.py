@@ -16,10 +16,8 @@ from importlib import import_module
 _EXPORTS = {
     "agents": ("AgentSpec", "simulate"),
     "behavioral": (
-        "EmpiricalJoint", "LossReport", "behavioral_score",
-        "behavioral_value_of_information", "belief_loss", "calibrate",
-        "decisions_from_beliefs", "ingest", "loss_report", "optimization_loss",
-        "pooled_loss_report",
+        "EmpiricalJoint", "LossReport", "decisions_from_beliefs", "decompose",
+        "ingest", "loss_report", "pooled_loss_report",
     ),
     "cases": ("CaseStudy", "PinnedValue", "build_case", "build_fernandes",
               "build_kale", "build_weather"),

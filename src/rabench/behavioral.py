@@ -1,12 +1,13 @@
-"""Behavioral trial ingestion, scoring, calibration, and loss decomposition.
+"""Behavioral trial ingestion and the loss decomposition of a joint.
 
-Observed trials induce an empirical joint distribution over (action, state).
-The behavioral score evaluates that joint as-is; the calibrated score
-replaces each observed action with the best response to its empirical
-state-conditional, which bounds what the agent's information was worth. The
-gap to the rational benchmark then splits into a belief loss (stimuli not
-differentiated) and an optimization loss (information not acted on), both in
-units of the design's value of information.
+Observed trials induce an empirical joint distribution over (action, state),
+which ``ingest`` builds and ``decompose`` splits. The behavioral score
+evaluates that joint as-is; the calibrated score replaces each observed
+action with the best response to its empirical state-conditional, which
+bounds what the agent's information was worth. The gap to the rational
+benchmark then splits into a belief loss (stimuli not differentiated) and
+an optimization loss (information not acted on), both in units of the
+design's value of information.
 """
 
 from __future__ import annotations
@@ -55,9 +56,17 @@ class EmpiricalJoint:
     action_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.kind not in ("action", "report"):
+            raise InvalidModelError(f"joint kind must be 'action' or 'report', "
+                                    f"not {_shown(self.kind)}")
+        if self.kind == "report" and (self.action_values is None
+                                      or len(self.action_values) != len(self.action_ids)):
+            raise InvalidModelError("a report joint needs one action value per row")
         c = np.array(self.counts, dtype=float)
         if c.shape != (len(self.action_ids), len(self.state_ids)):
             raise InvalidModelError("count matrix does not match action/state ids")
+        if not np.all(np.isfinite(c)):
+            raise InvalidModelError("counts must be finite")
         if np.any(c < 0):
             raise InvalidModelError("counts must be non-negative")
         if c.sum() <= 0:
@@ -192,80 +201,6 @@ def ingest(table: TrialTable, design: ExperimentDesign,
     )
 
 
-def _running_total(terms: np.ndarray) -> float:
-    """Sum of ``terms`` added one at a time in row-major order; unlike a BLAS
-    dot or numpy's pairwise sum, it does not depend on how terms are blocked."""
-    return float(np.cumsum(terms)[-1])
-
-
-def behavioral_score(joint: EmpiricalJoint, design: ExperimentDesign) -> float:
-    """Expected score of the observed behavior under the empirical joint.
-
-    Action joints average each observed action's score against that action's
-    empirical state-conditional (identical to averaging the score table over
-    the joint, and well defined for the transit rule). Report joints score
-    each bin by playing the optimal action of the bin-midpoint belief.
-    """
-    if joint.kind == "action":
-        marginal = joint.action_marginal()
-        rows = np.flatnonzero(marginal > 0)
-        actions = [design.actions.index(joint.action_ids[i]) for i in rows]
-        ev = score_table(design, joint.conditionals(rows))
-        return _running_total(marginal[rows] * ev[np.arange(len(rows)), actions])
-
-    masses = joint.masses
-    rows = np.flatnonzero(masses.sum(axis=1) > 0)
-    mids = np.asarray(joint.action_values)[rows]
-    beliefs = _resolve_report_map(design).to_beliefs(mids)
-    best = optimal_action_indices(design, beliefs)
-    return _running_total(masses[rows] * outcome_scores(design, best, beliefs))
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    calibrated_score: float
-    policy: dict[str, str]  # observed action/bin -> best response
-
-
-def calibrate(joint: EmpiricalJoint, design: ExperimentDesign,
-              smoothing_alpha: float = 0.0) -> CalibrationResult:
-    """Replace each observed action with the optimal action against its
-    empirical state-conditional; the resulting score is what a rational
-    agent would earn from the information in the behavior.
-
-    Rows that were never observed carry no weight and are skipped. Optional
-    additive smoothing stabilizes conditionals from tiny samples.
-    """
-    marginal = joint.action_marginal()
-    rows = np.flatnonzero(marginal > 0)
-    ev = score_table(design, joint.conditionals(rows, smoothing_alpha=smoothing_alpha))
-    best = np.argmax(ev, axis=1)
-    policy = {joint.action_ids[i]: design.actions.ids[b] for i, b in zip(rows, best)}
-    score = _running_total(marginal[rows] * ev[np.arange(len(rows)), best])
-    return CalibrationResult(calibrated_score=score, policy=policy)
-
-
-def behavioral_value_of_information(behavioral: float, baseline: float) -> float:
-    """Score gained over the no-signal baseline, clamped at zero."""
-    return max(behavioral - baseline, 0.0)
-
-
-def belief_loss(visualization_optimal: float, calibrated: float,
-                delta: float) -> float:
-    """Fraction of the information value lost to not differentiating stimuli."""
-    if delta <= 0.0:
-        raise InvalidModelError("loss ratios need a positive value of information")
-    return (visualization_optimal - calibrated) / delta
-
-
-def optimization_loss(calibrated: float, behavioral: float, delta: float) -> float:
-    """Fraction of the information value lost to acting suboptimally on the
-    information the behavior contains."""
-    if delta <= 0.0:
-        raise InvalidModelError("loss ratios need a positive value of information")
-    return (calibrated - behavioral) / delta
-
-
 def decisions_from_beliefs(table: TrialTable, design: ExperimentDesign) -> TrialTable:
     """Convert belief reports to decision trials by playing the optimal
     action under each report's belief, mapped by the design's report map."""
@@ -281,12 +216,23 @@ def decisions_from_beliefs(table: TrialTable, design: ExperimentDesign) -> Trial
                    report=np.full(len(table), np.nan))
 
 
+def _running_total(terms: np.ndarray) -> float:
+    """Sum of ``terms`` added one at a time in row-major order; unlike a BLAS
+    dot or numpy's pairwise sum, it does not depend on how terms are blocked."""
+    return float(np.cumsum(terms)[-1])
+
+
 @dataclass(frozen=True)
 class LossReport:
     """Behavioral performance of one strategy, decomposed.
 
-    All loss ratios are raw (not clamped); out-of-range values are flagged
-    in ``warnings`` rather than hidden.
+    ``behavioral_value_of_information`` is the behavioral score's gain over
+    the no-signal baseline, clamped at zero. Both losses are fractions of
+    the design's value of information: ``belief_loss`` is the strategy's
+    optimum minus the calibrated score (stimuli not differentiated), and
+    ``optimization_loss`` the calibrated minus the behavioral score
+    (information not acted on). The loss ratios are raw (not clamped);
+    out-of-range values are flagged in ``warnings`` rather than hidden.
     """
 
     strategy: str
@@ -299,18 +245,80 @@ class LossReport:
     warnings: tuple[str, ...] = ()
 
 
-def loss_report(design: ExperimentDesign, strategy: str,
-                table: TrialTable,
-                bin_width: float = DEFAULT_BIN_WIDTH,
-                smoothing_alpha: float = 0.0) -> LossReport:
-    """Full post-experimental decomposition for one strategy's trial table.
-    Trials of any other strategy are refused, by trial id, rather than
-    folded into the joint.
+def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
+              smoothing_alpha: float = 0.0) -> LossReport:
+    """Split the behavior in ``joint``, observed under ``strategy``, into
+    its score, what its information was worth, and the two losses.
+
+    The behavioral score averages each observed action's score against that
+    action's empirical state-conditional (identical to averaging the score
+    table over the joint, and well defined for the transit rule); a report
+    joint scores each bin by playing the optimal action of the bin-midpoint
+    belief. The calibrated score replaces each observed action or bin with
+    the best response to its conditional, optionally smoothed by adding
+    ``smoothing_alpha`` to every count, which is what a rational agent would
+    earn from the information in the behavior. Rows that were never
+    observed carry no weight and are skipped.
     """
+    if tuple(joint.state_ids) != design.states.ids:
+        raise InvalidModelError(f"joint states {tuple(joint.state_ids)!r} are not "
+                                f"the design's {design.states.ids!r}")
+    if strategy not in design.strategies:
+        raise InvalidModelError(f"unknown strategy {strategy!r}")
     report = rational_report(design)
     delta = report.value_of_information
     if delta <= 0.0:
         raise InvalidModelError("loss ratios need a positive value of information")
+
+    masses = joint.masses
+    marginal = masses.sum(axis=1)
+    rows = np.flatnonzero(marginal > 0)
+    ev = score_table(design, joint.conditionals(rows))
+    at = np.arange(len(rows))
+    if joint.kind == "action":
+        actions = [design.actions.index(joint.action_ids[i]) for i in rows]
+        b = _running_total(marginal[rows] * ev[at, actions])
+    else:
+        mids = np.asarray(joint.action_values)[rows]
+        beliefs = _resolve_report_map(design).to_beliefs(mids)
+        best = optimal_action_indices(design, beliefs)
+        b = _running_total(masses[rows] * outcome_scores(design, best, beliefs))
+    if smoothing_alpha != 0.0:
+        ev = score_table(design, joint.conditionals(rows, smoothing_alpha))
+    c = _running_total(marginal[rows] * ev[at, np.argmax(ev, axis=1)])
+    rv = report.strategies[strategy].visualization_optimal
+
+    warnings = []
+    if b < report.baseline:
+        warnings.append(
+            "behavioral score is below the no-signal baseline; the data are "
+            "consistent with the signal having been ignored"
+        )
+    bl = (rv - c) / delta
+    ol = (c - b) / delta
+    for name, value in (("belief loss", bl), ("optimization loss", ol)):
+        if value < -1e-9 or value > 1.0 + 1e-9:
+            warnings.append(f"{name} {value:.4f} falls outside [0, 1]")
+    return LossReport(
+        strategy=strategy,
+        n_trials=joint.n,
+        behavioral=b,
+        calibrated=c,
+        behavioral_value_of_information=max(b - report.baseline, 0.0),
+        belief_loss=bl,
+        optimization_loss=ol,
+        warnings=tuple(warnings),
+    )
+
+
+def loss_report(design: ExperimentDesign, strategy: str,
+                table: TrialTable,
+                bin_width: float = DEFAULT_BIN_WIDTH,
+                smoothing_alpha: float = 0.0) -> LossReport:
+    """``decompose`` of one strategy's trial table, ingested at
+    ``bin_width``. Trials of any other strategy are refused, by trial id,
+    rather than folded into the joint.
+    """
     own = table.strategy_ids.index(strategy) if strategy in table.strategy_ids else -1
     foreign = table.strategy != own
     if foreign.any():
@@ -320,33 +328,7 @@ def loss_report(design: ExperimentDesign, strategy: str,
             trial_ids=table.trial_ids[foreign].tolist(),
         )
     joint = ingest(table, design, bin_width=bin_width)
-    b = behavioral_score(joint, design)
-    c = calibrate(joint, design, smoothing_alpha=smoothing_alpha).calibrated_score
-    rv = report.strategies[strategy].visualization_optimal
-
-    warnings = []
-    if b < report.baseline:
-        warnings.append(
-            "behavioral score is below the no-signal baseline; the data are "
-            "consistent with the signal having been ignored"
-        )
-    bl = belief_loss(rv, c, delta)
-    ol = optimization_loss(c, b, delta)
-    for name, value in (("belief loss", bl), ("optimization loss", ol)):
-        if value < -1e-9 or value > 1.0 + 1e-9:
-            warnings.append(f"{name} {value:.4f} falls outside [0, 1]")
-    return LossReport(
-        strategy=strategy,
-        n_trials=joint.n,
-        behavioral=b,
-        calibrated=c,
-        behavioral_value_of_information=behavioral_value_of_information(
-            b, report.baseline
-        ),
-        belief_loss=bl,
-        optimization_loss=ol,
-        warnings=tuple(warnings),
-    )
+    return decompose(joint, design, strategy, smoothing_alpha=smoothing_alpha)
 
 
 def pooled_loss_report(reports: Sequence[LossReport]) -> LossReport:

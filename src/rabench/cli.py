@@ -4,8 +4,8 @@ Three commands share one design source (a builtin case or a JSON config):
 
 * ``pre``       rational baseline/benchmark/value-of-information analysis
                 plus the incentive table, before any data exist;
-* ``post``      behavioral scores, calibration, and the loss decomposition
-                from a trial CSV;
+* ``post``      the loss decomposition of a trial CSV: behavioral and
+                calibrated scores, belief and optimization loss;
 * ``simulate``  synthetic-agent trial CSVs for pipeline testing;
 * ``export``    write a builtin case as an editable JSON config.
 
@@ -18,6 +18,7 @@ byte-identical JSON/CSV outputs. Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .agents import AgentSpec, simulate
-from .behavioral import DEFAULT_BIN_WIDTH, loss_report, pooled_loss_report
+from .behavioral import DEFAULT_BIN_WIDTH, LossReport, loss_report, pooled_loss_report
 from .cases import CaseStudy, build_case
 from .errors import RabenchError
 from .floattext import repr_rows
@@ -223,6 +224,14 @@ def cmd_pre(args) -> int:
     return EXIT_OK
 
 
+def _print_loss_row(lr: LossReport) -> None:
+    print(f"{lr.strategy:<16}{int(lr.n_trials):>8}{_fmt(lr.behavioral)}"
+          f"{_fmt(lr.calibrated)}"
+          f"{_fmt(lr.behavioral_value_of_information)}"
+          f"{_fmt(lr.belief_loss, width=10)}"
+          f"{_fmt(lr.optimization_loss, width=10)}")
+
+
 def cmd_post(args) -> int:
     from .trials import read_trials_csv
 
@@ -241,32 +250,15 @@ def cmd_post(args) -> int:
                          bin_width=args.bin_width,
                          smoothing_alpha=args.smoothing_alpha)
         reports.append(lr)
-        print(f"{name:<16}{int(lr.n_trials):>8}{_fmt(lr.behavioral)}"
-              f"{_fmt(lr.calibrated)}"
-              f"{_fmt(lr.behavioral_value_of_information)}"
-              f"{_fmt(lr.belief_loss, width=10)}"
-              f"{_fmt(lr.optimization_loss, width=10)}")
+        _print_loss_row(lr)
         for warning in lr.warnings:
             print(f"  warning [{name}]: {warning}")
     pooled = pooled_loss_report(reports) if len(reports) > 1 else None
     if pooled:
-        print(f"{'pooled':<16}{int(pooled.n_trials):>8}{_fmt(pooled.behavioral)}"
-              f"{_fmt(pooled.calibrated)}"
-              f"{_fmt(pooled.behavioral_value_of_information)}"
-              f"{_fmt(pooled.belief_loss, width=10)}"
-              f"{_fmt(pooled.optimization_loss, width=10)}")
+        _print_loss_row(pooled)
 
     def loss_payload(lr):
-        return {
-            "n_trials": lr.n_trials,
-            "behavioral": lr.behavioral,
-            "calibrated": lr.calibrated,
-            "behavioral_value_of_information":
-                lr.behavioral_value_of_information,
-            "belief_loss": lr.belief_loss,
-            "optimization_loss": lr.optimization_loss,
-            "warnings": list(lr.warnings),
-        }
+        return {k: v for k, v in dataclasses.asdict(lr).items() if k != "strategy"}
 
     payload = {
         "command": "post",

@@ -468,8 +468,9 @@ def design_violations(states: StateSpace, actions: ActionSpace, rule: ScoringRul
     :func:`structure_violations` and state count, prefixed ``strategy 'name': ``
     (a strategy is a raw ``(signals, joint)`` pair, or an
     :class:`InformationStructure` whose joint is valid, so only its shape is
-    read); then the rule's fit to the spaces, prefixed ``rule: ``; then the
-    report map's belief width at the report 0.5, prefixed ``report_map: ``."""
+    read); then the rule's type and fit to the spaces, prefixed ``rule: ``;
+    then the report map's type and belief width at the report 0.5, prefixed
+    ``report_map: ``."""
     out = []
     for name, strategy in strategies.items():
         if isinstance(strategy, InformationStructure):
@@ -486,15 +487,20 @@ def design_violations(states: StateSpace, actions: ActionSpace, rule: ScoringRul
         out += [f"rule: dimension: score matrix has {n} {what} but the space has {k}"
                 for n, what, k in zip(rule.scores.shape, ("actions", "states"),
                                       (len(actions), len(states))) if n != k]
-    else:
+    elif isinstance(rule, TransitRule):
         out += [f"rule: transit rule needs numeric {what} values"
                 for what, space in (("action", actions), ("state", states))
                 if space.values is None]
-    if report_map is not None:
+    else:
+        out.append(f"rule: must be a MatrixRule or TransitRule, not "
+                   f"{type(rule).__name__}")
+    if isinstance(report_map, ReportMap):
         width = report_map.belief_rows(np.array([0.5])).shape[1]
         if width != len(states):
             out.append(f"report_map: dimension: map {report_map.name!r} gives "
                        f"{width} states but the space has {len(states)}")
+    elif report_map is not None:
+        out.append(f"report_map: must be a ReportMap, not {type(report_map).__name__}")
     return out
 
 
@@ -502,8 +508,9 @@ def design_violations(states: StateSpace, actions: ActionSpace, rule: ScoringRul
 class ExperimentDesign:
     """A base decision task plus the set of strategies being compared.
 
-    Construction refuses every :func:`design_violations` misfit at once.
-    All strategies must share the same data-generating process, i.e. their
+    Construction refuses a ``conversion`` without a ``convert`` method, then
+    every strategy that is not an :class:`InformationStructure` and every
+    :func:`design_violations` misfit at once. All strategies must share the same data-generating process, i.e. their
     joints must marginalize to one common state prior.
     """
 
@@ -531,10 +538,21 @@ class ExperimentDesign:
             raise InvalidModelError(f"initial_score must be a finite number, "
                                     f"not {_shown(score)}")
         object.__setattr__(self, "initial_score", float(score))
+        conversion = self.conversion
+        if conversion is not None and not callable(getattr(conversion, "convert", None)):
+            raise InvalidModelError(f"conversion must be None or a conversion rule, "
+                                    f"not {type(conversion).__name__}")
         if not self.strategies:
             raise InvalidModelError("an experiment design needs at least one strategy")
-        problems = design_violations(self.states, self.actions, self.rule,
-                                     self.strategies, self.report_map)
+        # design_violations also reads raw (signals, joint) pairs; a design
+        # holds structures only
+        structures = {k: s for k, s in self.strategies.items()
+                      if isinstance(s, InformationStructure)}
+        problems = [f"strategy {k!r}: must be an InformationStructure, not "
+                    f"{type(s).__name__}"
+                    for k, s in self.strategies.items() if k not in structures]
+        problems += design_violations(self.states, self.actions, self.rule,
+                                      structures, self.report_map)
         if problems:
             raise InvalidModelError(problems)
         priors = {k: s.state_marginal() for k, s in self.strategies.items()}

@@ -1,12 +1,14 @@
 import csv
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rabench import trials
+from rabench.behavioral import decompose
 from rabench.errors import InvalidModelError
 from rabench.generative import sample_cells
 from rabench.model import (
@@ -220,6 +222,31 @@ def random_matrix_problem(rng: np.random.Generator, n_states=None, n_actions=Non
             signals=tuple(f"v{i}" for i in range(n_signals)), joint=joint
         )},
     )
+
+
+def with_oracle(design: ExperimentDesign) -> ExperimentDesign:
+    """``design`` plus a strategy "oracle" whose signal is the state. It
+    gives the design a positive value of information, which ``decompose``
+    needs, unless one action is best in every state, and it changes no
+    behavioral or calibrated score: those read only the joint, the rule and
+    the spaces."""
+    prior = next(iter(design.strategies.values())).state_marginal()
+    oracle = InformationStructure(design.states.ids, np.diag(prior))
+    return replace(design, strategies={**design.strategies, "oracle": oracle})
+
+
+def behavioral_and_calibrated(joint, design: ExperimentDesign, strategy: str,
+                              smoothing_alpha: float = 0.0):
+    """``decompose``'s behavioral and calibrated scores of ``joint`` under
+    ``with_oracle(design)``, or None where one action is best in every
+    state, after checking that ``decompose`` refuses that design."""
+    judged = with_oracle(design)
+    if rational_report(judged).value_of_information <= 0.0:
+        with pytest.raises(InvalidModelError, match="positive value of information"):
+            decompose(joint, judged, strategy, smoothing_alpha)
+        return None
+    report = decompose(joint, judged, strategy, smoothing_alpha)
+    return report.behavioral, report.calibrated
 
 
 def random_belief(rng: np.random.Generator, n: int) -> Belief:

@@ -12,8 +12,7 @@ import numpy as np
 from rabench.agents import AgentSpec, simulate
 from rabench.behavioral import (
     EmpiricalJoint,
-    behavioral_score,
-    calibrate,
+    decompose,
     ingest,
     loss_report,
 )
@@ -41,6 +40,7 @@ from rabench.rational import (
 )
 
 from conftest import (
+    behavioral_and_calibrated,
     constant_actions,
     monte_carlo_score,
     random_belief,
@@ -249,7 +249,7 @@ def test_criterion_4_decomposition_recovery():
 
     t0 = time.perf_counter()
     records = simulate(design, "CI", AgentSpec.uniform_random(), 100_000, seed=0)
-    c = calibrate(ingest(records, design), design).calibrated_score
+    c = decompose(ingest(records, design), design, "CI").calibrated
     elapsed = time.perf_counter() - t0
     # the calibrated value of state-independent behavior estimates the
     # baseline -100 p; its standard error is that of the freeze rate
@@ -341,8 +341,10 @@ def test_criterion_5_invariant_suite():
                 action_ids=base.actions.ids, state_ids=base.states.ids,
                 counts=masses * 1e6, kind="action",
             )
-            b = behavioral_score(joint, design)
-            c = calibrate(joint, design).calibrated_score
+            scores = behavioral_and_calibrated(joint, design, "full")
+            if scores is None:
+                continue
+            b, c = scores
             check(failures, c >= b - 1e-9,
                   f"trial {trial} {kind}: calibrated {c} < behavioral {b}")
             check(failures, c >= baseline - 1e-9,

@@ -7,7 +7,7 @@ import pytest
 
 from rabench import generative
 from rabench.agents import AgentSpec, _draw_stimuli, simulate
-from rabench.behavioral import behavioral_score, calibrate, ingest, loss_report
+from rabench.behavioral import decompose, ingest, loss_report
 from rabench.cases import build_kale
 from rabench.cli import main
 from rabench.errors import InvalidModelError
@@ -135,8 +135,7 @@ class TestSimulate:
     def test_rational_recovers_visualization_optimal(self):
         design = weather_design()
         records = simulate(design, "CI", AgentSpec.rational(), 100_000, seed=7)
-        joint = ingest(records, design)
-        b = behavioral_score(joint, design)
+        b = decompose(ingest(records, design), design, "CI").behavioral
         # 3 standard errors of the per-trial score spread at this n
         assert abs(b - (-5.689)) <= 0.12
 
@@ -144,7 +143,7 @@ class TestSimulate:
         design = weather_design()
         records = simulate(design, "CI", AgentSpec.prior_only(), 100_000, seed=7)
         assert {r[5] for r in trial_rows(records)} == {"no-salt"}
-        b = behavioral_score(ingest(records, design), design)
+        b = decompose(ingest(records, design), design, "CI").behavioral
         assert abs(b - (-7.96)) <= 0.26  # 3 se of a -100/0 bet at p=0.08
 
     def test_a_table_holds_no_object_per_trial(self):
@@ -340,8 +339,7 @@ class TestDecompositionRecovery:
         design = weather_design()
         records = simulate(design, "CI", AgentSpec.uniform_random(), 100_000,
                            seed=31)
-        joint = ingest(records, design)
-        c = calibrate(joint, design).calibrated_score
+        c = decompose(ingest(records, design), design, "CI").calibrated
         # state-independent behavior carries no information; 3 se margin
         assert abs(c - (-7.96)) <= 0.26
 

@@ -14,14 +14,10 @@ from rabench.agents import AgentSpec, simulate
 from rabench.behavioral import (
     EmpiricalJoint,
     LossReport,
-    behavioral_score,
-    behavioral_value_of_information,
-    belief_loss,
-    calibrate,
     decisions_from_beliefs,
+    decompose,
     ingest,
     loss_report,
-    optimization_loss,
     pooled_loss_report,
 )
 from rabench.cases import build_case
@@ -35,6 +31,7 @@ from rabench.generative import (
 from rabench.model import (
     ActionSpace,
     ExperimentDesign,
+    InformationStructure,
     MatrixRule,
     StateSpace,
 )
@@ -903,23 +900,47 @@ class TestIntegerTrialIds:
                                                             "True", "True"]
 
 
+class TestEmpiricalJoint:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_count_refused(self, bad):
+        with pytest.raises(InvalidModelError, match="^counts must be finite$"):
+            EmpiricalJoint(("x", "y"), ("a", "b"), np.array([[1.0, bad], [2.0, 3.0]]),
+                           "action")
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(InvalidModelError,
+                           match="^joint kind must be 'action' or 'report', not 'bogus'$"):
+            EmpiricalJoint(("x", "y"), ("a", "b"), np.ones((2, 2)), "bogus",
+                           action_values=(0.25, 0.75))
+
+    @pytest.mark.parametrize("values", [None, (0.5,), (0.25, 0.5, 0.75)])
+    def test_report_joint_needs_a_value_per_row(self, values):
+        with pytest.raises(InvalidModelError,
+                           match="^a report joint needs one action value per row$"):
+            EmpiricalJoint(("x", "y"), ("a", "b"), np.ones((2, 2)), "report",
+                           action_values=values)
+
+
 class TestBehavioralScore:
     def test_rational_channel_scores_at_the_optimal(self):
         design = weather_design()
         joint = exact_joint(design, rational_channel_masses())
-        assert behavioral_score(joint, design) == pytest.approx(-5.689, abs=1e-9)
+        assert decompose(joint, design, "CI").behavioral == pytest.approx(
+            -5.689, abs=1e-9)
 
     def test_prior_channel_scores_at_the_baseline(self):
         design = weather_design()
         joint = exact_joint(design, prior_channel_masses())
-        assert behavioral_score(joint, design) == pytest.approx(-7.96, abs=1e-9)
+        assert decompose(joint, design, "CI").behavioral == pytest.approx(
+            -7.96, abs=1e-9)
 
     def test_uniform_random_scores_the_row_average(self):
         design = weather_design()
         joint = exact_joint(design, random_channel_masses())
         # 0.5 * (-7.96) + 0.5 * (-10 * 0.9204) = -8.582
-        assert behavioral_score(joint, design) == pytest.approx(-8.582, abs=1e-9)
-        assert behavioral_score(joint, design) < -7.96
+        b = decompose(joint, design, "CI").behavioral
+        assert b == pytest.approx(-8.582, abs=1e-9)
+        assert b < -7.96
 
     def test_report_joint_scored_at_bin_midpoints(self):
         design = weather_design()
@@ -932,28 +953,27 @@ class TestBehavioralScore:
             record(3, "CI", "sigma=3", "freezing", "probability", 0.05),
         ]
         joint = ingest(trial_table(records), design)
-        assert behavioral_score(joint, design) == pytest.approx(-100.0 / 3.0)
+        assert decompose(joint, design, "CI").behavioral == pytest.approx(-100.0 / 3.0)
 
 
 class TestCalibrate:
     def test_rational_channel_calibrates_to_itself(self):
         design = weather_design()
         joint = exact_joint(design, rational_channel_masses())
-        result = calibrate(joint, design)
-        assert result.calibrated_score == pytest.approx(-5.689, abs=1e-9)
-        assert result.policy == {"no-salt": "no-salt", "salt": "salt"}
+        assert decompose(joint, design, "CI").calibrated == pytest.approx(
+            -5.689, abs=1e-9)
 
     def test_prior_channel_calibrates_to_baseline(self):
         design = weather_design()
         joint = exact_joint(design, prior_channel_masses())
-        result = calibrate(joint, design)
-        assert result.calibrated_score == pytest.approx(-7.96, abs=1e-9)
+        assert decompose(joint, design, "CI").calibrated == pytest.approx(
+            -7.96, abs=1e-9)
 
     def test_state_independent_behavior_calibrates_to_baseline(self):
         design = weather_design()
         joint = exact_joint(design, random_channel_masses())
-        result = calibrate(joint, design)
-        assert result.calibrated_score == pytest.approx(-7.96, abs=1e-9)
+        assert decompose(joint, design, "CI").calibrated == pytest.approx(
+            -7.96, abs=1e-9)
 
     def test_calibration_never_hurts(self):
         rng = np.random.default_rng(23)
@@ -961,25 +981,29 @@ class TestCalibrate:
         for _ in range(100):
             masses = rng.random((2, 2)) + 1e-3
             masses /= masses.sum()
-            joint = exact_joint(design, masses)
-            b = behavioral_score(joint, design)
-            c = calibrate(joint, design).calibrated_score
-            assert c >= b - 1e-12
+            report = decompose(exact_joint(design, masses), design, "CI")
+            assert report.calibrated >= report.behavioral - 1e-12
 
     def test_smoothing_pulls_tiny_samples_toward_uniform(self):
         design = weather_design()
         joint = exact_joint(design, np.array([[0.0, 1.0], [0.0, 0.0]]), scale=1.0)
-        plain = calibrate(joint, design).calibrated_score
-        smoothed = calibrate(joint, design, smoothing_alpha=1.0).calibrated_score
+        plain = decompose(joint, design, "CI").calibrated
+        smoothed = decompose(joint, design, "CI", smoothing_alpha=1.0).calibrated
         assert plain == pytest.approx(0.0)  # conditional is certain freezing
         assert smoothed < plain  # smoothing admits doubt
+
+    def test_smoothing_leaves_the_behavioral_score(self):
+        design = weather_design()
+        joint = exact_joint(design, np.array([[0.0, 1.0], [0.0, 0.0]]), scale=1.0)
+        assert decompose(joint, design, "CI", smoothing_alpha=1.0).behavioral == \
+            decompose(joint, design, "CI").behavioral
 
     @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
     def test_bad_smoothing_alpha_rejected(self, alpha):
         design = weather_design()
         joint = exact_joint(design, np.array([[0.5, 0.5], [0.0, 0.0]]), scale=1.0)
         with pytest.raises(InvalidModelError, match="smoothing_alpha"):
-            calibrate(joint, design, smoothing_alpha=alpha)
+            decompose(joint, design, "CI", smoothing_alpha=alpha)
 
     def test_huge_integer_smoothing_alpha_rejected(self):
         # below inf, yet adding it to the float counts overflows
@@ -987,25 +1011,70 @@ class TestCalibrate:
         joint = exact_joint(design, np.array([[0.5, 0.5], [0.0, 0.0]]), scale=1.0)
         with pytest.raises(InvalidModelError, match=(
                 f"^smoothing_alpha must be non-negative and finite, not {10**400}$")):
-            calibrate(joint, design, smoothing_alpha=10**400)
+            decompose(joint, design, "CI", smoothing_alpha=10**400)
+
+
+def zero_value_design() -> ExperimentDesign:
+    """A design whose one strategy's signal says nothing of the state."""
+    return ExperimentDesign(
+        states=StateSpace(ids=("a", "b")),
+        actions=ActionSpace.finite(("x", "y")),
+        rule=MatrixRule(np.array([[1.0, 0.0], [0.0, 1.0]])),
+        strategies={"noise": InformationStructure(
+            ("v1", "v2"), np.outer([0.5, 0.5], [0.3, 0.7]))},
+    )
 
 
 class TestLossPieces:
     def test_behavioral_value_of_information(self):
-        assert behavioral_value_of_information(-6.5, -7.96) == pytest.approx(1.46)
-        assert behavioral_value_of_information(-9.0, -7.96) == 0.0
-        assert behavioral_value_of_information(-7.96, -7.96) == 0.0
+        design = weather_design()
+        above = decompose(exact_joint(design, rational_channel_masses()), design, "CI")
+        assert above.behavioral_value_of_information == pytest.approx(2.271)
+        below = decompose(exact_joint(design, random_channel_masses()), design, "CI")
+        assert below.behavioral_value_of_information == 0.0
+        at = decompose(exact_joint(design, prior_channel_masses()), design, "CI")
+        assert at.behavioral_value_of_information == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_ratios(self):
-        assert belief_loss(-5.689, -5.689, 2.271) == pytest.approx(0.0)
-        assert belief_loss(-5.689, -7.96, 2.271) == pytest.approx(1.0)
-        assert optimization_loss(-7.0, -7.5, 2.271) == pytest.approx(0.5 / 2.271)
+        design = weather_design()
+        rational = decompose(exact_joint(design, rational_channel_masses()),
+                             design, "CI")
+        assert rational.belief_loss == pytest.approx(0.0, abs=1e-9)
+        prior = decompose(exact_joint(design, prior_channel_masses()), design, "CI")
+        assert prior.belief_loss == pytest.approx(1.0)
+        random = decompose(exact_joint(design, random_channel_masses()), design, "CI")
+        # calibrated -7.96 against behavioral -8.582
+        assert random.optimization_loss == pytest.approx(0.622 / 2.271)
 
     def test_zero_delta_refused(self):
-        with pytest.raises(InvalidModelError):
-            belief_loss(1.0, 1.0, 0.0)
-        with pytest.raises(InvalidModelError):
-            optimization_loss(1.0, 1.0, 0.0)
+        design = zero_value_design()
+        joint = EmpiricalJoint(design.actions.ids, design.states.ids,
+                               np.array([[1.0, 0.0], [0.0, 0.0]]), "action")
+        with pytest.raises(InvalidModelError,
+                           match="need a positive value of information"):
+            decompose(joint, design, "noise")
+
+
+class TestDecompose:
+    def test_joint_over_other_states_refused(self):
+        design = weather_design()
+        joint = EmpiricalJoint(design.actions.ids, ("a", "b"),
+                               np.array([[1.0, 2.0], [3.0, 4.0]]), "action")
+        with pytest.raises(InvalidModelError, match="not the design's"):
+            decompose(joint, design, "CI")
+
+    def test_unknown_strategy_refused(self):
+        design = weather_design()
+        joint = exact_joint(design, rational_channel_masses())
+        with pytest.raises(InvalidModelError, match="unknown strategy 'nope'"):
+            decompose(joint, design, "nope")
+
+    def test_loss_report_decomposes_the_ingested_joint(self):
+        design = weather_design()
+        table = simulate(design, "CI", AgentSpec.noisy_belief(0.8), 500, seed=6)
+        for alpha in (0.0, 0.5):
+            assert loss_report(design, "CI", table, smoothing_alpha=alpha) == \
+                decompose(ingest(table, design), design, "CI", smoothing_alpha=alpha)
 
 
 class TestLossReports:
@@ -1035,15 +1104,12 @@ class TestLossReports:
         for _ in range(50):
             masses = rng.random((2, 2)) + 1e-3
             masses /= masses.sum()
-            joint = exact_joint(design, masses)
-            b = behavioral_score(joint, design)
-            if b < rep.baseline:
+            report = decompose(exact_joint(design, masses), design, "CI")
+            if report.behavioral < rep.baseline:
                 continue
-            c = calibrate(joint, design).calibrated_score
             total = (
-                belief_loss(rep.benchmark, c, rep.value_of_information)
-                + optimization_loss(c, b, rep.value_of_information)
-                + (b - rep.baseline) / rep.value_of_information
+                report.belief_loss + report.optimization_loss
+                + (report.behavioral - rep.baseline) / rep.value_of_information
             )
             assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -1120,10 +1186,10 @@ class TestDecisionsFromBeliefs:
             records.append((str(i), "QDP", structure.signals[v],
                             str(state), "probability", midpoint))
         records = trial_table(records)
-        as_reports = behavioral_score(ingest(records, design), design)
-        as_decisions = behavioral_score(
-            ingest(decisions_from_beliefs(records, design), design), design
-        )
+        as_reports = decompose(ingest(records, design), design, "QDP").behavioral
+        as_decisions = decompose(
+            ingest(decisions_from_beliefs(records, design), design), design, "QDP"
+        ).behavioral
         assert as_reports == pytest.approx(as_decisions, abs=1e-9)
 
 
@@ -1149,12 +1215,9 @@ class TestBinningConsistency:
             records.append((str(i), "CI", signal, design.states.ids[t],
                             "probability", float(noisy)))
         records = trial_table(records)
-        c_coarse = calibrate(ingest(records, design, bin_width=0.05),
-                             design).calibrated_score
-        c_fine = calibrate(ingest(records, design, bin_width=0.02),
-                           design).calibrated_score
-        c_finest = calibrate(ingest(records, design, bin_width=0.01),
-                             design).calibrated_score
+        c_coarse, c_fine, c_finest = (
+            decompose(ingest(records, design, bin_width=width), design, "CI").calibrated
+            for width in (0.05, 0.02, 0.01))
         tol = 0.05 * 2.271  # discretization slack, in score units
         assert c_fine >= c_coarse - tol
         assert c_finest >= c_fine - tol

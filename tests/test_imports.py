@@ -102,12 +102,11 @@ PUBLIC_NAMES = {
     "IncentiveTable", "InformationStructure", "InvalidModelError", "LossReport",
     "MatrixRule", "PinnedValue", "RabenchError", "RationalReport", "ReportMap",
     "StateSpace", "TransitRule", "TrialDataError", "TrialTable", "TwoTeamDGM",
-    "behavioral_score", "behavioral_value_of_information",
-    "belief_loss", "build_case", "build_fernandes", "build_kale", "build_weather",
-    "calibrate", "decisions_from_beliefs", "design_from_config",
+    "build_case", "build_fernandes", "build_kale", "build_weather",
+    "decisions_from_beliefs", "decompose", "design_from_config",
     "design_to_config", "discretize", "incentive_table", "ingest", "kale_joint",
     "load_design_config", "loss_report",
-    "optimization_loss", "pooled_loss_report", "pos_to_win_probability", "prior",
+    "pooled_loss_report", "pos_to_win_probability", "prior",
     "rational_baseline", "rational_report", "read_trials_csv",
     "save_design_config", "simulate", "weather_joint",
     "win_probability_to_pos", "write_trials_csv",

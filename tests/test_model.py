@@ -579,6 +579,33 @@ class TestExperimentDesign:
                 f"^{field} {message}, not an integer of 5001 digits$")):
             replace(design, **{field: sign * 10**5000})
 
+    @pytest.mark.parametrize("parts, expected", [
+        (dict(strategies={"a": (("v",), [[0.5, 0.5]])}),
+         ["strategy 'a': must be an InformationStructure, not tuple"]),
+        (dict(strategies={"a": 5, "b": "s"}),
+         ["strategy 'a': must be an InformationStructure, not int",
+          "strategy 'b': must be an InformationStructure, not str"]),
+        (dict(rule="x"), ["rule: must be a MatrixRule or TransitRule, not str"]),
+        (dict(report_map="binary"), ["report_map: must be a ReportMap, not str"]),
+        (dict(strategies={"a": 5}, rule=None, report_map=len),
+         ["strategy 'a': must be an InformationStructure, not int",
+          "rule: must be a MatrixRule or TransitRule, not NoneType",
+          "report_map: must be a ReportMap, not builtin_function_or_method"]),
+    ])
+    def test_parts_of_the_wrong_type_refused(self, weather_states, parts, expected):
+        design = self.design_of_trials(weather_states, 1)
+        with pytest.raises(InvalidModelError) as err:
+            replace(design, **parts)
+        assert err.value.violations == expected
+
+    @pytest.mark.parametrize("conversion", ["abc", 0.5, AgentSpec.rational()])
+    def test_conversion_without_a_convert_method_refused(self, weather_states,
+                                                         conversion):
+        design = self.design_of_trials(weather_states, 1)
+        with pytest.raises(InvalidModelError, match=(
+                "^conversion must be None or a conversion rule, not ")):
+            replace(design, conversion=conversion)
+
 
 def _shared_posterior_designs(transit_dists_1000):
     yield "weather", build_case("weather").design
