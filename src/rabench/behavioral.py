@@ -40,6 +40,12 @@ if TYPE_CHECKING:
 DEFAULT_BIN_WIDTH = 0.02
 
 
+def _check_smoothing_alpha(alpha) -> None:
+    if not (_is_finite_number(alpha) and alpha >= 0.0):
+        raise InvalidModelError(f"smoothing_alpha must be non-negative and "
+                                f"finite, not {_shown(alpha)}")
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalJoint:
     """Counts and normalized masses over (observed action, realized state).
@@ -88,9 +94,7 @@ class EmpiricalJoint:
     def conditionals(self, rows, smoothing_alpha: float = 0.0) -> np.ndarray:
         """Empirical state-conditional of each row index in ``rows``, one
         belief row each; ``smoothing_alpha`` is added to every count first."""
-        if not (_is_finite_number(smoothing_alpha) and smoothing_alpha >= 0.0):
-            raise InvalidModelError(f"smoothing_alpha must be non-negative and "
-                                    f"finite, not {_shown(smoothing_alpha)}")
+        _check_smoothing_alpha(smoothing_alpha)
         rows = np.asarray(rows, dtype=np.intp)
         counts = self.counts[rows]
         if smoothing_alpha > 0.0:
@@ -269,6 +273,7 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     delta = report.value_of_information
     if delta <= 0.0:
         raise InvalidModelError("loss ratios need a positive value of information")
+    _check_smoothing_alpha(smoothing_alpha)
 
     masses = joint.masses
     marginal = masses.sum(axis=1)
@@ -283,7 +288,7 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
         beliefs = _resolve_report_map(design).to_beliefs(mids)
         best = optimal_action_indices(design, beliefs)
         b = _running_total(masses[rows] * outcome_scores(design, best, beliefs))
-    if smoothing_alpha != 0.0:
+    if smoothing_alpha > 0.0:
         ev = score_table(design, joint.conditionals(rows, smoothing_alpha))
     c = _running_total(marginal[rows] * ev[at, np.argmax(ev, axis=1)])
     rv = report.strategies[strategy].visualization_optimal

@@ -510,8 +510,9 @@ class ExperimentDesign:
 
     Construction refuses a ``conversion`` without a ``convert`` method, then
     every strategy that is not an :class:`InformationStructure` and every
-    :func:`design_violations` misfit at once. All strategies must share the same data-generating process, i.e. their
-    joints must marginalize to one common state prior.
+    :func:`design_violations` misfit at once. All strategies must share the
+    same data-generating process, i.e. their joints must marginalize to one
+    common state prior.
     """
 
     states: StateSpace

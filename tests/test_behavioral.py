@@ -998,7 +998,7 @@ class TestCalibrate:
         assert decompose(joint, design, "CI", smoothing_alpha=1.0).behavioral == \
             decompose(joint, design, "CI").behavioral
 
-    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf, False, True, "0.5"])
     def test_bad_smoothing_alpha_rejected(self, alpha):
         design = weather_design()
         joint = exact_joint(design, np.array([[0.5, 0.5], [0.0, 0.0]]), scale=1.0)
