@@ -75,7 +75,11 @@ class EmpiricalJoint:
             raise InvalidModelError("counts must be finite")
         if np.any(c < 0):
             raise InvalidModelError("counts must be non-negative")
-        if c.sum() <= 0:
+        with np.errstate(over="ignore"):
+            total = c.sum()
+        if total == np.inf:
+            raise InvalidModelError("the count total overflows a float")
+        if total <= 0:
             raise InvalidModelError("empirical joint needs at least one observation")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)

@@ -907,6 +907,12 @@ class TestEmpiricalJoint:
             EmpiricalJoint(("x", "y"), ("a", "b"), np.array([[1.0, bad], [2.0, 3.0]]),
                            "action")
 
+    def test_count_total_beyond_the_float_range_refused(self):
+        # each count is finite, but the masses would all read 0
+        with pytest.raises(InvalidModelError,
+                           match="^the count total overflows a float$"):
+            EmpiricalJoint(("x", "y"), ("a", "b"), np.full((2, 2), 1e308), "action")
+
     def test_unknown_kind_refused(self):
         with pytest.raises(InvalidModelError,
                            match="^joint kind must be 'action' or 'report', not 'bogus'$"):
