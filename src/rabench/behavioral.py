@@ -71,14 +71,12 @@ class EmpiricalJoint:
         c = np.array(self.counts, dtype=float)
         if c.shape != (len(self.action_ids), len(self.state_ids)):
             raise InvalidModelError("count matrix does not match action/state ids")
-        if not np.all(np.isfinite(c)):
-            raise InvalidModelError("counts must be finite")
+        with np.errstate(all="ignore"):  # a nan, an inf or a sum that overflows
+            total = c.sum()
+        if not np.isfinite(total):
+            raise InvalidModelError("counts and their total must be finite")
         if np.any(c < 0):
             raise InvalidModelError("counts must be non-negative")
-        with np.errstate(over="ignore"):
-            total = c.sum()
-        if total == np.inf:
-            raise InvalidModelError("the count total overflows a float")
         if total <= 0:
             raise InvalidModelError("empirical joint needs at least one observation")
         c.setflags(write=False)

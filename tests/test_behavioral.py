@@ -901,17 +901,16 @@ class TestIntegerTrialIds:
 
 
 class TestEmpiricalJoint:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_count_refused(self, bad):
-        with pytest.raises(InvalidModelError, match="^counts must be finite$"):
-            EmpiricalJoint(("x", "y"), ("a", "b"), np.array([[1.0, bad], [2.0, 3.0]]),
-                           "action")
-
-    def test_count_total_beyond_the_float_range_refused(self):
-        # each count is finite, but the masses would all read 0
+    # 1e308 four times: each count is finite, but their total is not, and
+    # the masses would all read 0
+    @pytest.mark.parametrize("counts", [[[1.0, np.nan], [2.0, 3.0]],
+                                        [[1.0, np.inf], [2.0, 3.0]],
+                                        [[1.0, np.inf], [-np.inf, 3.0]],
+                                        [[1e308, 1e308], [1e308, 1e308]]])
+    def test_non_finite_count_or_total_refused(self, counts):
         with pytest.raises(InvalidModelError,
-                           match="^the count total overflows a float$"):
-            EmpiricalJoint(("x", "y"), ("a", "b"), np.full((2, 2), 1e308), "action")
+                           match="^counts and their total must be finite$"):
+            EmpiricalJoint(("x", "y"), ("a", "b"), np.array(counts), "action")
 
     def test_unknown_kind_refused(self):
         with pytest.raises(InvalidModelError,
