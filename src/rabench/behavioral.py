@@ -265,6 +265,13 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     ``smoothing_alpha`` to every count, which is what a rational agent would
     earn from the information in the behavior. Rows that were never
     observed carry no weight and are skipped.
+
+    The losses are in units of the design's value of information, so a
+    design whose value of information is not positive (one action best in
+    every state, or only uninformative strategies) is refused, and its
+    scores with it. Adding a strategy whose signal is the state gives such
+    a design a positive value unless one action is best in every state,
+    and changes neither score.
     """
     if tuple(joint.state_ids) != design.states.ids:
         raise InvalidModelError(f"joint states {tuple(joint.state_ids)!r} are not "
@@ -280,18 +287,18 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     masses = joint.masses
     marginal = masses.sum(axis=1)
     rows = np.flatnonzero(marginal > 0)
-    ev = score_table(design, joint.conditionals(rows))
     at = np.arange(len(rows))
+    ev = score_table(design, joint.conditionals(rows, smoothing_alpha))
     if joint.kind == "action":
+        # the behavioral score reads the unsmoothed conditionals
+        raw = ev if smoothing_alpha == 0.0 else score_table(design, joint.conditionals(rows))
         actions = [design.actions.index(joint.action_ids[i]) for i in rows]
-        b = _running_total(marginal[rows] * ev[at, actions])
+        b = _running_total(marginal[rows] * raw[at, actions])
     else:
         mids = np.asarray(joint.action_values)[rows]
         beliefs = _resolve_report_map(design).to_beliefs(mids)
         best = optimal_action_indices(design, beliefs)
         b = _running_total(masses[rows] * outcome_scores(design, best, beliefs))
-    if smoothing_alpha > 0.0:
-        ev = score_table(design, joint.conditionals(rows, smoothing_alpha))
     c = _running_total(marginal[rows] * ev[at, np.argmax(ev, axis=1)])
     rv = report.strategies[strategy].visualization_optimal
 

@@ -22,10 +22,12 @@ from rabench.model import (
     _check_count,
     _check_seed,
     _is_integer,
+    _resolve_report_map,
     _shown,
     design_violations,
     optimal_action_indices,
     outcome_scores,
+    score_table,
 )
 from rabench.rational import rational_report
 
@@ -235,17 +237,41 @@ def with_oracle(design: ExperimentDesign) -> ExperimentDesign:
     return replace(design, strategies={**design.strategies, "oracle": oracle})
 
 
+def kernel_scores(joint, design: ExperimentDesign, smoothing_alpha: float = 0.0):
+    """The behavioral and calibrated scores of ``joint`` read from the kernel
+    as ``decompose`` reads them, on any design: an action joint's observed
+    actions, a report joint's bin-midpoint best responses, and each row's
+    best response to its (smoothed) conditional."""
+    marginal = joint.masses.sum(axis=1)
+    rows = np.flatnonzero(marginal > 0)
+    if joint.kind == "action":
+        ev = score_table(design, joint.conditionals(rows))
+        actions = [design.actions.index(joint.action_ids[i]) for i in rows]
+        behavioral = marginal[rows] @ ev[np.arange(len(rows)), actions]
+    else:
+        beliefs = _resolve_report_map(design).to_beliefs(
+            np.asarray(joint.action_values)[rows])
+        scores = outcome_scores(design, optimal_action_indices(design, beliefs), beliefs)
+        behavioral = (joint.masses[rows] * scores).sum()
+    ev = score_table(design, joint.conditionals(rows, smoothing_alpha))
+    return float(behavioral), float(marginal[rows] @ ev.max(axis=1))
+
+
 def behavioral_and_calibrated(joint, design: ExperimentDesign, strategy: str,
                               smoothing_alpha: float = 0.0):
-    """``decompose``'s behavioral and calibrated scores of ``joint`` under
-    ``with_oracle(design)``, or None where one action is best in every
-    state, after checking that ``decompose`` refuses that design."""
+    """The behavioral and calibrated scores of ``joint``: ``decompose``'s
+    under ``with_oracle(design)``, checked against ``kernel_scores``. Where
+    one action is best in every state, that design has no positive value of
+    information: ``decompose`` must refuse it, and the scores are
+    ``kernel_scores``'s alone."""
     judged = with_oracle(design)
+    scores = kernel_scores(joint, design, smoothing_alpha)
     if rational_report(judged).value_of_information <= 0.0:
         with pytest.raises(InvalidModelError, match="positive value of information"):
             decompose(joint, judged, strategy, smoothing_alpha)
-        return None
+        return scores
     report = decompose(joint, judged, strategy, smoothing_alpha)
+    assert (report.behavioral, report.calibrated) == pytest.approx(scores, rel=1e-9, abs=1e-9)
     return report.behavioral, report.calibrated
 
 

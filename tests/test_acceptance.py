@@ -341,10 +341,7 @@ def test_criterion_5_invariant_suite():
                 action_ids=base.actions.ids, state_ids=base.states.ids,
                 counts=masses * 1e6, kind="action",
             )
-            scores = behavioral_and_calibrated(joint, design, "full")
-            if scores is None:
-                continue
-            b, c = scores
+            b, c = behavioral_and_calibrated(joint, design, "full")
             check(failures, c >= b - 1e-9,
                   f"trial {trial} {kind}: calibrated {c} < behavioral {b}")
             check(failures, c >= baseline - 1e-9,

@@ -626,6 +626,26 @@ class TestSampleCells:
         want = direct_search_cells(joint, np.random.default_rng(n).uniform(size=n))
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("regime, cells", [
+        *(("passes", cells) for cells in (8, 64, 65, 128)),
+        *(("sorted", cells) for cells in (8, 64, 65, 128, 1024))])
+    @pytest.mark.parametrize("n", [100, 10_000])
+    def test_each_search_regime_matches_searchsorted(self, monkeypatch, regime, cells, n):
+        # _search forced into one regime by its bounds, as
+        # tools/sampler_crossover.py times it; the int8 passes count the
+        # entries below the last of at most 128. The draws take in every
+        # CDF entry below 1, shuffled
+        rng = np.random.default_rng(cells * n)
+        cum = generative._cdf(rng.random(cells) / cells)
+        u = np.concatenate([rng.uniform(size=n), cum[cum < 1.0]])
+        rng.shuffle(u)
+        want = np.searchsorted(cum, u, side="right")
+        monkeypatch.setattr(generative, "_PASS_CELLS", 128 if regime == "passes" else 0)
+        monkeypatch.setattr(generative, "_PASS_DRAWS", 0)
+        sizes = array_searches(monkeypatch)
+        np.testing.assert_array_equal(generative._search(cum, u), want)
+        assert sizes == ([len(u)] if regime == "sorted" else [])
+
     @pytest.mark.parametrize("shape", SAMPLER_SHAPES)
     def test_draws_on_cdf_entries(self, shape):
         # every CDF entry below 1 (repeated ones included), its neighbours one

@@ -147,10 +147,8 @@ class TestAgainstReferenceLoops:
     def test_behavioral_score_on_action_joints(self):
         for rng, problem in random_problems(42):
             joint = random_action_joint(rng, problem)
-            scores = behavioral_and_calibrated(joint, problem, "s")
-            if scores is not None:
-                assert scores[0] == pytest.approx(
-                    reference_behavioral(joint, problem), rel=RTOL)
+            score = behavioral_and_calibrated(joint, problem, "s")[0]
+            assert score == pytest.approx(reference_behavioral(joint, problem), rel=RTOL)
 
     def test_behavioral_score_on_report_joints(self):
         rng = np.random.default_rng(43)
@@ -162,19 +160,15 @@ class TestAgainstReferenceLoops:
             counts[0, 1] += 1
             joint = EmpiricalJoint(ids, problem.states.ids, counts, "report",
                                    action_values=tuple(mids))
-            scores = behavioral_and_calibrated(joint, problem, "s")
-            if scores is not None:
-                assert scores[0] == pytest.approx(
-                    reference_behavioral(joint, problem), rel=RTOL)
+            score = behavioral_and_calibrated(joint, problem, "s")[0]
+            assert score == pytest.approx(reference_behavioral(joint, problem), rel=RTOL)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_calibrate(self, alpha):
         for rng, problem in random_problems(44):
             joint = random_action_joint(rng, problem)
-            scores = behavioral_and_calibrated(joint, problem, "s", alpha)
-            if scores is not None:
-                assert scores[1] == pytest.approx(
-                    reference_calibrated(joint, problem, alpha), rel=RTOL)
+            score = behavioral_and_calibrated(joint, problem, "s", alpha)[1]
+            assert score == pytest.approx(reference_calibrated(joint, problem, alpha), rel=RTOL)
 
     def test_outcome_rows_average_to_the_score_table(self):
         for rng, problem in random_problems(45):
