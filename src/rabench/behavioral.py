@@ -256,22 +256,16 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     """Split the behavior in ``joint``, observed under ``strategy``, into
     its score, what its information was worth, and the two losses.
 
-    The behavioral score averages each observed action's score against that
-    action's empirical state-conditional (identical to averaging the score
-    table over the joint, and well defined for the transit rule); a report
-    joint scores each bin by playing the optimal action of the bin-midpoint
-    belief. The calibrated score replaces each observed action or bin with
-    the best response to its conditional, optionally smoothed by adding
-    ``smoothing_alpha`` to every count, which is what a rational agent would
-    earn from the information in the behavior. Rows that were never
-    observed carry no weight and are skipped.
-
-    The losses are in units of the design's value of information, so a
-    design whose value of information is not positive (one action best in
-    every state, or only uninformative strategies) is refused, and its
-    scores with it. Adding a strategy whose signal is the state gives such
-    a design a positive value unless one action is best in every state,
-    and changes neither score.
+    The behavioral score averages each observed action's score against its
+    empirical state-conditional (the score table averaged over the joint,
+    well defined for the transit rule); a report joint's bin plays the
+    optimal action of its midpoint belief. The calibrated score plays the
+    best response to each row's conditional, smoothed by adding
+    ``smoothing_alpha`` to every count: what a rational agent would earn
+    from the information in the behavior. Unobserved rows weigh nothing.
+    A design whose value of information, the losses' unit, is not positive
+    is refused; a strategy whose signal is the state gives it one unless
+    one action is best in every state, and changes neither score.
     """
     if tuple(joint.state_ids) != design.states.ids:
         raise InvalidModelError(f"joint states {tuple(joint.state_ids)!r} are not "
@@ -290,7 +284,6 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     at = np.arange(len(rows))
     ev = score_table(design, joint.conditionals(rows, smoothing_alpha))
     if joint.kind == "action":
-        # the behavioral score reads the unsmoothed conditionals
         raw = ev if smoothing_alpha == 0.0 else score_table(design, joint.conditionals(rows))
         actions = [design.actions.index(joint.action_ids[i]) for i in rows]
         b = _running_total(marginal[rows] * raw[at, actions])
