@@ -237,8 +237,10 @@ class LossReport:
     the design's value of information: ``belief_loss`` is the strategy's
     optimum minus the calibrated score (stimuli not differentiated), and
     ``optimization_loss`` the calibrated minus the behavioral score
-    (information not acted on). The loss ratios are raw (not clamped);
-    out-of-range values are flagged in ``warnings`` rather than hidden.
+    (information not acted on). Both are ``None`` when the design's value
+    of information is not positive, as ``StrategySummary.information_loss``
+    is. The loss ratios are raw (not clamped); out-of-range values are
+    flagged in ``warnings`` rather than hidden.
     """
 
     strategy: str
@@ -246,8 +248,8 @@ class LossReport:
     behavioral: float
     calibrated: float
     behavioral_value_of_information: float
-    belief_loss: float
-    optimization_loss: float
+    belief_loss: float | None
+    optimization_loss: float | None
     warnings: tuple[str, ...] = ()
 
 
@@ -263,9 +265,8 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     best response to each row's conditional, smoothed by adding
     ``smoothing_alpha`` to every count: what a rational agent would earn
     from the information in the behavior. Unobserved rows weigh nothing.
-    A design whose value of information, the losses' unit, is not positive
-    is refused; a strategy whose signal is the state gives it one unless
-    one action is best in every state, and changes neither score.
+    On a design whose value of information, the losses' unit, is not
+    positive, both losses are ``None``.
     """
     if tuple(joint.state_ids) != design.states.ids:
         raise InvalidModelError(f"joint states {tuple(joint.state_ids)!r} are not "
@@ -274,8 +275,6 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
         raise InvalidModelError(f"unknown strategy {strategy!r}")
     report = rational_report(design)
     delta = report.value_of_information
-    if delta <= 0.0:
-        raise InvalidModelError("loss ratios need a positive value of information")
     _check_smoothing_alpha(smoothing_alpha)
 
     masses = joint.masses
@@ -301,11 +300,13 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
             "behavioral score is below the no-signal baseline; the data are "
             "consistent with the signal having been ignored"
         )
-    bl = (rv - c) / delta
-    ol = (c - b) / delta
-    for name, value in (("belief loss", bl), ("optimization loss", ol)):
-        if value < -1e-9 or value > 1.0 + 1e-9:
-            warnings.append(f"{name} {value:.4f} falls outside [0, 1]")
+    bl = ol = None
+    if delta > 0.0:
+        bl = (rv - c) / delta
+        ol = (c - b) / delta
+        for name, value in (("belief loss", bl), ("optimization loss", ol)):
+            if value < -1e-9 or value > 1.0 + 1e-9:
+                warnings.append(f"{name} {value:.4f} falls outside [0, 1]")
     return LossReport(
         strategy=strategy,
         n_trials=joint.n,
@@ -339,14 +340,18 @@ def loss_report(design: ExperimentDesign, strategy: str,
 
 
 def pooled_loss_report(reports: Sequence[LossReport]) -> LossReport:
-    """Pool per-strategy reports, weighting by trial counts."""
+    """Pool per-strategy reports, weighting by trial counts; a loss that
+    some report lacks is pooled to ``None``."""
     if not reports:
         raise InvalidModelError("nothing to pool")
     weights = np.array([r.n_trials for r in reports], dtype=float)
     weights /= weights.sum()
 
-    def avg(attr: str) -> float:
-        return float(sum(w * getattr(r, attr) for w, r in zip(weights, reports)))
+    def avg(attr: str) -> float | None:
+        values = [getattr(r, attr) for r in reports]
+        if None in values:
+            return None
+        return float(sum(w * v for w, v in zip(weights, values)))
 
     warnings = tuple(w for r in reports for w in r.warnings)
     return LossReport(

@@ -2,8 +2,8 @@
 
 Builds information structures from the generative models behind the shipped
 case studies (Gaussian-threshold forecasts, the two-team score game, Box-Cox
-t arrival times), plus the discretization and Monte Carlo plumbing that
-connects continuous models to the finite-state analysis.
+t arrival times) by discretizing them onto the finite states, and holds one
+sampler, ``sample_cells``, which draws cells of a joint.
 
 Every stochastic operation takes an explicit seed and is reproducible.
 

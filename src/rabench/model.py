@@ -264,8 +264,9 @@ def _check_beliefs(p: np.ndarray) -> None:
     finite and no lower than ``-NORMALIZATION_TOL`` and each vector's mass
     is within ``NORMALIZATION_TOL`` of 1. A 1-D input is one belief, a 2-D
     input one belief per row."""
-    # array methods rather than np.any/np.clip: Belief runs this on every
-    # construction, and the functions' dispatch costs more than the work
+    # array methods rather than np.any/np.clip: the scoring kernels and
+    # ReportMap.to_beliefs run this on every call, and the functions'
+    # dispatch costs more than the work
     total = _row_sums(p)
     # min and max make no temporary array and give NaN if an item is NaN;
     # a NaN or infinite entry makes its vector's mass NaN or infinite

@@ -77,11 +77,14 @@ def experiment_score(design: ExperimentDesign, per_trial_score: float) -> float:
 
 @dataclass(frozen=True)
 class IncentiveRow:
+    """``incentive_ratio`` is the incentive over the baseline payment, and
+    ``None`` when that payment is zero."""
+
     strategy: str
     payment_baseline: float
     payment_optimal: float
     incentive: float
-    incentive_ratio: float
+    incentive_ratio: float | None
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,7 @@ def incentive_table(design: ExperimentDesign,
     conversion at the expected cumulative score; for floored conversions
     that is a linearization, and ``method="monte-carlo"`` instead simulates
     ``n`` per-trial scores, accumulates each session, converts, and averages.
+    Each row's incentive ratio is ``None`` when the baseline payment is zero.
     """
     rule = design.conversion
     if rule is None:
@@ -137,10 +141,6 @@ def incentive_table(design: ExperimentDesign,
 
     base_payment = payment(report.baseline, next(iter(report.strategies)),
                            report.prior.probabilities[None, :])
-    if base_payment == 0.0:
-        raise InvalidModelError(
-            "baseline payment is zero; the incentive ratio is undefined"
-        )
     optimal = {name: payment(s.visualization_optimal, name, s.posteriors)
                for name, s in report.strategies.items()}
     best = max(optimal, key=lambda name: report.strategies[name].visualization_optimal)
@@ -148,7 +148,8 @@ def incentive_table(design: ExperimentDesign,
                          payment_baseline=base_payment,
                          payment_optimal=pay,
                          incentive=pay - base_payment,
-                         incentive_ratio=(pay - base_payment) / base_payment)
+                         incentive_ratio=(pay - base_payment) / base_payment
+                         if base_payment != 0.0 else None)
             for name, pay in [*optimal.items(), ("benchmark", optimal[best])]]
     return IncentiveTable(rows=tuple(rows))
 

@@ -194,15 +194,13 @@ def _csv_fields(values: Sequence) -> Sequence[str]:
     return fields
 
 
-def _padded(data: np.ndarray, lengths: np.ndarray, width: int,
-            right: bool = False) -> np.ndarray:
+def _padded(data: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
     """Pieces given as their bytes joined and their lengths, each a row of
-    ``width`` bytes padded with ``_PAD``, on its left if ``right``."""
+    ``width`` bytes padded on its right with ``_PAD``."""
     rows = np.full((len(lengths), width), _PAD, dtype=np.uint8)
-    # each row's run of bytes and run of padding, in the row's order
-    runs = np.stack((width - lengths, lengths) if right else (lengths, width - lengths),
-                    axis=1).reshape(-1)
-    rows.reshape(-1)[np.repeat(np.tile([not right, right], len(lengths)), runs)] = data
+    # each row's run of bytes and run of padding
+    runs = np.stack((lengths, width - lengths), axis=1).reshape(-1)
+    rows.reshape(-1)[np.repeat(np.tile([True, False], len(lengths)), runs)] = data
     return rows
 
 
@@ -233,22 +231,22 @@ def _paired(first: tuple, second: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 class _Pieces:
     """A column's distinct pieces, given joined, each a row of ``table``
-    padded with ``_PAD``, on its left if ``right``.
+    padded on its right with ``_PAD``.
 
     The table takes about as many bytes as the pieces, or as
     ``_CSV_BLOCK_BYTES`` if that is more: a piece longer than its width is
     written as the own piece of each row that shows it.
     """
 
-    def __init__(self, data: np.ndarray, offsets: np.ndarray, right: bool):
-        self.data, self.offsets, self.right = data, offsets, right
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        self.data, self.offsets = data, offsets
         self.lengths = np.diff(offsets)
         self.long = self.lengths > max(_CSV_BLOCK_BYTES, len(data)) // max(len(offsets) - 1, 1)
         kept = np.where(self.long, 0, self.lengths)  # a long piece's row is all padding
         width = int(kept.max(initial=0))
         if 0 < width < 16:  # numpy copies rows of 1, 2, 4, 8 or 16 bytes fastest
             width = 1 << (width - 1).bit_length()
-        self.table = _padded(data[np.repeat(~self.long, self.lengths)], kept, width, right)
+        self.table = _padded(data[np.repeat(~self.long, self.lengths)], kept, width)
 
     def part(self, codes: np.ndarray, *own: tuple) -> "_Part":
         """A chunk's rows of the column, given their codes and any rows with
@@ -282,92 +280,55 @@ class _Part:
     def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
         """Write rows ``lo`` to ``hi`` of the chunk into ``out``, a matrix
         as wide as the widest of them."""
-        table, right = self.pieces.table, self.pieces.right
+        table = self.pieces.table
         width, have = out.shape[1], table.shape[1]
         spans = [(rows, data, offsets, *np.searchsorted(rows, (lo, hi)))
                  for rows, data, offsets in self.own]
         if sum(end - start for *_, start, end in spans) < hi - lo:
             codes = self.codes[lo:hi]  # code -1 wraps to a row given its own piece
             if width < have:  # each row's piece fits: cut padding off the table
-                out[...] = table[codes, have - width:] if right else table[codes, :width]
+                out[...] = table[codes, :width]
             else:
-                pad = slice(0, width - have) if right else slice(have, width)
-                out[:, pad] = _PAD
+                out[:, have:] = _PAD
                 # each row gathered as one item of ``have`` bytes
-                gathered = out[:, pad.stop:] if right else out[:, :have]
-                gathered.view(f"V{have}")[...] = np.take(table.view(f"V{have}"), codes, axis=0)
+                out[:, :have].view(f"V{have}")[...] = np.take(
+                    table.view(f"V{have}"), codes, axis=0)
         for rows, data, offsets, start, end in spans:
             if start < end:
                 out[rows[start:end] - lo] = _padded(
                     data[offsets[start]:offsets[end]],
-                    np.diff(offsets[start:end + 1]), width, right)
-
-
-#: The least number of each count of digits above one.
-_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
+                    np.diff(offsets[start:end + 1]), width)
 
 
 @lru_cache
-def _quads() -> np.ndarray:
-    """The four digits of each of 0 to 9999, in text order, as the low half
-    of a little-endian uint64."""
-    digits = (np.arange(10_000, dtype=np.uint16)[:, None]
-              // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0"))
-    quads = digits.astype(np.uint8).view("<u4").ravel().astype("<u8")
-    quads.setflags(write=False)
-    return quads
+def _digit_groups() -> _Pieces:
+    """The pieces of each group of four digits, of value g from 0 to 9999:
+    the empty piece (code 0), ``str(g)`` (code 1 + g) and its four digits,
+    zeros leading (code 10001 + g)."""
+    values = range(10_000)
+    return _Pieces(*_joined(["", *map(str, values), *(f"{g:04d}" for g in values)]))
 
 
-@lru_cache
-def _digit_fixes(digits: int, width: int) -> np.ndarray:
-    """XOR masks that turn a number's digits, zeros leading to ``digits``
-    of them, right-aligned in ``width`` bytes, into ``str`` of it padded
-    with ``_PAD``: row n for n digits, row ``digits + 1 + n`` for a
-    negative number's n digits."""
-    fixes = np.zeros((2, digits + 1, width), dtype=np.uint8)
-    for n in range(1, digits + 1):
-        fixes[:, n, :width - n] = ord("0") ^ _PAD
-        if n < width:
-            fixes[1, n, width - n - 1] = ord("0") ^ ord("-")
-    fixes.setflags(write=False)
-    return fixes.reshape(-1, width).view("<u8")
-
-
-class _Numbers:
-    """A chunk's integer trial ids, each written as ``str`` of it,
-    right-aligned in ``widths`` bytes."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        low, high = int(values.min()), int(values.max())
-        self.digits = len(str(max(high, -low)))
-        self.signed = low < 0
-        self.widths = -(-(self.digits + self.signed) // 8) * 8
-
-    def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
-        """Write rows ``lo`` to ``hi`` of the chunk into ``out``, a matrix
-        ``widths`` bytes wide: the digits of each number, eight to a word
-        with zeros leading, each word turned by its row of
-        ``_digit_fixes``."""
-        values = self.values[lo:hi]
-        magnitude = values.astype(np.uint64)
-        negative = values < 0 if self.signed else None
-        if self.signed:
-            # the int64 minimum too: its magnitude, 2**63, is a uint64
-            np.negative(magnitude, out=magnitude, where=negative)
-        count = np.searchsorted(_POWERS[:self.digits - 1], magnitude, side="right") + 1
-        if self.signed:
-            count[negative] += self.digits + 1
-        fixes = np.take(_digit_fixes(self.digits, out.shape[1]), count, axis=0)
-        words, rest, quads = out.view("<u8"), magnitude, _quads()
-        for i in range(words.shape[1] - 1, -1, -1):
-            eight = rest
-            if i:
-                rest = rest // 10**8
-                eight = eight - rest * 10**8
-            eight = eight.astype(np.intp)
-            four = eight // 10_000
-            words[:, i] = (quads[four] | quads[eight - four * 10_000] << 32) ^ fixes[:, i]
+def _digit_parts(ids: np.ndarray) -> list[_Part]:
+    """A chunk's non-negative integer ids, as ``str`` of each: a part per
+    group of four digits, the most significant first. A group after a
+    nonzero one is its four digits; a leading zero group other than the
+    last is empty, and any other group is ``str`` of its value."""
+    rest, values = ids.astype(np.uint64), []
+    for _ in range(-(-len(str(int(ids.max()))) // 4)):
+        quotient = rest // 10_000  # divides faster than % does
+        values.append((rest - quotient * 10_000).astype(np.intp))
+        rest = quotient
+    pieces, parts = _digit_groups(), []
+    offset = 1  # 10_001 in a row once it has had a nonzero group
+    for value in values[:0:-1]:
+        code = value + offset
+        begun = code != 1  # code 1 is "0", of a leading zero group,
+        code *= begun  # which takes the empty piece
+        offset = np.where(begun, 10_001, 1)
+        parts.append(pieces.part(code))
+    parts.append(pieces.part(values[0] + offset))
+    return parts
 
 
 def _write_rows(fh, parts: list, lo: int, hi: int) -> None:
@@ -405,14 +366,16 @@ def write_trials_csv(table: TrialTable, path: str | Path) -> None:
 
     The bytes are those of ``csv.writer``: each distinct id that it would
     quote is quoted once by it. A chunk of rows is written from one matrix
-    of bytes, a row each: the row's pieces side by side, each padded with
-    ``_PAD`` to its column's width, and written without the padding. The
-    digits of integer ids are made by numpy. An id column's piece, its field
-    with the comma before it, is gathered from a table of its distinct ones,
-    and so is a decision's response, with the line end after it;
-    neighbouring columns with few pairs of pieces share one table of the
-    pairs. Other trial ids are made row by row, and a chunk's probability
-    responses by one ``repr_rows`` call.
+    of bytes, a row each: the row's pieces side by side, each padded on its
+    right with ``_PAD`` to its column's width, and written without the
+    padding. A non-negative integer trial id is written as groups of four
+    digits, each gathered from one table of the pieces of 0 to 9999. An id
+    column's piece, its field with the comma before it, is gathered from a
+    table of its distinct ones, and so is a decision's response, with the
+    line end after it; neighbouring columns with few pairs of pieces share
+    one table of the pairs. Other trial ids, negative integers among them,
+    are made row by row, and a chunk's probability responses by one
+    ``repr_rows`` call.
     """
     columns = [(getattr(table, name), _joined([
         f",{f}" for f in _csv_fields(getattr(table, f"{name}_ids"))]))
@@ -434,22 +397,21 @@ def write_trials_csv(table: TrialTable, path: str | Path) -> None:
                 groups[-1] = ([*group, (codes, count)], _paired(joined, pieces))
                 continue
         groups.append(([(codes, count)], pieces))
-    # padding on alternate sides puts a row's padding together
-    groups = [(group, _Pieces(*joined, right=i % 2 == 1))
-              for i, (group, joined) in enumerate(groups)]
-    actions = _Pieces(*responses, right=len(groups) % 2 == 1)
-    numbered = table.trial_ids.dtype.kind in "iu"
+    groups = [(group, _Pieces(*joined)) for group, joined in groups]
+    actions = _Pieces(*responses)
+    ids = table.trial_ids
+    numbered = ids.dtype.kind in "iu" and not (ids < 0).any()
     if not numbered:
-        text_ids = _csv_fields(table.trial_ids.tolist())
-        no_pieces = _Pieces(*_joined([]), right=True)
+        text_ids = _csv_fields(ids.tolist())
+        no_pieces = _Pieces(*_joined([]))
     with open(path, "wb") as fh:
         fh.write((",".join(TRIAL_CSV_HEADER) + "\r\n").encode("utf-8"))
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
             count = min(_CSV_CHUNK_ROWS, len(table) - start)
-            parts = [_Numbers(table.trial_ids[rows]) if numbered else no_pieces.part(
-                         # every row has its own piece
-                         np.full(count, -1), (np.arange(count), *_joined(text_ids[rows])))]
+            parts = _digit_parts(ids[rows]) if numbered else [no_pieces.part(
+                # every row has its own piece
+                np.full(count, -1), (np.arange(count), *_joined(text_ids[rows])))]
             parts += [pieces.part(_mixed_radix(group, rows)) for group, pieces in groups]
             if not decided:
                 action = table.action[rows]

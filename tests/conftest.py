@@ -1,7 +1,6 @@
 import csv
 import os
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -226,17 +225,6 @@ def random_matrix_problem(rng: np.random.Generator, n_states=None, n_actions=Non
     )
 
 
-def with_oracle(design: ExperimentDesign) -> ExperimentDesign:
-    """``design`` plus a strategy "oracle" whose signal is the state. It
-    gives the design a positive value of information, which ``decompose``
-    needs, unless one action is best in every state, and it changes no
-    behavioral or calibrated score: those read only the joint, the rule and
-    the spaces."""
-    prior = next(iter(design.strategies.values())).state_marginal()
-    oracle = InformationStructure(design.states.ids, np.diag(prior))
-    return replace(design, strategies={**design.strategies, "oracle": oracle})
-
-
 def kernel_scores(joint, design: ExperimentDesign, smoothing_alpha: float = 0.0):
     """The behavioral and calibrated scores of ``joint`` read from the kernel
     as ``decompose`` reads them, on any design: an action joint's observed
@@ -259,18 +247,10 @@ def kernel_scores(joint, design: ExperimentDesign, smoothing_alpha: float = 0.0)
 
 def behavioral_and_calibrated(joint, design: ExperimentDesign, strategy: str,
                               smoothing_alpha: float = 0.0):
-    """The behavioral and calibrated scores of ``joint``: ``decompose``'s
-    under ``with_oracle(design)``, checked against ``kernel_scores``. Where
-    one action is best in every state, that design has no positive value of
-    information: ``decompose`` must refuse it, and the scores are
-    ``kernel_scores``'s alone."""
-    judged = with_oracle(design)
+    """The behavioral and calibrated scores of ``joint``: ``decompose``'s,
+    checked against ``kernel_scores``."""
+    report = decompose(joint, design, strategy, smoothing_alpha)
     scores = kernel_scores(joint, design, smoothing_alpha)
-    if rational_report(judged).value_of_information <= 0.0:
-        with pytest.raises(InvalidModelError, match="positive value of information"):
-            decompose(joint, judged, strategy, smoothing_alpha)
-        return scores
-    report = decompose(joint, judged, strategy, smoothing_alpha)
     assert (report.behavioral, report.calibrated) == pytest.approx(scores, rel=1e-9, abs=1e-9)
     return report.behavioral, report.calibrated
 

@@ -864,6 +864,8 @@ class TestIntegerTrialIds:
         info = np.iinfo(dtype)
         edges = [0, 9, 10, info.min, info.max]
         edges += [n for k in range(1, 20) for n in (10**k - 1, 10**k) if n <= info.max]
+        # a zero group of four digits inside the id
+        edges += [10**8 + 1, 10**12 + 10**4 + 7]
         if info.min < 0:
             edges += [-1, -10, info.min + 1]
         # each edge alone, and beside a number of each count of digits
@@ -875,6 +877,13 @@ class TestIntegerTrialIds:
             write_trials_csv(table, path)
             reference_write_trials_csv(table, reference)
             assert path.read_bytes() == reference.read_bytes(), ids
+
+    def test_each_piece_of_the_digit_group_table(self):
+        table = trials._digit_groups().table
+        assert table.shape == (20_001, 4)
+        pieces = [bytes(row[row != trials._PAD]).decode("ascii") for row in table]
+        assert pieces == ["", *(str(g) for g in range(10_000)),
+                          *(f"{g:04d}" for g in range(10_000))]
 
     def test_slicing_and_masking_keep_integers(self):
         table = integer_id_table(np.random.default_rng(3), 20, np.int32)
@@ -1051,13 +1060,24 @@ class TestLossPieces:
         # calibrated -7.96 against behavioral -8.582
         assert random.optimization_loss == pytest.approx(0.622 / 2.271)
 
-    def test_zero_delta_refused(self):
+    # action x scores 1 in state a, y in b; the baseline plays y on the
+    # prior (0.3, 0.7) for 0.7
+    @pytest.mark.parametrize("counts, behavioral, gain, warned", [
+        ([[1.0, 0.0], [0.0, 0.0]], 1.0, 0.3, False),
+        ([[0.0, 1.0], [0.0, 0.0]], 0.0, 0.0, True)])
+    def test_zero_delta_gives_scores_and_no_losses(self, counts, behavioral, gain,
+                                                   warned):
         design = zero_value_design()
         joint = EmpiricalJoint(design.actions.ids, design.states.ids,
-                               np.array([[1.0, 0.0], [0.0, 0.0]]), "action")
-        with pytest.raises(InvalidModelError,
-                           match="need a positive value of information"):
-            decompose(joint, design, "noise")
+                               np.array(counts), "action")
+        report = decompose(joint, design, "noise")
+        assert report.behavioral == pytest.approx(behavioral, abs=1e-12)
+        assert report.calibrated == pytest.approx(1.0, abs=1e-12)
+        assert report.behavioral_value_of_information == pytest.approx(gain, abs=1e-12)
+        assert report.belief_loss is None and report.optimization_loss is None
+        assert report.warnings == (("behavioral score is below the no-signal "
+                                    "baseline; the data are consistent with the "
+                                    "signal having been ignored",) if warned else ())
 
 
 class TestDecompose:
@@ -1134,6 +1154,13 @@ class TestLossReports:
         assert pooled.n_trials == 40.0
         assert pooled.behavioral == pytest.approx(0.75 * -6.0 + 0.25 * -7.0)
         assert pooled.belief_loss == pytest.approx(0.75 * 0.1 + 0.25 * 0.3)
+
+    def test_pooling_a_missing_loss_gives_none(self):
+        a = LossReport("s1", 30.0, -6.0, -5.8, 1.0, None, None)
+        b = LossReport("s2", 10.0, -7.0, -6.6, 0.5, None, None)
+        pooled = pooled_loss_report([a, b])
+        assert pooled.behavioral == pytest.approx(0.75 * -6.0 + 0.25 * -7.0)
+        assert pooled.belief_loss is None and pooled.optimization_loss is None
 
 
 class TestDecisionsFromBeliefs:

@@ -2,14 +2,19 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rabench.cases import build_case
 from rabench.cli import main
+from rabench.config_io import save_design_config
 from rabench.model import InformationStructure
+from rabench.payment import AffineConversion
+from rabench.rational import rational_report
 
 CLI = [sys.executable, "-m", "rabench.cli"]
 
@@ -106,6 +111,18 @@ class TestPre:
             "--trial-dists", str(dists), "--out", str(out))
         payload = json.loads(out.read_text())
         assert len(payload["strategies"]["full"]["posteriors"]) == 2
+
+    def test_zero_baseline_payment_writes_a_null_ratio(self, tmp_path, capsys):
+        design = build_case("weather").design
+        rule = AffineConversion(base=-rational_report(design).baseline, rate=1.0)
+        cfg, out = tmp_path / "weather.json", tmp_path / "pre.json"
+        save_design_config(replace(design, conversion=rule), cfg)
+        assert main(["pre", "--config", str(cfg), "--out", str(out)]) == 0
+        incentives = json.loads(out.read_text())["incentives"]
+        assert set(incentives) == {"mean", "CI", "gradient", "HOPs", "benchmark"}
+        assert {row["incentive_ratio"] for row in incentives.values()} == {None}
+        rows = capsys.readouterr().out.splitlines()[-5:]
+        assert [row.split()[-1] for row in rows] == ["n/a"] * 5
 
     def test_baseline_ratio_reported(self, tmp_path):
         out = tmp_path / "pre.json"
@@ -451,6 +468,24 @@ class TestSimulateAndPost:
         )
         proc = run("post", "--case", "weather", "--trials", str(trials), expect=2)
         assert "7" in proc.stderr
+
+    def test_zero_value_of_information_writes_null_losses(self, tmp_path, capsys):
+        # the mean strategy alone: its one signal tells nothing of the state
+        design = build_case("weather").design
+        cfg, trials, out = (tmp_path / name for name in ("mean.json", "trials.csv",
+                                                         "post.json"))
+        save_design_config(replace(design, strategies={"mean": design.strategies["mean"]}),
+                           cfg)
+        assert main(["simulate", "--config", str(cfg), "--agent", "rational",
+                     "--n", "100", "--out", str(trials)]) == 0
+        capsys.readouterr()
+        assert main(["post", "--config", str(cfg), "--trials", str(trials),
+                     "--out", str(out)]) == 0
+        mean = json.loads(out.read_text())["strategies"]["mean"]
+        assert mean["n_trials"] == 100.0
+        assert mean["belief_loss"] is None and mean["optimization_loss"] is None
+        row = capsys.readouterr().out.splitlines()[2]
+        assert row.split()[0] == "mean" and row.split()[-2:] == ["n/a", "n/a"]
 
     def test_bad_agent_spec_exits_2(self, tmp_path):
         run("simulate", "--case", "weather", "--agent", "telepath",

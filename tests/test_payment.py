@@ -13,6 +13,7 @@ from rabench.payment import (
     experiment_score,
     incentive_table,
 )
+from rabench.rational import rational_report
 
 from conftest import BAD_SEEDS, GOOD_SEEDS, seed_refusal, weather_design
 
@@ -166,12 +167,21 @@ class TestIncentiveTable:
         with pytest.raises(InvalidModelError):
             incentive_table(weather_design())
 
-    def test_zero_baseline_payment_rejected(self):
+    @pytest.mark.parametrize("rate", [0.01, 1.0])
+    def test_zero_baseline_payment_gives_no_ratio(self, rate):
         design = weather_design()
-        # base exactly cancels the baseline payment
-        rule = AffineConversion(base=0.0796 * 100 * 0.01, rate=0.01)
-        with pytest.raises(InvalidModelError):
-            incentive_table(replace(design, conversion=rule))
+        # base exactly cancels the baseline payment, a score of -7.96
+        rule = AffineConversion(base=-rate * rational_report(design).baseline, rate=rate)
+        table = incentive_table(replace(design, conversion=rule))
+        assert [row.strategy for row in table.rows] == \
+            ["mean", "CI", "gradient", "HOPs", "benchmark"]
+        for row in table.rows:
+            assert row.payment_baseline == 0.0
+            assert row.incentive == row.payment_optimal
+            assert row.incentive_ratio is None
+        assert table.row("mean").incentive == pytest.approx(0.0, abs=1e-12)
+        # the benchmark's score, -5.689, is 2.271 above the baseline
+        assert table.benchmark.incentive == pytest.approx(rate * 2.271, rel=1e-9)
 
     def test_shift_raises_the_incentive_ratio(self):
         # removing a guaranteed floor from payments leaves the incentive

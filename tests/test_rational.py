@@ -106,7 +106,7 @@ class TestRationalQuantities:
         assert rational_report(design).value_of_information == pytest.approx(
             0.0, abs=1e-12)
 
-    def test_zero_value_loss_refused(self):
+    def test_zero_value_losses_are_none(self):
         states = StateSpace(ids=("a", "b"))
         joint = np.outer([0.5, 0.5], [0.3, 0.7])
         design = ExperimentDesign(
@@ -116,9 +116,12 @@ class TestRationalQuantities:
             strategies={"noise": InformationStructure(("v1", "v2"), joint)},
         )
         trials = trial_table([("1", "noise", "v1", "a", "action", "x")])
-        with pytest.raises(InvalidModelError,
-                           match="need a positive value of information"):
-            loss_report(design, "noise", trials)
+        report = loss_report(design, "noise", trials)
+        # x scores 1 in state a; the baseline plays y on the prior for 0.7
+        assert (report.behavioral, report.calibrated) == pytest.approx((1.0, 1.0))
+        assert report.behavioral_value_of_information == pytest.approx(0.3)
+        assert report.belief_loss is None and report.optimization_loss is None
+        assert report.warnings == ()
 
 
 class TestInformationLoss:
