@@ -34,7 +34,7 @@ _EXPORTS = {
               "MatrixRule", "ReportMap", "StateSpace", "TransitRule"),
     "payment": ("AffineConversion", "ConversionRule", "FlooredAffineConversion",
                 "IncentiveTable", "incentive_table"),
-    "rational": ("RationalReport", "prior", "rational_baseline", "rational_report"),
+    "rational": ("RationalReport", "rational_report"),
     "trials": ("TrialTable", "read_trials_csv", "write_trials_csv"),
 }
 _SUBMODULES = frozenset({*_EXPORTS, "cli", "floattext"})

@@ -36,9 +36,9 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .generative import _cdf, _search, sample_cells
-from .model import (ExperimentDesign, _check_count, _check_seed, _is_finite_number,
-                    _resolve_report_map, _row_argmax, _score_table, _shown)
-from .rational import prior
+from .model import (Belief, ExperimentDesign, _check_count, _check_seed,
+                    _is_finite_number, _resolve_report_map, _row_argmax, _score_table,
+                    _shown)
 
 if TYPE_CHECKING:
     from .trials import TrialTable
@@ -184,7 +184,8 @@ def _responses(design, structure, agent, v_idx, rng) -> np.ndarray:
     if agent.kind == "rational" or agent.kind == "noisy-belief" and not agent.noise_sd:
         return respond(structure.posteriors())[v_idx]
     if agent.kind == "prior":
-        return np.full(n, respond(prior(structure).probabilities[None, :])[0])
+        p = Belief(structure.state_marginal()).probabilities
+        return np.full(n, respond(p[None, :])[0])
     if agent.kind == "uniform-random":
         return pick()
     if agent.kind == "lapse":

@@ -90,9 +90,6 @@ class EmpiricalJoint:
     def masses(self) -> np.ndarray:
         return self.counts / self.counts.sum()
 
-    def action_marginal(self) -> np.ndarray:
-        return self.masses.sum(axis=1)
-
     def conditionals(self, rows, smoothing_alpha: float = 0.0) -> np.ndarray:
         """Empirical state-conditional of each row index in ``rows``, one
         belief row each; ``smoothing_alpha`` is added to every count first."""

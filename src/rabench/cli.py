@@ -322,7 +322,7 @@ def cmd_simulate(args) -> int:
 
     design, _ = _resolve_design(args)
     agent = _parse_agent(args.agent, args.task)
-    strategy = args.strategy or design.strategy_names()[0]
+    strategy = args.strategy or next(iter(design.strategies))
     trials = simulate(design, strategy, agent, args.n, seed=args.seed,
                       balanced=args.balanced)
     write_trials_csv(trials, args.out)

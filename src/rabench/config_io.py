@@ -53,12 +53,10 @@ def _report_map_by_name(name: str, n_states: int) -> ReportMap:
 def design_to_config(design: ExperimentDesign) -> dict:
     """Canonical JSON-ready form of a design (explicit tables throughout)."""
     states: dict = {"ids": list(design.states.ids)}
-    if design.states.labels:
-        states["labels"] = list(design.states.labels)
     if design.states.values is not None:
         states["values"] = list(design.states.values)
 
-    actions: dict = {"kind": design.actions.kind, "ids": list(design.actions.ids)}
+    actions: dict = {"ids": list(design.actions.ids)}
     if design.actions.values is not None:
         actions["values"] = list(design.actions.values)
 
@@ -113,10 +111,11 @@ def save_design_config(design: ExperimentDesign, path: str | Path) -> None:
 
 def _load_actions(cfg: dict) -> ActionSpace:
     kind = cfg.get("kind", "finite")
+    if kind not in ("finite", "grid", "report"):
+        raise InvalidModelError(f"unknown action space kind {kind!r}")
     if "ids" in cfg:
         return ActionSpace(
             ids=tuple(cfg["ids"]),
-            kind=kind,
             values=tuple(cfg["values"]) if cfg.get("values") is not None else None,
         )
     if kind == "grid":
@@ -201,7 +200,6 @@ def design_from_config(cfg: dict) -> ExperimentDesign:
 
     states = _section("states", lambda: StateSpace(
         ids=tuple(cfg["states"]["ids"]),
-        labels=tuple(cfg["states"].get("labels", ())),
         values=tuple(cfg["states"]["values"])
         if cfg["states"].get("values") is not None else None,
     ))

@@ -23,7 +23,8 @@ Beliefs are the rows of an (n, states) matrix, so one belief is a
 (1, states) matrix, and ``optimal_action_indices`` gives each row's best
 action; ``InformationStructure.posteriors()`` gives every signal's posterior
 as one such matrix, built on first use and then shared read-only by every
-caller. ``Belief`` is only the checked one-vector type of a prior. A belief
+caller. ``Belief`` is only the checked one-vector type of
+``RationalReport.prior``, and of the prior agent's belief. A belief
 matrix or score table narrower than 8 columns is summed and ranked by
 passes over its columns, which give the same bits as numpy's row
 reductions without their cost per row.
@@ -120,16 +121,11 @@ class StateSpace:
     """
 
     ids: tuple[str, ...]
-    labels: tuple[str, ...] = ()
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(str(s) for s in self.ids))
         _check_unique(self.ids, "state space")
-        if self.labels:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != len(self.ids):
-                raise InvalidModelError("state labels must match states 1:1")
         if self.values is not None:
             vals = tuple(float(v) for v in self.values)
             if len(vals) != len(self.ids):
@@ -148,24 +144,19 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """Finite action menu, possibly produced by expanding a grid or by
-    binning probability reports.
+    """Finite action menu.
 
-    kind is one of ``finite`` (explicit ids), ``grid`` (numeric grid expanded
-    to one action per step), or ``report`` (probability reports over a binary
-    state space, discretized into bins; each action's value is its bin
-    midpoint).
+    ``values`` optionally attaches a number to each action: the minute of
+    each step of an ``integer_grid``, or the midpoint of each
+    probability-report bin (``report_bins``).
     """
 
     ids: tuple[str, ...]
-    kind: str = "finite"
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(str(a) for a in self.ids))
         _check_unique(self.ids, "action space")
-        if self.kind not in ("finite", "grid", "report"):
-            raise InvalidModelError(f"unknown action space kind {self.kind!r}")
         if self.values is not None:
             vals = tuple(float(v) for v in self.values)
             if len(vals) != len(self.ids):
@@ -174,7 +165,7 @@ class ActionSpace:
 
     @staticmethod
     def finite(ids: Sequence[str]) -> "ActionSpace":
-        return ActionSpace(ids=tuple(ids), kind="finite")
+        return ActionSpace(ids=tuple(ids))
 
     @staticmethod
     def integer_grid(low: int, high: int, step: int = 1) -> "ActionSpace":
@@ -187,11 +178,8 @@ class ActionSpace:
         if high < low:
             raise InvalidModelError("grid upper bound below lower bound")
         vals = range(low, high + 1, step)
-        return ActionSpace(
-            ids=tuple(str(v) for v in vals),
-            kind="grid",
-            values=tuple(float(v) for v in vals),
-        )
+        return ActionSpace(ids=tuple(str(v) for v in vals),
+                           values=tuple(float(v) for v in vals))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -566,9 +554,6 @@ class ExperimentDesign:
                     f"strategy {k!r} marginalizes to a different state prior "
                     f"than {ref_name!r}"
                 )
-
-    def strategy_names(self) -> list[str]:
-        return list(self.strategies)
 
 
 @dataclass(frozen=True)

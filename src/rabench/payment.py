@@ -70,11 +70,6 @@ def _check_rate(rate: float) -> None:
         )
 
 
-def experiment_score(design: ExperimentDesign, per_trial_score: float) -> float:
-    """Cumulative score a session earns at a given per-trial expectation."""
-    return design.initial_score + design.trials_per_experiment * per_trial_score
-
-
 @dataclass(frozen=True)
 class IncentiveRow:
     """``incentive_ratio`` is the incentive over the baseline payment, and
@@ -133,7 +128,8 @@ def incentive_table(design: ExperimentDesign,
     # each signal plays its optimal action under its row of ``beliefs`` (or the prior's)
     def payment(per_trial: float, strategy: str, beliefs: np.ndarray) -> float:
         if method == "linearized":
-            return rule.convert(experiment_score(design, per_trial))
+            return rule.convert(design.initial_score
+                                + design.trials_per_experiment * per_trial)
         structure = design.strategies[strategy]
         actions = np.broadcast_to(optimal_action_indices(design, beliefs),
                                   len(structure))

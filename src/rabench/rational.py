@@ -11,23 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Belief,
-    ExperimentDesign,
-    InformationStructure,
-    _score_table,
-)
-
-
-def prior(structure: InformationStructure) -> Belief:
-    """Marginal state distribution implied by the joint: p(theta) = sum_v pi(v, theta)."""
-    return Belief(structure.state_marginal())
-
-
-def rational_baseline(design: ExperimentDesign) -> float:
-    """Expected score of an optimal agent who only knows the shared prior."""
-    p = prior(next(iter(design.strategies.values()))).probabilities
-    return float(_score_table(design, p[None, :]).max())
+from .model import Belief, ExperimentDesign, _score_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +31,8 @@ class StrategySummary:
 class RationalReport:
     """Every pre-experimental rational-agent quantity for one design.
 
+    ``prior`` is the state marginal that every strategy shares, and
+    ``baseline`` the expected score of an optimal agent who knows only it.
     ``information_loss`` entries are ``None`` when the design carries no
     information value (the ratio is undefined rather than NaN).
     """
@@ -68,8 +54,8 @@ def rational_report(design: ExperimentDesign) -> RationalReport:
     information loss is the share of the value of information (benchmark
     minus baseline) that it gives up.
     """
-    baseline = rational_baseline(design)
-    p = prior(next(iter(design.strategies.values())))
+    p = Belief(next(iter(design.strategies.values())).state_marginal())
+    baseline = float(_score_table(design, p.probabilities[None, :]).max())
 
     optima = {}
     for name, structure in design.strategies.items():

@@ -34,10 +34,7 @@ from rabench.model import (
     score_table,
 )
 from rabench.payment import incentive_table
-from rabench.rational import (
-    prior,
-    rational_report,
-)
+from rabench.rational import rational_report
 
 from conftest import (
     behavioral_and_calibrated,
@@ -273,7 +270,7 @@ def exact_channel_joint(problem: ExperimentDesign, kind: str,
         best = optimal_action_indices(problem, structure.posteriors())
         np.add.at(masses, best, structure.joint)
     elif kind == "prior":
-        p = prior(structure).probabilities
+        p = structure.state_marginal()
         masses[optimal_action_indices(problem, p[None, :])[0]] = \
             structure.state_marginal()
     elif kind == "uniform":

@@ -12,7 +12,6 @@ from rabench.cases import build_kale
 from rabench.cli import main
 from rabench.errors import InvalidModelError
 from rabench.model import InformationStructure, _resolve_report_map, optimal_action_indices
-from rabench.rational import prior
 
 from conftest import (BAD_SEEDS, GOOD_SEEDS, FixedUniforms, array_searches, seed_refusal,
                       trial_rows, weather_design)
@@ -184,7 +183,7 @@ class TestSimulate:
         records = simulate(design, "CI", agent, 50_000, seed=5)
         joint = ingest(records, design)
         # a full lapser is uniform over actions regardless of signal
-        marginal = joint.action_marginal()
+        marginal = joint.masses.sum(axis=1)
         assert marginal[0] == pytest.approx(0.5, abs=0.02)
 
     def test_balanced_mode_evens_out_signals(self):
@@ -363,7 +362,7 @@ def reference_decisions(design, structure, agent, v_idx, rng):
     if agent.kind == "rational":
         return optimal_action_indices(design, structure.posteriors())[v_idx]
     if agent.kind == "prior":
-        p = prior(structure).probabilities
+        p = structure.state_marginal()
         return np.full(n, optimal_action_indices(design, p[None, :])[0])
     if agent.kind == "uniform-random":
         return rng.integers(0, n_actions, size=n)
@@ -387,7 +386,7 @@ def reference_reports(design, structure, agent, v_idx, rng):
             reports = np.clip(_sigmoid(_logit(reports) + noise), 1e-12, 1.0 - 1e-12)
         return reports
     if agent.kind == "prior":
-        p = prior(structure).probabilities
+        p = structure.state_marginal()
         return np.full(n, from_beliefs(p[None, :])[0])
     if agent.kind == "uniform-random":
         return rng.uniform(size=n)

@@ -16,7 +16,7 @@ from rabench.config_io import design_from_config, design_to_config
 from rabench.errors import ConfigError, InvalidModelError
 from rabench.model import MatrixRule
 from rabench.payment import incentive_table
-from rabench.rational import rational_baseline, rational_report
+from rabench.rational import rational_report
 
 from conftest import violations
 
@@ -85,7 +85,7 @@ class TestKaleCase:
 
     def test_baseline_band(self):
         case = build_kale()
-        baseline = rational_baseline(case.design)
+        baseline = rational_report(case.design).baseline
         assert 1.55 <= baseline <= 1.60
         assert baseline == pytest.approx(1.585, abs=1e-9)
 
@@ -249,7 +249,7 @@ class TestFernandesCase:
                                   * (rule.max_destination_minutes
                                      - (mean - theta)))
             best = max(best, total)
-        assert rational_baseline(design) == pytest.approx(best, rel=1e-12)
+        assert rational_report(design).baseline == pytest.approx(best, rel=1e-12)
 
     def test_reference_table_values_are_flagged_not_asserted(self):
         case = build_fernandes(scenario=2)

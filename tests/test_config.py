@@ -163,6 +163,23 @@ class TestLoading:
         assert design_to_config(design_from_config(cfg)) == \
             design_to_config(build_weather().design)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("states", "labels", ["no ice", "ice"]), ("actions", "kind", "finite"),
+        ("actions", "kind", "grid"), ("actions", "kind", "report")])
+    def test_keys_no_field_holds_load_to_an_equal_design(self, section, key, value):
+        # configs exported with state labels or an action kind load as before
+        cfg = design_to_config(build_weather().design)
+        cfg[section][key] = value
+        assert design_to_config(design_from_config(cfg)) == \
+            design_to_config(build_weather().design)
+
+    def test_unknown_action_kind(self):
+        cfg = design_to_config(build_weather().design)
+        cfg["actions"]["kind"] = "continuous"
+        with pytest.raises(ConfigError,
+                           match="^actions: unknown action space kind 'continuous'$"):
+            design_from_config(cfg)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_design_config(tmp_path / "absent.json")

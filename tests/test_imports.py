@@ -106,8 +106,8 @@ PUBLIC_NAMES = {
     "decisions_from_beliefs", "decompose", "design_from_config",
     "design_to_config", "discretize", "incentive_table", "ingest", "kale_joint",
     "load_design_config", "loss_report",
-    "pooled_loss_report", "pos_to_win_probability", "prior",
-    "rational_baseline", "rational_report", "read_trials_csv",
+    "pooled_loss_report", "pos_to_win_probability", "rational_report",
+    "read_trials_csv",
     "save_design_config", "simulate", "weather_joint",
     "win_probability_to_pos", "write_trials_csv",
 }
@@ -133,6 +133,7 @@ def test_public_names_are_pinned():
     ("cases.quantile_text_partition", "rounding"), ("InformationStructure", "check"),
     *[("TwoTeamDGM", field) for field in ("baseline_mean", "win_threshold", "sigmas")],
     ("EmpiricalJoint", "bin_width"), ("ActionSpace", "bin_width"),
+    ("ActionSpace", "kind"), ("StateSpace", "labels"),
     ("decisions_from_beliefs", "report_map"),
 ])
 def test_removed_options_raise_type_error(function, keyword):
@@ -151,6 +152,11 @@ def test_removed_names_are_gone():
     assert not hasattr(rabench.ActionSpace, "probability_reports")
     assert not hasattr(rabench, "monte_carlo_score")
     assert not hasattr(rabench.generative, "monte_carlo_score")
+    for owner, name in [(rabench.rational, "prior"), (rabench.rational, "rational_baseline"),
+                        (rabench.payment, "experiment_score"),
+                        (rabench.ExperimentDesign, "strategy_names"),
+                        (rabench.EmpiricalJoint, "action_marginal")]:
+        assert not hasattr(owner, name), name
 
 
 def imported_names(module: str) -> list[tuple[str, str]]:

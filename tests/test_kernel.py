@@ -93,7 +93,7 @@ def reference_behavioral(joint: EmpiricalJoint, base: ExperimentDesign) -> float
 
 def reference_calibrated(joint: EmpiricalJoint, base: ExperimentDesign,
                          alpha: float) -> float:
-    marginal = joint.action_marginal()
+    marginal = joint.masses.sum(axis=1)
     total = 0.0
     for i in range(len(joint.action_ids)):
         if marginal[i] <= 0:

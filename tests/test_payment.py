@@ -10,7 +10,6 @@ from rabench.model import ActionSpace, ExperimentDesign, MatrixRule, StateSpace
 from rabench.payment import (
     AffineConversion,
     FlooredAffineConversion,
-    experiment_score,
     incentive_table,
 )
 from rabench.rational import rational_report
@@ -86,11 +85,13 @@ class TestConvert:
 class TestExperimentScore:
     def test_single_trial_identity(self):
         design = weather_design_with_conversion()
-        assert experiment_score(design, -7.96) == pytest.approx(-7.96)
+        assert (design.initial_score + design.trials_per_experiment * -7.96
+                == pytest.approx(-7.96))
 
     def test_cumulative_accounting(self):
         design = kale_design()
-        assert experiment_score(design, 1.585) == pytest.approx(108.0 + 32 * 1.585)
+        assert (design.initial_score + design.trials_per_experiment * 1.585
+                == pytest.approx(108.0 + 32 * 1.585))
 
 
 class TestIncentiveTable:

@@ -12,7 +12,7 @@ from rabench.model import (
     MatrixRule,
     StateSpace,
 )
-from rabench.rational import prior, rational_baseline, rational_report
+from rabench.rational import rational_report
 
 from conftest import (
     optimum,
@@ -26,14 +26,13 @@ from conftest import (
 
 class TestPriorPosterior:
     def test_weather_prior(self, weather_problem):
-        p = prior(weather_problem.strategies["s"])
+        p = rational_report(weather_problem).prior
         assert p.probabilities[1] == pytest.approx(0.0796, abs=1e-12)
 
     def test_single_signal_prior_equals_conditional(self):
         s = InformationStructure(signals=("v",), joint=np.array([[0.3, 0.7]]))
-        p = prior(s)
         q = posterior(s, "v")
-        np.testing.assert_allclose(p.probabilities, q.probabilities)
+        np.testing.assert_allclose(s.state_marginal(), q.probabilities)
 
     def test_weather_posteriors(self, weather_problem):
         q2 = posterior(weather_problem.strategies["s"], "sigma=2")
@@ -59,7 +58,8 @@ class TestPriorPosterior:
 
 class TestRationalQuantities:
     def test_weather_baseline(self, weather_problem):
-        assert rational_baseline(weather_problem) == pytest.approx(-7.96, abs=1e-9)
+        assert rational_report(weather_problem).baseline == pytest.approx(-7.96,
+                                                                          abs=1e-9)
 
     def test_weather_visualization_optimal(self, weather_problem):
         # no-salt on the two tight forecasts, salt on the two wide ones:
@@ -70,7 +70,7 @@ class TestRationalQuantities:
         design = weather_design()
         report = rational_report(design)
         assert report.strategies["mean"].visualization_optimal == pytest.approx(
-            rational_baseline(design), abs=1e-12
+            report.baseline, abs=1e-12
         )
 
     def test_weather_benchmark(self):
@@ -158,7 +158,7 @@ class TestInformationLoss:
             if report.value_of_information <= 1e-9:
                 continue
             best = max(
-                design.strategy_names(),
+                list(design.strategies),
                 key=lambda s: report.strategies[s].visualization_optimal,
             )
             assert report.strategies[best].information_loss == pytest.approx(
