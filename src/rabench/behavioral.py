@@ -263,7 +263,10 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     ``smoothing_alpha`` to every count: what a rational agent would earn
     from the information in the behavior. Unobserved rows weigh nothing.
     On a design whose value of information, the losses' unit, is not
-    positive, both losses are ``None``.
+    positive, both losses are ``None``. The behavioral score is flagged as
+    below the no-signal baseline only when it is more than two standard
+    errors below it, the error being that of a mean of ``joint.n`` realized
+    scores, one per observed (row, state) cell at its mass.
     """
     if tuple(joint.state_ids) != design.states.ids:
         raise InvalidModelError(f"joint states {tuple(joint.state_ids)!r} are not "
@@ -278,21 +281,26 @@ def decompose(joint: EmpiricalJoint, design: ExperimentDesign, strategy: str,
     marginal = masses.sum(axis=1)
     rows = np.flatnonzero(marginal > 0)
     at = np.arange(len(rows))
-    ev = score_table(design, joint.conditionals(rows, smoothing_alpha))
+    conditionals = joint.conditionals(rows)
+    ev = score_table(design, conditionals if smoothing_alpha == 0.0
+                     else joint.conditionals(rows, smoothing_alpha))
     if joint.kind == "action":
-        raw = ev if smoothing_alpha == 0.0 else score_table(design, joint.conditionals(rows))
+        raw = ev if smoothing_alpha == 0.0 else score_table(design, conditionals)
         actions = [design.actions.index(joint.action_ids[i]) for i in rows]
         b = _running_total(marginal[rows] * raw[at, actions])
+        realized = outcome_scores(design, actions, conditionals)
     else:
         mids = np.asarray(joint.action_values)[rows]
         beliefs = _resolve_report_map(design).to_beliefs(mids)
         best = optimal_action_indices(design, beliefs)
-        b = _running_total(masses[rows] * outcome_scores(design, best, beliefs))
+        realized = outcome_scores(design, best, beliefs)
+        b = _running_total(masses[rows] * realized)
     c = _running_total(marginal[rows] * ev[at, np.argmax(ev, axis=1)])
     rv = report.strategies[strategy].visualization_optimal
+    se = float(np.sqrt(np.sum(masses[rows] * (realized - b) ** 2) / joint.n))
 
     warnings = []
-    if b < report.baseline:
+    if b < report.baseline - 2.0 * se:
         warnings.append(
             "behavioral score is below the no-signal baseline; the data are "
             "consistent with the signal having been ignored"

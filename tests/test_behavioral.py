@@ -1147,6 +1147,24 @@ class TestLossReports:
         report = loss_report(design, "CI", trial_table(records))
         assert any("baseline" in w for w in report.warnings)
 
+    def test_sampling_error_alone_does_not_warn(self):
+        # a rational agent on an uninformative strategy scores the baseline
+        # in expectation; 11 of these 20 runs fell below it
+        design = weather_design()
+        warned = [any("baseline" in w for w in loss_report(
+            design, "mean", simulate(design, "mean", AgentSpec.rational(),
+                                     10_000, seed=seed)).warnings)
+                  for seed in range(20)]
+        assert sum(warned) <= 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_play_still_warns(self, seed):
+        # 6.0-7.8 standard errors below the baseline
+        design = weather_design()
+        table = simulate(design, "CI", AgentSpec.uniform_random(), 50_000, seed=seed)
+        assert any("below the no-signal baseline" in w
+                   for w in loss_report(design, "CI", table).warnings)
+
     def test_pooling_weights_by_trial_count(self):
         a = LossReport("s1", 30.0, -6.0, -5.8, 1.0, 0.1, 0.05)
         b = LossReport("s2", 10.0, -7.0, -6.6, 0.5, 0.3, 0.15)
