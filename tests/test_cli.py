@@ -209,11 +209,11 @@ class TestPostJsonBytes:
 
     @pytest.mark.parametrize("name, design, options, sha256", [
         ("weather", "weather", [],
-         "f8070ba914e2d1575de80372c8bf9296105bde5c09276b9c194c1987e1a6533c"),
+         "c4927ec83b4b959a928f161bf9fef0caed81f8737552e084ddefcf39df0b0de5"),
         ("weather", "weather", ["--smoothing-alpha", "0.5"],
-         "0a8adaf85e10e2d496ba05f4d778b2429fec6bc0e59a3f2d2f2f0ceb8c5d6aed"),
+         "f2719a8221f4799479954d1ea801d2b4cf579032b9268dc492a2665a3a4696d8"),
         ("two-strategy", "weather", [],
-         "e684ddcf3998345115a7d07d26557abaa62e45f8af506c4b1f8d51118ef32b36"),
+         "c402b90f9434e03e67c9e90b2b8ea010cb8fe92db69255431c673e66a766e7a2"),
         ("kale2020", "kale2020", [],
          "a94c84f4ecb8246a4d652924c0234b6101ba365ce1f9720506ec9de167fc8241"),
         ("kale2020", "kale2020", ["--bin-width", "0.05"],
