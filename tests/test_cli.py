@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -227,6 +228,30 @@ class TestPostJsonBytes:
         assert main(["post", "--case", design, "--trials", str(trial_files[name]),
                      *options, "--out", str(out)]) == 0
         assert sha256_of(out) == sha256
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, transit_dists_1000, threads):
+    """Fresh processes under one and two OpenBLAS threads write the pinned
+    transit-1000 ``pre`` and fernandes2018 ``post`` bytes."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = threads
+    pre, trials, post = (tmp_path / name for name in ("pre.json", "trials.csv",
+                                                      "post.json"))
+    for args in (["pre", "--case", "fernandes2018", "--scenario", "2",
+                  "--trial-dists", str(transit_dists_1000), "--out", str(pre)],
+                 ["simulate", *POST_INPUTS["fernandes2018"], "--n", "2000",
+                  "--out", str(trials)],
+                 ["post", "--case", "fernandes2018", "--trials", str(trials),
+                  "--out", str(post)]):
+        proc = subprocess.run([*CLI, *args], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    # the pins of test_generated_1000_trials and test_simulated_files
+    assert sha256_of(pre) == \
+        "e0fce42522cd4acacd95e64fe7ab7e386ea54a07a49ac156f734261b3639ec62"
+    assert sha256_of(post) == \
+        "e7a15a8192a65ae46addcd461be7b82a3661f2a84ced91ef5588122d4fb2ac05"
 
 
 #: Ids the JSON encoder has to escape, or writes as they are.
