@@ -152,7 +152,8 @@ def test_removed_names_are_gone():
     assert not hasattr(rabench.ActionSpace, "probability_reports")
     assert not hasattr(rabench, "monte_carlo_score")
     assert not hasattr(rabench.generative, "monte_carlo_score")
-    for owner, name in [(rabench.rational, "prior"), (rabench.rational, "rational_baseline"),
+    for owner, name in [(rabench.rational, "prior"),
+                        (rabench.rational, "rational_baseline"),
                         (rabench.payment, "experiment_score"),
                         (rabench.ExperimentDesign, "strategy_names"),
                         (rabench.EmpiricalJoint, "action_marginal")]:

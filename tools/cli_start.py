@@ -113,13 +113,12 @@ def main(argv: list[str] | None = None) -> int:
     base_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     envs = {name: dict(base_env, **change) for name, change in SETTINGS.items()}
-    times = {name: {s: [] for s in SETTINGS} for name in commands(Path(), "caller")}
-    hashes = {name: {s: set() for s in SETTINGS} for name in times}
-
     with tempfile.TemporaryDirectory(prefix="cli_start-") as tmp:
         work = Path(tmp)
         write_transit_dists(work / "trial_dists.csv")
         cmds = {s: commands(work, s) for s in SETTINGS}
+        times = {name: {s: [] for s in SETTINGS} for name in cmds["caller"]}
+        hashes = {name: {s: set() for s in SETTINGS} for name in times}
         for round_ in range(args.rounds + 1):  # round 0 warms up, untimed
             order = list(SETTINGS)[::1 if round_ % 2 else -1]
             for name in times:
@@ -132,12 +131,15 @@ def main(argv: list[str] | None = None) -> int:
                         digest = hashlib.sha256(output.read_bytes()).hexdigest()
                         hashes[name][setting].add(digest)
 
+    import numpy
+    import scipy
+
     record = {
         "tool": "tools/cli_start.py",
         "rounds": args.rounds,
         "host": {"cpu": cpu_model(), "cpus": len(os.sched_getaffinity(0)),
                  "python": platform.python_version()},
-        "libraries": library_versions(),
+        "libraries": {"numpy": numpy.__version__, "scipy": scipy.__version__},
         "caller_thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES},
         "settings": SETTINGS,
         "commands": {},
@@ -162,13 +164,6 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-def library_versions() -> dict:
-    out = subprocess.run([sys.executable, "-c",
-                          "import numpy, scipy; print(numpy.__version__, scipy.__version__)"],
-                         capture_output=True, text=True, check=True).stdout.split()
-    return {"numpy": out[0], "scipy": out[1]}
 
 
 if __name__ == "__main__":
