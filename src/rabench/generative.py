@@ -3,7 +3,7 @@
 Builds information structures from the generative models behind the shipped
 case studies (Gaussian-threshold forecasts, the two-team score game, Box-Cox
 t arrival times) by discretizing them onto the finite states, and holds one
-sampler, ``sample_cells``, which draws cells of a joint.
+sampler, ``sample_cells``, which draws the agents' i.i.d. stimulus cells.
 
 Every stochastic operation takes an explicit seed and is reproducible.
 
@@ -451,7 +451,7 @@ def _search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 def sample_cells(joint: np.ndarray, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(row index, column index) of ``n`` i.i.d. draws from a 2-d joint,
-    one uniform variate per draw.
+    one uniform variate per draw; ``agents`` is the package's only caller.
 
     Each draw is the exact inverse-CDF search of its uniform by ``_search``:
     by passes on weather's 8 cells and kale2020's 32, in sorted order on

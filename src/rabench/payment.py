@@ -3,26 +3,25 @@
 Scores are dimensionless points everywhere else in the package; this module
 owns the translation to real payments. Experiment-level accounting
 (per-trial scores accumulated over a session, plus any starting balance)
-happens before conversion.
+happens before conversion, on the expected session score or, exactly, on
+the session total's law; nothing here samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import InvalidModelError
-from .generative import sample_cells
-from .model import (
-    ExperimentDesign,
-    InformationStructure,
-    _check_count,
-    _check_seed,
-    optimal_action_indices,
-    outcome_scores,
-)
+from .model import (ExperimentDesign, _is_finite_number, _shown, optimal_action_indices,
+                    outcome_scores)
 from .rational import rational_report
+
+#: The most terms (count vectors x distinct scores) of one exact payment.
+MAX_EXACT_TERMS = 2**22
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class AffineConversion:
     rate: float
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        _check_conversion(self)
 
     def convert(self, score: float) -> float:
         return self.base + self.rate * score
@@ -52,7 +51,7 @@ class FlooredAffineConversion:
     floor: float
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        _check_conversion(self)
 
     def convert(self, score: float) -> float:
         return self.base + self.rate * max(0.0, score - self.floor)
@@ -61,13 +60,16 @@ class FlooredAffineConversion:
 ConversionRule = AffineConversion | FlooredAffineConversion
 
 
-def _check_rate(rate: float) -> None:
-    if not np.isfinite(rate):
-        raise InvalidModelError("conversion rate must be finite")
-    if rate < 0:
-        raise InvalidModelError(
-            "conversion must be nondecreasing in score (rate >= 0)"
-        )
+def _check_conversion(rule) -> None:
+    """Refuse a parameter of ``rule`` that is not a finite number (a bool,
+    a string, NaN and an infinity included), and a negative rate."""
+    for field in fields(rule):
+        value = getattr(rule, field.name)
+        if not _is_finite_number(value):
+            raise InvalidModelError(f"conversion {field.name} must be a finite number, "
+                                    f"not {_shown(value)}")
+    if rule.rate < 0:
+        raise InvalidModelError("conversion must be nondecreasing in score (rate >= 0)")
 
 
 @dataclass(frozen=True)
@@ -98,46 +100,38 @@ class IncentiveTable:
 
 
 def incentive_table(design: ExperimentDesign,
-                    method: str = "linearized",
-                    n: int = 100_000,
-                    seed: int = 0) -> IncentiveTable:
+                    method: str = "linearized") -> IncentiveTable:
     """Expected payments to a rational agent with and without the signal,
     under the design's conversion rule.
 
     One row per strategy plus a ``benchmark`` row for the best strategy, so
     no strategy may be named ``benchmark``. The default evaluates the
-    conversion at the expected cumulative score; for floored conversions
-    that is a linearization, and ``method="monte-carlo"`` instead simulates
-    ``n`` per-trial scores, accumulates each session, converts, and averages.
+    conversion at the expected session score: exact for an affine
+    conversion, a linearization for any other, which ``method="exact"``
+    instead averages over the session total's law (see ``_exact_payment``).
     Each row's incentive ratio is ``None`` when the baseline payment is zero.
     """
     rule = design.conversion
     if rule is None:
         raise InvalidModelError("the design carries no conversion rule")
-    if method not in ("linearized", "monte-carlo"):
+    if method not in ("linearized", "exact"):
         raise InvalidModelError(f"unknown incentive method {method!r}")
-    if method == "monte-carlo":
-        _check_count(n, "draw")
-        _check_seed(seed)
     if "benchmark" in design.strategies:
         raise InvalidModelError("a strategy named 'benchmark' clashes with the "
                                 "incentive table's benchmark row")
 
     report = rational_report(design)
 
-    # each signal plays its optimal action under its row of ``beliefs`` (or the prior's)
-    def payment(per_trial: float, strategy: str, beliefs: np.ndarray) -> float:
-        if method == "linearized":
-            return rule.convert(design.initial_score
-                                + design.trials_per_experiment * per_trial)
-        structure = design.strategies[strategy]
-        actions = np.broadcast_to(optimal_action_indices(design, beliefs),
-                                  len(structure))
-        return _simulated_payment(design, rule, structure, actions, n, seed)
+    def payment(per_trial: float, beliefs: np.ndarray, masses: np.ndarray) -> float:
+        if method == "exact" and not isinstance(rule, AffineConversion):
+            return _exact_payment(design, beliefs, masses)
+        return rule.convert(design.initial_score
+                            + design.trials_per_experiment * per_trial)
 
-    base_payment = payment(report.baseline, next(iter(report.strategies)),
-                           report.prior.probabilities[None, :])
-    optimal = {name: payment(s.visualization_optimal, name, s.posteriors)
+    prior = report.prior.probabilities[None, :]
+    base_payment = payment(report.baseline, prior, prior)
+    optimal = {name: payment(s.visualization_optimal, s.posteriors,
+                             design.strategies[name].joint)
                for name, s in report.strategies.items()}
     best = max(optimal, key=lambda name: report.strategies[name].visualization_optimal)
     rows = [IncentiveRow(strategy=name,
@@ -150,22 +144,33 @@ def incentive_table(design: ExperimentDesign,
     return IncentiveTable(rows=tuple(rows))
 
 
-def _simulated_payment(design: ExperimentDesign, rule: ConversionRule,
-                       structure: InformationStructure, actions: np.ndarray,
-                       n: int, seed: int) -> float:
-    """Average converted payment over simulated sessions of playing action
-    index ``actions[i]`` on signal i of ``structure``.
-
-    Sessions draw ``trials_per_experiment`` i.i.d. trial scores, so floors
-    and other nonlinearities are honored exactly up to Monte Carlo error.
-    """
+def _exact_payment(design: ExperimentDesign, beliefs, masses) -> float:
+    """Expected converted payment of a session in which row i of ``beliefs``
+    plays its optimal action on the cells of row i of ``masses``: the sum,
+    over every count vector c of the k distinct trial scores v, of c's
+    multinomial mass times the conversion of ``initial_score + c @ v``."""
     trials = design.trials_per_experiment
-    sessions = max(n // trials, 1)
-    # one long score stream reshaped into sessions keeps the estimate
-    # seeded and deterministic without per-session generator churn
-    cells = sample_cells(structure.joint, sessions * trials,
-                         np.random.default_rng(seed))
-    scores = outcome_scores(design, actions, structure.posteriors())[cells]
-    per_session = scores.reshape(sessions, trials).sum(axis=1)
-    payments = [rule.convert(design.initial_score + s) for s in per_session]
-    return float(np.mean(payments))
+    scores = outcome_scores(design, optimal_action_indices(design, beliefs), beliefs)
+    # one sort merges equal scores; np.unique would load numpy.ma
+    order = np.argsort(scores, axis=None, kind="stable")
+    scores, masses = scores.ravel()[order], masses.ravel()[order]
+    first = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+    values, probs = scores[first], np.add.reduceat(masses, first)
+    values, probs = values[probs > 0], probs[probs > 0]
+    k = len(values)
+    vectors = math.comb(trials + k - 1, k - 1)
+    if vectors * k > MAX_EXACT_TERMS:
+        raise InvalidModelError(f"an exact payment sums C({trials + k - 1}, {k - 1}) = "
+                                f"{_shown(vectors)} count vectors of {k} scores each, "
+                                f"past the cap of {MAX_EXACT_TERMS} terms")
+    if k == 1:  # a certain total, and T (up to 2**53) too long for a table
+        return design.conversion.convert(design.initial_score + trials * float(values[0]))
+    # stars and bars: k - 1 bar positions among trials + k - 1 slots
+    bars = np.fromiter(chain.from_iterable(combinations(range(trials + k - 1), k - 1)),
+                       np.intp, vectors * (k - 1)).reshape(vectors, k - 1)
+    counts = np.diff(bars, axis=1, prepend=-1, append=trials + k - 1) - 1
+    log_factorial = np.r_[0.0, np.cumsum(np.log(np.arange(1, trials + 1)))]
+    log_mass = log_factorial[-1] - log_factorial[counts].sum(axis=1) + counts @ np.log(probs)
+    totals = design.initial_score + counts @ values
+    pays = np.fromiter(map(design.conversion.convert, totals.tolist()), float, vectors)
+    return float(np.exp(log_mass) @ pays)

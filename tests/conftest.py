@@ -28,6 +28,7 @@ from rabench.model import (
     outcome_scores,
     score_table,
 )
+from rabench.payment import ConversionRule
 from rabench.rational import rational_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -204,6 +205,27 @@ def monte_carlo_score(design: ExperimentDesign, strategy: str, actions,
     mean = scores.sum() / n
     var = max((scores ** 2).sum() / n - mean ** 2, 0.0)
     return float(mean), float(np.sqrt(var / n))
+
+
+def _simulated_payment(design: ExperimentDesign, rule: ConversionRule,
+                       structure: InformationStructure, actions: np.ndarray,
+                       n: int, seed: int) -> float:
+    """Average converted payment over simulated sessions of playing action
+    index ``actions[i]`` on signal i of ``structure``.
+
+    Sessions draw ``trials_per_experiment`` i.i.d. trial scores, so floors
+    and other nonlinearities are honored exactly up to Monte Carlo error.
+    """
+    trials = design.trials_per_experiment
+    sessions = max(n // trials, 1)
+    # one long score stream reshaped into sessions keeps the estimate
+    # seeded and deterministic without per-session generator churn
+    cells = sample_cells(structure.joint, sessions * trials,
+                         np.random.default_rng(seed))
+    scores = outcome_scores(design, actions, structure.posteriors())[cells]
+    per_session = scores.reshape(sessions, trials).sum(axis=1)
+    payments = [rule.convert(design.initial_score + s) for s in per_session]
+    return float(np.mean(payments))
 
 
 def random_matrix_problem(rng: np.random.Generator, n_states=None, n_actions=None,

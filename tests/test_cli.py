@@ -617,6 +617,14 @@ def _trial_dists(row: str) -> str:
                 "conversion": {"kind": "affine", "base": 1.0, "rate": 0.1}},
      "named 'benchmark'"),
     ("config", {"initial_score": 10**400}, "initial_score must be a finite number"),
+    *[("config", {"conversion": {"kind": kind, "base": 1.0, "rate": 0.1, "floor": 0.0,
+                                 key: value}},
+       f"conversion: conversion {key} must be a finite number, not {shown}")
+      for kind, keys in (("affine", ("base", "rate")),
+                         ("floored-affine", ("base", "rate", "floor")))
+      for key in keys
+      for value, shown in (("1.0", "'1.0'"), (True, "True"), (float("nan"), "nan"),
+                           (float("inf"), "inf"), (float("-inf"), "-inf"))],
     pytest.param("config", json.dumps(SMALL_CONFIG)[:-1] + ', "initial_score": 1'
                  + "0" * 5000 + "}", "cannot be read as JSON",
                  id="config-5001-digit-integer"),

@@ -71,6 +71,22 @@ def test_importing_the_package_loads_no_module(tmp_path):
     assert loaded_rabench_modules("import rabench", tmp_path) == []
 
 
+def test_the_payment_module_loads_no_sampler(tmp_path):
+    assert loaded_rabench_modules("import rabench.payment", tmp_path) == [
+        "numpy", *(f"rabench.{m}" for m in ("errors", "model", "payment", "rational"))]
+
+
+def test_an_exact_floored_incentive_table_loads_no_lazy_module(tmp_path):
+    code = "\n".join([
+        "from dataclasses import replace",
+        "import rabench",
+        "design = replace(rabench.build_case('weather').design, conversion="
+        "rabench.FlooredAffineConversion(base=1.0, rate=0.01, floor=-7.0))",
+        "rabench.incentive_table(design, method='exact')",
+    ])
+    assert loaded_lazy_modules(code, tmp_path) == []
+
+
 def test_building_a_case_loads_no_trial_file_code(tmp_path):
     loaded = loaded_rabench_modules("import rabench\nrabench.build_case('weather')",
                                     tmp_path)
@@ -128,6 +144,7 @@ def test_public_names_are_pinned():
 
 @pytest.mark.parametrize("function, keyword", [
     ("incentive_table", "report"), ("incentive_table", "rule"),
+    ("incentive_table", "n"), ("incentive_table", "seed"),
     ("loss_report", "report"), ("kale_joint", "check_marginal"),
     ("build_kale", "levels"), ("build_fernandes", "text_partition"),
     ("cases.quantile_text_partition", "rounding"), ("InformationStructure", "check"),

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from rabench.cases import build_case
 from rabench.errors import InvalidModelError
 from rabench.generative import TWO_TEAM_STATE_IDS, TwoTeamDGM, kale_joint
-from rabench.model import ActionSpace, ExperimentDesign, MatrixRule, StateSpace
+from rabench.model import (ActionSpace, ExperimentDesign, MatrixRule, StateSpace,
+                           optimal_action_indices, outcome_scores)
 from rabench.payment import (
     AffineConversion,
     FlooredAffineConversion,
@@ -14,7 +17,7 @@ from rabench.payment import (
 )
 from rabench.rational import rational_report
 
-from conftest import BAD_SEEDS, GOOD_SEEDS, seed_refusal, weather_design
+from conftest import _simulated_payment, weather_design
 
 
 def weather_design_with_conversion() -> ExperimentDesign:
@@ -71,6 +74,24 @@ class TestConvert:
         with pytest.raises(InvalidModelError):
             AffineConversion(base=1.0, rate=-0.5)
 
+    @pytest.mark.parametrize("value, shown", [
+        ("1.0", "'1.0'"), (True, "True"), (None, "None"), (math.nan, "nan"),
+        (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "1" + "0" * 400)])
+    @pytest.mark.parametrize("field", ["base", "rate", "floor"])
+    def test_parameters_must_be_finite_numbers(self, field, value, shown):
+        params = {"base": 1.0, "rate": 0.08, "floor": 150.0, field: value}
+        refusal = f"^conversion {field} must be a finite number, not {re.escape(shown)}$"
+        with pytest.raises(InvalidModelError, match=refusal):
+            FlooredAffineConversion(**params)
+        if field != "floor":
+            del params["floor"]
+            with pytest.raises(InvalidModelError, match=refusal):
+                AffineConversion(**params)
+
+    def test_integer_and_numpy_parameters_are_numbers(self):
+        rule = FlooredAffineConversion(base=1, rate=np.float64(0.5), floor=np.int64(2))
+        assert rule.convert(6.0) == 3.0
+
     def test_monotone_nondecreasing(self):
         rules = [
             AffineConversion(base=1.0, rate=0.01),
@@ -115,54 +136,28 @@ class TestIncentiveTable:
         assert row.incentive == pytest.approx(0.51, rel=0.05)
         assert row.incentive_ratio == pytest.approx(0.3072, rel=0.05)
 
-    def test_kale_monte_carlo_mode_exposes_the_floor_convexity(self):
+    def test_kale_exact_method_exposes_the_floor_convexity(self):
         # under the always-no-hire baseline the session balance clears the
         # 150 floor only ~83% of the time, so the exact expected payment
-        # exceeds the linearized one; the exact value follows from the
-        # binomial count of incumbent wins:
-        #   E[1 + 0.08 max(0, 108 + 3.17 K - 150)],  K ~ Binomial(32, 1/2)
+        # exceeds the linearized one; it follows from the binomial count K
+        # of incumbent wins as E[1 + 0.08 max(0, 108 + 3.17 K - 150)]
         design = kale_design()
         linear = incentive_table(design)
-        mc = incentive_table(design, method="monte-carlo", n=200_000, seed=3)
-        assert mc.benchmark.payment_baseline == pytest.approx(1.760927, abs=0.02)
-        assert mc.benchmark.payment_baseline > linear.benchmark.payment_baseline
+        exact = incentive_table(design, method="exact")
+        closed = sum(math.comb(32, k) / 2**32 * (1 + 0.08 * max(0.0, 108 + 3.17 * k - 150))
+                     for k in range(33))
+        assert exact.benchmark.payment_baseline == pytest.approx(closed, rel=0, abs=1e-12)
+        assert exact.benchmark.payment_baseline > linear.benchmark.payment_baseline
         # the optimal policy rarely dips below the floor, so there the
         # linearization is good
-        assert mc.benchmark.payment_optimal == pytest.approx(
-            linear.benchmark.payment_optimal, abs=0.03
+        assert exact.benchmark.payment_optimal == pytest.approx(
+            linear.benchmark.payment_optimal, abs=0.01
         )
 
-    def test_monte_carlo_mode_is_deterministic(self):
-        design = kale_design()
-        a = incentive_table(design, method="monte-carlo", n=50_000, seed=9)
-        b = incentive_table(design, method="monte-carlo", n=50_000, seed=9)
-        assert a == b
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_monte_carlo_needs_a_draw(self, n):
-        with pytest.raises(InvalidModelError, match="^need at least one draw$"):
-            incentive_table(kale_design(), method="monte-carlo", n=n)
-
-    @pytest.mark.parametrize("n", [2.5, 1.0, True])
-    def test_monte_carlo_draw_count_must_be_an_integer(self, n):
+    def test_monte_carlo_is_an_unknown_method(self):
         with pytest.raises(InvalidModelError,
-                           match="^draw count must be an integer, not "):
-            incentive_table(kale_design(), method="monte-carlo", n=n)
-
-    @pytest.mark.parametrize("seed, shown", BAD_SEEDS)
-    def test_monte_carlo_seed_must_be_a_non_negative_integer(self, seed, shown):
-        with pytest.raises(InvalidModelError, match=seed_refusal(shown)):
-            incentive_table(kale_design(), method="monte-carlo", n=100, seed=seed)
-
-    @pytest.mark.parametrize("seed", GOOD_SEEDS)
-    def test_monte_carlo_takes_numpy_and_large_integer_seeds(self, seed):
-        design = kale_design()
-        assert incentive_table(design, method="monte-carlo", n=1_000, seed=seed) == \
-            incentive_table(design, method="monte-carlo", n=1_000, seed=int(seed))
-
-    def test_linearized_ignores_the_draw_count(self):
-        design = kale_design()
-        assert incentive_table(design, n=2.5) == incentive_table(design)
+                           match="^unknown incentive method 'monte-carlo'$"):
+            incentive_table(kale_design(), method="monte-carlo")
 
     def test_missing_conversion_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -242,8 +237,45 @@ class TestIncentiveTable:
             assert table.benchmark.incentive >= -1e-9
 
 
-#: incentive_table(method="monte-carlo", n=20_000, seed=4) of each case, as
-#: float.hex: (baseline payment, {row: optimal payment}).
+def simulated_payments(design: ExperimentDesign, n: int,
+                       seed: int) -> dict[str, tuple[float, float]]:
+    """The incentive table's payments estimated by the ``_simulated_payment``
+    oracle from ``n`` draws, as {row: (payment, SE bound)}, the baseline
+    under ``"baseline"``.
+
+    The baseline plays the prior's optimal action on the first strategy's
+    cells, each cell scored with its signal's posterior as context, as the
+    transit rule's ``outcome_scores`` does; ``rational_report.baseline``
+    uses the prior as context instead. The bound is
+    rate * sqrt(T * Var(trial score) / sessions): the standard error under
+    an affine conversion, and above it under a floor, whose conversion is
+    rate-Lipschitz in the session total.
+    """
+    report = rational_report(design)
+    rule, trials = design.conversion, design.trials_per_experiment
+
+    def simulate(structure, actions):
+        scores = outcome_scores(design, actions, structure.posteriors())
+        mean = (structure.joint * scores).sum()
+        variance = (structure.joint * (scores - mean) ** 2).sum()
+        se = rule.rate * math.sqrt(trials * variance / max(n // trials, 1))
+        return _simulated_payment(design, rule, structure, actions, n, seed), se
+
+    first = next(iter(design.strategies.values()))
+    prior_action = optimal_action_indices(design, report.prior.probabilities[None, :])
+    rows = {"baseline": simulate(first, np.broadcast_to(prior_action, len(first)))}
+    for name, summary in report.strategies.items():
+        rows[name] = simulate(design.strategies[name],
+                              optimal_action_indices(design, summary.posteriors))
+    best = max(report.strategies,
+               key=lambda name: report.strategies[name].visualization_optimal)
+    rows["benchmark"] = rows[best]
+    return rows
+
+
+#: simulated_payments(n=20_000, seed=4) of each case, as float.hex: (baseline
+#: payment, {row: optimal payment}); ``incentive_table(method="monte-carlo")``
+#: gave these same bits before its sampler became the test oracle.
 INCENTIVE_PINS = {
     "weather": ("0x1.d68db8bac710dp-1", {
         "mean": "0x1.d68db8bac710dp-1",
@@ -271,8 +303,102 @@ INCENTIVE_PINS = {
 
 @pytest.mark.parametrize("case", list(INCENTIVE_PINS))
 def test_monte_carlo_incentives_are_pinned(case):
-    table = incentive_table(build_case(case).design, method="monte-carlo",
-                            n=20_000, seed=4)
+    rows = simulated_payments(build_case(case).design, n=20_000, seed=4)
     baseline, optimal = INCENTIVE_PINS[case]
-    assert {r.payment_baseline.hex() for r in table.rows} == {baseline}
-    assert {r.strategy: r.payment_optimal.hex() for r in table.rows} == optimal
+    assert rows.pop("baseline")[0].hex() == baseline
+    assert {name: pay.hex() for name, (pay, _) in rows.items()} == optimal
+
+
+@pytest.mark.parametrize("case", list(INCENTIVE_PINS))
+def test_a_million_draws_lie_within_three_standard_errors_of_exact(case):
+    design = build_case(case).design
+    exact = incentive_table(design, method="exact")
+    rows = simulated_payments(design, n=1_000_000, seed=4)
+    pay, se = rows.pop("baseline")
+    if case == "fernandes2018":
+        # the oracle's baseline scores the transit rule's second bus with
+        # each signal's posterior mean, not the prior's: 978.22 against
+        # rational_report's 975.55 points per trial on scenario 2, 40 trials
+        first = design.strategies["full"]
+        actions = np.full(len(first), optimal_action_indices(
+            design, rational_report(design).prior.probabilities[None, :])[0])
+        per_trial = (first.joint * outcome_scores(design, actions, first.posteriors())).sum()
+        assert per_trial == pytest.approx(978.22, abs=5e-3)
+        assert abs(pay - exact.benchmark.payment_baseline) > 3 * se
+        assert pay == pytest.approx(design.conversion.convert(
+            design.initial_score + 40 * per_trial), abs=3 * se)
+    else:
+        assert pay == pytest.approx(exact.benchmark.payment_baseline, abs=3 * se)
+    for name, (pay, se) in rows.items():
+        assert pay == pytest.approx(exact.row(name).payment_optimal, abs=3 * se), name
+
+
+class TestExactMethod:
+    def test_kale_rows(self):
+        table = incentive_table(build_case("kale2020").design, method="exact")
+        assert len(table.rows) == 5
+        for row in table.rows:
+            assert (row.payment_baseline, row.payment_optimal, row.incentive_ratio) == \
+                pytest.approx((1.760927, 2.213840, 0.257202), rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["weather", "fernandes2018"])
+    def test_an_affine_conversion_gives_the_linearized_table(self, case):
+        design = build_case(case).design
+        assert isinstance(design.conversion, AffineConversion)
+        assert incentive_table(design, method="exact") == incentive_table(design)
+
+    @pytest.mark.parametrize("case", ["weather", "kale2020"])
+    def test_a_floor_below_every_session_total_gives_the_linearized_table(
+            self, case, monkeypatch):
+        from rabench import payment
+
+        design = build_case(case).design
+        # weather's lowest total is -100, kale2020's 108 - 32
+        design = replace(design, conversion=FlooredAffineConversion(
+            base=1.0, rate=0.01, floor=-1000.0))
+        enumerated = []
+        exact_payment = payment._exact_payment
+        monkeypatch.setattr(payment, "_exact_payment", lambda *args: enumerated.append(
+            args) or exact_payment(*args))
+        exact = incentive_table(design, method="exact")
+        linear = incentive_table(design)
+        assert len(enumerated) == 1 + len(design.strategies)
+        for a, b in zip(exact.rows, linear.rows, strict=True):
+            assert (a.payment_baseline, a.payment_optimal) == \
+                pytest.approx((b.payment_baseline, b.payment_optimal), rel=1e-12, abs=0)
+
+    def test_a_floor_can_make_the_optimal_policy_pay_less(self):
+        # never salting scores 0 or -100 and salting -10 or 0: above a
+        # floor of -7, only never salting on a night that does not freeze
+        # pays more than the base
+        rule = FlooredAffineConversion(base=1.0, rate=0.01, floor=-7.0)
+        design = replace(build_case("weather").design, conversion=rule)
+        row = incentive_table(design, method="exact").benchmark
+        assert row.payment_baseline == pytest.approx(1.064428, rel=0, abs=1e-12)
+        assert row.payment_optimal == pytest.approx(1.038682, rel=0, abs=1e-12)
+        assert row.incentive < 0
+
+    def test_a_floored_transit_design_is_refused_with_its_count(self):
+        from rabench.payment import _exact_payment
+
+        design = build_case("fernandes2018").design
+        rule = FlooredAffineConversion(base=design.conversion.base,
+                                       rate=design.conversion.rate, floor=0.0)
+        design = replace(design, conversion=rule)
+        assert incentive_table(design).benchmark.payment_optimal > 0
+        # the baseline, first: the prior's action scores 121 ways
+        with pytest.raises(InvalidModelError, match=re.escape(
+                f"C(160, 120) = {math.comb(160, 120)} count vectors of 121 scores")):
+            incentive_table(design, method="exact")
+        # the full display's optimal policy scores 3889 ways at 40 trials
+        full = design.strategies["full"]
+        with pytest.raises(InvalidModelError, match=re.escape(
+                f"C(3928, 3888) = {math.comb(3928, 3888)} count vectors of 3889 scores")):
+            _exact_payment(design, full.posteriors(), full.joint)
+        # a count too long for Python to print is named by its digit count
+        digits = math.floor(math.log10(math.comb(103888, 3888))) + 1
+        assert digits > 4300
+        with pytest.raises(InvalidModelError, match=re.escape(
+                f"C(103888, 3888) = an integer of {digits} digits count vectors")):
+            _exact_payment(replace(design, trials_per_experiment=100_000),
+                           full.posteriors(), full.joint)
